@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 # From files to a training-ready bundle: planted synthetic data, the two
-# on-disk formats, splitting, negative sampling, and noise injection.
+# on-disk formats, splitting, negative sampling, noise injection, and a
+# sampled knowledge view.
 
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from kgtn import data
+from kgtn import data, denoise
 
 # Planted structure: users and items carry hidden groups; same-group
 # interactions happen with probability 0.9 (density 0.5), others 0.1, and
@@ -18,7 +19,8 @@ raw = data.generate_synthetic(
 print("positives:", raw.interactions().positives.shape[0], "triples:", raw.triples.shape[0])
 
 # The generator emits the same two tab-separated formats the loaders read.
-workdir = Path(tempfile.mkdtemp())
+tmp = tempfile.TemporaryDirectory()  # removed when the script exits
+workdir = Path(tmp.name)
 ratings, kg_path = data.write_dataset(raw, workdir)
 print("wrote", ratings.name, "and", kg_path.name)
 print("first rating line:", ratings.read_text().splitlines()[0])
@@ -47,10 +49,12 @@ noisy = data.inject_noise(ds, ratio=0.10, seed=3)
 print("train grew from", ds.split.train.shape[0], "to", noisy.split.train.shape[0])
 print("eval/test digest unchanged:", noisy.split.eval_test_digest() == digest)
 
-# The KG mask is the sampling hook: deactivate slots, then restore.
-mask = np.zeros(kg.n_triples, dtype=bool)
-mask[: kg.n_triples // 2] = True
-kg.set_active(mask)
-print("active edges after mask:", kg.active_edges().n_edges, "of", kg.n_triples)
-kg.reset_mask()
-print("restored:", kg.active_edges().n_edges)
+# Knowledge sampling returns a view of the kept slots and never writes the
+# KG: at most k_top slots per head survive, the triples stay as loaded.
+before = kg.triples.tobytes()
+rng = np.random.default_rng(0)
+view = denoise.sample_topk(kg, rng.normal(size=(kg.n_entities, 8)),
+                           rng.normal(size=(kg.n_relations, 8)), k_top=1, rng=rng)
+print("view keeps", view.n_kept, "of", kg.n_triples, "slots;",
+      "view edges:", view.edges.n_edges)
+print("KG unchanged:", kg.triples.tobytes() == before)

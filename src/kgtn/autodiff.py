@@ -1,8 +1,9 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 The operator set covers exactly what the recommender's forward pass needs:
-matrix products, embedding-row gather/scatter, segment softmax over CSR
-neighborhoods, elementwise maps, reductions, row scaling, and concatenation.
+matrix products, embedding-row gathers (whose backward scatter-adds),
+segment softmax over CSR neighborhoods, elementwise maps, reductions, row
+scaling, and concatenation.
 There is no general broadcasting; the only implicit broadcasts are scalar
 (0-d) tensors and plain Python numbers against an array operand.
 
@@ -213,7 +214,7 @@ def neg(a):
 
 
 def mul(a, b):
-    """Elementwise (Hadamard) product; scalar operands broadcast."""
+    """Elementwise product; scalar operands broadcast."""
     av, bv = _binary_shapes("mul", a, b)
     out = Tensor(av * bv, requires_grad=_needs_grad(a, b))
 
@@ -223,14 +224,6 @@ def mul(a, b):
 
     _record("mul", out, backward)
     return out
-
-
-def hadamard(a, b):
-    """Elementwise product of two same-shape tensors (no scalar broadcast)."""
-    av, bv = _values(a), _values(b)
-    if av.shape != bv.shape:
-        raise ShapeError(f"hadamard: operand shapes {av.shape} and {bv.shape} differ")
-    return mul(a, b)
 
 
 def div(a, b):
@@ -295,23 +288,6 @@ def gather_rows(table, index):
 
     if isinstance(table, Tensor) and table.requires_grad:
         _record("gather_rows", out, backward)
-    return out
-
-
-def scatter_add(rows, index, num_rows):
-    """Sum `rows` into `num_rows` output slots addressed by `index`."""
-    rv = _values(rows)
-    idx = np.asarray(index)
-    if rv.shape[:1] != idx.shape:
-        raise ShapeError(
-            f"scatter_add: rows shape {rv.shape} does not match index shape {idx.shape}"
-        )
-    if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
-        raise ShapeError(f"scatter_add: index out of range for {num_rows} rows")
-    acc = np.zeros((num_rows,) + rv.shape[1:], dtype=np.float64)
-    np.add.at(acc, idx, rv)
-    out = Tensor(acc, requires_grad=_needs_grad(rows))
-    _record("scatter_add", out, lambda g: _accum(rows, g[idx]))
     return out
 
 
@@ -507,23 +483,3 @@ def softplus(a):
     _record("softplus", out, lambda g: _accum(a, g * expit(av)))
     return out
 
-
-def cosine(a, b):
-    """Cosine similarity of two vectors; zero-norm operands are rejected."""
-    av, bv = _values(a), _values(b)
-    if av.ndim != 1 or av.shape != bv.shape:
-        raise ShapeError(f"cosine: expected equal-length vectors, got {av.shape} and {bv.shape}")
-    na = np.sqrt((av * av).sum())
-    nb = np.sqrt((bv * bv).sum())
-    if na == 0.0 or nb == 0.0:
-        raise DomainError("cosine: zero-norm operand")
-    dot = av @ bv
-    c = dot / (na * nb)
-    out = Tensor(c, requires_grad=_needs_grad(a, b))
-
-    def backward(g):
-        _accum(a, g * (bv / (na * nb) - c * av / (na * na)))
-        _accum(b, g * (av / (na * nb) - c * bv / (nb * nb)))
-
-    _record("cosine", out, backward)
-    return out

@@ -33,7 +33,6 @@ def _add_common_flags(p):
     p.add_argument("--lr", type=float)
     p.add_argument("--l2", type=float, help="L2 regularization weight")
     p.add_argument("--epochs", type=int)
-    p.add_argument("--threads", type=int, help="upper bound on worker threads")
     p.add_argument("--noise-ratio", dest="noise_ratio", type=float,
                    help="fraction of fake training positives to inject")
     p.add_argument("--batch-size", dest="batch_size", type=int)
@@ -47,7 +46,7 @@ def _add_common_flags(p):
 
 _OVERRIDE_KEYS = (
     "seed", "alpha", "tau", "k_top", "n_intents", "depth", "n_heads", "lr", "l2",
-    "epochs", "threads", "noise_ratio", "batch_size",
+    "epochs", "noise_ratio", "batch_size",
     "share_transformer_weights", "infonce_standard",
 )
 

@@ -38,7 +38,6 @@ class ExperimentConfig:
     epochs: int = 200
     patience: int = 10
     seed: int = 42
-    threads: int = 1
     noise_ratio: float = 0.0
     # data / evaluation
     train_ratio: float = 0.6
@@ -75,8 +74,6 @@ class ExperimentConfig:
             raise ConfigError("epochs must be non-negative")
         if self.patience < 1:
             raise ConfigError("patience must be at least 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
         if not (0.0 <= self.noise_ratio <= 0.5):
             raise ConfigError(f"noise_ratio must lie in [0, 0.5], got {self.noise_ratio}")
         ratios = self.split_ratios
@@ -110,7 +107,6 @@ _SECTION_OF = {
     "epochs": "train",
     "patience": "train",
     "seed": "train",
-    "threads": "train",
     "recall_ks": "eval",
 }
 

@@ -56,7 +56,6 @@ class InteractionGraph:
         self.pairs = pairs
         self.u_offsets, self.u_items = _csr(pairs[:, 0], pairs[:, 1], self.n_users)
         self.i_offsets, self.i_users = _csr(pairs[:, 1], pairs[:, 0], self.n_items)
-        self.pos_set = {(int(u), int(i)) for u, i in pairs}
 
     @property
     def n_interactions(self):
@@ -69,25 +68,28 @@ class InteractionGraph:
         return self.u_items[self.u_offsets[u]:self.u_offsets[u + 1]]
 
     def has(self, u, i):
-        return (int(u), int(i)) in self.pos_set
+        row = self.items_of(u)  # sorted within each CSR row
+        k = np.searchsorted(row, i)
+        return bool(k < row.size and row[k] == i)
+
+
+def csr_offsets(keys, n_keys):
+    """CSR offsets for rows already grouped by `keys` (one block per key)."""
+    offsets = np.zeros(n_keys + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n_keys), out=offsets[1:])
+    return offsets
 
 
 def _csr(keys, values, n_keys):
     order = np.lexsort((values, keys))
-    keys = keys[order]
-    values = values[order]
-    counts = np.bincount(keys, minlength=n_keys)
-    offsets = np.zeros(n_keys + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets, values
+    return csr_offsets(keys[order], n_keys), values[order]
 
 
 class KnowledgeGraph:
-    """Triple store with per-head CSR adjacency and a mutable active-edge mask.
+    """Triple store with per-head CSR adjacency, never written after construction.
 
-    Deactivating slots never removes data: `reset_mask()` restores the full
-    graph bit-exactly. The mask is rewritten by a single writer between
-    epochs; readers never observe a partial rewrite.
+    Per-epoch knowledge sampling returns a `denoise.SampledGraphView` of the
+    kept slots instead of changing the graph.
     """
 
     def __init__(self, triples, n_entities=None, n_relations=None):
@@ -106,16 +108,12 @@ class KnowledgeGraph:
         self.triples = triples
         order = np.lexsort((triples[:, 2], triples[:, 1], triples[:, 0])) if triples.size else np.array([], dtype=np.int64)
         heads = triples[order, 0] if triples.size else np.array([], dtype=np.int64)
-        counts = np.bincount(heads, minlength=self.n_entities)
-        offsets = np.zeros(self.n_entities + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
         self._edges = KGEdges(
-            offsets=offsets,
+            offsets=csr_offsets(heads, self.n_entities),
             rel=triples[order, 1] if triples.size else np.array([], dtype=np.int64),
             tail=triples[order, 2] if triples.size else np.array([], dtype=np.int64),
             head=heads,
         )
-        self.active_mask = np.ones(self.n_triples, dtype=bool)
 
     @property
     def n_triples(self):
@@ -123,26 +121,6 @@ class KnowledgeGraph:
 
     def full_edges(self):
         return self._edges
-
-    def reset_mask(self):
-        self.active_mask = np.ones(self.n_triples, dtype=bool)
-
-    def set_active(self, mask):
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self.n_triples,):
-            raise DataFormatError(f"active mask shape {mask.shape} != ({self.n_triples},)")
-        self.active_mask = mask.copy()
-
-    def active_edges(self):
-        """CSR view restricted to active slots (slot order preserved)."""
-        mask = self.active_mask
-        e = self._edges
-        counts = np.zeros(self.n_entities, dtype=np.int64)
-        if mask.any():
-            np.add.at(counts, e.head[mask], 1)
-        offsets = np.zeros(self.n_entities + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return KGEdges(offsets=offsets, rel=e.rel[mask], tail=e.tail[mask], head=e.head[mask])
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +282,8 @@ def inject_noise(dataset, ratio, seed):
     """Return a copy of `dataset` with fake training positives added.
 
     Adds floor(ratio * |train positives|) pairs drawn uniformly from pairs
-    absent from the observed interaction matrix and from every split row;
+    absent from every split row (the split rows hold every observed
+    positive, so the fakes are absent from the interaction matrix too);
     eval/test portions are byte-identical to the input's.
     """
     if not (0.0 <= ratio <= 0.5):
@@ -317,7 +296,6 @@ def inject_noise(dataset, ratio, seed):
     taken = set(map(tuple, split.train[:, :2]))
     taken |= set(map(tuple, split.eval[:, :2]))
     taken |= set(map(tuple, split.test[:, :2]))
-    taken |= dataset.observed_positives
     fake = []
     attempts = 0
     limit = 1000 * max(1, n_add)
@@ -347,7 +325,6 @@ class Dataset:
     n_items: int
     kg: KnowledgeGraph
     split: Split
-    observed_positives: set = field(repr=False, default_factory=set)
     _graph: InteractionGraph = field(default=None, repr=False)
 
     @property
@@ -370,7 +347,6 @@ class Dataset:
             n_items=self.n_items,
             kg=self.kg,
             split=split,
-            observed_positives=self.observed_positives,
         )
 
 
@@ -380,14 +356,11 @@ def build_dataset(interactions, kg, ratios, seed):
             f"items must form an entity-ID prefix: {interactions.n_items} items "
             f"but only {kg.n_entities} entities"
         )
-    split = make_split(interactions, ratios, seed)
-    observed = {(int(u), int(i)) for u, i in interactions.positives}
     return Dataset(
         n_users=interactions.n_users,
         n_items=interactions.n_items,
         kg=kg,
-        split=split,
-        observed_positives=observed,
+        split=make_split(interactions, ratios, seed),
     )
 
 

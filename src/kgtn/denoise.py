@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import KGEdges
+from .data import KGEdges, csr_offsets
 from .errors import ContractError, DomainError
+from .intents import mean_pool
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -45,12 +46,16 @@ def sample_gumbel(rng, size):
     while bad.any():
         eps[bad] = rng.random(int(bad.sum()))
         bad = eps <= 0.0
-    return -np.log(-np.log(eps))
+    return gumbel_from_uniform(eps)
 
 
 @dataclass
 class SampledGraphView:
-    """Kept/dropped decision per KG slot plus the retained clean weights."""
+    """One epoch's sampled knowledge view: the only record of the kept slots.
+
+    The knowledge graph itself is never written; `edges` is a fresh CSR
+    restricted to the kept slots, in full slot order.
+    """
 
     kg: object
     kept: np.ndarray        # (T,) bool over full slot order
@@ -104,23 +109,14 @@ def sample_topk(kg, entity_vals, relation_vals, k_top, rng):
         kept[order] = rank_in_head < k_top
 
     beta_hat = np.where(kept, beta, 0.0)
+    head = edges.head[kept]
     masked = KGEdges(
-        offsets=_masked_offsets(edges, kept),
+        offsets=csr_offsets(head, edges.offsets.size - 1),
         rel=edges.rel[kept],
         tail=edges.tail[kept],
-        head=edges.head[kept],
+        head=head,
     )
     return SampledGraphView(kg=kg, kept=kept, beta_hat=beta_hat, edges=masked)
-
-
-def _masked_offsets(edges, kept):
-    n = edges.offsets.size - 1
-    counts = np.zeros(n, dtype=np.int64)
-    if kept.any():
-        np.add.at(counts, edges.head[kept], 1)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets
 
 
 @dataclass
@@ -149,15 +145,6 @@ class LayerStack:
         )
 
 
-def _mean_pool(prev, msgs, offsets):
-    n = prev.values.shape[0]
-    agg = ad.segment_sum_rows(msgs, offsets)
-    counts = np.diff(offsets).astype(np.float64)
-    inv = np.divide(1.0, counts, out=np.zeros(n), where=counts > 0)
-    empty = (counts == 0).astype(np.float64)
-    return ad.scale_rows(agg, inv) + ad.scale_rows(prev, empty)
-
-
 def light_aggregate(user_seed, entity_seed, relation_emb, view_edges, graph, depth, n_items):
     """Parameter-free propagation over the sampled KG and interaction graph.
 
@@ -173,11 +160,11 @@ def light_aggregate(user_seed, entity_seed, relation_emb, view_edges, graph, dep
         if view_edges.n_edges:
             msgs = ad.mul(ad.gather_rows(relation_emb, view_edges.rel),
                           ad.gather_rows(z, view_edges.tail))
-            e_next = _mean_pool(z, msgs, view_edges.offsets)
+            e_next = mean_pool(z, msgs, view_edges.offsets)
         else:
             e_next = z
         u_msgs = ad.gather_rows(ad.gather_rows(z, item_idx), graph.u_items)
-        u_next = _mean_pool(zu[-1], u_msgs, graph.u_offsets)
+        u_next = mean_pool(zu[-1], u_msgs, graph.u_offsets)
         zu.append(u_next)
         ze.append(e_next)
     return LayerStack(users=zu, items=[ad.gather_rows(z, item_idx) for z in ze])

@@ -8,6 +8,7 @@ import numpy as np
 from . import metrics, training
 from .data import inject_noise
 from .errors import ContractError
+from .metrics import ctr_eval  # the one CTR path; also reachable as experiments.ctr_eval
 
 
 @dataclass
@@ -62,12 +63,6 @@ class MetricReport:
         return "\n".join(out) + "\n"
 
 
-def ctr_scores(zu, zi, pairs):
-    """Sigmoid click probabilities for labelled (user, item) pairs."""
-    raw = (zu[pairs[:, 0]] * zi[pairs[:, 1]]).sum(axis=1)
-    return 1.0 / (1.0 + np.exp(-raw))
-
-
 def balanced_pairs(dataset, split="train", seed=123):
     """Positives of a split plus per-user balanced sampled negatives.
 
@@ -92,12 +87,6 @@ def balanced_pairs(dataset, split="train", seed=123):
         for j in negative_sample(graph, u, min(counts[u], avail), rng):
             rows.append((u, int(j), 0))
     return np.array(rows, dtype=np.int64)
-
-
-def ctr_eval(zu, zi, pairs):
-    probs = ctr_scores(zu, zi, pairs)
-    labels = pairs[:, 2]
-    return metrics.auc(probs, labels), metrics.f1(probs, labels)
 
 
 def recall_at_k(zu, zi, dataset, ks, split="test"):

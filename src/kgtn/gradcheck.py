@@ -98,7 +98,6 @@ def toy_problem(seed=0, embed_dim=8, n_intents=2, n_heads=2, depth=1, k_top=1):
     view = sample_topk(
         dataset.kg, params.entity_emb.values, params.relation_emb.values, cfg.k_top, rng
     )
-    dataset.kg.set_active(view.kept)
     batch = build_bpr_triples(dataset.train_graph, dataset.split.train[:, :2], rng)
     return params, dataset, view, cfg, batch
 

@@ -102,18 +102,23 @@ def kg_aggregate(entity_emb, relation_emb, edges):
     attention-weighted, 1/|N_i|-scaled sum of relation-gated neighbor
     embeddings; heads without active slots pass through unchanged.
     """
-    n = entity_emb.values.shape[0]
     if edges.n_edges == 0:
         return entity_emb
     beta = kg_attention(entity_emb, relation_emb, edges)
     hv = ad.gather_rows(entity_emb, edges.tail)
     hr = ad.gather_rows(relation_emb, edges.rel)
     msg = ad.scale_rows(ad.mul(hr, hv), beta)
-    agg = ad.segment_sum_rows(msg, edges.offsets)
-    counts = edges.counts.astype(np.float64)
+    return mean_pool(entity_emb, msg, edges.offsets)
+
+
+def mean_pool(prev, msgs, offsets):
+    """Mean of each row's CSR block of messages; rows with none keep `prev`."""
+    n = prev.values.shape[0]
+    agg = ad.segment_sum_rows(msgs, offsets)
+    counts = np.diff(offsets).astype(np.float64)
     inv = np.divide(1.0, counts, out=np.zeros(n), where=counts > 0)
     empty = (counts == 0).astype(np.float64)
-    return ad.scale_rows(agg, inv) + ad.scale_rows(entity_emb, empty)
+    return ad.scale_rows(agg, inv) + ad.scale_rows(prev, empty)
 
 
 def _attend(queries, keys, values, offsets, targets, scale):

@@ -43,6 +43,19 @@ def f1(scores, labels, threshold=0.5):
     return float(2.0 * precision * recall / (precision + recall))
 
 
+def ctr_scores(zu, zi, pairs):
+    """Sigmoid click probabilities for labelled (user, item) pairs."""
+    raw = (zu[pairs[:, 0]] * zi[pairs[:, 1]]).sum(axis=1)
+    return 1.0 / (1.0 + np.exp(-raw))
+
+
+def ctr_eval(zu, zi, pairs):
+    """AUC and F1 of the click probabilities of labelled (user, item, label) rows."""
+    probs = ctr_scores(zu, zi, pairs)
+    labels = pairs[:, 2]
+    return auc(probs, labels), f1(probs, labels)
+
+
 def recall_from_ranking(ranked_items, relevant_items, k):
     """Recall@k for one user given a full ranking and their relevant set."""
     if k < 1:

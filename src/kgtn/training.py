@@ -5,7 +5,8 @@ intent propagation over the intact KG, light aggregation of the global
 (and, when the contrastive weight is nonzero, local) track over the
 epoch's sampled view, pairwise ranking loss over the batch, the
 layer-wise contrastive term, and L2 over every parameter. The knowledge
-view is redrawn once per epoch, between steps.
+view is redrawn once per epoch, between steps, as a fresh
+`denoise.SampledGraphView`; the dataset's knowledge graph is only read.
 """
 from __future__ import annotations
 
@@ -273,12 +274,18 @@ def build_bpr_triples(graph, train_pos, rng):
 
 
 def _epoch_batches(triples, batch_size, rng):
+    """Shuffled batches of `batch_size` rows.
+
+    A last batch with fewer than 2 distinct users or positive items (too
+    few for the contrastive term) joins the batch before it.
+    """
     perm = rng.permutation(triples.shape[0])
     shuffled = triples[perm]
     batches = [shuffled[k:k + batch_size] for k in range(0, shuffled.shape[0], batch_size)]
-    if len(batches) > 1 and batches[-1].shape[0] == 1:
-        batches[-2] = np.concatenate([batches[-2], batches[-1]], axis=0)
-        batches.pop()
+    if len(batches) > 1:
+        tail = batches[-1]
+        if np.unique(tail[:, 0]).size < 2 or np.unique(tail[:, 1]).size < 2:
+            batches[-2:] = [np.concatenate(batches[-2:], axis=0)]
     return batches
 
 
@@ -288,16 +295,6 @@ def representations(params, dataset, cfg):
     _, global_track, _ = compute_tracks(params, dataset, view, cfg, with_local=False)
     zu, zi = global_track.summed()
     return zu.values, zi.values
-
-
-def _eval_ctr(params, dataset, cfg, pairs):
-    if pairs.shape[0] == 0 or np.unique(pairs[:, 2]).size < 2:
-        return float("nan"), float("nan")
-    zu, zi = representations(params, dataset, cfg)
-    raw = (zu[pairs[:, 0]] * zi[pairs[:, 1]]).sum(axis=1)
-    probs = 1.0 / (1.0 + np.exp(-raw))
-    labels = pairs[:, 2]
-    return metrics.auc(probs, labels), metrics.f1(probs, labels)
 
 
 @dataclass
@@ -325,6 +322,9 @@ def fit(cfg, dataset):
     optimizer = Adam(params.named(), lr=cfg.lr)
     graph = dataset.train_graph
     train_pos = dataset.split.train[:, :2]
+    eval_pairs = dataset.split.eval
+    # AUC/F1 need both classes; without them the log records NaN
+    can_eval = np.unique(eval_pairs[:, 2]).size == 2
     log = []
     best_auc = -np.inf
     best_epoch = -1
@@ -333,14 +333,12 @@ def fit(cfg, dataset):
     stopped = False
 
     for epoch in range(cfg.epochs):
-        dataset.kg.reset_mask()
         if cfg.sample_knowledge and dataset.kg.n_triples:
             state = global_state(params, dataset, cfg)
             entity_vals = _global_entity_seed(state, dataset.n_items, dataset.n_entities).values
             view = denoise.sample_topk(
                 dataset.kg, entity_vals, params.relation_emb.values, cfg.k_top, rng
             )
-            dataset.kg.set_active(view.kept)
         else:
             view = denoise.full_view(dataset.kg)
 
@@ -364,7 +362,10 @@ def fit(cfg, dataset):
                 sums[key] += parts[key]
             n_batches += 1
 
-        eval_auc, eval_f1 = _eval_ctr(params, dataset, cfg, dataset.split.eval)
+        eval_auc = eval_f1 = float("nan")
+        if can_eval:
+            zu, zi = representations(params, dataset, cfg)
+            eval_auc, eval_f1 = metrics.ctr_eval(zu, zi, eval_pairs)
         log.append(
             {
                 "epoch": epoch,
@@ -413,24 +414,35 @@ def save_checkpoint(path, named_values):
             fh.write(arr.tobytes())
 
 
+def _read_exact(fh, n_bytes, path, what):
+    raw = fh.read(n_bytes)
+    if len(raw) != n_bytes:
+        raise CheckpointError(f"{path}: truncated {what}")
+    return raw
+
+
 def load_checkpoint(path):
+    """Read a checkpoint; any corrupt or truncated file raises CheckpointError."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
+        magic = _read_exact(fh, 8, path, "magic")
         if magic != _MAGIC:
             raise CheckpointError(f"{path}: bad magic {magic!r}")
-        version, count = struct.unpack("<II", fh.read(8))
+        version, count = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
         if version != _VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         blob = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
-            n_bytes = 8 * int(np.prod(shape, dtype=np.int64)) if ndim else 8
-            raw = fh.read(n_bytes)
-            if len(raw) != n_bytes:
-                raise CheckpointError(f"{path}: truncated data for parameter '{name}'")
+            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, path, "parameter name"))
+            try:
+                name = _read_exact(fh, name_len, path, "parameter name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: parameter name is not valid UTF-8") from None
+            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, path, f"shape of parameter '{name}'"))
+            shape = struct.unpack(
+                f"<{ndim}I", _read_exact(fh, 4 * ndim, path, f"shape of parameter '{name}'")
+            )
+            n_bytes = 8 * int(np.prod(shape, dtype=np.int64))
+            raw = _read_exact(fh, n_bytes, path, f"data for parameter '{name}'")
             blob[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         return blob
 

@@ -90,24 +90,24 @@ def test_softmax_rows_and_finite_difference():
 
 
 # ---------------------------------------------------------------------------
-# hadamard / elementwise arithmetic
+# Hadamard (elementwise) product and arithmetic; `mul` is the product
 
 
 def test_hadamard_identity_and_annihilator():
     a = ad.constant([2.0, -3.0, 0.5])
-    np.testing.assert_array_equal(ad.hadamard(a, ad.constant(np.ones(3))).values, a.values)
-    np.testing.assert_array_equal(ad.hadamard(a, ad.constant(np.zeros(3))).values, np.zeros(3))
+    np.testing.assert_array_equal(ad.mul(a, ad.constant(np.ones(3))).values, a.values)
+    np.testing.assert_array_equal(ad.mul(a, ad.constant(np.zeros(3))).values, np.zeros(3))
 
 
 def test_hadamard_scalar_oracle():
     np.testing.assert_array_equal(
-        ad.hadamard(ad.constant([2.0, 3.0]), ad.constant([4.0, 5.0])).values, [8.0, 15.0]
+        ad.mul(ad.constant([2.0, 3.0]), ad.constant([4.0, 5.0])).values, [8.0, 15.0]
     )
 
 
 def test_hadamard_shape_mismatch():
     with pytest.raises(ShapeError):
-        ad.hadamard(ad.constant(np.ones(3)), ad.constant(np.ones(4)))
+        ad.mul(ad.constant(np.ones(3)), ad.constant(np.ones(4)))
 
 
 def test_elementwise_finite_difference():
@@ -125,36 +125,6 @@ def test_scalar_broadcast_arithmetic():
     out = (2.0 * a + 1.0) / 2.0 - 0.5
     np.testing.assert_allclose(out.values, a.values)
     fd_check(lambda: ad.sum_all(ad.mul(3.0 * a - 1.0, a / 2.0)), [("a", a)])
-
-
-# ---------------------------------------------------------------------------
-# cosine
-
-
-def test_cosine_self_similarity():
-    v = ad.constant(RNG.normal(size=6))
-    assert abs(ad.cosine(v, v).values - 1.0) < 1e-12
-
-
-def test_cosine_orthogonal():
-    assert ad.cosine(ad.constant([1.0, 0.0]), ad.constant([0.0, 1.0])).values == 0.0
-
-
-def test_cosine_scalar_oracle():
-    out = ad.cosine(ad.constant([1.0, 1.0]), ad.constant([1.0, 0.0])).values
-    assert abs(out - 1.0 / math.sqrt(2.0)) < 1e-9
-
-
-def test_cosine_zero_norm_rejected():
-    with pytest.raises(DomainError):
-        ad.cosine(ad.constant([0.0, 0.0]), ad.constant([1.0, 0.0]))
-
-
-def test_cosine_range_and_finite_difference():
-    a = ad.parameter(RNG.normal(size=5))
-    b = ad.parameter(RNG.normal(size=5))
-    assert -1.0 - 1e-12 <= ad.cosine(a, b).values <= 1.0 + 1e-12
-    fd_check(lambda: ad.cosine(a, b), [("a", a), ("b", b)])
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +172,7 @@ def test_tapes_do_not_nest():
 
 
 # ---------------------------------------------------------------------------
-# gather / scatter / segments / concat
+# gather (backward scatter-adds) / segments / concat
 
 
 def test_gather_rows_identity_permutation():
@@ -222,28 +192,38 @@ def test_gather_rows_finite_difference():
     fd_check(lambda: ad.sum_all(ad.mul(ad.gather_rows(t, idx), w)), [("t", t)])
 
 
+def _gather_grad(n_rows, idx, upstream):
+    """Gradient gather_rows scatter-adds into its table for a given upstream."""
+    t = ad.parameter(np.zeros((n_rows, upstream.shape[1])))
+    with ad.Tape() as tape:
+        loss = ad.sum_all(ad.mul(ad.gather_rows(t, idx), ad.constant(upstream)))
+    tape.backward(loss)
+    return t.grad
+
+
 def test_scatter_add_matches_loop_oracle():
     rows = RNG.normal(size=(6, 2))
     idx = np.array([0, 1, 1, 3, 0, 3])
     expected = np.zeros((4, 2))
     for k, j in enumerate(idx):
         expected[j] += rows[k]
-    out = ad.scatter_add(ad.constant(rows), idx, 4).values
-    np.testing.assert_allclose(out, expected, atol=1e-12)
+    np.testing.assert_allclose(_gather_grad(4, idx, rows), expected, atol=1e-12)
 
 
 def test_scatter_add_bounds_and_empty_target():
     with pytest.raises(ShapeError):
-        ad.scatter_add(ad.constant(np.ones((1, 2))), np.array([5]), 3)
-    out = ad.scatter_add(ad.constant(np.ones((2, 2))), np.array([1, 1]), 4).values
+        ad.gather_rows(ad.parameter(np.ones((3, 2))), np.array([5]))
+    out = _gather_grad(4, np.array([1, 1]), np.ones((2, 2)))
     np.testing.assert_array_equal(out[0], np.zeros(2))
+    np.testing.assert_array_equal(out[1], np.full(2, 2.0))
 
 
 def test_scatter_add_finite_difference():
-    rows = ad.parameter(RNG.normal(size=(6, 2)))
+    # gradients of a table read through repeated and missing indices
+    t = ad.parameter(RNG.normal(size=(4, 2)))
     idx = np.array([0, 1, 1, 3, 0, 3])
-    w = ad.constant(RNG.normal(size=(4, 2)))
-    fd_check(lambda: ad.sum_all(ad.mul(ad.scatter_add(rows, idx, 4), w)), [("rows", rows)])
+    w = ad.constant(RNG.normal(size=(6, 2)))
+    fd_check(lambda: ad.sum_all(ad.mul(ad.gather_rows(t, idx), w)), [("t", t)])
 
 
 def test_segment_sum_rows_with_empty_segments():

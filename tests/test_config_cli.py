@@ -39,6 +39,14 @@ def test_unknown_key_rejected_by_name(tmp_path):
         parse_config(None, {"mystery_knob": 1})
 
 
+def test_threads_key_rejected_by_name(tmp_path):
+    path = tmp_path / "c.ini"
+    path.write_text("[train]\nthreads = 2\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="threads"):
+        parse_config(path)
+    assert "threads" not in to_ini(ExperimentConfig())
+
+
 def test_config_round_trip(tmp_path):
     cfg = parse_config(None, {
         "alpha": 0.25, "k_top": "none", "recall_ks": "5 15",
@@ -155,6 +163,18 @@ def test_evaluate_corrupt_checkpoint_nonzero_exit(tmp_path, synth_dir, capsys):
     ])
     assert code != 0
     assert "magic" in capsys.readouterr().err
+
+
+def test_evaluate_truncated_checkpoint_exits_2(tmp_path, synth_dir, capsys):
+    ckpt = tmp_path / "cut.bin"
+    training.save_checkpoint(ckpt, {"w": np.ones((2, 2))})
+    ckpt.write_bytes(ckpt.read_bytes()[:10])
+    code = cli.main([
+        "evaluate", *_fast_flags(tmp_path, synth_dir, tmp_path / "e"),
+        "--checkpoint", str(ckpt),
+    ])
+    assert code == 2
+    assert "truncated" in capsys.readouterr().err
 
 
 def test_missing_data_dir_is_an_error(tmp_path, capsys, monkeypatch):

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from kgtn import data
+from kgtn import data, training
+from kgtn.config import ExperimentConfig
 from kgtn.errors import ConfigError, DataFormatError, DomainError
 
 
@@ -74,34 +75,36 @@ def test_load_kg_deduplicates(tmp_path):
     assert data.load_kg(path).n_triples == 1
 
 
-def test_kg_mask_round_trip(raw40):
-    kg = raw40.knowledge_graph()
-    before = (
-        kg.full_edges().offsets.copy(),
-        kg.full_edges().rel.copy(),
-        kg.full_edges().tail.copy(),
-        kg.triples.copy(),
-    )
-    mask = np.zeros(kg.n_triples, dtype=bool)
-    mask[::2] = True
-    kg.set_active(mask)
-    active = kg.active_edges()
-    assert active.n_edges == mask.sum()
-    kg.reset_mask()
-    after = (
-        kg.full_edges().offsets,
-        kg.full_edges().rel,
-        kg.full_edges().tail,
-        kg.triples,
-    )
-    for b, a in zip(before, after):
-        assert b.tobytes() == a.tobytes()
-    assert kg.active_mask.all()
+def _kg_snapshot(kg):
+    e = kg.full_edges()
+    arrays = {k: v.tobytes() for k, v in vars(kg).items() if isinstance(v, np.ndarray)}
+    return sorted(vars(kg)), arrays, [a.tobytes() for a in (e.offsets, e.rel, e.tail, e.head)]
+
+
+def test_pruning_fit_never_writes_kg_or_split():
+    ds = _dataset40()
+    assert ds.kg.full_edges().counts.max() > 1  # so k_top = 1 really prunes
+    kg_before = _kg_snapshot(ds.kg)
+    split_before = [a.tobytes() for a in (ds.split.train, ds.split.eval, ds.split.test)]
+    cfg = ExperimentConfig(embed_dim=8, n_intents=2, n_heads=2, agg_depth=1, k_top=1,
+                           batch_size=64, epochs=2, seed=7).validate()
+    training.fit(cfg, ds)
+    assert _kg_snapshot(ds.kg) == kg_before
+    assert [a.tobytes() for a in (ds.split.train, ds.split.eval, ds.split.test)] == split_before
 
 
 def test_kg_declared_entities_enforced():
     with pytest.raises(DataFormatError, match="overflow"):
         data.KnowledgeGraph(np.array([[9, 0, 1]]), n_entities=5)
+
+
+def test_interaction_graph_has_matches_pairs(raw40):
+    positives = raw40.interactions().positives
+    graph = data.InteractionGraph(40, 30, positives)
+    observed = set(map(tuple, positives.tolist()))
+    for u in range(40):
+        for i in range(30):
+            assert graph.has(u, i) is ((u, i) in observed)
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +227,15 @@ def test_inject_noise_adds_floor_ratio():
 
 
 def test_injected_pairs_absent_from_original_matrix():
+    raw = data.generate_synthetic(40, 30, 50, 3, density=0.5, seed=7)
+    observed = set(map(tuple, raw.interactions().positives.tolist()))
     ds = _dataset40()
     noisy = data.inject_noise(ds, 0.20, seed=1)
     added = noisy.split.train[ds.split.train.shape[0]:]
+    assert added.shape[0] > 0
     for u, i, y in added:
         assert y == 1
-        assert (int(u), int(i)) not in ds.observed_positives
+        assert (int(u), int(i)) not in observed
 
 
 def test_inject_noise_keeps_eval_test_digest():

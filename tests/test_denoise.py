@@ -125,17 +125,18 @@ def test_topk_deterministic_under_seed():
     assert np.array_equal(v1.beta_hat, v2.beta_hat)
 
 
-def test_topk_never_touches_triples_and_mask_reverts():
-    kg = _kg([(0, 0, 1), (0, 1, 2), (1, 0, 2)], 3)
-    triples_before = kg.triples.copy()
-    view = denoise.sample_topk(kg, RNG.normal(size=(3, 2)), RNG.normal(size=(2, 2)),
-                               1, np.random.default_rng(0))
-    kg.set_active(view.kept)
-    assert np.array_equal(kg.triples, triples_before)
-    kg.reset_mask()
-    assert kg.active_mask.all()
-    assert np.array_equal(kg.triples, triples_before)
-    assert kg.active_edges().n_edges == 3
+def test_topk_never_writes_kg():
+    kg = _kg([(0, 0, 1), (0, 1, 2), (0, 1, 1), (1, 0, 2), (1, 1, 0)], 3)
+    e = kg.full_edges()
+    before = [a.tobytes() for a in (kg.triples, e.offsets, e.rel, e.tail)]
+    for k in (1, 2, None):
+        view = denoise.sample_topk(kg, RNG.normal(size=(3, 2)), RNG.normal(size=(2, 2)),
+                                   k, np.random.default_rng(0))
+        assert [a.tobytes() for a in (kg.triples, e.offsets, e.rel, e.tail)] == before
+        assert view.edges.n_edges == view.kept.sum()
+        np.testing.assert_array_equal(view.edges.tail, e.tail[view.kept])
+        np.testing.assert_array_equal(view.edges.counts,
+                                      np.bincount(e.head[view.kept], minlength=3))
 
 
 def test_topk_rejects_nonpositive_k():

@@ -209,6 +209,21 @@ def test_fit_alpha_zero_skips_contrastive_ops(tiny_dataset):
     assert sum(off.values()) < sum(on.values())
 
 
+def test_epoch_batches_each_have_two_users_and_items():
+    # 10 rows per user and 6 per item, so only a short last batch can repeat
+    # one user or item; the contrastive term needs 2 distinct of each, so
+    # such a tail joins the batch before it
+    users = np.arange(30) % 3
+    triples = np.column_stack([users, np.arange(30) % 5, np.zeros(30, dtype=np.int64)])
+    for seed in range(20):
+        for batch_size in (13, 14, 28):
+            batches = training._epoch_batches(triples, batch_size, np.random.default_rng(seed))
+            for b in batches:
+                assert np.unique(b[:, 0]).size >= 2 and np.unique(b[:, 1]).size >= 2
+            joined = np.concatenate(batches)
+            assert sorted(map(tuple, joined)) == sorted(map(tuple, triples))
+
+
 def test_fit_divergence_aborts_with_last_good(tiny_dataset, monkeypatch):
     real = training.training_step_loss
     calls = {"n": 0}
@@ -288,6 +303,31 @@ def test_checkpoint_truncated(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) - 10])
     with pytest.raises(CheckpointError, match="truncated"):
+        training.load_checkpoint(path)
+
+
+def _small_checkpoint(path):
+    training.save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(2),
+                                    "s": np.array(0.5)})
+    return path.read_bytes()
+
+
+def test_checkpoint_every_truncation_is_a_checkpoint_error(tmp_path):
+    path = tmp_path / "model.bin"
+    raw = _small_checkpoint(path)
+    assert set(training.load_checkpoint(path)) == {"w", "b", "s"}
+    for cut in range(9, len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(CheckpointError):
+            training.load_checkpoint(path)
+
+
+def test_checkpoint_undecodable_name_is_a_checkpoint_error(tmp_path):
+    path = tmp_path / "model.bin"
+    raw = _small_checkpoint(path)
+    at = raw.index(b"w")
+    path.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+    with pytest.raises(CheckpointError, match="name"):
         training.load_checkpoint(path)
 
 
