@@ -20,7 +20,7 @@ print("forward product:\n", y.values)
 
 # Record a scalar loss and replay the tape backward.
 with ad.Tape() as tape:
-    h = ad.sigmoid(ad.matmul(w, x))
+    h = ad.softplus(ad.matmul(w, x))
     loss = ad.mean_all(ad.mul(h, h))
 print("tape length:", len(tape), "ops:", tape.op_counts())
 tape.backward(loss)
@@ -32,7 +32,7 @@ w.zero_grad()
 # The checker re-evaluates the loss at perturbed parameter values, fully
 # independent of the backward pass it verifies.
 result = check_gradients(
-    lambda: ad.mean_all(ad.mul(ad.sigmoid(ad.matmul(w, x)), ad.sigmoid(ad.matmul(w, x)))),
+    lambda: ad.mean_all(ad.mul(ad.softplus(ad.matmul(w, x)), ad.softplus(ad.matmul(w, x)))),
     [("w", w)],
 )
 print(f"finite-difference max rel err: {result.max_rel_err:.2e} (tolerance 1e-4)")

@@ -14,6 +14,17 @@ and accumulates `d loss / d leaf` into each leaf's `.grad` additively, so a
 parameter used in several places sums its contributions. Gradients are
 zeroed explicitly between optimizer steps, never implicitly.
 
+Backward does only the work a gradient needs:
+- The first contribution to a tensor without a `.grad` buffer becomes the
+  buffer. An array the backward has just computed is adopted as is; a
+  pass-through gradient or a view of one (the upstream gradient itself, a
+  transpose, a split piece, a broadcast) is copied, so no two tensors ever
+  share a buffer. Later contributions are added in place.
+- Operands that are not grad-requiring tensors (constants, Python numbers)
+  get no gradient computed at all.
+- The scatter behind `gather_rows` is one flat `np.bincount` over
+  `row * d + column`, summed into the table's gradient as a single block.
+
 Forward ops never mutate their inputs; only `.grad` buffers change during
 backward. Tape recording and backward are single-threaded per training step.
 """
@@ -74,9 +85,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -145,18 +153,32 @@ def _record(name, out, backward_fn):
         _TAPE._nodes.append((name, node))
 
 
+def _tracked(x):
+    return isinstance(x, Tensor) and x.requires_grad
+
+
 def _needs_grad(*args):
     if _TAPE is None:
         return False
-    return any(isinstance(a, Tensor) and a.requires_grad for a in args)
+    return any(_tracked(a) for a in args)
 
 
-def _accum(t, g):
-    if not (isinstance(t, Tensor) and t.requires_grad):
+def _accum(t, g, fresh=False):
+    """Add gradient contribution `g` into `t.grad`.
+
+    `fresh=True` promises that `g` was just allocated by the caller and is
+    referenced nowhere else, so a first contribution may adopt it;
+    otherwise the first contribution is copied into a new buffer.
+    """
+    if not _tracked(t):
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    np.add(t.grad, g, out=t.grad)
+    if t.grad is not None:
+        np.add(t.grad, g, out=t.grad)
+    elif fresh:
+        t.grad = np.asarray(g, dtype=np.float64)
+    else:
+        t.grad = np.empty_like(t.values)
+        np.copyto(t.grad, g)
 
 
 def _values(x):
@@ -200,16 +222,10 @@ def sub(a, b):
 
     def backward(g):
         _accum(a, _reduce_to(g, av.shape))
-        _accum(b, _reduce_to(-g, bv.shape))
+        if _tracked(b):
+            _accum(b, _reduce_to(-g, bv.shape), fresh=True)
 
     _record("sub", out, backward)
-    return out
-
-
-def neg(a):
-    av = _values(a)
-    out = Tensor(-av, requires_grad=_needs_grad(a))
-    _record("neg", out, lambda g: _accum(a, -g))
     return out
 
 
@@ -219,8 +235,10 @@ def mul(a, b):
     out = Tensor(av * bv, requires_grad=_needs_grad(a, b))
 
     def backward(g):
-        _accum(a, _reduce_to(g * bv, av.shape))
-        _accum(b, _reduce_to(g * av, bv.shape))
+        if _tracked(a):
+            _accum(a, _reduce_to(g * bv, av.shape), fresh=True)
+        if _tracked(b):
+            _accum(b, _reduce_to(g * av, bv.shape), fresh=True)
 
     _record("mul", out, backward)
     return out
@@ -231,8 +249,10 @@ def div(a, b):
     out = Tensor(av / bv, requires_grad=_needs_grad(a, b))
 
     def backward(g):
-        _accum(a, _reduce_to(g / bv, av.shape))
-        _accum(b, _reduce_to(-g * av / (bv * bv), bv.shape))
+        if _tracked(a):
+            _accum(a, _reduce_to(g / bv, av.shape), fresh=True)
+        if _tracked(b):
+            _accum(b, _reduce_to(-g * av / (bv * bv), bv.shape), fresh=True)
 
     _record("div", out, backward)
     return out
@@ -249,8 +269,10 @@ def matmul(a, b):
     out = Tensor(av @ bv, requires_grad=_needs_grad(a, b))
 
     def backward(g):
-        _accum(a, g @ bv.T)
-        _accum(b, av.T @ g)
+        if _tracked(a):
+            _accum(a, g @ bv.T, fresh=True)
+        if _tracked(b):
+            _accum(b, av.T @ g, fresh=True)
 
     _record("matmul", out, backward)
     return out
@@ -269,10 +291,27 @@ def transpose(a):
 # indexing and layout
 
 
-def gather_rows(table, index):
-    """Select rows `table[index]`; backward scatters gradients back additively."""
-    tv = _values(table)
+def _row_index(index):
+    """A 1-d integer row index; an empty index of any dtype is allowed."""
     idx = np.asarray(index)
+    if idx.ndim == 1 and idx.dtype.kind in "iu":
+        return idx
+    if idx.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    raise ShapeError(
+        f"gather_rows: index must be a 1-d integer array, got {idx.dtype} "
+        f"with shape {idx.shape}"
+    )
+
+
+def gather_rows(table, index):
+    """Select rows `table[index]`; backward scatters gradients back additively.
+
+    `index` is a 1-d integer array (repeats allowed); boolean masks, float
+    or multi-dimensional indexes raise `ShapeError`.
+    """
+    tv = _values(table)
+    idx = _row_index(index)
     if tv.ndim != 2:
         raise ShapeError(f"gather_rows: expected a matrix, got shape {tv.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= tv.shape[0]):
@@ -280,14 +319,14 @@ def gather_rows(table, index):
             f"gather_rows: index out of range for table with {tv.shape[0]} rows"
         )
     out = Tensor(tv[idx], requires_grad=_needs_grad(table))
+    n, d = tv.shape
 
     def backward(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.values)
-        np.add.at(table.grad, idx, g)
+        flat = (idx.astype(np.intp, copy=False)[:, None] * d + np.arange(d)).ravel()
+        block = np.bincount(flat, weights=g.ravel(), minlength=n * d)
+        _accum(table, block.reshape(n, d), fresh=True)
 
-    if isinstance(table, Tensor) and table.requires_grad:
-        _record("gather_rows", out, backward)
+    _record("gather_rows", out, backward)
     return out
 
 
@@ -327,7 +366,8 @@ def segment_sum_rows(rows, offsets):
     off = _check_offsets("segment_sum_rows", offsets, rv.shape[0])
     out = Tensor(_segsum(rv, off), requires_grad=_needs_grad(rows))
     counts = np.diff(off)
-    _record("segment_sum_rows", out, lambda g: _accum(rows, np.repeat(g, counts, axis=0)))
+    _record("segment_sum_rows", out,
+            lambda g: _accum(rows, np.repeat(g, counts, axis=0), fresh=True))
     return out
 
 
@@ -346,7 +386,7 @@ def segment_softmax(logits, offsets):
 
     def backward(g):
         inner = np.repeat(_segsum(g * s, off), counts)
-        _accum(logits, s * (g - inner))
+        _accum(logits, s * (g - inner), fresh=True)
 
     _record("segment_softmax", out, backward)
     return out
@@ -409,8 +449,10 @@ def scale_rows(m, w):
     out = Tensor(mv * wv[:, None], requires_grad=_needs_grad(m, w))
 
     def backward(g):
-        _accum(m, g * wv[:, None])
-        _accum(w, (g * mv).sum(axis=1))
+        if _tracked(m):
+            _accum(m, g * wv[:, None], fresh=True)
+        if _tracked(w):
+            _accum(w, (g * mv).sum(axis=1), fresh=True)
 
     _record("scale_rows", out, backward)
     return out
@@ -434,17 +476,9 @@ def softmax(a):
 
     def backward(g):
         inner = (g * s).sum(axis=-1, keepdims=True)
-        _accum(a, s * (g - inner))
+        _accum(a, s * (g - inner), fresh=True)
 
     _record("softmax", out, backward)
-    return out
-
-
-def sigmoid(a):
-    av = _values(a)
-    s = expit(av)
-    out = Tensor(s, requires_grad=_needs_grad(a))
-    _record("sigmoid", out, lambda g: _accum(a, g * s * (1.0 - s)))
     return out
 
 
@@ -452,7 +486,7 @@ def exp(a):
     av = _values(a)
     e = np.exp(av)
     out = Tensor(e, requires_grad=_needs_grad(a))
-    _record("exp", out, lambda g: _accum(a, g * e))
+    _record("exp", out, lambda g: _accum(a, g * e, fresh=True))
     return out
 
 
@@ -461,7 +495,7 @@ def log(a):
     if np.any(av <= 0.0):
         raise DomainError("log: input must be strictly positive")
     out = Tensor(np.log(av), requires_grad=_needs_grad(a))
-    _record("log", out, lambda g: _accum(a, g / av))
+    _record("log", out, lambda g: _accum(a, g / av, fresh=True))
     return out
 
 
@@ -471,7 +505,7 @@ def sqrt(a):
         raise DomainError("sqrt: input must be strictly positive")
     r = np.sqrt(av)
     out = Tensor(r, requires_grad=_needs_grad(a))
-    _record("sqrt", out, lambda g: _accum(a, g / (2.0 * r)))
+    _record("sqrt", out, lambda g: _accum(a, g / (2.0 * r), fresh=True))
     return out
 
 
@@ -480,6 +514,6 @@ def softplus(a):
     av = _values(a)
     v = np.logaddexp(0.0, av)
     out = Tensor(v, requires_grad=_needs_grad(a))
-    _record("softplus", out, lambda g: _accum(a, g * expit(av)))
+    _record("softplus", out, lambda g: _accum(a, g * expit(av), fresh=True))
     return out
 

@@ -179,23 +179,26 @@ def _normalize_rows(z):
     return ad.scale_rows(z, inv)
 
 
+def _row_dot(a, b):
+    return ad.rowsum(ad.mul(a, b))
+
+
 def _side_loss(global_layers, local_layers, tau, include_positive):
-    b = global_layers[0].values.shape[0]
-    eye = np.eye(b)
     total = None
     for zg, zl in zip(global_layers, local_layers):
         gn = _normalize_rows(zg)
         ln = _normalize_rows(zl)
-        s_cross = ad.matmul(gn, ad.transpose(ln))
-        s_self = ad.matmul(gn, ad.transpose(gn))
-        exp_cross = ad.exp(ad.mul(s_cross, 1.0 / tau))
-        exp_self = ad.exp(ad.mul(s_self, 1.0 / tau))
-        pos = ad.rowsum(ad.mul(exp_cross, eye))
-        diag_self = ad.rowsum(ad.mul(exp_self, eye))
+        # Scaling the (b, d) rows by 1/tau scales every similarity; the
+        # diagonals of the two (b, b) matrices are row-dots, O(b*d).
+        gs = ad.mul(gn, 1.0 / tau)
+        exp_cross = ad.exp(ad.matmul(gs, ad.transpose(ln)))
+        exp_self = ad.exp(ad.matmul(gs, ad.transpose(gn)))
+        pos_logit = _row_dot(gs, ln)
+        diag_self = ad.exp(_row_dot(gs, gn))
         denom = ad.rowsum(exp_self) - diag_self + ad.rowsum(exp_cross)
         if not include_positive:
-            denom = denom - pos
-        term = ad.log(denom) - ad.log(pos)
+            denom = denom - ad.exp(pos_logit)
+        term = ad.log(denom) - pos_logit
         layer_loss = ad.mean_all(term)
         total = layer_loss if total is None else total + layer_loss
     # Layers 0..L are summed and divided by L; a single-layer input

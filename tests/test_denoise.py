@@ -334,3 +334,65 @@ def test_contrastive_gradient_finite_difference():
 
     res = check_gradients(build, [("zg", zg), ("zl", zl), ("ig", ig), ("il", il)])
     assert res.max_rel_err < 1e-4
+
+
+def _dense_infonce(layers_g, layers_l, tau, include_positive):
+    """Dense NumPy InfoNCE for one side with hand-derived gradients.
+
+    Diagonals are read with an explicit identity mask. Returns the loss and
+    the gradients with respect to every global and local layer.
+    """
+    factor = 1.0 / max(1, len(layers_g) - 1)
+    loss, grads_g, grads_l = 0.0, [], []
+    for zg, zl in zip(layers_g, layers_l):
+        b = zg.shape[0]
+        eye = np.eye(b)
+        ng = np.linalg.norm(zg, axis=1, keepdims=True)
+        nl = np.linalg.norm(zl, axis=1, keepdims=True)
+        g, l = zg / ng, zl / nl
+        e_cross = np.exp(g @ l.T / tau)
+        e_self = np.exp(g @ g.T / tau)
+        pos = (e_cross * eye).sum(axis=1)
+        denom = (e_self * (1.0 - eye)).sum(axis=1) + e_cross.sum(axis=1)
+        if not include_positive:
+            denom = denom - pos
+        loss += factor * np.mean(np.log(denom) - np.log(pos))
+        # d loss / d e_cross and d e_self, then through exp and the products
+        w = factor / b
+        keep_pos = 0.0 if include_positive else 1.0
+        d_cross = (w / denom)[:, None] * (1.0 - keep_pos * eye) - (w / pos)[:, None] * eye
+        d_self = (w / denom)[:, None] * (1.0 - eye)
+        s_cross = d_cross * e_cross / tau
+        s_self = d_self * e_self / tau
+        dg = s_cross @ l + (s_self + s_self.T) @ g
+        dl = s_cross.T @ g
+        # through the row normalization z / |z|
+        grads_g.append((dg - g * (dg * g).sum(axis=1, keepdims=True)) / ng)
+        grads_l.append((dl - l * (dl * l).sum(axis=1, keepdims=True)) / nl)
+    return loss, grads_g, grads_l
+
+
+def test_contrastive_matches_dense_identity_oracle():
+    rng = np.random.default_rng(77)
+    tau = 0.35
+    users_g = [rng.normal(size=(5, 4)) for _ in range(3)]
+    users_l = [rng.normal(size=(5, 4)) for _ in range(3)]
+    items_g = [rng.normal(size=(4, 4)) for _ in range(3)]
+    items_l = [rng.normal(size=(4, 4)) for _ in range(3)]
+    for include_positive in (False, True):
+        params = [[ad.parameter(z) for z in group]
+                  for group in (users_g, users_l, items_g, items_l)]
+        with ad.Tape() as tape:
+            loss = denoise.contrastive_loss(
+                denoise.LayerStack(users=params[0], items=params[2]),
+                denoise.LayerStack(users=params[1], items=params[3]),
+                tau=tau, include_positive=include_positive,
+            )
+        tape.backward(loss)
+        u_loss, u_dg, u_dl = _dense_infonce(users_g, users_l, tau, include_positive)
+        i_loss, i_dg, i_dl = _dense_infonce(items_g, items_l, tau, include_positive)
+        want = u_loss + i_loss
+        assert abs(loss.values - want) <= 1e-10 * abs(want)
+        for group, grads in zip(params, (u_dg, u_dl, i_dg, i_dl)):
+            for p, g in zip(group, grads):
+                assert np.max(np.abs(p.grad - g)) <= 1e-10 * np.max(np.abs(g))

@@ -131,7 +131,7 @@ def test_adam_bitwise_determinism_over_steps():
         for step in range(5):
             opt.zero_grad()
             with ad.Tape() as tape:
-                loss = ad.sum_all(ad.mul(ad.sigmoid(p), p))
+                loss = ad.sum_all(ad.mul(ad.softplus(p), p))
             tape.backward(loss)
             opt.step()
         return p.values.copy()
