@@ -9,10 +9,21 @@ There is no general broadcasting; the only implicit broadcasts are scalar
 
 Recording is dynamic: while a `Tape` is active (`with Tape() as tape:`),
 every primitive whose inputs require gradients appends a backward closure.
-`tape.backward(loss)` replays the closures in exact reverse execution order
-and accumulates `d loss / d leaf` into each leaf's `.grad` additively, so a
-parameter used in several places sums its contributions. Gradients are
-zeroed explicitly between optimizer steps, never implicitly.
+`tape.backward(loss)` replays the closures in exact reverse execution order,
+once per tape; a second call raises `ContractError`.
+
+Gradient lifetime differs between leaves and intermediates:
+- Leaves (parameters, and any tensor built directly with
+  `requires_grad=True`) accumulate `d loss / d leaf` into `.grad`
+  additively, so a parameter used in several places sums its
+  contributions. Their gradients are zeroed explicitly between optimizer
+  steps, never implicitly.
+- Intermediates (the loss and every recorded op output) hold a `.grad`
+  only while backward still needs it: each node takes its output's
+  gradient, sets `.grad` back to `None` and then pushes the gradient to
+  its operands. After `backward` returns, only leaves carry gradients.
+  The closures and the forward values they captured stay alive until the
+  tape is dropped.
 
 Backward does only the work a gradient needs:
 - The first contribution to a tensor without a `.grad` buffer becomes the
@@ -39,7 +50,12 @@ _TAPE = None
 
 
 class Tensor:
-    """A dense float64 array plus a lazily materialized gradient buffer."""
+    """A dense float64 array plus a lazily materialized gradient buffer.
+
+    A leaf's `.grad` persists and accumulates across uses; a recorded op
+    output's `.grad` is released (set to `None`) as soon as backward has
+    pushed it to the operands.
+    """
 
     __slots__ = ("values", "grad", "requires_grad")
 
@@ -107,6 +123,7 @@ class Tape:
 
     def __init__(self):
         self._nodes = []
+        self._replayed = False
 
     def __enter__(self):
         global _TAPE
@@ -130,13 +147,22 @@ class Tape:
         return counts
 
     def backward(self, loss):
-        """Accumulate d loss / d leaf into every reachable leaf's .grad."""
+        """Accumulate d loss / d leaf into every reachable leaf's .grad.
+
+        Each recorded output's `.grad` is released once its node has run, so
+        afterwards only leaves hold gradients. A tape replays once: calling
+        `backward` again raises `ContractError` (a rejected loss does not
+        count as a replay).
+        """
         if not isinstance(loss, Tensor):
             raise ContractError("backward expects a Tensor loss")
         if loss.values.shape != ():
             raise ContractError(
                 f"backward requires a scalar loss, got shape {loss.values.shape}"
             )
+        if self._replayed:
+            raise ContractError("tape already replayed; a tape supports one backward")
+        self._replayed = True
         loss.grad = np.ones((), dtype=np.float64)
         for _, fn in reversed(self._nodes):
             fn()
@@ -148,6 +174,7 @@ def _record(name, out, backward_fn):
         def node():
             g = out.grad
             if g is not None:
+                out.grad = None
                 backward_fn(g)
 
         _TAPE._nodes.append((name, node))

@@ -171,18 +171,10 @@ def load_interactions(path):
             raise DataFormatError(f"ratings line {lineno}: label must be 0 or 1, got {label}")
     raw = np.array([r for _, r in rows], dtype=np.int64)
     raw = np.unique(raw, axis=0)  # duplicate (u, i, label) lines carry no information
-    users = np.unique(raw[:, 0])
-    items = np.unique(raw[:, 1])
-    umap = {int(u): k for k, u in enumerate(users)}
-    imap = {int(i): k for k, i in enumerate(items)}
-    pairs = np.stack(
-        [
-            np.array([umap[int(u)] for u in raw[:, 0]], dtype=np.int64),
-            np.array([imap[int(i)] for i in raw[:, 1]], dtype=np.int64),
-            raw[:, 2],
-        ],
-        axis=1,
-    )
+    # raw ids map to their rank among the distinct ids
+    users, user_idx = np.unique(raw[:, 0], return_inverse=True)
+    items, item_idx = np.unique(raw[:, 1], return_inverse=True)
+    pairs = np.stack([user_idx, item_idx, raw[:, 2]], axis=1)
     return Interactions(pairs=pairs, n_users=len(users), n_items=len(items))
 
 

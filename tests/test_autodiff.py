@@ -156,6 +156,29 @@ def test_backward_rejects_non_scalar():
         tape.backward(out)
 
 
+def test_second_backward_on_same_tape_rejected():
+    p = ad.parameter(np.array([1.5, -2.0]))
+    with ad.Tape() as tape:
+        loss = ad.sum_all(ad.mul(ad.mul(p, 3.0), ad.mul(p, 3.0)))
+    tape.backward(loss)
+    once = p.grad.copy()
+    np.testing.assert_allclose(once, 18.0 * p.values)
+    with pytest.raises(ContractError):
+        tape.backward(loss)
+    np.testing.assert_array_equal(p.grad, once)
+
+
+def test_rejected_loss_leaves_tape_replayable():
+    p = ad.parameter(np.ones(3))
+    with ad.Tape() as tape:
+        out = ad.mul(p, 2.0)
+        loss = ad.sum_all(out)
+    with pytest.raises(ContractError):
+        tape.backward(out)
+    tape.backward(loss)
+    np.testing.assert_array_equal(p.grad, np.full(3, 2.0))
+
+
 def test_gradients_accumulate_across_uses():
     p = ad.parameter(np.array([2.0]))
     with ad.Tape() as tape:
@@ -432,19 +455,17 @@ def test_add_operands_get_distinct_grad_buffers():
     a = ad.parameter(RNG.normal(size=(3, 2)))
     b = ad.parameter(RNG.normal(size=(3, 2)))
     with ad.Tape() as tape:
-        # c's gradient flows unchanged into the intermediates x and y
+        # c's gradient flows unchanged into the intermediates x and y; z's
+        # contribution reaches x after c's, and must not leak into y
         x, y = ad.mul(a, 1.0), ad.mul(b, 1.0)
+        z = ad.mul(x, 3.0)
         c = x + y
-        loss = ad.sum_all(ad.mul(c, c)) + ad.sum_all(ad.exp(c))
+        loss = ad.sum_all(ad.mul(c, c)) + ad.sum_all(ad.exp(c)) + ad.sum_all(z)
     tape.backward(loss)
-    assert x.grad is not y.grad and x.grad is not c.grad
     want = 2.0 * c.values + np.exp(c.values)
-    y_before = y.grad.copy()
-    x.grad += 1.0
-    np.testing.assert_array_equal(y.grad, y_before)
-    np.testing.assert_allclose(c.grad, want, atol=1e-12)
-    np.testing.assert_allclose(a.grad, want, atol=1e-12)
+    np.testing.assert_allclose(a.grad, want + 3.0, atol=1e-12)
     np.testing.assert_allclose(b.grad, want, atol=1e-12)
+    assert all(t.grad is None for t in (x, y, z, c, loss))
 
 
 def test_reduction_first_then_other_op_accumulates():
@@ -457,27 +478,61 @@ def test_reduction_first_then_other_op_accumulates():
         p = ad.parameter(m)
         with ad.Tape() as tape:
             h = ad.mul(p, 2.0)
-            # backward reaches h through the reduction first (it ran last)
+            # backward reaches h through the reduction first (it ran last),
+            # then adds exp's contribution into the same buffer
             loss = ad.sum_all(ad.exp(h)) + reduce(h)
         tape.backward(loss)
         want_h = seed_grad + np.exp(2.0 * m)
-        np.testing.assert_allclose(h.grad, want_h, atol=1e-12)
         np.testing.assert_allclose(p.grad, 2.0 * want_h, atol=1e-12)
+        assert h.grad is None
 
 
 def test_pass_through_views_are_copied():
-    a = ad.parameter(RNG.normal(size=(2, 3)))
-    b = ad.parameter(RNG.normal(size=(2, 3)))
+    # leaves built with requires_grad=True start without a buffer, so their
+    # first contribution decides it: a split piece (a, b), a transpose (m)
+    # and a broadcast (s, which then takes a second contribution)
+    a = ad.Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+    b = ad.Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+    m = ad.Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
+    s = ad.Tensor(RNG.normal(size=(2, 2)), requires_grad=True)
     with ad.Tape() as tape:
-        at, bt = ad.mul(a, 1.0), ad.mul(b, 1.0)
-        cat = ad.concat([at, bt], axis=0)
-        tr = ad.transpose(cat)
-        loss = ad.sum_all(ad.mul(tr, tr)) + ad.sum_all(ad.mul(at, 3.0))
+        cat = ad.concat([a, b], axis=0)
+        prod = ad.matmul(cat, ad.transpose(m))
+        loss = ad.sum_all(ad.mul(prod, prod)) + ad.sum_all(ad.mul(s, s)) + ad.sum_all(s)
     tape.backward(loss)
-    for t in (at, bt, cat):
+    for t in (a, b, m, s):
         assert t.grad.flags.writeable and t.grad.flags.owndata
-    np.testing.assert_allclose(a.grad, 2.0 * a.values + 3.0, atol=1e-12)
-    np.testing.assert_allclose(b.grad, 2.0 * b.values, atol=1e-12)
+        assert t.grad.flags.c_contiguous and t.grad.shape == t.values.shape
+    dcat = 2.0 * prod.values @ m.values
+    np.testing.assert_allclose(a.grad, dcat[:2], atol=1e-12)
+    np.testing.assert_allclose(b.grad, dcat[2:], atol=1e-12)
+    np.testing.assert_allclose(m.grad, 2.0 * prod.values.T @ cat.values, atol=1e-12)
+    np.testing.assert_allclose(s.grad, 2.0 * s.values + 1.0, atol=1e-12)
+
+
+def test_intermediate_grads_released_leaves_kept():
+    p = ad.parameter(RNG.normal(size=(3, 3)))
+    q = ad.Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
+    with ad.Tape() as tape:
+        # h feeds three consumers; its gradient must survive until all ran
+        h = ad.matmul(p, q)
+        e = ad.exp(h)
+        loss = ad.sum_all(ad.mul(h, e)) + ad.sum_all(ad.softmax(h)) + ad.mean_all(e)
+    tape.backward(loss)
+    assert h.grad is None and e.grad is None and loss.grad is None
+    assert p.grad is not None and q.grad is not None
+
+
+def test_gradcheck_passes_through_shared_intermediates():
+    p = ad.parameter(RNG.normal(size=(3, 3)))
+    q = ad.parameter(RNG.normal(size=(3, 3)))
+
+    def build():
+        h = ad.matmul(p, q)
+        e = ad.exp(ad.mul(h, 0.3))
+        return ad.sum_all(ad.mul(h, e)) + ad.sum_all(ad.softmax(h)) + ad.mean_all(e)
+
+    fd_check(build, [("p", p), ("q", q)], tol=1e-7)
 
 
 def test_constants_receive_no_gradient():

@@ -56,6 +56,26 @@ def test_load_deduplicates_and_remaps(tmp_ratings):
     assert inter.pairs[:, 0].max() == 1 and inter.pairs[:, 1].max() == 0
 
 
+def test_load_remaps_sparse_unsorted_ids_by_rank(tmp_ratings):
+    rng = np.random.default_rng(13)
+    user_ids = rng.choice(10**9, size=25, replace=False)
+    item_ids = rng.choice(10**6, size=40, replace=False)
+    rows = np.column_stack([
+        rng.choice(user_ids, size=300), rng.choice(item_ids, size=300),
+        rng.integers(0, 2, size=300),
+    ])
+    text = "".join(f"{u}\t{i}\t{y}\n" for u, i, y in rows)
+    inter = data.load_interactions(tmp_ratings(text))
+    # oracle: each raw id maps to its rank among the distinct ids seen
+    uniq = np.unique(rows, axis=0)
+    umap = {u: k for k, u in enumerate(sorted(set(rows[:, 0].tolist())))}
+    imap = {i: k for k, i in enumerate(sorted(set(rows[:, 1].tolist())))}
+    want = np.array([[umap[u], imap[i], y] for u, i, y in uniq.tolist()], dtype=np.int64)
+    assert inter.pairs.dtype == np.int64
+    np.testing.assert_array_equal(inter.pairs, want)
+    assert (inter.n_users, inter.n_items) == (len(umap), len(imap))
+
+
 # ---------------------------------------------------------------------------
 # load_kg / KnowledgeGraph
 
@@ -75,22 +95,15 @@ def test_load_kg_deduplicates(tmp_path):
     assert data.load_kg(path).n_triples == 1
 
 
-def _kg_snapshot(kg):
-    e = kg.full_edges()
-    arrays = {k: v.tobytes() for k, v in vars(kg).items() if isinstance(v, np.ndarray)}
-    return sorted(vars(kg)), arrays, [a.tobytes() for a in (e.offsets, e.rel, e.tail, e.head)]
-
-
-def test_pruning_fit_never_writes_kg_or_split():
+def test_pruning_fit_never_writes_kg_or_split(fingerprint):
     ds = _dataset40()
     assert ds.kg.full_edges().counts.max() > 1  # so k_top = 1 really prunes
-    kg_before = _kg_snapshot(ds.kg)
-    split_before = [a.tobytes() for a in (ds.split.train, ds.split.eval, ds.split.test)]
+    ds.train_graph  # fill the lazy cache so its arrays are compared too
+    before = fingerprint(ds)  # split, KG, its CSR edges and the train graph
     cfg = ExperimentConfig(embed_dim=8, n_intents=2, n_heads=2, agg_depth=1, k_top=1,
                            batch_size=64, epochs=2, seed=7).validate()
     training.fit(cfg, ds)
-    assert _kg_snapshot(ds.kg) == kg_before
-    assert [a.tobytes() for a in (ds.split.train, ds.split.eval, ds.split.test)] == split_before
+    assert fingerprint(ds) == before
 
 
 def test_kg_declared_entities_enforced():
@@ -217,6 +230,16 @@ def test_inject_noise_zero_is_identity():
     ds = _dataset40()
     noisy = data.inject_noise(ds, 0.0, seed=1)
     assert noisy.split.train.tobytes() == ds.split.train.tobytes()
+
+
+def test_inject_noise_leaves_input_unchanged(fingerprint):
+    ds = _dataset40()
+    ds.train_graph  # fill the lazy cache so its arrays are compared too
+    before = fingerprint(ds)
+    for ratio in (0.0, 0.2):
+        noisy = data.inject_noise(ds, ratio, seed=1)
+        assert noisy is not ds and noisy.split is not ds.split
+        assert fingerprint(ds) == before
 
 
 def test_inject_noise_adds_floor_ratio():

@@ -1,4 +1,5 @@
 """Prediction, losses, Adam, the fit loop, checkpoints, determinism."""
+import gc
 import math
 
 import numpy as np
@@ -184,20 +185,24 @@ def test_fit_metric_log_reproducible(tiny_dataset):
     assert log1 == log2
 
 
+def _step_inputs(dataset, cfg):
+    """Fresh parameters, the full KG view and one batch of every train positive."""
+    view = denoise.full_view(dataset.kg)
+    rng = np.random.default_rng(0)
+    batch = training.build_bpr_triples(dataset.train_graph, dataset.split.train[:, :2], rng)
+    params = training.ModelParameters.initialize(
+        dataset.n_users, dataset.n_entities, dataset.n_relations,
+        cfg, np.random.default_rng(cfg.seed),
+    )
+    return params, view, batch
+
+
 def test_fit_alpha_zero_skips_contrastive_ops(tiny_dataset):
     cfg_on = small_cfg(epochs=1)
     cfg_off = small_cfg(epochs=1, alpha=0.0)
-    view = denoise.full_view(tiny_dataset.kg)
-    rng = np.random.default_rng(0)
-    batch = training.build_bpr_triples(
-        tiny_dataset.train_graph, tiny_dataset.split.train[:, :2], rng
-    )
 
     def counts(cfg):
-        params = training.ModelParameters.initialize(
-            tiny_dataset.n_users, tiny_dataset.n_entities, tiny_dataset.n_relations,
-            cfg, np.random.default_rng(cfg.seed),
-        )
+        params, view, batch = _step_inputs(tiny_dataset, cfg)
         with ad.Tape() as tape:
             training.training_step_loss(params, tiny_dataset, view, cfg, batch)
         return tape.op_counts()
@@ -207,6 +212,27 @@ def test_fit_alpha_zero_skips_contrastive_ops(tiny_dataset):
     assert off.get("log", 0) == 0
     assert on.get("log", 0) > 0
     assert sum(off.values()) < sum(on.values())
+
+
+def _tensors_with_grad():
+    return {id(o): o for o in gc.get_objects()
+            if isinstance(o, ad.Tensor) and o.grad is not None}
+
+
+def test_backward_leaves_grads_only_on_parameters(tiny_dataset):
+    cfg = small_cfg(epochs=1)
+    params, view, batch = _step_inputs(tiny_dataset, cfg)
+    before = _tensors_with_grad()  # kept alive, so no id is reused
+    with ad.Tape() as tape:
+        loss, _ = training.training_step_loss(params, tiny_dataset, view, cfg, batch)
+    tape.backward(loss)
+    # every node's closure still holds its output, yet no output keeps a grad
+    recorded = [o for o in gc.get_objects() if isinstance(o, ad.Tensor) and o.requires_grad]
+    leaves = {id(p): name for name, p in params.named()}
+    assert len(recorded) >= len(tape) + len(leaves)
+    held = {k for k in _tensors_with_grad() if k not in before or k in leaves}
+    assert held == set(leaves)
+    assert len(tape) > 0 and loss.grad is None
 
 
 def test_epoch_batches_each_have_two_users_and_items():
