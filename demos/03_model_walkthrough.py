@@ -5,7 +5,6 @@
 
 import numpy as np
 
-from kgtn import autodiff as ad
 from kgtn import denoise, intents
 from kgtn.config import ExperimentConfig
 from kgtn.data import synthetic_dataset
@@ -36,28 +35,27 @@ agg = intents.kg_aggregate(params.entity_emb, params.relation_emb, edges)
 print("aggregated entities shape:", agg.values.shape)
 
 # --- masked graph transformer -----------------------------------------------
-# Attention logits exist only on observed user-item pairs; heads are
-# concatenated back to dimension d. Propagation then feeds the per-layer
-# intent-aware readout.
+# Attention logits exist only on observed user-item pairs; each head is a
+# column block of one stacked projection, so all heads run in one pass.
+# After the last layer, the intent mixture reads out the global state: the
+# users and the entity seed (intent-mixed items, then the other entities).
 state = intents.forward_global(
     params.user_emb, params.entity_emb, params.relation_emb,
     params.intent_user, params.intent_item,
     params.layer_list(cfg.depth), ds.train_graph, edges, cfg.depth, ds.n_items,
 )
-print("global layers:", len(state.users), "user matrix:", state.users[-1].values.shape)
+print("global users:", state.users.values.shape, "entity seed:", state.entities.values.shape)
 
 # --- Gumbel top-k knowledge sampling ----------------------------------------
 # Slot scores come from the intent-aware representations; Gumbel noise on
 # the raw logits randomizes the cut, and kept slots retain clean weights.
-entity_vals = np.vstack([state.items[-1].values,
-                         state.prop_entities.values[ds.n_items:]])
-view = denoise.sample_topk(ds.kg, entity_vals, params.relation_emb.values,
+view = denoise.sample_topk(ds.kg, state.entities.values, params.relation_emb.values,
                            cfg.k_top, np.random.default_rng(0))
 print(f"sampled view keeps {view.n_kept} of {ds.kg.n_triples} slots")
 print("dropped slots have zero weight:", (view.beta_hat[~view.kept] == 0).all())
 
 # --- two aggregation tracks and the contrastive objective --------------------
-glob = denoise.light_aggregate(state.users[-1], ad.constant(entity_vals),
+glob = denoise.light_aggregate(state.users, state.entities,
                                params.relation_emb, view.edges, ds.train_graph,
                                cfg.agg_depth, ds.n_items)
 local = denoise.light_aggregate(params.user_emb, params.entity_emb,

@@ -2,8 +2,9 @@
 
 The operator set covers exactly what the recommender's forward pass needs:
 matrix products, embedding-row gathers (whose backward scatter-adds),
-segment softmax over CSR neighborhoods, elementwise maps, reductions, row
-scaling, and concatenation.
+segment softmax over CSR neighborhoods (column by column for multi-head
+logits), elementwise maps, reductions, row scaling, and row-wise
+concatenation.
 There is no general broadcasting; the only implicit broadcasts are scalar
 (0-d) tensors and plain Python numbers against an array operand.
 
@@ -380,10 +381,10 @@ def _segsum(x, offsets):
 
 def _segmax(x, offsets):
     n = offsets.size - 1
-    out = np.full(n, -np.inf, dtype=np.float64)
+    out = np.full((n,) + x.shape[1:], -np.inf, dtype=np.float64)
     nonempty = offsets[:-1] < offsets[1:]
     if nonempty.any():
-        out[nonempty] = np.maximum.reduceat(x, offsets[:-1][nonempty])
+        out[nonempty] = np.maximum.reduceat(x, offsets[:-1][nonempty], axis=0)
     return out
 
 
@@ -399,39 +400,40 @@ def segment_sum_rows(rows, offsets):
 
 
 def segment_softmax(logits, offsets):
-    """Softmax within each consecutive CSR segment, max-shifted for stability."""
+    """Softmax within each consecutive CSR segment, max-shifted for stability.
+
+    `logits` is a vector or an (E, H) matrix; each column of a matrix is its
+    own softmax over the same segments (one column per attention head).
+    """
     lv = _values(logits)
-    if lv.ndim != 1:
-        raise ShapeError(f"segment_softmax: expected a vector, got shape {lv.shape}")
+    if lv.ndim not in (1, 2):
+        raise ShapeError(f"segment_softmax: expected a vector or matrix, got shape {lv.shape}")
     off = _check_offsets("segment_softmax", offsets, lv.shape[0])
     counts = np.diff(off)
-    shifted = lv - np.repeat(_segmax(lv, off), counts)
+    shifted = lv - np.repeat(_segmax(lv, off), counts, axis=0)
     e = np.exp(shifted)
-    denom = np.repeat(_segsum(e, off), counts)
+    denom = np.repeat(_segsum(e, off), counts, axis=0)
     s = e / denom
     out = Tensor(s, requires_grad=_needs_grad(logits))
 
     def backward(g):
-        inner = np.repeat(_segsum(g * s, off), counts)
+        inner = np.repeat(_segsum(g * s, off), counts, axis=0)
         _accum(logits, s * (g - inner), fresh=True)
 
     _record("segment_softmax", out, backward)
     return out
 
 
-def concat(parts, axis=0):
-    """Concatenate matrices along rows (axis 0) or columns (axis 1)."""
+def concat(parts):
+    """Stack matrices row-wise (along axis 0)."""
     vals = [_values(p) for p in parts]
-    if axis not in (0, 1):
-        raise ShapeError(f"concat: axis must be 0 or 1, got {axis}")
     if not parts:
         raise DomainError("concat: no operands")
-    out = Tensor(np.concatenate(vals, axis=axis), requires_grad=_needs_grad(*parts))
-    sizes = [v.shape[axis] for v in vals]
-    splits = np.cumsum(sizes)[:-1]
+    out = Tensor(np.concatenate(vals), requires_grad=_needs_grad(*parts))
+    splits = np.cumsum([v.shape[0] for v in vals])[:-1]
 
     def backward(g):
-        for part, piece in zip(parts, np.split(g, splits, axis=axis)):
+        for part, piece in zip(parts, np.split(g, splits)):
             _accum(part, piece)
 
     _record("concat", out, backward)

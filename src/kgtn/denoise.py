@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import KGEdges, csr_offsets
 from .errors import ContractError, DomainError
-from .intents import mean_pool
+from .intents import _slot_logits, mean_pool
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -73,13 +73,6 @@ def full_view(kg):
     return SampledGraphView(kg=kg, kept=kept, beta_hat=np.ones(kg.n_triples), edges=kg.full_edges())
 
 
-def _edge_logits(edges, entity_vals, relation_vals):
-    ei = entity_vals[edges.head]
-    ev = entity_vals[edges.tail]
-    er = relation_vals[edges.rel]
-    return (ei * ev).sum(axis=1) + (er * er).sum(axis=1)
-
-
 def sample_topk(kg, entity_vals, relation_vals, k_top, rng):
     """Keep at most `k_top` slots per head entity, Gumbel-perturbed.
 
@@ -96,7 +89,9 @@ def sample_topk(kg, entity_vals, relation_vals, k_top, rng):
     if n_edges == 0:
         return SampledGraphView(kg=kg, kept=np.zeros(0, bool), beta_hat=np.zeros(0), edges=edges)
 
-    logits = _edge_logits(edges, np.asarray(entity_vals), np.asarray(relation_vals))
+    entity_vals, relation_vals = np.asarray(entity_vals), np.asarray(relation_vals)
+    logits = _slot_logits(entity_vals[edges.head], entity_vals[edges.tail],
+                          relation_vals[edges.rel]).values
     beta = ad.segment_softmax(ad.constant(logits), edges.offsets).values
 
     if k_top is None or k_top >= int(edges.counts.max(initial=0)):
@@ -152,7 +147,6 @@ def light_aggregate(user_seed, entity_seed, relation_emb, view_edges, graph, dep
     interacted items' previous-layer values. Nodes with no active edges
     pass through unchanged. Returns all layers 0..depth.
     """
-    item_idx = np.arange(n_items)
     zu = [user_seed]
     ze = [entity_seed]
     for _ in range(depth):
@@ -163,10 +157,11 @@ def light_aggregate(user_seed, entity_seed, relation_emb, view_edges, graph, dep
             e_next = mean_pool(z, msgs, view_edges.offsets)
         else:
             e_next = z
-        u_msgs = ad.gather_rows(ad.gather_rows(z, item_idx), graph.u_items)
+        u_msgs = ad.gather_rows(z, graph.u_items)  # item ids are the entity prefix
         u_next = mean_pool(zu[-1], u_msgs, graph.u_offsets)
         zu.append(u_next)
         ze.append(e_next)
+    item_idx = np.arange(n_items)
     return LayerStack(users=zu, items=[ad.gather_rows(z, item_idx) for z in ze])
 
 

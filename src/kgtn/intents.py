@@ -1,13 +1,13 @@
 """Global-intent modeling over the fused interaction + knowledge graph.
 
-A forward pass alternates three steps per layer: relation-aware aggregation
-folds KG context into item (entity-prefix) embeddings, a masked multi-head
-graph transformer propagates over observed user-item pairs only, and an
-attentive mixture over learnable intent prototypes produces the layer's
-intent-aware user/item readout. The propagated track is kept separate from
-the prototype readouts so intents modulate structural signals instead of
-replacing them; assignment scores always come from the freshly propagated
-(pre-mixture) embeddings.
+Each layer folds KG context into item (entity-prefix) embeddings by
+relation-aware aggregation, then propagates over observed user-item pairs
+only with a masked multi-head graph transformer. All heads run in one
+blocked pass: a head is a column block of one stacked (d, d) projection.
+After the last layer, an attentive mixture over learnable intent
+prototypes reads out the intent-aware users and items. The readout never
+feeds back into propagation, so intents modulate structural signals
+instead of replacing them.
 """
 from __future__ import annotations
 
@@ -46,16 +46,15 @@ class TransformerLayerParams:
 
 @dataclass
 class GlobalState:
-    """Per-layer intent-aware readouts plus the final propagated track."""
+    """The two tensors the global forward hands on.
 
-    users: list           # layer 0..L intent-aware user matrices (M, d)
-    items: list           # layer 0..L intent-aware item matrices (N, d)
-    prop_users: ad.Tensor
-    prop_entities: ad.Tensor
+    `users` is the intent mix of the last propagated users (M, d);
+    `entities` is the global entity seed (E, d): the intent-mixed items
+    followed by the propagated non-item entities.
+    """
 
-    @property
-    def depth(self):
-        return len(self.users) - 1
+    users: ad.Tensor
+    entities: ad.Tensor
 
 
 def intent_assignment(e, prototypes):
@@ -79,19 +78,26 @@ def intent_mix(e, prototypes):
     return ad.matmul(weights, prototypes)
 
 
+def _slot_logits(head_rows, tail_rows, rel_rows):
+    """Slot logits e_i . e_v + e_r . e_r from the slots' gathered rows.
+
+    This equals the dot product of the relation-concatenated pair
+    ((e_i || e_r), (e_v || e_r)). The rows may be tensors or plain arrays.
+    """
+    return ad.rowsum(ad.mul(head_rows, tail_rows)) + ad.rowsum(ad.mul(rel_rows, rel_rows))
+
+
 def kg_attention(entity_emb, relation_emb, edges):
     """Per-edge attention over each head entity's active neighborhood.
 
-    The logit for slot (i, r, v) is e_i . e_v + e_r . e_r, which equals the
-    dot product of the relation-concatenated pair ((e_i || e_r), (e_v || e_r));
-    weights are softmax-normalized within each head's slot block.
+    Slot logits come from `_slot_logits`; weights are softmax-normalized
+    within each head's slot block.
     """
     if edges.n_edges == 0:
         return ad.constant(np.zeros(0))
-    hi = ad.gather_rows(entity_emb, edges.head)
-    hv = ad.gather_rows(entity_emb, edges.tail)
-    hr = ad.gather_rows(relation_emb, edges.rel)
-    logits = ad.rowsum(ad.mul(hi, hv)) + ad.rowsum(ad.mul(hr, hr))
+    logits = _slot_logits(ad.gather_rows(entity_emb, edges.head),
+                          ad.gather_rows(entity_emb, edges.tail),
+                          ad.gather_rows(relation_emb, edges.rel))
     return ad.segment_softmax(logits, edges.offsets)
 
 
@@ -100,13 +106,16 @@ def kg_aggregate(entity_emb, relation_emb, edges):
 
     Each head with a nonempty active neighborhood is replaced by the
     attention-weighted, 1/|N_i|-scaled sum of relation-gated neighbor
-    embeddings; heads without active slots pass through unchanged.
+    embeddings; heads without active slots pass through unchanged. Each
+    slot's tail and relation rows are gathered once, for both the
+    attention logits and the message.
     """
     if edges.n_edges == 0:
         return entity_emb
-    beta = kg_attention(entity_emb, relation_emb, edges)
     hv = ad.gather_rows(entity_emb, edges.tail)
     hr = ad.gather_rows(relation_emb, edges.rel)
+    logits = _slot_logits(ad.gather_rows(entity_emb, edges.head), hv, hr)
+    beta = ad.segment_softmax(logits, edges.offsets)
     msg = ad.scale_rows(ad.mul(hr, hv), beta)
     return mean_pool(entity_emb, msg, edges.offsets)
 
@@ -121,16 +130,20 @@ def mean_pool(prev, msgs, offsets):
     return ad.scale_rows(agg, inv) + ad.scale_rows(prev, empty)
 
 
-def _attend(queries, keys, values, offsets, targets, scale):
-    """One direction of masked attention along a CSR edge list."""
-    n = queries.values.shape[0]
-    src = np.repeat(np.arange(n), np.diff(offsets))
-    q = ad.gather_rows(queries, src)
+def _attend(prev, queries, keys, values, offsets, targets, blocks, scale):
+    """All heads of one direction of masked attention along a CSR edge list.
+
+    `blocks` is the (d, H) head indicator: `(q * k) @ blocks` gives one
+    logit column per head, `alpha @ blocks.T` spreads each head's weight
+    over its value columns. Rows without edges keep `prev`.
+    """
+    counts = np.diff(offsets)
+    q = ad.gather_rows(queries, np.repeat(np.arange(counts.size), counts))
     k = ad.gather_rows(keys, targets)
-    logits = ad.mul(ad.rowsum(ad.mul(q, k)), scale)
-    alpha = ad.segment_softmax(logits, offsets)
-    msg = ad.scale_rows(ad.gather_rows(values, targets), alpha)
-    return ad.segment_sum_rows(msg, offsets)
+    alpha = ad.segment_softmax(ad.matmul(ad.mul(q, k), blocks * scale), offsets)
+    msg = ad.mul(ad.gather_rows(values, targets), ad.matmul(alpha, blocks.T))
+    has = (counts > 0).astype(np.float64)
+    return ad.scale_rows(ad.segment_sum_rows(msg, offsets), has) + ad.scale_rows(prev, 1.0 - has)
 
 
 def transformer_layer(user_emb, item_emb, params, graph):
@@ -139,64 +152,52 @@ def transformer_layer(user_emb, item_emb, params, graph):
     Attention logits exist only where the interaction indicator is 1; each
     user attends over their interacted items and, symmetrically with the
     same projections, each item attends over its users. Nodes without any
-    interaction pass through unchanged. Head outputs are concatenated back
-    to dimension d.
+    interaction pass through unchanged. The per-head (d/H, d) projections
+    are stacked row-wise into one (d, d) matrix each for queries, keys and
+    values, so head h owns output columns h*d/H .. (h+1)*d/H - 1.
     """
     d = user_emb.values.shape[1]
     H = params.n_heads
     if d % H != 0:
         raise ShapeError(f"head count {H} must divide embedding size {d}")
+    blocks = np.repeat(np.eye(H), d // H, axis=0)
     scale = 1.0 / math.sqrt(d / H)
-    user_heads, item_heads = [], []
-    for head in params.heads:
-        uq = ad.matmul(user_emb, ad.transpose(head.wq))
-        ik = ad.matmul(item_emb, ad.transpose(head.wk))
-        iv = ad.matmul(item_emb, ad.transpose(head.wv))
-        user_heads.append(_attend(uq, ik, iv, graph.u_offsets, graph.u_items, scale))
-
-        iq = ad.matmul(item_emb, ad.transpose(head.wq))
-        uk = ad.matmul(user_emb, ad.transpose(head.wk))
-        uv = ad.matmul(user_emb, ad.transpose(head.wv))
-        item_heads.append(_attend(iq, uk, uv, graph.i_offsets, graph.i_users, scale))
-
-    new_u = ad.concat(user_heads, axis=1)
-    new_i = ad.concat(item_heads, axis=1)
-
-    u_deg = np.diff(graph.u_offsets).astype(np.float64)
-    i_deg = np.diff(graph.i_offsets).astype(np.float64)
-    new_u = ad.scale_rows(new_u, (u_deg > 0).astype(np.float64)) + ad.scale_rows(
-        user_emb, (u_deg == 0).astype(np.float64)
-    )
-    new_i = ad.scale_rows(new_i, (i_deg > 0).astype(np.float64)) + ad.scale_rows(
-        item_emb, (i_deg == 0).astype(np.float64)
-    )
+    wq = ad.transpose(ad.concat([head.wq for head in params.heads]))
+    wk = ad.transpose(ad.concat([head.wk for head in params.heads]))
+    wv = ad.transpose(ad.concat([head.wv for head in params.heads]))
+    new_u = _attend(user_emb, ad.matmul(user_emb, wq), ad.matmul(item_emb, wk),
+                    ad.matmul(item_emb, wv), graph.u_offsets, graph.u_items, blocks, scale)
+    new_i = _attend(item_emb, ad.matmul(item_emb, wq), ad.matmul(user_emb, wk),
+                    ad.matmul(user_emb, wv), graph.i_offsets, graph.i_users, blocks, scale)
     return new_u, new_i
 
 
 def forward_global(user_emb, entity_emb, relation_emb, proto_user, proto_item,
                    layer_params, graph, kg_edges, depth, n_items):
-    """Run `depth` propagate-then-mix layers and collect intent-aware readouts.
+    """Run `depth` propagate layers, then read out the intent mixtures.
 
-    Layer 0 is the intent mixture of the base embeddings. Each later layer
-    first folds KG context into entities, then runs the masked transformer
-    over the interaction graph, and finally reads out the intent mixture of
-    the propagated user/item embeddings.
+    Each layer first folds KG context into entities, then runs the masked
+    transformer over the interaction graph. The readout mixes the last
+    propagated users and items over the intent prototypes; at depth 0 it
+    mixes the base embeddings. Only what the readout needs is recorded.
     """
-    n_entities = entity_emb.values.shape[0]
+    rest_idx = np.arange(n_items, entity_emb.values.shape[0])
     item_idx = np.arange(n_items)
-    rest_idx = np.arange(n_items, n_entities)
 
-    p_u, p_e = user_emb, entity_emb
-    users = [intent_mix(p_u, proto_user)]
-    items = [intent_mix(ad.gather_rows(p_e, item_idx), proto_item)]
+    def join(items, source):
+        if not rest_idx.size:
+            return items
+        return ad.concat([items, ad.gather_rows(source, rest_idx)])
+
+    # The current entities are `items` followed by the non-item rows of
+    # `source`; `items` is None while they are still `entity_emb` itself.
+    p_u, source, items = user_emb, entity_emb, None
     for layer in range(depth):
-        agg = kg_aggregate(p_e, relation_emb, kg_edges)
-        item_part = ad.gather_rows(agg, item_idx)
-        p_u, item_part = transformer_layer(p_u, item_part, layer_params[layer], graph)
-        if rest_idx.size:
-            p_e = ad.concat([item_part, ad.gather_rows(agg, rest_idx)], axis=0)
-        else:
-            p_e = item_part
-        users.append(intent_mix(p_u, proto_user))
-        items.append(intent_mix(item_part, proto_item))
-    return GlobalState(users=users, items=items, prop_users=p_u, prop_entities=p_e)
+        p_e = source if items is None else join(items, source)
+        source = kg_aggregate(p_e, relation_emb, kg_edges)
+        p_u, items = transformer_layer(p_u, ad.gather_rows(source, item_idx),
+                                       layer_params[layer], graph)
+    if items is None:
+        items = ad.gather_rows(entity_emb, item_idx)
+    return GlobalState(users=intent_mix(p_u, proto_user),
+                       entities=join(intent_mix(items, proto_item), source))

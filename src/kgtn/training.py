@@ -84,11 +84,9 @@ class ModelParameters:
         return self.transformer[:depth]
 
     def l2_term(self):
-        total = None
-        for _, p in self.named():
-            sq = ad.sum_all(ad.mul(p, p))
-            total = sq if total is None else total + sq
-        return total
+        """Sum of squares of every parameter entry; all have d columns."""
+        stacked = ad.concat([p for _, p in self.named()])
+        return ad.sum_all(ad.mul(stacked, stacked))
 
     def copy_values(self):
         return {name: p.values.copy() for name, p in self.named()}
@@ -136,13 +134,6 @@ class Adam:
 # forward assembly
 
 
-def _global_entity_seed(state, n_items, n_entities):
-    rest = np.arange(n_items, n_entities)
-    if rest.size:
-        return ad.concat([state.items[-1], ad.gather_rows(state.prop_entities, rest)], axis=0)
-    return state.items[-1]
-
-
 def global_state(params, dataset, cfg):
     """Intent-aware propagation over the intact KG and interaction graph."""
     return intents.forward_global(
@@ -164,8 +155,8 @@ def compute_tracks(params, dataset, view, cfg, with_local):
     graph = dataset.train_graph
     state = global_state(params, dataset, cfg)
     global_track = denoise.light_aggregate(
-        state.users[-1],
-        _global_entity_seed(state, dataset.n_items, dataset.n_entities),
+        state.users,
+        state.entities,
         params.relation_emb,
         view.edges,
         graph,
@@ -183,7 +174,7 @@ def compute_tracks(params, dataset, view, cfg, with_local):
             cfg.agg_depth,
             dataset.n_items,
         )
-    return state, global_track, local_track
+    return global_track, local_track
 
 
 def predict(users, items, global_track):
@@ -212,7 +203,7 @@ def training_step_loss(params, dataset, view, cfg, batch):
     """Loss for one (user, pos, neg) batch; returns (total, parts dict)."""
     users, pos_items, neg_items = batch[:, 0], batch[:, 1], batch[:, 2]
     with_contrast = cfg.alpha != 0.0
-    _, global_track, local_track = compute_tracks(params, dataset, view, cfg, with_contrast)
+    global_track, local_track = compute_tracks(params, dataset, view, cfg, with_contrast)
     pos_scores = predict(users, pos_items, global_track)
     neg_scores = predict(users, neg_items, global_track)
     bpr = bpr_loss(pos_scores, neg_scores)
@@ -292,7 +283,7 @@ def _epoch_batches(triples, batch_size, rng):
 def representations(params, dataset, cfg):
     """Final layer-summed user/item matrices on the intact KG (no recording)."""
     view = denoise.full_view(dataset.kg)
-    _, global_track, _ = compute_tracks(params, dataset, view, cfg, with_local=False)
+    global_track, _ = compute_tracks(params, dataset, view, cfg, with_local=False)
     zu, zi = global_track.summed()
     return zu.values, zi.values
 
@@ -334,8 +325,7 @@ def fit(cfg, dataset):
 
     for epoch in range(cfg.epochs):
         if cfg.sample_knowledge and dataset.kg.n_triples:
-            state = global_state(params, dataset, cfg)
-            entity_vals = _global_entity_seed(state, dataset.n_items, dataset.n_entities).values
+            entity_vals = global_state(params, dataset, cfg).entities.values
             view = denoise.sample_topk(
                 dataset.kg, entity_vals, params.relation_emb.values, cfg.k_top, rng
             )

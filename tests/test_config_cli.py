@@ -118,6 +118,15 @@ def test_train_writes_artifacts(tmp_path, synth_dir):
     assert len(lines) == 3
 
 
+def test_infonce_standard_flag_reaches_config_ini(tmp_path, synth_dir):
+    flags = _fast_flags(tmp_path, synth_dir, tmp_path / "run")
+    assert cli.main(["train", *flags, "--epochs", "0"]) == 0
+    assert parse_config(tmp_path / "run" / "config.ini").infonce_standard is False
+    flags = _fast_flags(tmp_path, synth_dir, tmp_path / "std")
+    assert cli.main(["train", *flags, "--epochs", "0", "--infonce-standard"]) == 0
+    assert parse_config(tmp_path / "std" / "config.ini").infonce_standard is True
+
+
 def test_train_zero_epochs_equals_initialization(tmp_path, synth_dir):
     out = tmp_path / "run0"
     flags = _fast_flags(tmp_path, synth_dir, out)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kgtn import autodiff as ad
-from kgtn import denoise
+from kgtn import denoise, intents
 from kgtn.data import InteractionGraph, KnowledgeGraph
 from kgtn.errors import ContractError, DomainError
 from kgtn.gradcheck import check_gradients
@@ -54,10 +54,14 @@ def test_topk_keeps_everything_when_k_large():
     view = denoise.sample_topk(kg, ent, rel, k_top=5, rng=np.random.default_rng(0))
     assert view.kept.all()
     # kept slots retain their clean attention weight
-    beta = ad.segment_softmax(
-        ad.constant(denoise._edge_logits(kg.full_edges(), ent, rel)), kg.full_edges().offsets
-    ).values
+    edges = kg.full_edges()
+    logits = (ent[edges.head] * ent[edges.tail]).sum(axis=1) + (rel[edges.rel] ** 2).sum(axis=1)
+    beta = ad.segment_softmax(ad.constant(logits), edges.offsets).values
     np.testing.assert_allclose(view.beta_hat, beta, atol=1e-12)
+    # the same slot scores as the global forward's KG attention
+    np.testing.assert_array_equal(
+        view.beta_hat, intents.kg_attention(ad.constant(ent), ad.constant(rel), edges).values
+    )
 
 
 def test_topk_none_keeps_everything():

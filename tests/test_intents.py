@@ -211,35 +211,37 @@ def test_transformer_masked_pair_zero_gradient():
     assert np.abs(items.grad[:2]).max() > 0
 
 
-def test_transformer_matches_dense_oracle():
-    graph = InteractionGraph(2, 3, [(0, 0), (0, 2), (1, 1), (1, 2)])
-    d = 4
-    params = head_params(d, 1)
-    users = RNG.normal(size=(2, d))
-    items = RNG.normal(size=(3, d))
+def _dense_attention(queries, keys, values, mask, scale):
+    """Row-wise masked softmax attention with dense matrices."""
+    logits = np.where(mask > 0, queries @ keys.T * scale, -np.inf)
+    att = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return att / att.sum(axis=1, keepdims=True) @ values
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_transformer_matches_dense_oracle(n_heads):
+    # every user and item has an interaction, so none passes through
+    graph = InteractionGraph(3, 4, [(0, 0), (0, 2), (1, 1), (1, 2), (1, 3), (2, 3)])
+    d = 8
+    params = head_params(d, n_heads)
+    users = RNG.normal(size=(3, d))
+    items = RNG.normal(size=(4, d))
     new_u, new_i = intents.transformer_layer(
         ad.constant(users), ad.constant(items), params, graph
     )
 
-    wq = params.heads[0].wq.values
-    wk = params.heads[0].wk.values
-    wv = params.heads[0].wv.values
-    mask = np.zeros((2, 3))
+    mask = np.zeros((3, 4))
     for u, i in graph.pairs:
         mask[u, i] = 1.0
-    scale = 1.0 / np.sqrt(d / 1)
-
-    logits = (users @ wq.T) @ (items @ wk.T).T * scale
-    logits = np.where(mask > 0, logits, -np.inf)
-    att = np.exp(logits - logits.max(axis=1, keepdims=True))
-    att = att / att.sum(axis=1, keepdims=True)
-    np.testing.assert_allclose(new_u.values, att @ (items @ wv.T), atol=1e-10)
-
-    logits_i = (items @ wq.T) @ (users @ wk.T).T * scale
-    logits_i = np.where(mask.T > 0, logits_i, -np.inf)
-    att_i = np.exp(logits_i - logits_i.max(axis=1, keepdims=True))
-    att_i = att_i / att_i.sum(axis=1, keepdims=True)
-    np.testing.assert_allclose(new_i.values, att_i @ (users @ wv.T), atol=1e-10)
+    scale = 1.0 / np.sqrt(d / n_heads)
+    # each head on its own, then the head outputs side by side
+    exp_u, exp_i = [], []
+    for head in params.heads:
+        wq, wk, wv = head.wq.values, head.wk.values, head.wv.values
+        exp_u.append(_dense_attention(users @ wq.T, items @ wk.T, items @ wv.T, mask, scale))
+        exp_i.append(_dense_attention(items @ wq.T, users @ wk.T, users @ wv.T, mask.T, scale))
+    np.testing.assert_allclose(new_u.values, np.concatenate(exp_u, axis=1), atol=1e-10)
+    np.testing.assert_allclose(new_i.values, np.concatenate(exp_i, axis=1), atol=1e-10)
 
 
 @pytest.mark.parametrize("n_heads", [1, 2, 4])
@@ -307,25 +309,38 @@ def test_forward_global_depth_zero_is_mixed_base():
     state = intents.forward_global(
         p["user"], p["ent"], p["rel"], p["cu"], p["cv"], [], graph, kg.full_edges(), 0, 3
     )
-    assert state.depth == 0
     np.testing.assert_allclose(
-        state.users[0].values, intents.intent_mix(p["user"], p["cu"]).values
+        state.users.values, intents.intent_mix(p["user"], p["cu"]).values
     )
     items = ad.gather_rows(p["ent"], np.arange(3))
     np.testing.assert_allclose(
-        state.items[0].values, intents.intent_mix(items, p["cv"]).values
+        state.entities.values[:3], intents.intent_mix(items, p["cv"]).values
     )
+    np.testing.assert_array_equal(state.entities.values[3:], p["ent"].values[3:])
 
 
-def test_forward_global_returns_all_layers():
+def test_forward_global_state_matches_layer_by_layer_oracle():
     graph, kg, p, layers = _toy_setup(depth=2)
+    edges = kg.full_edges()
     state = intents.forward_global(
-        p["user"], p["ent"], p["rel"], p["cu"], p["cv"], layers, graph, kg.full_edges(), 2, 3
+        p["user"], p["ent"], p["rel"], p["cu"], p["cv"], layers, graph, edges, 2, 3
     )
-    assert len(state.users) == 3 and len(state.items) == 3
-    for layer_users, layer_items in zip(state.users, state.items):
-        assert np.isfinite(layer_users.values).all()
-        assert np.isfinite(layer_items.values).all()
+    assert state.users.values.shape == (2, 4) and state.entities.values.shape == (5, 4)
+    users, ents = p["user"], p["ent"]
+    for layer in layers:
+        agg = intents.kg_aggregate(ents, p["rel"], edges)
+        users, items = intents.transformer_layer(
+            users, ad.constant(agg.values[:3]), layer, graph
+        )
+        ents = ad.constant(np.vstack([items.values, agg.values[3:]]))
+    np.testing.assert_allclose(
+        state.users.values, intents.intent_mix(users, p["cu"]).values, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        state.entities.values[:3],
+        intents.intent_mix(ad.constant(ents.values[:3]), p["cv"]).values, atol=1e-12,
+    )
+    np.testing.assert_allclose(state.entities.values[3:], ents.values[3:], atol=1e-12)
 
 
 def test_forward_global_gradients_reach_every_parameter_class():
@@ -338,9 +353,8 @@ def test_forward_global_gradients_reach_every_parameter_class():
         state = intents.forward_global(
             p["user"], p["ent"], p["rel"], p["cu"], p["cv"], layers, graph, kg.full_edges(), 1, 3
         )
-        acc = ad.sum_all(ad.mul(state.users[-1], state.users[-1]))
-        acc = acc + ad.sum_all(ad.mul(state.items[-1], state.items[-1]))
-        return acc + ad.sum_all(ad.mul(state.prop_entities, state.prop_entities))
+        acc = ad.sum_all(ad.mul(state.users, state.users))
+        return acc + ad.sum_all(ad.mul(state.entities, state.entities))
 
     res = check_gradients(build, named)
     assert res.max_rel_err < 1e-4, (res.worst_param, res.max_rel_err)

@@ -214,6 +214,58 @@ def test_fit_alpha_zero_skips_contrastive_ops(tiny_dataset):
     assert sum(off.values()) < sum(on.values())
 
 
+def _step_tape(dataset, cfg):
+    params, view, batch = _step_inputs(dataset, cfg)
+    with ad.Tape() as tape:
+        loss, _ = training.training_step_loss(params, dataset, view, cfg, batch)
+    return tape, loss
+
+
+def test_step_node_count_independent_of_head_count(tiny_dataset):
+    one, _ = _step_tape(tiny_dataset, small_cfg(n_heads=1))
+    four, _ = _step_tape(tiny_dataset, small_cfg(n_heads=4))
+    assert one.op_counts() == four.op_counts()
+
+
+def test_every_step_node_receives_a_gradient(tiny_dataset, monkeypatch):
+    reached = []
+    record = ad._record
+
+    def counting_record(name, out, backward_fn):
+        def backward(g):
+            reached.append(name)
+            backward_fn(g)
+
+        record(name, out, backward)
+
+    monkeypatch.setattr(ad, "_record", counting_record)
+    tape, loss = _step_tape(tiny_dataset, small_cfg(depth=2, agg_depth=2))
+    tape.backward(loss)
+    missing = dict(tape.op_counts())
+    for name in reached:
+        missing[name] -= 1
+    assert {k: v for k, v in missing.items() if v} == {}
+
+
+def test_infonce_standard_includes_positive_in_denominator(tiny_dataset):
+    cfg_default = small_cfg(epochs=1)
+    cfg_standard = small_cfg(epochs=1, infonce_standard=True)
+    params, view, batch = _step_inputs(tiny_dataset, cfg_default)
+    _, default = training.training_step_loss(params, tiny_dataset, view, cfg_default, batch)
+    _, standard = training.training_step_loss(params, tiny_dataset, view, cfg_standard, batch)
+    global_track, local_track = training.compute_tracks(
+        params, tiny_dataset, view, cfg_standard, with_local=True
+    )
+    bu, bi = np.unique(batch[:, 0]), np.unique(batch[:, 1])
+    expected = denoise.contrastive_loss(
+        global_track.gather(bu, bi), local_track.gather(bu, bi), cfg_standard.tau,
+        include_positive=True,
+    )
+    assert standard["cl"] == float(expected.values)
+    assert standard["cl"] != default["cl"]
+    assert standard["bpr"] == default["bpr"] and standard["reg"] == default["reg"]
+
+
 def _tensors_with_grad():
     return {id(o): o for o in gc.get_objects()
             if isinstance(o, ad.Tensor) and o.grad is not None}
