@@ -27,10 +27,13 @@ print("intent-aware embedding shape:", mixed.values.shape)
 # --- relation-aware KG aggregation ------------------------------------------
 # Neighbor tails are gated elementwise by their relation embedding and
 # weighted by attention; empty heads pass through unchanged.
+# With k_top=None the sampler keeps every slot, so its `beta_hat` is the
+# plain attention distribution over each head's neighborhood.
 edges = ds.kg.full_edges()
-beta = intents.kg_attention(params.entity_emb, params.relation_emb, edges)
+beta = denoise.sample_topk(ds.kg, params.entity_emb.values, params.relation_emb.values,
+                           k_top=None, rng=rng).beta_hat
 head0 = slice(edges.offsets[0], edges.offsets[1])
-print("attention over item 0's KG slots:", beta.values[head0], "sum:", beta.values[head0].sum())
+print("attention over item 0's KG slots:", beta[head0], "sum:", beta[head0].sum())
 agg = intents.kg_aggregate(params.entity_emb, params.relation_emb, edges)
 print("aggregated entities shape:", agg.values.shape)
 

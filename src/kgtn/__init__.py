@@ -48,7 +48,6 @@ from .intents import (
     intent_assignment,
     intent_mix,
     kg_aggregate,
-    kg_attention,
     transformer_layer,
 )
 from .metrics import auc, f1

@@ -1,10 +1,14 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 The operator set covers exactly what the recommender's forward pass needs:
-matrix products, embedding-row gathers (whose backward scatter-adds),
-segment softmax over CSR neighborhoods (column by column for multi-head
-logits), elementwise maps, reductions, row scaling, and row-wise
-concatenation.
+- arithmetic: `add`, `sub`, `mul` (elementwise, with scalar broadcast);
+- linear algebra: `matmul`, `transpose`;
+- layout: `gather_rows` (whose backward scatter-adds), `concat`
+  (row-wise), `segment_sum_rows` and `segment_softmax` over CSR
+  neighborhoods (column by column for multi-head logits);
+- reductions and scaling: `sum_all`, `mean_all`, `rowsum`, `scale_rows`;
+- maps: `softmax`, `softplus`;
+- the contrastive objective: `infonce`, one fused node per InfoNCE term.
 There is no general broadcasting; the only implicit broadcasts are scalar
 (0-d) tensors and plain Python numbers against an array operand.
 
@@ -36,6 +40,11 @@ Backward does only the work a gradient needs:
   get no gradient computed at all.
 - The scatter behind `gather_rows` is one flat `np.bincount` over
   `row * d + column`, summed into the table's gradient as a single block.
+- `infonce` is the one op that forms its operand gradients in the
+  forward: its output is a scalar, so each gradient is a fixed (b, d)
+  array times the upstream scalar. Building them while the (b, 2b) logit
+  block exists lets the block be freed before the op returns; backward
+  only scales and accumulates.
 
 Forward ops never mutate their inputs; only `.grad` buffers change during
 backward. Tape recording and backward are single-threaded per training step.
@@ -99,9 +108,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -269,20 +275,6 @@ def mul(a, b):
             _accum(b, _reduce_to(g * av, bv.shape), fresh=True)
 
     _record("mul", out, backward)
-    return out
-
-
-def div(a, b):
-    av, bv = _binary_shapes("div", a, b)
-    out = Tensor(av / bv, requires_grad=_needs_grad(a, b))
-
-    def backward(g):
-        if _tracked(a):
-            _accum(a, _reduce_to(g / bv, av.shape), fresh=True)
-        if _tracked(b):
-            _accum(b, _reduce_to(-g * av / (bv * bv), bv.shape), fresh=True)
-
-    _record("div", out, backward)
     return out
 
 
@@ -511,33 +503,6 @@ def softmax(a):
     return out
 
 
-def exp(a):
-    av = _values(a)
-    e = np.exp(av)
-    out = Tensor(e, requires_grad=_needs_grad(a))
-    _record("exp", out, lambda g: _accum(a, g * e, fresh=True))
-    return out
-
-
-def log(a):
-    av = _values(a)
-    if np.any(av <= 0.0):
-        raise DomainError("log: input must be strictly positive")
-    out = Tensor(np.log(av), requires_grad=_needs_grad(a))
-    _record("log", out, lambda g: _accum(a, g / av, fresh=True))
-    return out
-
-
-def sqrt(a):
-    av = _values(a)
-    if np.any(av <= 0.0):
-        raise DomainError("sqrt: input must be strictly positive")
-    r = np.sqrt(av)
-    out = Tensor(r, requires_grad=_needs_grad(a))
-    _record("sqrt", out, lambda g: _accum(a, g / (2.0 * r), fresh=True))
-    return out
-
-
 def softplus(a):
     """log(1 + exp(x)) computed without overflow; gradient is sigmoid(x)."""
     av = _values(a)
@@ -546,3 +511,84 @@ def softplus(a):
     _record("softplus", out, lambda g: _accum(a, g * expit(av), fresh=True))
     return out
 
+
+# ---------------------------------------------------------------------------
+# contrastive objective
+
+
+def _unit_rows(z):
+    """Rows of `z` scaled to unit length, and their original norms."""
+    sq = (z * z).sum(axis=1)
+    if np.any(sq <= 0.0):
+        raise DomainError("infonce: zero-norm embedding row")
+    norms = np.sqrt(sq)
+    return z * (1.0 / norms)[:, None], norms
+
+
+def _unit_rows_backward(grad, unit, norms):
+    """Push a gradient on the unit rows through the normalization z / |z|."""
+    return (grad - unit * (grad * unit).sum(axis=1)[:, None]) / norms[:, None]
+
+
+def infonce(global_rows, local_rows, tau, include_positive=False):
+    """Mean over rows of the InfoNCE term between two (b, d) views.
+
+    Row i of each view is normalized; its positive is the cross-view logit
+    gn_i . ln_i / tau, and its candidates are one (b, 2b) logit block
+    gn @ [ln; gn].T / tau with the self-similarity gn_i . gn_i masked to
+    -inf, and the positive masked too unless `include_positive` is set.
+    The term is the max-shifted row log-sum-exp minus the positive, so it
+    is finite for every temperature whose reciprocal is a finite float.
+
+    The output is a scalar, so each operand's gradient is a fixed (b, d)
+    array times the upstream scalar. When recorded, the op forms those
+    arrays here from the softmax of the block and frees the block before
+    returning; backward only scales and accumulates them.
+    """
+    gv, lv = _values(global_rows), _values(local_rows)
+    if gv.ndim != 2 or gv.shape != lv.shape:
+        raise ShapeError(f"infonce: views {gv.shape} and {lv.shape} are not matching matrices")
+    b = gv.shape[0]
+    if b < 2:
+        raise DomainError(f"infonce: needs at least 2 rows, got {b}")
+    if not tau > 0:
+        raise DomainError(f"infonce: temperature must be positive, got {tau}")
+    gn, g_norms = _unit_rows(gv)
+    ln, l_norms = _unit_rows(lv)
+    keys = np.concatenate([ln, gn])
+    block = (gn * (1.0 / tau)) @ keys.T
+    diag = np.arange(b)
+    positive = block[diag, diag]
+    block[diag, b + diag] = -np.inf
+    if not include_positive:
+        block[diag, diag] = -np.inf
+    shift = block.max(axis=1)
+    block -= shift[:, None]
+    np.exp(block, out=block)
+    mass = block.sum(axis=1)
+    out = Tensor(np.mean(shift + np.log(mass) - positive),
+                 requires_grad=_needs_grad(global_rows, local_rows))
+    if not out.requires_grad:
+        return out
+
+    # d out / d block = (softmax - positive indicator) / b, and the block
+    # is (gn / tau) @ keys.T: fold 1 / (b * tau) into the softmax rows.
+    block *= (1.0 / (mass * (b * tau)))[:, None]
+    block[diag, diag] -= 1.0 / (b * tau)
+    d_keys = block.T @ gn
+    grads = []
+    if _tracked(global_rows):
+        d_gn = block @ keys
+        d_gn += d_keys[b:]
+        grads.append((global_rows, _unit_rows_backward(d_gn, gn, g_norms)))
+    if _tracked(local_rows):
+        grads.append((local_rows, _unit_rows_backward(d_keys[:b], ln, l_norms)))
+
+    def backward(g):
+        for operand, grad in grads:
+            grad *= g
+            _accum(operand, grad, fresh=True)
+        grads.clear()
+
+    _record("infonce", out, backward)
+    return out

@@ -165,36 +165,10 @@ def light_aggregate(user_seed, entity_seed, relation_emb, view_edges, graph, dep
     return LayerStack(users=zu, items=[ad.gather_rows(z, item_idx) for z in ze])
 
 
-def _normalize_rows(z):
-    sq = ad.rowsum(ad.mul(z, z))
-    if np.any(sq.values <= 0.0):
-        raise DomainError("contrastive_loss: zero-norm embedding row")
-    norms = ad.sqrt(sq)
-    inv = ad.div(ad.constant(np.ones(norms.values.shape[0])), norms)
-    return ad.scale_rows(z, inv)
-
-
-def _row_dot(a, b):
-    return ad.rowsum(ad.mul(a, b))
-
-
 def _side_loss(global_layers, local_layers, tau, include_positive):
     total = None
     for zg, zl in zip(global_layers, local_layers):
-        gn = _normalize_rows(zg)
-        ln = _normalize_rows(zl)
-        # Scaling the (b, d) rows by 1/tau scales every similarity; the
-        # diagonals of the two (b, b) matrices are row-dots, O(b*d).
-        gs = ad.mul(gn, 1.0 / tau)
-        exp_cross = ad.exp(ad.matmul(gs, ad.transpose(ln)))
-        exp_self = ad.exp(ad.matmul(gs, ad.transpose(gn)))
-        pos_logit = _row_dot(gs, ln)
-        diag_self = ad.exp(_row_dot(gs, gn))
-        denom = ad.rowsum(exp_self) - diag_self + ad.rowsum(exp_cross)
-        if not include_positive:
-            denom = denom - ad.exp(pos_logit)
-        term = ad.log(denom) - pos_logit
-        layer_loss = ad.mean_all(term)
+        layer_loss = ad.infonce(zg, zl, tau, include_positive)
         total = layer_loss if total is None else total + layer_loss
     # Layers 0..L are summed and divided by L; a single-layer input
     # degenerates to a factor of 1. Each layer term averages over the
@@ -213,6 +187,12 @@ def contrastive_loss(global_track, local_track, tau, include_positive=False):
     user side and item side are averaged over their in-batch nodes and
     added. Both tracks must carry the same number of layers and at least
     two nodes per side.
+
+    Each (layer, side) term is one `ad.infonce` node: a max-shifted
+    log-sum-exp over the masked cross- and self-view logits minus the
+    positive logit. Nothing is excluded by subtraction and no unshifted
+    `exp` is taken, so every `tau > 0` gives a finite loss and finite
+    gradients (of order 1/tau).
     """
     if tau <= 0:
         raise ContractError(f"temperature must be positive, got {tau}")

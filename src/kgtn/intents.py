@@ -87,20 +87,6 @@ def _slot_logits(head_rows, tail_rows, rel_rows):
     return ad.rowsum(ad.mul(head_rows, tail_rows)) + ad.rowsum(ad.mul(rel_rows, rel_rows))
 
 
-def kg_attention(entity_emb, relation_emb, edges):
-    """Per-edge attention over each head entity's active neighborhood.
-
-    Slot logits come from `_slot_logits`; weights are softmax-normalized
-    within each head's slot block.
-    """
-    if edges.n_edges == 0:
-        return ad.constant(np.zeros(0))
-    logits = _slot_logits(ad.gather_rows(entity_emb, edges.head),
-                          ad.gather_rows(entity_emb, edges.tail),
-                          ad.gather_rows(relation_emb, edges.rel))
-    return ad.segment_softmax(logits, edges.offsets)
-
-
 def kg_aggregate(entity_emb, relation_emb, edges):
     """Relation-aware neighborhood pooling over active KG slots.
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit, logsumexp
 
 from kgtn import autodiff as ad
 from kgtn.errors import ContractError, DomainError, ShapeError
@@ -115,16 +116,16 @@ def test_elementwise_finite_difference():
     b = ad.parameter(RNG.normal(size=(3, 3)) + 3.0)
 
     def build():
-        return ad.sum_all(ad.div(ad.mul(a, b) + ad.sub(a, b), ad.add(b, 2.0)))
+        return ad.sum_all(ad.mul(ad.mul(a, b) + ad.sub(a, b), ad.softplus(b)))
 
     fd_check(build, [("a", a), ("b", b)])
 
 
 def test_scalar_broadcast_arithmetic():
     a = ad.parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    out = (2.0 * a + 1.0) / 2.0 - 0.5
+    out = (2.0 * a + 1.0) * 0.5 - 0.5
     np.testing.assert_allclose(out.values, a.values)
-    fd_check(lambda: ad.sum_all(ad.mul(3.0 * a - 1.0, a / 2.0)), [("a", a)])
+    fd_check(lambda: ad.sum_all(ad.mul(3.0 * a - 1.0, a * 0.5)), [("a", a)])
 
 
 # ---------------------------------------------------------------------------
@@ -421,30 +422,82 @@ def test_scale_rows_value_and_finite_difference():
 
 
 def test_map_values():
-    assert abs(ad.exp(ad.constant(1.0)).values - math.e) < 1e-12
-    assert abs(ad.log(ad.constant(math.e)).values - 1.0) < 1e-12
-    assert abs(ad.sqrt(ad.constant(4.0)).values - 2.0) < 1e-15
     assert abs(ad.softplus(ad.constant(0.0)).values - math.log(2.0)) < 1e-12
     # softplus must not overflow for large inputs
     assert abs(ad.softplus(ad.constant(800.0)).values - 800.0) < 1e-9
 
 
-def test_map_domain_errors():
-    with pytest.raises(DomainError):
-        ad.log(ad.constant([1.0, -1.0]))
-    with pytest.raises(DomainError):
-        ad.sqrt(ad.constant(0.0))
-
-
 def test_map_finite_difference():
-    x = ad.parameter(RNG.normal(size=6) * 0.7 + 2.0)
+    x = ad.parameter(RNG.normal(size=6) * 2.0)
 
     def build():
-        return ad.sum_all(
-            ad.exp(ad.mul(x, 0.3)) + ad.log(x) + ad.sqrt(x) + ad.softplus(x)
-        )
+        return ad.sum_all(ad.mul(ad.softplus(ad.mul(x, 0.3)), x) + ad.softplus(x))
 
     fd_check(build, [("x", x)])
+
+
+# ---------------------------------------------------------------------------
+# infonce
+
+
+def _infonce_oracle(zg, zl, tau, include_positive):
+    """Row mean of logsumexp(candidates) - positive, from an explicit mask."""
+    g = zg / np.linalg.norm(zg, axis=1, keepdims=True)
+    l = zl / np.linalg.norm(zl, axis=1, keepdims=True)
+    b = g.shape[0]
+    logits = np.hstack([g @ l.T, g @ g.T]) / tau
+    keep = np.hstack([np.ones((b, b)), 1.0 - np.eye(b)]).astype(bool)
+    if not include_positive:
+        keep[:, :b] &= ~np.eye(b, dtype=bool)
+    lse = logsumexp(np.where(keep, logits, -np.inf), axis=1)
+    return float(np.mean(lse - np.diag(logits[:, :b])))
+
+
+def test_infonce_value_matches_masked_logsumexp():
+    zg, zl = RNG.normal(size=(6, 4)), RNG.normal(size=(6, 4))
+    for tau in (10.0, 0.3, 1e-3):
+        for include_positive in (False, True):
+            out = ad.infonce(ad.constant(zg), ad.constant(zl), tau, include_positive).values
+            want = _infonce_oracle(zg, zl, tau, include_positive)
+            assert np.isfinite(out) and abs(out - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("include_positive", [False, True])
+def test_infonce_finite_difference(include_positive):
+    g = ad.parameter(RNG.normal(size=(5, 4)))
+    l = ad.parameter(RNG.normal(size=(5, 4)))
+    # the upstream scale checks that backward multiplies by its gradient
+    fd_check(lambda: ad.mul(ad.infonce(g, l, 0.4, include_positive), 2.5),
+             [("g", g), ("l", l)], tol=1e-6)
+
+
+def test_infonce_constant_view_gets_no_gradient():
+    zg, zl = RNG.normal(size=(4, 3)), RNG.normal(size=(4, 3))
+    grads = []
+    for constant_local in (False, True):
+        g = ad.parameter(zg)
+        l = ad.constant(zl) if constant_local else ad.parameter(zl)
+        with ad.Tape() as tape:
+            loss = ad.infonce(g, l, 0.5)
+        tape.backward(loss)
+        grads.append(g.grad)
+    assert l.grad is None
+    np.testing.assert_array_equal(grads[0], grads[1])
+
+
+def test_infonce_domain_errors():
+    z = RNG.normal(size=(3, 2))
+    with pytest.raises(DomainError, match="zero-norm"):
+        ad.infonce(ad.constant(np.vstack([z[:2], np.zeros(2)])), ad.constant(z), 1.0)
+    with pytest.raises(DomainError, match="zero-norm"):
+        ad.infonce(ad.constant(z), ad.constant(np.vstack([np.zeros(2), z[1:]])), 1.0)
+    for tau in (0.0, -1.0, float("nan")):
+        with pytest.raises(DomainError, match="temperature"):
+            ad.infonce(ad.constant(z), ad.constant(z), tau)
+    with pytest.raises(DomainError, match="2 rows"):
+        ad.infonce(ad.constant(z[:1]), ad.constant(z[:1]), 1.0)
+    with pytest.raises(ShapeError):
+        ad.infonce(ad.constant(z), ad.constant(z[:2]), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +541,9 @@ def test_add_operands_get_distinct_grad_buffers():
         x, y = ad.mul(a, 1.0), ad.mul(b, 1.0)
         z = ad.mul(x, 3.0)
         c = x + y
-        loss = ad.sum_all(ad.mul(c, c)) + ad.sum_all(ad.exp(c)) + ad.sum_all(z)
+        loss = ad.sum_all(ad.mul(c, c)) + ad.sum_all(ad.softplus(c)) + ad.sum_all(z)
     tape.backward(loss)
-    want = 2.0 * c.values + np.exp(c.values)
+    want = 2.0 * c.values + expit(c.values)
     np.testing.assert_allclose(a.grad, want + 3.0, atol=1e-12)
     np.testing.assert_allclose(b.grad, want, atol=1e-12)
     assert all(t.grad is None for t in (x, y, z, c, loss))
@@ -507,10 +560,10 @@ def test_reduction_first_then_other_op_accumulates():
         with ad.Tape() as tape:
             h = ad.mul(p, 2.0)
             # backward reaches h through the reduction first (it ran last),
-            # then adds exp's contribution into the same buffer
-            loss = ad.sum_all(ad.exp(h)) + reduce(h)
+            # then adds softplus's contribution into the same buffer
+            loss = ad.sum_all(ad.softplus(h)) + reduce(h)
         tape.backward(loss)
-        want_h = seed_grad + np.exp(2.0 * m)
+        want_h = seed_grad + expit(2.0 * m)
         np.testing.assert_allclose(p.grad, 2.0 * want_h, atol=1e-12)
         assert h.grad is None
 
@@ -544,7 +597,7 @@ def test_intermediate_grads_released_leaves_kept():
     with ad.Tape() as tape:
         # h feeds three consumers; its gradient must survive until all ran
         h = ad.matmul(p, q)
-        e = ad.exp(h)
+        e = ad.softplus(h)
         loss = ad.sum_all(ad.mul(h, e)) + ad.sum_all(ad.softmax(h)) + ad.mean_all(e)
     tape.backward(loss)
     assert h.grad is None and e.grad is None and loss.grad is None
@@ -557,7 +610,7 @@ def test_gradcheck_passes_through_shared_intermediates():
 
     def build():
         h = ad.matmul(p, q)
-        e = ad.exp(ad.mul(h, 0.3))
+        e = ad.softplus(ad.mul(h, 0.3))
         return ad.sum_all(ad.mul(h, e)) + ad.sum_all(ad.softmax(h)) + ad.mean_all(e)
 
     fd_check(build, [("p", p), ("q", q)], tol=1e-7)
@@ -569,7 +622,7 @@ def test_constants_receive_no_gradient():
     w = ad.constant(RNG.normal(size=3))
     with ad.Tape() as tape:
         h = ad.mul(p, consts[0])
-        h = ad.div(h, consts[1])
+        h = ad.add(h, consts[1])
         h = ad.sub(consts[2], h)
         h = ad.matmul(consts[3], h)
         h = ad.scale_rows(h, w)

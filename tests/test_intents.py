@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgtn import autodiff as ad
-from kgtn import intents
+from kgtn import denoise, intents
 from kgtn.data import InteractionGraph, KnowledgeGraph
 from kgtn.gradcheck import check_gradients
 
@@ -112,18 +112,19 @@ def _kg(triples, n_entities):
 
 def test_kg_attention_singleton():
     kg = _kg([(0, 0, 1)], 2)
-    ent = ad.constant(RNG.normal(size=(2, 3)))
-    rel = ad.constant(RNG.normal(size=(1, 3)))
-    beta = intents.kg_attention(ent, rel, kg.full_edges())
-    np.testing.assert_allclose(beta.values, [1.0])
+    ent = RNG.normal(size=(2, 3))
+    rel = RNG.normal(size=(1, 3))
+    view = denoise.sample_topk(kg, ent, rel, k_top=None, rng=np.random.default_rng(0))
+    np.testing.assert_allclose(view.beta_hat, [1.0])
 
 
 def test_kg_attention_identical_neighbors_split_evenly():
     # two slots with the same relation and same tail embedding
     kg = _kg([(0, 0, 1), (0, 0, 2)], 3)
     ent = np.vstack([RNG.normal(size=3), np.tile(RNG.normal(size=3), (2, 1))])
-    beta = intents.kg_attention(ad.constant(ent), ad.constant(RNG.normal(size=(1, 3))), kg.full_edges())
-    np.testing.assert_allclose(beta.values, [0.5, 0.5], atol=1e-12)
+    view = denoise.sample_topk(kg, ent, RNG.normal(size=(1, 3)), k_top=None,
+                               rng=np.random.default_rng(0))
+    np.testing.assert_allclose(view.beta_hat, [0.5, 0.5], atol=1e-12)
 
 
 def test_kg_attention_concat_logit_identity():
