@@ -4,8 +4,10 @@ The operator set covers exactly what the recommender's forward pass needs:
 - arithmetic: `add`, `sub`, `mul` (elementwise, with scalar broadcast);
 - linear algebra: `matmul`, `transpose`;
 - layout: `gather_rows` (whose backward scatter-adds), `concat`
-  (row-wise), `segment_sum_rows` and `segment_softmax` over CSR
-  neighborhoods (column by column for multi-head logits);
+  (row-wise), and over CSR neighborhoods `segment_sum_rows` (one node per
+  neighborhood aggregation: weighted block sums, with a fallback row
+  where a block is empty) and `segment_softmax` (column by column for
+  multi-head logits);
 - reductions and scaling: `sum_all`, `mean_all`, `rowsum`, `scale_rows`;
 - maps: `softmax`, `softplus`;
 - the contrastive objective: `infonce`, one fused node per InfoNCE term.
@@ -380,14 +382,40 @@ def _segmax(x, offsets):
     return out
 
 
-def segment_sum_rows(rows, offsets):
-    """Sum consecutive row blocks delimited by CSR offsets (empty blocks -> 0)."""
-    rv = _values(rows)
+def segment_sum_rows(rows, offsets, weights, fallback):
+    """Weighted sums of CSR row blocks; a row whose block is empty falls back.
+
+    Row i of the output is `weights[i] * rows[offsets[i]:offsets[i+1]].sum(0)`,
+    or `fallback[i]` when that block is empty. `weights` is a constant (n,)
+    vector (its entries for empty blocks are never read); `fallback` is an
+    (n, d) matrix and receives gradient on the empty rows only.
+    """
+    rv, fv = _values(rows), _values(fallback)
+    if _tracked(weights):
+        raise ContractError("segment_sum_rows: weights are constant, not differentiable")
+    wv = _values(weights)
     off = _check_offsets("segment_sum_rows", offsets, rv.shape[0])
-    out = Tensor(_segsum(rv, off), requires_grad=_needs_grad(rows))
+    n = off.size - 1
+    if rv.ndim != 2 or fv.shape != (n, rv.shape[1]) or wv.shape != (n,):
+        raise ShapeError(
+            f"segment_sum_rows: rows {rv.shape}, fallback {fv.shape} and weights "
+            f"{wv.shape} do not fit {n} segments"
+        )
     counts = np.diff(off)
-    _record("segment_sum_rows", out,
-            lambda g: _accum(rows, np.repeat(g, counts, axis=0), fresh=True))
+    filled = counts > 0
+    wv = np.where(filled, wv, 0.0)
+    sums = fv.copy()
+    if filled.any():
+        sums[filled] = np.add.reduceat(rv, off[:-1][filled], axis=0) * wv[filled, None]
+    out = Tensor(sums, requires_grad=_needs_grad(rows, fallback))
+
+    def backward(g):
+        if _tracked(fallback):
+            _accum(fallback, np.where(filled[:, None], 0.0, g), fresh=True)
+        if _tracked(rows):
+            _accum(rows, np.repeat(g * wv[:, None], counts, axis=0), fresh=True)
+
+    _record("segment_sum_rows", out, backward)
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -50,6 +51,12 @@ class ExperimentConfig:
         return (self.train_ratio, self.eval_ratio, self.test_ratio)
 
     def validate(self):
+        for key in ("tau", "alpha", "l2", "lr", "noise_ratio",
+                    "train_ratio", "eval_ratio", "test_ratio"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.embed_dim < 1 or self.n_heads < 1:
             raise ConfigError("embed_dim and n_heads must be positive")
         if self.embed_dim % self.n_heads != 0:
@@ -161,12 +168,14 @@ def parse_config(path=None, overrides=None):
     """
     cfg = ExperimentConfig()
     if path is not None:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 parser.read_file(fh)
         except configparser.Error as err:
             raise ConfigError(f"{path}: {err}") from None
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: not valid UTF-8") from None
         for section in parser.sections():
             for key, value in parser.items(section):
                 if key not in _FIELD_TYPES:
@@ -185,7 +194,7 @@ def parse_config(path=None, overrides=None):
 
 def to_ini(cfg):
     """Lossless textual form of a config (parse_config round-trips it)."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for section in ("data", "model", "train", "eval"):
         parser.add_section(section)
     for key, section in _SECTION_OF.items():

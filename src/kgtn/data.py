@@ -11,6 +11,7 @@ the entity table *is* its KG entity, so alignment lookups are no-ops.
 from __future__ import annotations
 
 import hashlib
+import io
 import warnings
 from dataclasses import dataclass, field
 
@@ -127,25 +128,36 @@ class KnowledgeGraph:
 # loading
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def _parse_int_lines(path, n_fields, what):
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        lineno = raw.count(b"\n", 0, err.start) + 1
+        raise DataFormatError(f"{what} line {lineno}: not valid UTF-8") from None
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != n_fields:
-                raise DataFormatError(
-                    f"{what} line {lineno}: expected {n_fields} tab-separated fields, got {len(parts)}"
-                )
-            try:
-                row = [int(p) for p in parts]
-            except ValueError:
-                raise DataFormatError(f"{what} line {lineno}: non-integer field") from None
-            if any(v < 0 for v in row):
-                raise DataFormatError(f"{what} line {lineno}: negative ID")
-            rows.append((lineno, row))
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != n_fields:
+            raise DataFormatError(
+                f"{what} line {lineno}: expected {n_fields} tab-separated fields, got {len(parts)}"
+            )
+        try:
+            row = [int(p) for p in parts]
+        except ValueError:
+            raise DataFormatError(f"{what} line {lineno}: non-integer field") from None
+        if any(v < 0 for v in row):
+            raise DataFormatError(f"{what} line {lineno}: negative ID")
+        if any(v > _INT64_MAX for v in row):
+            raise DataFormatError(f"{what} line {lineno}: ID beyond {_INT64_MAX}")
+        rows.append((lineno, row))
     return rows
 
 
@@ -179,11 +191,26 @@ def load_interactions(path):
 
 
 def load_kg(path, min_entities=0):
+    """Triples of a KG file; entities are the `min_entities` items, then the rest.
+
+    Entity IDs from `min_entities` up must be dense (each names a triple),
+    so the entity table has no row without data and a stray large ID fails
+    here instead of sizing the table.
+    """
     rows = _parse_int_lines(path, 3, "kg")
     triples = np.array([r for _, r in rows], dtype=np.int64).reshape(-1, 3)
-    used = int(max(triples[:, 0].max(), triples[:, 2].max())) + 1 if triples.size else 0
-    total = max(min_entities, used)
-    return KnowledgeGraph(triples, n_entities=total or None)
+    ends = triples[:, [0, 2]]
+    named = np.unique(ends)
+    named = named[named >= min_entities]
+    skip = np.flatnonzero(named != np.arange(min_entities, min_entities + named.size))
+    if skip.size:
+        bad = named[skip[0]]
+        lineno = rows[int(np.flatnonzero((ends == bad).any(axis=1))[0])][0]
+        raise DataFormatError(
+            f"kg line {lineno}: entity ID {bad} skips ID {min_entities + skip[0]}; "
+            f"entity IDs from {min_entities} up must be dense"
+        )
+    return KnowledgeGraph(triples, n_entities=min_entities + named.size or None)
 
 
 # ---------------------------------------------------------------------------

@@ -107,13 +107,12 @@ def kg_aggregate(entity_emb, relation_emb, edges):
 
 
 def mean_pool(prev, msgs, offsets):
-    """Mean of each row's CSR block of messages; rows with none keep `prev`."""
-    n = prev.values.shape[0]
-    agg = ad.segment_sum_rows(msgs, offsets)
-    counts = np.diff(offsets).astype(np.float64)
-    inv = np.divide(1.0, counts, out=np.zeros(n), where=counts > 0)
-    empty = (counts == 0).astype(np.float64)
-    return ad.scale_rows(agg, inv) + ad.scale_rows(prev, empty)
+    """Mean of each row's CSR block of messages; rows with none keep `prev`.
+
+    One `segment_sum_rows` node with weights 1/|N|, `prev` as the fallback.
+    """
+    inv = 1.0 / np.maximum(np.diff(offsets), 1)
+    return ad.segment_sum_rows(msgs, offsets, inv, prev)
 
 
 def _attend(prev, queries, keys, values, offsets, targets, blocks, scale):
@@ -121,15 +120,16 @@ def _attend(prev, queries, keys, values, offsets, targets, blocks, scale):
 
     `blocks` is the (d, H) head indicator: `(q * k) @ blocks` gives one
     logit column per head, `alpha @ blocks.T` spreads each head's weight
-    over its value columns. Rows without edges keep `prev`.
+    over its value columns. Each row's output is the sum of its attended
+    messages, one `segment_sum_rows` node with weights 1 and `prev` as the
+    fallback, so rows without edges keep `prev`.
     """
     counts = np.diff(offsets)
     q = ad.gather_rows(queries, np.repeat(np.arange(counts.size), counts))
     k = ad.gather_rows(keys, targets)
     alpha = ad.segment_softmax(ad.matmul(ad.mul(q, k), blocks * scale), offsets)
     msg = ad.mul(ad.gather_rows(values, targets), ad.matmul(alpha, blocks.T))
-    has = (counts > 0).astype(np.float64)
-    return ad.scale_rows(ad.segment_sum_rows(msg, offsets), has) + ad.scale_rows(prev, 1.0 - has)
+    return ad.segment_sum_rows(msg, offsets, np.ones(counts.size), prev)
 
 
 def transformer_layer(user_emb, item_emb, params, graph):

@@ -177,9 +177,8 @@ def compute_tracks(params, dataset, view, cfg, with_local):
     return global_track, local_track
 
 
-def predict(users, items, global_track):
-    """Matching scores: inner product of layer-summed user/item vectors."""
-    zu, zi = global_track.summed()
+def predict(users, items, zu, zi):
+    """Matching scores: inner products of rows of the layer-summed `zu`, `zi`."""
     return ad.rowsum(ad.mul(ad.gather_rows(zu, np.asarray(users)),
                             ad.gather_rows(zi, np.asarray(items))))
 
@@ -204,8 +203,9 @@ def training_step_loss(params, dataset, view, cfg, batch):
     users, pos_items, neg_items = batch[:, 0], batch[:, 1], batch[:, 2]
     with_contrast = cfg.alpha != 0.0
     global_track, local_track = compute_tracks(params, dataset, view, cfg, with_contrast)
-    pos_scores = predict(users, pos_items, global_track)
-    neg_scores = predict(users, neg_items, global_track)
+    zu, zi = global_track.summed()
+    pos_scores = predict(users, pos_items, zu, zi)
+    neg_scores = predict(users, neg_items, zu, zi)
     bpr = bpr_loss(pos_scores, neg_scores)
     contrast = None
     if with_contrast:

@@ -304,18 +304,58 @@ def test_gather_rows_scatter_into_nonzero_grad():
 def test_segment_sum_rows_with_empty_segments():
     rows = RNG.normal(size=(5, 2))
     offsets = np.array([0, 2, 2, 5, 5])
-    out = ad.segment_sum_rows(ad.constant(rows), offsets).values
-    np.testing.assert_allclose(out[0], rows[:2].sum(axis=0))
-    np.testing.assert_array_equal(out[1], np.zeros(2))
-    np.testing.assert_allclose(out[2], rows[2:5].sum(axis=0))
-    np.testing.assert_array_equal(out[3], np.zeros(2))
+    weights = np.array([0.5, 7.0, -2.0, 3.0])
+    fallback = np.arange(8.0).reshape(4, 2)
+    out = ad.segment_sum_rows(ad.constant(rows), offsets, weights, fallback).values
+    np.testing.assert_allclose(out[0], 0.5 * rows[:2].sum(axis=0))
+    np.testing.assert_array_equal(out[1], fallback[1])
+    np.testing.assert_allclose(out[2], -2.0 * rows[2:5].sum(axis=0))
+    np.testing.assert_array_equal(out[3], fallback[3])
 
 
 def test_segment_sum_rows_finite_difference():
     rows = ad.parameter(RNG.normal(size=(5, 2)))
     offsets = np.array([0, 2, 2, 5])
     w = ad.constant(RNG.normal(size=(3, 2)))
-    fd_check(lambda: ad.sum_all(ad.mul(ad.segment_sum_rows(rows, offsets), w)), [("rows", rows)])
+    rng = np.random.default_rng(11)
+    fallback = ad.parameter(rng.normal(size=(3, 2)))
+    weights = rng.normal(size=3)
+    fd_check(lambda: ad.sum_all(ad.mul(ad.segment_sum_rows(rows, offsets, weights, fallback), w)),
+             [("rows", rows), ("fallback", fallback)])
+
+
+def test_segment_sum_rows_gradients_split_by_emptiness():
+    rows = ad.parameter(np.ones((3, 2)))
+    fallback = ad.parameter(np.zeros((4, 2)))
+    offsets = np.array([0, 0, 2, 2, 3])
+    upstream = np.arange(1.0, 9.0).reshape(4, 2)
+    with ad.Tape() as tape:
+        out = ad.segment_sum_rows(rows, offsets, np.array([9.0, 0.5, 9.0, 2.0]), fallback)
+        loss = ad.sum_all(ad.mul(out, ad.constant(upstream)))
+    tape.backward(loss)
+    # Rows of block 1 get 0.5 * upstream[1], the row of block 3 gets 2 * upstream[3];
+    # the fallback gets upstream on the empty rows 0 and 2 and nothing elsewhere.
+    np.testing.assert_array_equal(rows.grad, [[1.5, 2.0], [1.5, 2.0], [14.0, 16.0]])
+    np.testing.assert_array_equal(fallback.grad, [[1.0, 2.0], [0.0, 0.0], [5.0, 6.0], [0.0, 0.0]])
+
+
+def test_segment_sum_rows_all_empty_is_fallback():
+    fallback = np.arange(6.0).reshape(3, 2)
+    out = ad.segment_sum_rows(np.zeros((0, 2)), np.zeros(4, dtype=np.int64), np.full(3, np.inf),
+                              fallback)
+    np.testing.assert_array_equal(out.values, fallback)
+
+
+def test_segment_sum_rows_rejects_bad_operands():
+    rows, offsets = np.ones((3, 2)), np.array([0, 1, 3])
+    with pytest.raises(ShapeError):
+        ad.segment_sum_rows(rows, offsets, np.ones(2), np.ones((2, 3)))
+    with pytest.raises(ShapeError):
+        ad.segment_sum_rows(rows, offsets, np.ones(3), np.ones((2, 2)))
+    with pytest.raises(ShapeError):
+        ad.segment_sum_rows(rows, np.array([0, 1, 2]), np.ones(2), np.ones((2, 2)))
+    with pytest.raises(ContractError):
+        ad.segment_sum_rows(rows, offsets, ad.parameter(np.ones(2)), np.ones((2, 2)))
 
 
 def test_segment_softmax_sums_per_segment():

@@ -71,6 +71,34 @@ def test_invalid_values_rejected():
             parse_config(None, bad)
 
 
+def test_negative_seed_rejected_by_name():
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config(None, {"seed": -1})
+
+
+@pytest.mark.parametrize("key", ["tau", "alpha", "l2", "lr", "train_ratio", "noise_ratio"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_floats_rejected_by_name(key, value):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(None, {key: value})
+
+
+def test_percent_signs_are_literal(tmp_path):
+    path = tmp_path / "c.ini"
+    path.write_text("[data]\ndata_dir = /runs/%(home)s/100%\n", encoding="utf-8")
+    assert parse_config(path).data_dir == "/runs/%(home)s/100%"
+    cfg = parse_config(None, {"data_dir": "/x/100%d"})
+    write_config(cfg, path)
+    assert parse_config(path) == cfg
+
+
+def test_non_utf8_config_rejected(tmp_path):
+    path = tmp_path / "c.ini"
+    path.write_bytes(b"[train]\nseed = 1\n# caf\xe9\n")
+    with pytest.raises(ConfigError, match="UTF-8"):
+        parse_config(path)
+
+
 def test_to_ini_is_sectioned():
     text = to_ini(ExperimentConfig())
     assert "[model]" in text and "[train]" in text and "[data]" in text
@@ -204,6 +232,50 @@ def test_env_var_data_dir_fallback(tmp_path, synth_dir, monkeypatch):
     )
     assert cli.main(["train", "--config", str(cfgfile), "--out", str(out)]) == 0
     assert (out / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("case", ["seed", "interpolation", "utf8", "ratings_overflow",
+                                  "kg_overflow", "ratings_utf8", "kg_sparse_ids"])
+def test_train_rejects_bad_input_with_exit_2(tmp_path, synth_dir, capsys, case):
+    flags = _fast_flags(tmp_path, synth_dir, tmp_path / "run")
+    bad_ini = tmp_path / "bad.ini"
+    if case == "seed":
+        flags += ["--seed", "-1"]
+    elif case == "interpolation":
+        bad_ini.write_text("[train]\nepochs = %(x)s\n", encoding="utf-8")
+        flags[1] = str(bad_ini)
+    elif case == "utf8":
+        bad_ini.write_bytes(b"[train]\nepochs = 1 # \xff\n")
+        flags[1] = str(bad_ini)
+    else:
+        name, line = {
+            "ratings_overflow": ("ratings_final.txt", b"0\t18446744073709551616\t1\n"),
+            "kg_overflow": ("kg_final.txt", b"0\t0\t9223372036854775808\n"),
+            "ratings_utf8": ("ratings_final.txt", b"0\t1\xc3\t1\n"),
+            "kg_sparse_ids": ("kg_final.txt", b"0\t0\t1000000000000\n"),
+        }[case]
+        bad_data = tmp_path / "bad_data"
+        bad_data.mkdir()
+        for part in ("ratings_final.txt", "kg_final.txt"):
+            (bad_data / part).write_bytes((synth_dir / part).read_bytes())
+        with open(bad_data / name, "ab") as fh:
+            fh.write(line)
+        flags[3] = str(bad_data)
+    assert cli.main(["train", *flags]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_train_with_percent_in_data_dir(tmp_path, synth_dir):
+    data_dir = tmp_path / "100%d"
+    data_dir.mkdir()
+    for name in ("ratings_final.txt", "kg_final.txt"):
+        (data_dir / name).write_bytes((synth_dir / name).read_bytes())
+    out = tmp_path / "run"
+    flags = _fast_flags(tmp_path, synth_dir, out)
+    flags[3] = str(data_dir)
+    assert cli.main(["train", *flags, "--epochs", "1"]) == 0
+    assert parse_config(out / "config.ini").data_dir == str(data_dir)
+    assert cli.main(["train", *flags, "--data-dir", str(tmp_path / "missing%d")]) == 2
 
 
 def test_grad_check_command(tmp_path, capsys):

@@ -44,6 +44,29 @@ def test_load_malformed_line_reports_number(tmp_ratings):
         data.load_interactions(tmp_ratings("0\t0\t1\nnot\tan\tint\n"))
 
 
+@pytest.mark.parametrize("loader", ["ratings", "kg"])
+def test_id_beyond_int64_reports_line(tmp_path, loader):
+    path = tmp_path / "f.txt"
+    path.write_text("0\t0\t1\n\n1\t9223372036854775808\t0\n", encoding="utf-8")
+    load = data.load_interactions if loader == "ratings" else data.load_kg
+    with pytest.raises(DataFormatError, match="line 3"):
+        load(path)
+
+
+def test_largest_int64_id_loads(tmp_ratings):
+    inter = data.load_interactions(tmp_ratings("9223372036854775807\t0\t1\n0\t0\t0\n"))
+    assert inter.n_users == 2 and inter.pairs.tolist() == [[0, 0, 0], [1, 0, 1]]
+
+
+@pytest.mark.parametrize("loader", ["ratings", "kg"])
+def test_non_utf8_byte_reports_line(tmp_path, loader):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"0\t0\t1\r\n1\t0\t0\n2\t\xff\t1\n")
+    load = data.load_interactions if loader == "ratings" else data.load_kg
+    with pytest.raises(DataFormatError, match="line 3.*UTF-8"):
+        load(path)
+
+
 def test_load_bad_label_rejected(tmp_ratings):
     with pytest.raises(DataFormatError, match="label"):
         data.load_interactions(tmp_ratings("0\t0\t2\n"))
@@ -93,6 +116,19 @@ def test_load_kg_deduplicates(tmp_path):
     path = tmp_path / "kg_final.txt"
     path.write_text("0\t0\t1\n0\t0\t1\n", encoding="utf-8")
     assert data.load_kg(path).n_triples == 1
+
+
+def test_load_kg_rejects_gaps_above_item_prefix(tmp_path):
+    path = tmp_path / "kg_final.txt"
+    path.write_text("0\t0\t3\n1\t1\t4\n", encoding="utf-8")
+    # entities 0-1 are items (prefix), 3-4 name triples, 2 names nothing
+    with pytest.raises(DataFormatError, match="line 1.*dense"):
+        data.load_kg(path, min_entities=2)
+    assert data.load_kg(path, min_entities=3).n_entities == 5
+    # a far-off ID fails before anything is sized by it
+    path.write_text("0\t0\t1\n1\t0\t1000000000000\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="line 2.*dense"):
+        data.load_kg(path, min_entities=1)
 
 
 def test_pruning_fit_never_writes_kg_or_split(fingerprint):

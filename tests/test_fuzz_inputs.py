@@ -1,0 +1,76 @@
+"""Fuzzed outside input: every file gives a result or a `KgtnError`, never a raw error."""
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from kgtn import data
+from kgtn.config import ExperimentConfig, parse_config, to_ini
+from kgtn.errors import KgtnError
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+# A field is usually an integer of any size (negative, beyond int64, ...),
+# sometimes arbitrary text; a line joins a few fields with tabs.
+_field = st.one_of(st.integers().map(str), st.integers(0, 12).map(str), st.text(max_size=6))
+_line = st.lists(_field, min_size=0, max_size=4).map("\t".join)
+_line_file = st.lists(_line, max_size=12).map(lambda lines: "\n".join(lines).encode("utf-8"))
+# Raw bytes, alone or spliced into an otherwise valid file.
+_byte_file = st.one_of(
+    st.binary(max_size=64),
+    st.tuples(_line_file, st.binary(min_size=1, max_size=4)).map(lambda p: p[0] + p[1]),
+)
+
+
+def _loads_or_kgtn_error(load, path, raw):
+    path.write_bytes(raw)
+    try:
+        return load(path)
+    except KgtnError:
+        return None
+
+
+@FUZZ
+@given(raw=st.one_of(_line_file, _byte_file))
+@example(raw=b"0\t0\t1\n1\t18446744073709551616\t0\n")
+@example(raw=b"0\t0\t1\n1\t\xff\t0\n")
+def test_fuzz_load_interactions(tmp_path, raw):
+    inter = _loads_or_kgtn_error(data.load_interactions, tmp_path / "ratings.txt", raw)
+    if inter is not None:
+        assert inter.pairs.shape[1] == 3 and set(np.unique(inter.pairs[:, 2])) <= {0, 1}
+        assert inter.pairs[:, 0].max() == inter.n_users - 1
+        assert inter.pairs[:, 1].max() == inter.n_items - 1
+
+
+@FUZZ
+@given(raw=st.one_of(_line_file, _byte_file), min_entities=st.integers(0, 6))
+@example(raw=b"0\t0\t9223372036854775808\n", min_entities=0)
+@example(raw=b"0\t0\t1\n\xc3\n", min_entities=0)
+def test_fuzz_load_kg(tmp_path, raw, min_entities):
+    kg = _loads_or_kgtn_error(lambda p: data.load_kg(p, min_entities), tmp_path / "kg.txt", raw)
+    if kg is not None:
+        # dense entity IDs: the table never outgrows what the file names
+        assert min_entities <= kg.n_entities <= min_entities + 2 * kg.n_triples
+        assert kg.full_edges().offsets[-1] == kg.n_triples
+
+
+_keys = st.sampled_from(sorted(vars(ExperimentConfig())) + ["threads", "x"])
+_entry = st.tuples(_keys, st.text(max_size=12)).map(lambda kv: f"{kv[0]} = {kv[1]}")
+_section = st.sampled_from(["[data]", "[model]", "[train]", "[eval]", "[DEFAULT]", "["])
+_ini_file = st.lists(st.one_of(_entry, _section, st.text(max_size=12)), max_size=10).map(
+    lambda lines: ("[train]\n" + "\n".join(lines)).encode("utf-8"))
+
+
+@FUZZ
+@given(raw=st.one_of(_ini_file, _byte_file))
+@example(raw=b"[train]\nseed = %(x)s\n")
+@example(raw=b"[data]\ndata_dir = /x/100%d\n")
+@example(raw=b"[train]\nlr = nan\n")
+@example(raw=b"[train]\nseed = -1\n")
+@example(raw=b"[train]\nseed = 1 \xe9\n")
+def test_fuzz_parse_config(tmp_path, raw):
+    cfg = _loads_or_kgtn_error(parse_config, tmp_path / "c.ini", raw)
+    if cfg is not None:
+        (tmp_path / "again.ini").write_text(to_ini(cfg), encoding="utf-8")
+        assert parse_config(tmp_path / "again.ini") == cfg
+

@@ -1,5 +1,6 @@
 """Prediction, losses, Adam, the fit loop, checkpoints, determinism."""
 import gc
+import inspect
 import math
 
 import numpy as np
@@ -40,17 +41,17 @@ def tiny_dataset():
 
 def test_predict_orthogonal_zero():
     stack = _stack([np.array([[1.0, 0.0]])], [np.array([[0.0, 1.0]])])
-    assert training.predict([0], [0], stack).values[0] == 0.0
+    assert training.predict([0], [0], *stack.summed()).values[0] == 0.0
 
 
 def test_predict_self_product():
     stack = _stack([np.array([[1.0, 1.0]])], [np.array([[1.0, 1.0]])])
-    assert training.predict([0], [0], stack).values[0] == 2.0
+    assert training.predict([0], [0], *stack.summed()).values[0] == 2.0
 
 
 def test_predict_single_layer_oracle():
     stack = _stack([np.array([[1.0, 2.0]])], [np.array([[3.0, 4.0]])])
-    assert training.predict([0], [0], stack).values[0] == 11.0
+    assert training.predict([0], [0], *stack.summed()).values[0] == 11.0
 
 
 def test_predict_sums_layers():
@@ -58,7 +59,7 @@ def test_predict_sums_layers():
     i0, i1 = np.array([[2.0, 0.0]]), np.array([[0.0, 3.0]])
     stack = _stack([u0, u1], [i0, i1])
     # (u0+u1) . (i0+i1) = [1,1] . [2,3]
-    assert training.predict([0], [0], stack).values[0] == 5.0
+    assert training.predict([0], [0], *stack.summed()).values[0] == 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +228,26 @@ def test_step_node_count_independent_of_head_count(tiny_dataset):
     one, _ = _step_tape(tiny_dataset, small_cfg(n_heads=1))
     four, _ = _step_tape(tiny_dataset, small_cfg(n_heads=4))
     assert one.op_counts() == four.op_counts()
+
+
+def test_step_records_every_public_op_and_no_other(tiny_dataset):
+    cfg = small_cfg()
+    assert cfg.alpha > 0
+    public = {name for name, f in vars(ad).items()
+              if inspect.isfunction(f) and f.__module__ == ad.__name__
+              and not name.startswith("_")} - {"constant", "parameter"}
+    tape, _ = _step_tape(tiny_dataset, cfg)
+    assert set(tape.op_counts()) == public
+
+
+@pytest.mark.parametrize("depth, agg_depth", [(1, 1), (1, 2), (2, 1)])
+def test_each_aggregation_is_one_node(tiny_dataset, depth, agg_depth):
+    counts = _step_tape(tiny_dataset, small_cfg(depth=depth, agg_depth=agg_depth))[0].op_counts()
+    # per layer: the KG pool and both attention directions; per light layer
+    # and track: the entity and the user pool
+    assert counts["segment_sum_rows"] == 3 * depth + 2 * 2 * agg_depth
+    # the attention weighting of the KG messages is the only row scaling
+    assert counts["scale_rows"] == depth
 
 
 def test_every_step_node_receives_a_gradient(tiny_dataset, monkeypatch):
