@@ -4,10 +4,11 @@ The operator set covers exactly what the recommender's forward pass needs:
 - arithmetic: `add`, `sub`, `mul` (elementwise, with scalar broadcast);
 - linear algebra: `matmul`, `transpose`;
 - layout: `gather_rows` (whose backward scatter-adds), `concat`
-  (row-wise), and over CSR neighborhoods `segment_sum_rows` (one node per
-  neighborhood aggregation: weighted block sums, with a fallback row
-  where a block is empty) and `segment_softmax` (column by column for
-  multi-head logits);
+  (row-wise), and over CSR neighborhoods `segment_softmax` (column by
+  column for multi-head logits);
+- neighborhood sums: `spmm`, one node per neighborhood aggregation: a
+  constant sparse matrix (cached by the graph that owns the structure)
+  times a dense block, with a fallback row where the matrix row is empty;
 - reductions and scaling: `sum_all`, `mean_all`, `rowsum`, `scale_rows`;
 - maps: `softmax`, `softplus`;
 - the contrastive objective: `infonce`, one fused node per InfoNCE term.
@@ -54,6 +55,7 @@ backward. Tape recording and backward are single-threaded per training step.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 from scipy.special import expit
 
 from .errors import ContractError, DomainError, ShapeError
@@ -382,40 +384,37 @@ def _segmax(x, offsets):
     return out
 
 
-def segment_sum_rows(rows, offsets, weights, fallback):
-    """Weighted sums of CSR row blocks; a row whose block is empty falls back.
+def spmm(matrix, x, fallback):
+    """Sparse-dense product whose rows without entries fall back.
 
-    Row i of the output is `weights[i] * rows[offsets[i]:offsets[i+1]].sum(0)`,
-    or `fallback[i]` when that block is empty. `weights` is a constant (n,)
-    vector (its entries for empty blocks are never read); `fallback` is an
-    (n, d) matrix and receives gradient on the empty rows only.
+    Row i of the output is `(matrix @ x)[i]`, or `fallback[i]` when row i of
+    `matrix` holds no entries. `matrix` is a constant scipy CSR matrix
+    (n, m), `x` is (m, d) and `fallback` is (n, d). Backward gives
+    `matrix.T @ g` to `x` and `g` on the empty rows only to `fallback`.
     """
-    rv, fv = _values(rows), _values(fallback)
-    if _tracked(weights):
-        raise ContractError("segment_sum_rows: weights are constant, not differentiable")
-    wv = _values(weights)
-    off = _check_offsets("segment_sum_rows", offsets, rv.shape[0])
-    n = off.size - 1
-    if rv.ndim != 2 or fv.shape != (n, rv.shape[1]) or wv.shape != (n,):
-        raise ShapeError(
-            f"segment_sum_rows: rows {rv.shape}, fallback {fv.shape} and weights "
-            f"{wv.shape} do not fit {n} segments"
+    if not (sparse.issparse(matrix) and matrix.format == "csr"):
+        raise ContractError(
+            f"spmm: matrix must be a constant CSR sparse matrix, got {type(matrix).__name__}"
         )
-    counts = np.diff(off)
-    filled = counts > 0
-    wv = np.where(filled, wv, 0.0)
-    sums = fv.copy()
-    if filled.any():
-        sums[filled] = np.add.reduceat(rv, off[:-1][filled], axis=0) * wv[filled, None]
-    out = Tensor(sums, requires_grad=_needs_grad(rows, fallback))
+    xv, fv = _values(x), _values(fallback)
+    n, m = matrix.shape
+    if xv.ndim != 2 or xv.shape[0] != m or fv.shape != (n, xv.shape[1]):
+        raise ShapeError(
+            f"spmm: matrix {matrix.shape}, x {xv.shape} and fallback {fv.shape} do not fit"
+        )
+    empty = matrix.indptr[1:] == matrix.indptr[:-1]
+    sums = matrix @ xv
+    if empty.any():
+        sums[empty] = fv[empty]
+    out = Tensor(sums, requires_grad=_needs_grad(x, fallback))
 
     def backward(g):
         if _tracked(fallback):
-            _accum(fallback, np.where(filled[:, None], 0.0, g), fresh=True)
-        if _tracked(rows):
-            _accum(rows, np.repeat(g * wv[:, None], counts, axis=0), fresh=True)
+            _accum(fallback, np.where(empty[:, None], g, 0.0), fresh=True)
+        if _tracked(x):
+            _accum(x, matrix.T @ g, fresh=True)
 
-    _record("segment_sum_rows", out, backward)
+    _record("spmm", out, backward)
     return out
 
 

@@ -176,7 +176,9 @@ def parse_config(path=None, overrides=None):
             raise ConfigError(f"{path}: {err}") from None
         except UnicodeDecodeError:
             raise ConfigError(f"{path}: not valid UTF-8") from None
-        for section in parser.sections():
+        # `[DEFAULT]` keys count even when no other section exists to carry
+        # them; a named section's value for the same key is applied after.
+        for section in [parser.default_section, *parser.sections()]:
             for key, value in parser.items(section):
                 if key not in _FIELD_TYPES:
                     raise ConfigError(f"{path}: unknown config key '{key}'")

@@ -14,8 +14,10 @@ import hashlib
 import io
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ConfigError, DataFormatError, DomainError
 
@@ -41,6 +43,29 @@ class KGEdges:
     def counts(self):
         return np.diff(self.offsets)
 
+    @cached_property
+    def mean_operator(self):
+        """(n, E) CSR matrix of the block means: row i averages head i's slots.
+
+        Built on first use and kept with these edges: for the whole fit on
+        `kg.full_edges()`, for one epoch on a sampled view's edges.
+        """
+        return block_operator(self.offsets, 1.0 / np.maximum(self.counts, 1))
+
+
+def block_operator(offsets, weights):
+    """(n, E) CSR matrix whose product with E stacked rows sums each CSR block.
+
+    Row i holds `weights[i]` on columns `offsets[i]` .. `offsets[i+1] - 1`.
+    The matrix owns its index arrays; `offsets` is copied, never shared.
+    """
+    counts = np.diff(offsets)
+    n_edges = int(offsets[-1])
+    return sparse.csr_array(
+        (np.repeat(weights, counts), np.arange(n_edges), np.array(offsets)),
+        shape=(counts.size, n_edges),
+    )
+
 
 class InteractionGraph:
     """Bidirectional CSR adjacency over observed positive (user, item) pairs."""
@@ -61,6 +86,29 @@ class InteractionGraph:
     @property
     def n_interactions(self):
         return self.pairs.shape[0]
+
+    # Propagation operators, each built on first use and kept for the
+    # graph's lifetime (a new split gets a new graph).
+
+    @cached_property
+    def user_mean(self):
+        """(users, items) CSR matrix: row u averages the items of user u."""
+        degree = np.diff(self.u_offsets)
+        return sparse.csr_array(
+            (np.repeat(1.0 / np.maximum(degree, 1), degree), np.array(self.u_items),
+             np.array(self.u_offsets)),
+            shape=(self.n_users, self.n_items),
+        )
+
+    @cached_property
+    def user_edge_sum(self):
+        """(users, interactions) block-sum operator over the user-major edge list."""
+        return block_operator(self.u_offsets, np.ones(self.n_users))
+
+    @cached_property
+    def item_edge_sum(self):
+        """(items, interactions) block-sum operator over the item-major edge list."""
+        return block_operator(self.i_offsets, np.ones(self.n_items))
 
     def user_degree(self, u):
         return int(self.u_offsets[u + 1] - self.u_offsets[u])
@@ -194,11 +242,20 @@ def load_kg(path, min_entities=0):
     """Triples of a KG file; entities are the `min_entities` items, then the rest.
 
     Entity IDs from `min_entities` up must be dense (each names a triple),
-    so the entity table has no row without data and a stray large ID fails
-    here instead of sizing the table.
+    and every relation ID must lie below the count of distinct triples, so
+    neither table outgrows the file and a stray large ID fails here instead
+    of sizing a table.
     """
     rows = _parse_int_lines(path, 3, "kg")
     triples = np.array([r for _, r in rows], dtype=np.int64).reshape(-1, 3)
+    n_distinct = np.unique(triples, axis=0).shape[0]
+    stray = np.flatnonzero(triples[:, 1] >= n_distinct)
+    if stray.size:
+        lineno, (_, rel, _) = rows[int(stray[0])]
+        raise DataFormatError(
+            f"kg line {lineno}: relation ID {rel} is not below the file's "
+            f"{n_distinct} distinct triples"
+        )
     ends = triples[:, [0, 2]]
     named = np.unique(ends)
     named = named[named >= min_entities]
@@ -432,6 +489,10 @@ def generate_synthetic(n_users, n_items, n_entities, n_relations, density=0.5, s
         raise ConfigError(f"density must lie in (0, 1], got {density}")
     if min(n_users, n_items, n_relations) < 1:
         raise ConfigError("all synthetic counts must be positive")
+    if n_relations > n_items:
+        # every item heads a triple, so relation IDs then stay below the
+        # triple count that `load_kg` requires
+        raise ConfigError(f"need n_relations <= n_items, got {n_relations} > {n_items}")
     rng = np.random.default_rng(seed)
     n_tags = n_entities - n_items
     groups = max(1, min(n_groups, n_users, n_items, n_tags if n_tags else 1))

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import KGEdges, csr_offsets
 from .errors import ContractError, DomainError
-from .intents import _slot_logits, mean_pool
+from .intents import _slot_logits
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -144,25 +144,26 @@ def light_aggregate(user_seed, entity_seed, relation_emb, view_edges, graph, dep
     """Parameter-free propagation over the sampled KG and interaction graph.
 
     Entities average relation-gated kept neighbors; users average their
-    interacted items' previous-layer values. Nodes with no active edges
-    pass through unchanged. Returns all layers 0..depth.
+    interacted items' previous-layer values. Each average is one `spmm`
+    with an operator cached on the view's edges or on the graph; the user
+    step multiplies the item rows each layer gathers for the stack anyway.
+    Nodes with no active edges pass through unchanged. Returns all layers
+    0..depth.
     """
+    item_idx = np.arange(n_items)  # item ids are the entity prefix
     zu = [user_seed]
     ze = [entity_seed]
+    zi = [ad.gather_rows(entity_seed, item_idx)]
     for _ in range(depth):
         z = ze[-1]
         if view_edges.n_edges:
             msgs = ad.mul(ad.gather_rows(relation_emb, view_edges.rel),
                           ad.gather_rows(z, view_edges.tail))
-            e_next = mean_pool(z, msgs, view_edges.offsets)
-        else:
-            e_next = z
-        u_msgs = ad.gather_rows(z, graph.u_items)  # item ids are the entity prefix
-        u_next = mean_pool(zu[-1], u_msgs, graph.u_offsets)
-        zu.append(u_next)
-        ze.append(e_next)
-    item_idx = np.arange(n_items)
-    return LayerStack(users=zu, items=[ad.gather_rows(z, item_idx) for z in ze])
+            z = ad.spmm(view_edges.mean_operator, msgs, z)
+        zu.append(ad.spmm(graph.user_mean, zi[-1], zu[-1]))
+        ze.append(z)
+        zi.append(ad.gather_rows(z, item_idx))
+    return LayerStack(users=zu, items=zi)
 
 
 def _side_loss(global_layers, local_layers, tau, include_positive):

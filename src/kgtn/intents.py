@@ -92,9 +92,10 @@ def kg_aggregate(entity_emb, relation_emb, edges):
 
     Each head with a nonempty active neighborhood is replaced by the
     attention-weighted, 1/|N_i|-scaled sum of relation-gated neighbor
-    embeddings; heads without active slots pass through unchanged. Each
-    slot's tail and relation rows are gathered once, for both the
-    attention logits and the message.
+    embeddings (one `spmm` with the edges' cached mean operator); heads
+    without active slots pass through unchanged. Each slot's tail and
+    relation rows are gathered once, for both the attention logits and the
+    message.
     """
     if edges.n_edges == 0:
         return entity_emb
@@ -103,33 +104,25 @@ def kg_aggregate(entity_emb, relation_emb, edges):
     logits = _slot_logits(ad.gather_rows(entity_emb, edges.head), hv, hr)
     beta = ad.segment_softmax(logits, edges.offsets)
     msg = ad.scale_rows(ad.mul(hr, hv), beta)
-    return mean_pool(entity_emb, msg, edges.offsets)
+    return ad.spmm(edges.mean_operator, msg, entity_emb)
 
 
-def mean_pool(prev, msgs, offsets):
-    """Mean of each row's CSR block of messages; rows with none keep `prev`.
-
-    One `segment_sum_rows` node with weights 1/|N|, `prev` as the fallback.
-    """
-    inv = 1.0 / np.maximum(np.diff(offsets), 1)
-    return ad.segment_sum_rows(msgs, offsets, inv, prev)
-
-
-def _attend(prev, queries, keys, values, offsets, targets, blocks, scale):
+def _attend(prev, queries, keys, values, offsets, targets, edge_sum, blocks, scale):
     """All heads of one direction of masked attention along a CSR edge list.
 
     `blocks` is the (d, H) head indicator: `(q * k) @ blocks` gives one
     logit column per head, `alpha @ blocks.T` spreads each head's weight
     over its value columns. Each row's output is the sum of its attended
-    messages, one `segment_sum_rows` node with weights 1 and `prev` as the
-    fallback, so rows without edges keep `prev`.
+    messages, one `spmm` node with the graph's cached block-sum operator
+    `edge_sum` and `prev` as the fallback, so rows without edges keep
+    `prev`.
     """
     counts = np.diff(offsets)
     q = ad.gather_rows(queries, np.repeat(np.arange(counts.size), counts))
     k = ad.gather_rows(keys, targets)
     alpha = ad.segment_softmax(ad.matmul(ad.mul(q, k), blocks * scale), offsets)
     msg = ad.mul(ad.gather_rows(values, targets), ad.matmul(alpha, blocks.T))
-    return ad.segment_sum_rows(msg, offsets, np.ones(counts.size), prev)
+    return ad.spmm(edge_sum, msg, prev)
 
 
 def transformer_layer(user_emb, item_emb, params, graph):
@@ -152,9 +145,11 @@ def transformer_layer(user_emb, item_emb, params, graph):
     wk = ad.transpose(ad.concat([head.wk for head in params.heads]))
     wv = ad.transpose(ad.concat([head.wv for head in params.heads]))
     new_u = _attend(user_emb, ad.matmul(user_emb, wq), ad.matmul(item_emb, wk),
-                    ad.matmul(item_emb, wv), graph.u_offsets, graph.u_items, blocks, scale)
+                    ad.matmul(item_emb, wv), graph.u_offsets, graph.u_items,
+                    graph.user_edge_sum, blocks, scale)
     new_i = _attend(item_emb, ad.matmul(item_emb, wq), ad.matmul(user_emb, wk),
-                    ad.matmul(user_emb, wv), graph.i_offsets, graph.i_users, blocks, scale)
+                    ad.matmul(user_emb, wv), graph.i_offsets, graph.i_users,
+                    graph.item_edge_sum, blocks, scale)
     return new_u, new_i
 
 

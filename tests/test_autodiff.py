@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.special import expit, logsumexp
 
 from kgtn import autodiff as ad
+from kgtn.data import InteractionGraph, KnowledgeGraph, block_operator
 from kgtn.errors import ContractError, DomainError, ShapeError
 from kgtn.gradcheck import check_gradients
 
@@ -301,61 +303,104 @@ def test_gather_rows_scatter_into_nonzero_grad():
     np.testing.assert_allclose(t.grad, oracle, rtol=0, atol=1e-12)
 
 
-def test_segment_sum_rows_with_empty_segments():
-    rows = RNG.normal(size=(5, 2))
-    offsets = np.array([0, 2, 2, 5, 5])
-    weights = np.array([0.5, 7.0, -2.0, 3.0])
+def _csr(dense):
+    return sparse.csr_array(np.asarray(dense, dtype=np.float64))
+
+
+def test_spmm_empty_rows_take_fallback():
+    x = RNG.normal(size=(5, 2))
+    matrix = block_operator(np.array([0, 2, 2, 5, 5]), np.array([0.5, 7.0, -2.0, 3.0]))
     fallback = np.arange(8.0).reshape(4, 2)
-    out = ad.segment_sum_rows(ad.constant(rows), offsets, weights, fallback).values
-    np.testing.assert_allclose(out[0], 0.5 * rows[:2].sum(axis=0))
+    out = ad.spmm(matrix, ad.constant(x), fallback).values
+    np.testing.assert_allclose(out[0], 0.5 * x[:2].sum(axis=0))
     np.testing.assert_array_equal(out[1], fallback[1])
-    np.testing.assert_allclose(out[2], -2.0 * rows[2:5].sum(axis=0))
+    np.testing.assert_allclose(out[2], -2.0 * x[2:5].sum(axis=0))
     np.testing.assert_array_equal(out[3], fallback[3])
 
 
-def test_segment_sum_rows_finite_difference():
-    rows = ad.parameter(RNG.normal(size=(5, 2)))
-    offsets = np.array([0, 2, 2, 5])
-    w = ad.constant(RNG.normal(size=(3, 2)))
+def test_spmm_finite_difference_through_x_and_fallback():
     rng = np.random.default_rng(11)
-    fallback = ad.parameter(rng.normal(size=(3, 2)))
-    weights = rng.normal(size=3)
-    fd_check(lambda: ad.sum_all(ad.mul(ad.segment_sum_rows(rows, offsets, weights, fallback), w)),
-             [("rows", rows), ("fallback", fallback)])
+    # rows 1 and 3 are empty; columns repeat and column 2 is never read
+    matrix = _csr([[0.5, 0.0, 0.0, -1.5], [0.0, 0.0, 0.0, 0.0],
+                   [2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    x = ad.parameter(rng.normal(size=(4, 3)))
+    fallback = ad.parameter(rng.normal(size=(4, 3)))
+    w = ad.constant(rng.normal(size=(4, 3)))
+    fd_check(lambda: ad.sum_all(ad.mul(ad.spmm(matrix, x, fallback), w)),
+             [("x", x), ("fallback", fallback)], tol=1e-6)
 
 
-def test_segment_sum_rows_gradients_split_by_emptiness():
-    rows = ad.parameter(np.ones((3, 2)))
+def test_spmm_gradients_split_by_emptiness():
+    x = ad.parameter(np.ones((3, 2)))
     fallback = ad.parameter(np.zeros((4, 2)))
-    offsets = np.array([0, 0, 2, 2, 3])
+    matrix = block_operator(np.array([0, 0, 2, 2, 3]), np.array([9.0, 0.5, 9.0, 2.0]))
     upstream = np.arange(1.0, 9.0).reshape(4, 2)
     with ad.Tape() as tape:
-        out = ad.segment_sum_rows(rows, offsets, np.array([9.0, 0.5, 9.0, 2.0]), fallback)
-        loss = ad.sum_all(ad.mul(out, ad.constant(upstream)))
+        loss = ad.sum_all(ad.mul(ad.spmm(matrix, x, fallback), ad.constant(upstream)))
     tape.backward(loss)
     # Rows of block 1 get 0.5 * upstream[1], the row of block 3 gets 2 * upstream[3];
     # the fallback gets upstream on the empty rows 0 and 2 and nothing elsewhere.
-    np.testing.assert_array_equal(rows.grad, [[1.5, 2.0], [1.5, 2.0], [14.0, 16.0]])
+    np.testing.assert_array_equal(x.grad, [[1.5, 2.0], [1.5, 2.0], [14.0, 16.0]])
     np.testing.assert_array_equal(fallback.grad, [[1.0, 2.0], [0.0, 0.0], [5.0, 6.0], [0.0, 0.0]])
 
 
-def test_segment_sum_rows_all_empty_is_fallback():
+def test_spmm_all_empty_is_fallback():
     fallback = np.arange(6.0).reshape(3, 2)
-    out = ad.segment_sum_rows(np.zeros((0, 2)), np.zeros(4, dtype=np.int64), np.full(3, np.inf),
-                              fallback)
+    matrix = block_operator(np.zeros(4, dtype=np.int64), np.full(3, np.inf))
+    out = ad.spmm(matrix, np.zeros((0, 2)), fallback)
     np.testing.assert_array_equal(out.values, fallback)
+    assert not np.shares_memory(out.values, fallback)
 
 
-def test_segment_sum_rows_rejects_bad_operands():
-    rows, offsets = np.ones((3, 2)), np.array([0, 1, 3])
+def test_spmm_rejects_bad_operands():
+    matrix = block_operator(np.array([0, 1, 3]), np.ones(2))
     with pytest.raises(ShapeError):
-        ad.segment_sum_rows(rows, offsets, np.ones(2), np.ones((2, 3)))
+        ad.spmm(matrix, np.ones((3, 2)), np.ones((2, 3)))
     with pytest.raises(ShapeError):
-        ad.segment_sum_rows(rows, offsets, np.ones(3), np.ones((2, 2)))
+        ad.spmm(matrix, np.ones((3, 2)), np.ones((3, 2)))
     with pytest.raises(ShapeError):
-        ad.segment_sum_rows(rows, np.array([0, 1, 2]), np.ones(2), np.ones((2, 2)))
+        ad.spmm(matrix, np.ones((2, 2)), np.ones((2, 2)))
+    with pytest.raises(ShapeError):
+        ad.spmm(matrix, np.ones(3), np.ones((2, 1)))
     with pytest.raises(ContractError):
-        ad.segment_sum_rows(rows, offsets, ad.parameter(np.ones(2)), np.ones((2, 2)))
+        ad.spmm(matrix.toarray(), np.ones((3, 2)), np.ones((2, 2)))
+    with pytest.raises(ContractError):
+        ad.spmm(ad.constant(matrix.toarray()), np.ones((3, 2)), np.ones((2, 2)))
+
+
+def test_spmm_operators_match_dense_oracle_with_isolated_nodes():
+    # user 2 and item 3 have no interactions; entities 1, 4 and 5 head no triple
+    graph = InteractionGraph(4, 5, [(0, 0), (0, 2), (1, 2), (1, 4), (3, 1), (3, 0), (3, 4)])
+    kg = KnowledgeGraph(np.array([[0, 0, 3], [0, 1, 5], [2, 0, 1], [3, 1, 0], [3, 0, 2],
+                                  [3, 1, 4]]), n_entities=6)
+    edges = kg.full_edges()
+    rng = np.random.default_rng(5)
+    users, items, ents = (rng.normal(size=(n, 3)) for n in (4, 5, 6))
+
+    def oracle(blocks, prev, mean):
+        out = prev.copy()
+        for row, block in enumerate(blocks):
+            if len(block):
+                out[row] = np.mean(block, axis=0) if mean else np.sum(block, axis=0)
+        return out
+
+    by_user = [items[graph.items_of(u)] for u in range(4)]
+    np.testing.assert_allclose(ad.spmm(graph.user_mean, items, users).values,
+                               oracle(by_user, users, mean=True), rtol=0, atol=1e-14)
+    edge_rows = rng.normal(size=(graph.n_interactions, 3))
+    user_blocks = [edge_rows[graph.u_offsets[u]:graph.u_offsets[u + 1]] for u in range(4)]
+    np.testing.assert_allclose(ad.spmm(graph.user_edge_sum, edge_rows, users).values,
+                               oracle(user_blocks, users, mean=False), rtol=0, atol=1e-14)
+    item_rows = rng.normal(size=(graph.n_interactions, 3))
+    item_blocks = [item_rows[graph.i_offsets[i]:graph.i_offsets[i + 1]] for i in range(5)]
+    np.testing.assert_allclose(ad.spmm(graph.item_edge_sum, item_rows, items).values,
+                               oracle(item_blocks, items, mean=False), rtol=0, atol=1e-14)
+    msgs = rng.normal(size=(kg.n_triples, 3))
+    head_blocks = [msgs[edges.head == h] for h in range(6)]
+    out = ad.spmm(edges.mean_operator, msgs, ents).values
+    np.testing.assert_allclose(out, oracle(head_blocks, ents, mean=True), rtol=0, atol=1e-14)
+    for isolated in (1, 4, 5):
+        np.testing.assert_array_equal(out[isolated], ents[isolated])
 
 
 def test_segment_softmax_sums_per_segment():

@@ -39,6 +39,22 @@ def test_unknown_key_rejected_by_name(tmp_path):
         parse_config(None, {"mystery_knob": 1})
 
 
+@pytest.mark.parametrize("other", ["", "[model]\ndepth = 2\n"])
+def test_default_section_keys_apply(tmp_path, other):
+    path = tmp_path / "c.ini"
+    path.write_text("[DEFAULT]\nseed = 7\n" + other, encoding="utf-8")
+    assert parse_config(path).seed == 7
+    path.write_text("[DEFAULT]\nseed = 7\nmystery = 1\n" + other, encoding="utf-8")
+    with pytest.raises(ConfigError, match="mystery"):
+        parse_config(path)
+
+
+def test_section_value_wins_over_default_section(tmp_path):
+    path = tmp_path / "c.ini"
+    path.write_text("[DEFAULT]\nseed = 7\n[train]\nseed = 8\n", encoding="utf-8")
+    assert parse_config(path).seed == 8
+
+
 def test_threads_key_rejected_by_name(tmp_path):
     path = tmp_path / "c.ini"
     path.write_text("[train]\nthreads = 2\n", encoding="utf-8")

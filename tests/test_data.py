@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from kgtn import autodiff as ad
 from kgtn import data, training
 from kgtn.config import ExperimentConfig
 from kgtn.errors import ConfigError, DataFormatError, DomainError
@@ -131,15 +132,75 @@ def test_load_kg_rejects_gaps_above_item_prefix(tmp_path):
         data.load_kg(path, min_entities=1)
 
 
+def test_load_kg_rejects_relation_id_beyond_triple_count(tmp_path):
+    raw = data.generate_synthetic(12, 16, 22, 2, density=0.5, seed=5)
+    data.write_dataset(raw, tmp_path)
+    path = tmp_path / "kg_final.txt"
+    n_lines = raw.triples.shape[0]
+    # one stray relation ID would otherwise size the relation table at fit
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("0\t1000000000000\t1\n")
+    with pytest.raises(DataFormatError, match=f"line {n_lines + 1}.*relation ID 1000000000000"):
+        data.load_kg(path, min_entities=16)
+    # the bound is the count of distinct triples, so duplicate lines do not widen it
+    path.write_text("0\t0\t1\n0\t3\t1\n0\t3\t1\n0\t3\t1\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="line 2.*relation ID 3.*2 distinct"):
+        data.load_kg(path)
+    path.write_text("0\t0\t1\n0\t2\t1\n1\t0\t0\n", encoding="utf-8")
+    assert data.load_kg(path).n_relations == 3
+
+
+@pytest.mark.parametrize("args", [(40, 30, 50, 3), (12, 16, 22, 2), (5, 6, 10, 2), (3, 4, 5, 3),
+                                  (15, 12, 20, 3), (3, 4, 12, 4)])
+def test_generated_kg_files_load(tmp_path, args):
+    raw = data.generate_synthetic(*args, density=0.5, seed=7)
+    data.write_dataset(raw, tmp_path)
+    kg = data.load_kg(tmp_path / "kg_final.txt", min_entities=raw.n_items)
+    assert np.array_equal(kg.triples, raw.triples)
+    assert kg.n_relations <= kg.n_triples
+
+
 def test_pruning_fit_never_writes_kg_or_split(fingerprint):
     ds = _dataset40()
     assert ds.kg.full_edges().counts.max() > 1  # so k_top = 1 really prunes
-    ds.train_graph  # fill the lazy cache so its arrays are compared too
-    before = fingerprint(ds)  # split, KG, its CSR edges and the train graph
+    graph = ds.train_graph  # fill the lazy caches so their arrays are compared too
+    graph.user_mean, graph.user_edge_sum, graph.item_edge_sum, ds.kg.full_edges().mean_operator
+    before = fingerprint(ds)  # split, KG, its CSR edges, the train graph and their operators
     cfg = ExperimentConfig(embed_dim=8, n_intents=2, n_heads=2, agg_depth=1, k_top=1,
                            batch_size=64, epochs=2, seed=7).validate()
     training.fit(cfg, ds)
     assert fingerprint(ds) == before
+
+
+def test_propagation_operators_are_cached_per_structure():
+    ds = _dataset40()
+    graph, edges = ds.train_graph, ds.kg.full_edges()
+    for owner, name in [(graph, "user_mean"), (graph, "user_edge_sum"),
+                        (graph, "item_edge_sum"), (edges, "mean_operator")]:
+        assert getattr(owner, name) is getattr(owner, name)
+    # a new split gets a new graph, and so operators of its own
+    fresh = ds.with_split(ds.split).train_graph
+    assert fresh is not graph
+    assert fresh.user_mean is not graph.user_mean
+    assert fresh.user_edge_sum is not graph.user_edge_sum
+    assert (fresh.user_mean != graph.user_mean).nnz == 0
+
+
+def test_propagation_operators_leave_the_structure_unchanged():
+    ds = _dataset40()
+    graph, edges = ds.train_graph, ds.kg.full_edges()
+    arrays = [ds.kg.triples, edges.offsets, edges.rel, edges.tail, edges.head, graph.pairs,
+              graph.u_offsets, graph.u_items, graph.i_offsets, graph.i_users]
+    before = [a.copy() for a in arrays]
+    operators = [graph.user_mean, graph.user_edge_sum, graph.item_edge_sum, edges.mean_operator]
+    rng = np.random.default_rng(0)
+    for op in operators:
+        out = ad.spmm(op, rng.normal(size=(op.shape[1], 3)), np.zeros((op.shape[0], 3)))
+        assert np.isfinite(out.values).all()
+        for part in (op.data, op.indices, op.indptr):
+            assert not any(np.shares_memory(part, a) for a in arrays)
+    for a, b in zip(arrays, before):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_kg_declared_entities_enforced():
@@ -361,6 +422,9 @@ def test_synthetic_validates_arguments():
         data.generate_synthetic(4, 10, 5, 2, density=0.5, seed=0)
     with pytest.raises(ConfigError):
         data.generate_synthetic(4, 3, 5, 2, density=0.0, seed=0)
+    # more relations than items could write a relation ID that load_kg rejects
+    with pytest.raises(ConfigError, match="n_relations"):
+        data.generate_synthetic(3, 2, 3, 50, seed=0)
 
 
 def test_round_trip_write_then_load(tmp_path, raw40):

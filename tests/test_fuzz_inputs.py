@@ -46,11 +46,13 @@ def test_fuzz_load_interactions(tmp_path, raw):
 @given(raw=st.one_of(_line_file, _byte_file), min_entities=st.integers(0, 6))
 @example(raw=b"0\t0\t9223372036854775808\n", min_entities=0)
 @example(raw=b"0\t0\t1\n\xc3\n", min_entities=0)
+@example(raw=b"0\t1000000000000\t1\n", min_entities=0)
 def test_fuzz_load_kg(tmp_path, raw, min_entities):
     kg = _loads_or_kgtn_error(lambda p: data.load_kg(p, min_entities), tmp_path / "kg.txt", raw)
     if kg is not None:
         # dense entity IDs: the table never outgrows what the file names
         assert min_entities <= kg.n_entities <= min_entities + 2 * kg.n_triples
+        assert kg.n_relations <= kg.n_triples
         assert kg.full_edges().offsets[-1] == kg.n_triples
 
 

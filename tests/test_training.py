@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgtn import autodiff as ad
-from kgtn import denoise, training
+from kgtn import data, denoise, training
 from kgtn.config import ExperimentConfig
 from kgtn.data import synthetic_dataset
 from kgtn.errors import CheckpointError, TrainingDiverged
@@ -245,9 +245,33 @@ def test_each_aggregation_is_one_node(tiny_dataset, depth, agg_depth):
     counts = _step_tape(tiny_dataset, small_cfg(depth=depth, agg_depth=agg_depth))[0].op_counts()
     # per layer: the KG pool and both attention directions; per light layer
     # and track: the entity and the user pool
-    assert counts["segment_sum_rows"] == 3 * depth + 2 * 2 * agg_depth
+    assert counts["spmm"] == 3 * depth + 2 * 2 * agg_depth
+    assert "segment_sum_rows" not in counts
     # the attention weighting of the KG messages is the only row scaling
     assert counts["scale_rows"] == depth
+
+
+def test_light_user_step_gathers_no_interaction_edges(tiny_dataset, monkeypatch):
+    cfg = small_cfg(agg_depth=2)
+    params, view, _ = _step_inputs(tiny_dataset, cfg)
+    graph = tiny_dataset.train_graph
+    indexes = []
+    gather = ad.gather_rows
+
+    def spy(table, index):
+        indexes.append(np.asarray(index))
+        return gather(table, index)
+
+    monkeypatch.setattr(ad, "gather_rows", spy)
+    with ad.Tape() as tape:
+        stack = denoise.light_aggregate(params.user_emb, params.entity_emb, params.relation_emb,
+                                        view.edges, graph, cfg.agg_depth, tiny_dataset.n_items)
+    # per layer one relation and one tail gather of the kept slots, plus the
+    # item rows of every layer; none over the user-item edges
+    assert len(indexes) == 2 * cfg.agg_depth + cfg.agg_depth + 1
+    assert not any(np.array_equal(idx, graph.u_items) for idx in indexes)
+    assert tape.op_counts()["spmm"] == 2 * cfg.agg_depth
+    assert len(stack.users) == cfg.agg_depth + 1
 
 
 def test_every_step_node_receives_a_gradient(tiny_dataset, monkeypatch):
@@ -268,6 +292,48 @@ def test_every_step_node_receives_a_gradient(tiny_dataset, monkeypatch):
     for name in reached:
         missing[name] -= 1
     assert {k: v for k, v in missing.items() if v} == {}
+
+
+def test_fit_builds_each_view_operator_once_per_epoch(tiny_dataset, monkeypatch):
+    ds = tiny_dataset.with_split(tiny_dataset.split)
+    views, built = [], []
+    sample, build = denoise.sample_topk, data.block_operator
+
+    def record_view(*args):
+        views.append(sample(*args))
+        return views[-1]
+
+    def record_build(offsets, weights):
+        built.append(offsets)
+        return build(offsets, weights)
+
+    monkeypatch.setattr(denoise, "sample_topk", record_view)
+    monkeypatch.setattr(data, "block_operator", record_build)
+    cfg = small_cfg(epochs=2, sample_knowledge=True)
+    assert cfg.alpha > 0
+    training.fit(cfg, ds)
+    assert len(views) == 2
+    for view in views:
+        assert sum(offsets is view.edges.offsets for offsets in built) == 1
+    # the full KG's operator and both attention operators at most once per fit
+    graph = ds.train_graph
+    for offsets in (ds.kg.full_edges().offsets, graph.u_offsets, graph.i_offsets):
+        assert sum(o is offsets for o in built) <= 1
+
+
+def test_representations_bitwise_equal_across_calls(tiny_dataset):
+    cfg = small_cfg()
+    params = training.ModelParameters.initialize(
+        tiny_dataset.n_users, tiny_dataset.n_entities, tiny_dataset.n_relations,
+        cfg, np.random.default_rng(cfg.seed),
+    )
+    first = training.representations(params, tiny_dataset, cfg)
+    second = training.representations(params, tiny_dataset, cfg)
+    # a fresh graph builds its operators anew and must agree to the bit
+    fresh = training.representations(params, tiny_dataset.with_split(tiny_dataset.split), cfg)
+    for a, b, c in zip(first, second, fresh):
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, c)
 
 
 def test_infonce_standard_includes_positive_in_denominator(tiny_dataset):
