@@ -55,6 +55,5 @@ before = kg.triples.tobytes()
 rng = np.random.default_rng(0)
 view = denoise.sample_topk(kg, rng.normal(size=(kg.n_entities, 8)),
                            rng.normal(size=(kg.n_relations, 8)), k_top=1, rng=rng)
-print("view keeps", view.n_kept, "of", kg.n_triples, "slots;",
-      "view edges:", view.edges.n_edges)
+print("view keeps", view.edges.n_edges, "of", kg.n_triples, "slots")
 print("KG unchanged:", kg.triples.tobytes() == before)

@@ -26,14 +26,16 @@ print("intent-aware embedding shape:", mixed.values.shape)
 
 # --- relation-aware KG aggregation ------------------------------------------
 # Neighbor tails are gated elementwise by their relation embedding and
-# weighted by attention; empty heads pass through unchanged.
-# With k_top=None the sampler keeps every slot, so its `beta_hat` is the
-# plain attention distribution over each head's neighborhood.
+# weighted by attention; empty heads pass through unchanged. A slot's
+# logit is (e_h || e_r) . (e_t || e_r) = e_h . e_t + e_r . e_r, and the
+# attention is the softmax of the logits over each head's neighborhood.
 edges = ds.kg.full_edges()
-beta = denoise.sample_topk(ds.kg, params.entity_emb.values, params.relation_emb.values,
-                           k_top=None, rng=rng).beta_hat
+ent, rel = params.entity_emb.values, params.relation_emb.values
 head0 = slice(edges.offsets[0], edges.offsets[1])
-print("attention over item 0's KG slots:", beta[head0], "sum:", beta[head0].sum())
+logits = ent[edges.tail[head0]] @ ent[0] + (rel[edges.rel[head0]] ** 2).sum(axis=1)
+beta = np.exp(logits - logits.max())
+beta /= beta.sum()
+print("attention over item 0's KG slots:", beta, "sum:", beta.sum())
 agg = intents.kg_aggregate(params.entity_emb, params.relation_emb, edges)
 print("aggregated entities shape:", agg.values.shape)
 
@@ -45,25 +47,25 @@ print("aggregated entities shape:", agg.values.shape)
 state = intents.forward_global(
     params.user_emb, params.entity_emb, params.relation_emb,
     params.intent_user, params.intent_item,
-    params.layer_list(cfg.depth), ds.train_graph, edges, cfg.depth, ds.n_items,
+    params.layer_list(cfg.depth), ds.train_graph, edges,
 )
 print("global users:", state.users.values.shape, "entity seed:", state.entities.values.shape)
 
 # --- Gumbel top-k knowledge sampling ----------------------------------------
 # Slot scores come from the intent-aware representations; Gumbel noise on
-# the raw logits randomizes the cut, and kept slots retain clean weights.
+# the raw logits randomizes the cut. The attention only chooses the kept
+# slots; light aggregation then averages them with equal weight.
 view = denoise.sample_topk(ds.kg, state.entities.values, params.relation_emb.values,
                            cfg.k_top, np.random.default_rng(0))
-print(f"sampled view keeps {view.n_kept} of {ds.kg.n_triples} slots")
-print("dropped slots have zero weight:", (view.beta_hat[~view.kept] == 0).all())
+print(f"sampled view keeps {view.edges.n_edges} of {ds.kg.n_triples} slots")
 
 # --- two aggregation tracks and the contrastive objective --------------------
 glob = denoise.light_aggregate(state.users, state.entities,
                                params.relation_emb, view.edges, ds.train_graph,
-                               cfg.agg_depth, ds.n_items)
+                               cfg.agg_depth)
 local = denoise.light_aggregate(params.user_emb, params.entity_emb,
                                 params.relation_emb, view.edges, ds.train_graph,
-                                cfg.agg_depth, ds.n_items)
+                                cfg.agg_depth)
 batch_users = np.arange(6)
 batch_items = np.arange(6)
 loss = denoise.contrastive_loss(

@@ -16,9 +16,10 @@ There is no general broadcasting; the only implicit broadcasts are scalar
 (0-d) tensors and plain Python numbers against an array operand.
 
 Recording is dynamic: while a `Tape` is active (`with Tape() as tape:`),
-every primitive whose inputs require gradients appends a backward closure.
-`tape.backward(loss)` replays the closures in exact reverse execution order,
-once per tape; a second call raises `ContractError`.
+every primitive whose inputs require gradients appends one node: its name,
+its output tensor and its backward function. `tape.backward(loss)` runs the
+nodes in exact reverse execution order, once per tape; a second call raises
+`ContractError`.
 
 Gradient lifetime differs between leaves and intermediates:
 - Leaves (parameters, and any tensor built directly with
@@ -27,9 +28,11 @@ Gradient lifetime differs between leaves and intermediates:
   contributions. Their gradients are zeroed explicitly between optimizer
   steps, never implicitly.
 - Intermediates (the loss and every recorded op output) hold a `.grad`
-  only while backward still needs it: each node takes its output's
-  gradient, sets `.grad` back to `None` and then pushes the gradient to
-  its operands. After `backward` returns, only leaves carry gradients.
+  only while backward still needs it: for each node, `backward` takes
+  the output's gradient, sets `.grad` back to `None` and then passes the
+  gradient to the node's backward function, which pushes it to the
+  operands. A node whose output received no gradient is skipped. After
+  `backward` returns, only leaves carry gradients.
   The closures and the forward values they captured stay alive until the
   tape is dropped.
 
@@ -153,7 +156,7 @@ class Tape:
 
     def op_counts(self):
         counts = {}
-        for name, _ in self._nodes:
+        for name, _, _ in self._nodes:
             counts[name] = counts.get(name, 0) + 1
         return counts
 
@@ -175,20 +178,16 @@ class Tape:
             raise ContractError("tape already replayed; a tape supports one backward")
         self._replayed = True
         loss.grad = np.ones((), dtype=np.float64)
-        for _, fn in reversed(self._nodes):
-            fn()
-
-
-def _record(name, out, backward_fn):
-    if _TAPE is not None and out.requires_grad:
-
-        def node():
+        for _, out, backward_fn in reversed(self._nodes):
             g = out.grad
             if g is not None:
                 out.grad = None
                 backward_fn(g)
 
-        _TAPE._nodes.append((name, node))
+
+def _record(name, out, backward_fn):
+    if _TAPE is not None and out.requires_grad:
+        _TAPE._nodes.append((name, out, backward_fn))
 
 
 def _tracked(x):

@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import data, denoise, experiments, gradcheck, training
-from .config import parse_config, write_config
+from .config import ExperimentConfig, parse_config, write_config
 from .errors import ConfigError, KgtnError
 
 
@@ -44,15 +45,13 @@ def _add_common_flags(p):
                    help="also write x/y CSV series for plotting")
 
 
-_OVERRIDE_KEYS = (
-    "seed", "alpha", "tau", "k_top", "n_intents", "depth", "n_heads", "lr", "l2",
-    "epochs", "noise_ratio", "batch_size",
-    "share_transformer_weights", "infonce_standard",
-)
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
 def _resolve(args, command):
-    overrides = {k: getattr(args, k) for k in _OVERRIDE_KEYS if getattr(args, k, None) is not None}
+    # Every parsed flag named after a config field overrides the file; the
+    # data directory is resolved below, so its flag value is kept verbatim.
+    overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS and k != "data_dir"}
     cfg = parse_config(args.config, overrides)
     data_dir = args.data_dir or cfg.data_dir or os.environ.get("KGTN_DATA_DIR", "")
     cfg.data_dir = data_dir
@@ -205,10 +204,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except KgtnError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (KgtnError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

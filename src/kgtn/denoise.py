@@ -6,7 +6,8 @@ representations; Gumbel noise perturbs the raw attention logits for the
 top-k selection only (per-neighborhood softmax is order-preserving, so
 selecting on logits and selecting on attention weights keep the same slots;
 the logit scale is what makes a large score gap beat the noise). The
-retained weight of a kept slot is its clean attention value.
+attention only chooses which slots to keep; nothing downstream reweights
+them.
 
 Both contrastive views run the same parameter-free light aggregation over
 the sampled graph: the global track is seeded with the intent-aware
@@ -57,53 +58,38 @@ class SampledGraphView:
     restricted to the kept slots, in full slot order.
     """
 
-    kg: object
     kept: np.ndarray        # (T,) bool over full slot order
-    beta_hat: np.ndarray    # (T,) clean attention weight, exactly 0 where dropped
     edges: KGEdges          # CSR restricted to kept slots
-
-    @property
-    def n_kept(self):
-        return int(self.kept.sum())
 
 
 def full_view(kg):
     """Structural view keeping the whole knowledge graph (no scoring pass)."""
-    kept = np.ones(kg.n_triples, dtype=bool)
-    return SampledGraphView(kg=kg, kept=kept, beta_hat=np.ones(kg.n_triples), edges=kg.full_edges())
+    return SampledGraphView(kept=np.ones(kg.n_triples, dtype=bool), edges=kg.full_edges())
 
 
 def sample_topk(kg, entity_vals, relation_vals, k_top, rng):
     """Keep at most `k_top` slots per head entity, Gumbel-perturbed.
 
     `entity_vals`/`relation_vals` are plain arrays (the selection is a
-    stop-gradient structural decision). Kept slots retain their unperturbed
-    attention weight; dropped slots get exactly 0. Ties in the perturbed
-    score break toward the lower slot index. Deterministic under a seeded
-    generator.
+    stop-gradient structural decision). Ties in the perturbed score break
+    toward the lower slot index. Deterministic under a seeded generator.
     """
     if k_top is not None and k_top < 1:
         raise ContractError(f"k_top must be at least 1, got {k_top}")
     edges = kg.full_edges()
     n_edges = edges.n_edges
-    if n_edges == 0:
-        return SampledGraphView(kg=kg, kept=np.zeros(0, bool), beta_hat=np.zeros(0), edges=edges)
-
-    entity_vals, relation_vals = np.asarray(entity_vals), np.asarray(relation_vals)
-    logits = _slot_logits(entity_vals[edges.head], entity_vals[edges.tail],
-                          relation_vals[edges.rel]).values
-    beta = ad.segment_softmax(ad.constant(logits), edges.offsets).values
-
     if k_top is None or k_top >= int(edges.counts.max(initial=0)):
         kept = np.ones(n_edges, dtype=bool)
     else:
+        entity_vals, relation_vals = np.asarray(entity_vals), np.asarray(relation_vals)
+        logits = _slot_logits(entity_vals[edges.head], entity_vals[edges.tail],
+                              relation_vals[edges.rel]).values
         perturbed = logits + sample_gumbel(rng, n_edges)
         order = np.lexsort((np.arange(n_edges), -perturbed, edges.head))
         rank_in_head = np.arange(n_edges) - np.repeat(edges.offsets[:-1], edges.counts)
         kept = np.empty(n_edges, dtype=bool)
         kept[order] = rank_in_head < k_top
 
-    beta_hat = np.where(kept, beta, 0.0)
     head = edges.head[kept]
     masked = KGEdges(
         offsets=csr_offsets(head, edges.offsets.size - 1),
@@ -111,7 +97,7 @@ def sample_topk(kg, entity_vals, relation_vals, k_top, rng):
         tail=edges.tail[kept],
         head=head,
     )
-    return SampledGraphView(kg=kg, kept=kept, beta_hat=beta_hat, edges=masked)
+    return SampledGraphView(kept=kept, edges=masked)
 
 
 @dataclass
@@ -140,7 +126,7 @@ class LayerStack:
         )
 
 
-def light_aggregate(user_seed, entity_seed, relation_emb, view_edges, graph, depth, n_items):
+def light_aggregate(user_seed, entity_seed, relation_emb, view_edges, graph, depth):
     """Parameter-free propagation over the sampled KG and interaction graph.
 
     Entities average relation-gated kept neighbors; users average their
@@ -150,7 +136,7 @@ def light_aggregate(user_seed, entity_seed, relation_emb, view_edges, graph, dep
     Nodes with no active edges pass through unchanged. Returns all layers
     0..depth.
     """
-    item_idx = np.arange(n_items)  # item ids are the entity prefix
+    item_idx = np.arange(graph.n_items)  # item ids are the entity prefix
     zu = [user_seed]
     ze = [entity_seed]
     zi = [ad.gather_rows(entity_seed, item_idx)]

@@ -154,16 +154,17 @@ def transformer_layer(user_emb, item_emb, params, graph):
 
 
 def forward_global(user_emb, entity_emb, relation_emb, proto_user, proto_item,
-                   layer_params, graph, kg_edges, depth, n_items):
-    """Run `depth` propagate layers, then read out the intent mixtures.
+                   layer_params, graph, kg_edges):
+    """Run one propagate layer per entry of `layer_params`, then read out the
+    intent mixtures.
 
     Each layer first folds KG context into entities, then runs the masked
     transformer over the interaction graph. The readout mixes the last
-    propagated users and items over the intent prototypes; at depth 0 it
-    mixes the base embeddings. Only what the readout needs is recorded.
+    propagated users and items over the intent prototypes; with no layers
+    it mixes the base embeddings. Only what the readout needs is recorded.
     """
-    rest_idx = np.arange(n_items, entity_emb.values.shape[0])
-    item_idx = np.arange(n_items)
+    rest_idx = np.arange(graph.n_items, entity_emb.values.shape[0])
+    item_idx = np.arange(graph.n_items)
 
     def join(items, source):
         if not rest_idx.size:
@@ -173,11 +174,10 @@ def forward_global(user_emb, entity_emb, relation_emb, proto_user, proto_item,
     # The current entities are `items` followed by the non-item rows of
     # `source`; `items` is None while they are still `entity_emb` itself.
     p_u, source, items = user_emb, entity_emb, None
-    for layer in range(depth):
+    for layer in layer_params:
         p_e = source if items is None else join(items, source)
         source = kg_aggregate(p_e, relation_emb, kg_edges)
-        p_u, items = transformer_layer(p_u, ad.gather_rows(source, item_idx),
-                                       layer_params[layer], graph)
+        p_u, items = transformer_layer(p_u, ad.gather_rows(source, item_idx), layer, graph)
     if items is None:
         items = ad.gather_rows(entity_emb, item_idx)
     return GlobalState(users=intent_mix(p_u, proto_user),

@@ -11,6 +11,7 @@ view is redrawn once per epoch, between steps, as a fresh
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -145,8 +146,6 @@ def global_state(params, dataset, cfg):
         params.layer_list(cfg.depth),
         dataset.train_graph,
         dataset.kg.full_edges(),
-        cfg.depth,
-        dataset.n_items,
     )
 
 
@@ -155,24 +154,13 @@ def compute_tracks(params, dataset, view, cfg, with_local):
     graph = dataset.train_graph
     state = global_state(params, dataset, cfg)
     global_track = denoise.light_aggregate(
-        state.users,
-        state.entities,
-        params.relation_emb,
-        view.edges,
-        graph,
-        cfg.agg_depth,
-        dataset.n_items,
+        state.users, state.entities, params.relation_emb, view.edges, graph, cfg.agg_depth
     )
     local_track = None
     if with_local:
         local_track = denoise.light_aggregate(
-            params.user_emb,
-            params.entity_emb,
-            params.relation_emb,
-            view.edges,
-            graph,
+            params.user_emb, params.entity_emb, params.relation_emb, view.edges, graph,
             cfg.agg_depth,
-            dataset.n_items,
         )
     return global_track, local_track
 
@@ -414,6 +402,7 @@ def _read_exact(fh, n_bytes, path, what):
 def load_checkpoint(path):
     """Read a checkpoint; any corrupt or truncated file raises CheckpointError."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = _read_exact(fh, 8, path, "magic")
         if magic != _MAGIC:
             raise CheckpointError(f"{path}: bad magic {magic!r}")
@@ -431,9 +420,17 @@ def load_checkpoint(path):
             shape = struct.unpack(
                 f"<{ndim}I", _read_exact(fh, 4 * ndim, path, f"shape of parameter '{name}'")
             )
-            n_bytes = 8 * int(np.prod(shape, dtype=np.int64))
+            # Python ints: a declared shape may not fit in int64
+            n_bytes = 8 * math.prod(shape)
+            if n_bytes > size - fh.tell():
+                raise CheckpointError(f"{path}: truncated data for parameter '{name}'")
             raw = _read_exact(fh, n_bytes, path, f"data for parameter '{name}'")
-            blob[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            try:
+                blob[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            except ValueError:
+                raise CheckpointError(
+                    f"{path}: parameter '{name}' has shape {shape}, too large to represent"
+                ) from None
         return blob
 
 

@@ -1,4 +1,6 @@
 """Config parsing/validation and the command-line workflows."""
+import argparse
+
 import numpy as np
 import pytest
 
@@ -279,6 +281,58 @@ def test_train_rejects_bad_input_with_exit_2(tmp_path, synth_dir, capsys, case):
         flags[3] = str(bad_data)
     assert cli.main(["train", *flags]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["config_is_dir", "data_dir_is_file", "checkpoint_is_dir"])
+def test_unreadable_path_exits_2(tmp_path, synth_dir, capsys, case):
+    flags = _fast_flags(tmp_path, synth_dir, tmp_path / "run")
+    command = "train"
+    if case == "config_is_dir":
+        flags[1] = str(tmp_path)
+    elif case == "data_dir_is_file":
+        flags[3] = str(synth_dir / "ratings_final.txt")
+    else:
+        command = "evaluate"
+        flags += ["--checkpoint", str(tmp_path)]
+    assert cli.main([command, *flags]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+# A non-default value for each common flag that names a config field.
+_FLAG_VALUES = {
+    "data_dir": ("somewhere/ data", "somewhere/ data"),
+    "seed": ("3", 3),
+    "alpha": ("0.3", 0.3),
+    "tau": ("0.7", 0.7),
+    "k_top": ("none", None),
+    "n_intents": ("5", 5),
+    "depth": ("2", 2),
+    "n_heads": ("2", 2),
+    "lr": ("0.003", 0.003),
+    "l2": ("0.0001", 0.0001),
+    "epochs": ("7", 7),
+    "noise_ratio": ("0.2", 0.2),
+    "batch_size": ("99", 99),
+    "share_transformer_weights": (None, True),
+    "infonce_standard": (None, True),
+}
+
+
+def test_every_config_flag_reaches_config_ini(tmp_path):
+    parser = argparse.ArgumentParser()
+    cli._add_common_flags(parser)
+    fields = set(vars(ExperimentConfig()))
+    actions = {a.dest: a for a in parser._actions if a.dest in fields}
+    assert set(actions) == set(_FLAG_VALUES)
+    argv = ["gen-synth", "--out", str(tmp_path / "run"), "--users", "6", "--items", "5",
+            "--extra-entities", "2", "--relations", "1"]
+    for dest, (text, _) in _FLAG_VALUES.items():
+        argv += [actions[dest].option_strings[0]] + ([] if text is None else [text])
+    assert cli.main(argv) == 0
+    cfg = parse_config(tmp_path / "run" / "config.ini")
+    for dest, (_, want) in _FLAG_VALUES.items():
+        assert getattr(cfg, dest) == want, dest
+        assert want != getattr(ExperimentConfig(), dest), dest
 
 
 def test_train_with_percent_in_data_dir(tmp_path, synth_dir):

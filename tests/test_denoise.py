@@ -61,15 +61,47 @@ def _kg_attention(ent, rel, edges):
     return beta
 
 
+class ZeroGumbelRng:
+    def random(self, size=None):
+        # eps = 1/e makes every perturbation exactly zero
+        return np.full(size, math.exp(-1.0)) if size is not None else math.exp(-1.0)
+
+
 def test_topk_keeps_everything_when_k_large():
     kg = _kg([(0, 0, 1), (0, 0, 2), (1, 0, 2)], 3)
     ent = RNG.normal(size=(3, 4))
     rel = RNG.normal(size=(1, 4))
     view = denoise.sample_topk(kg, ent, rel, k_top=5, rng=np.random.default_rng(0))
     assert view.kept.all()
-    # kept slots retain their clean attention weight
-    np.testing.assert_allclose(view.beta_hat, _kg_attention(ent, rel, kg.full_edges()),
-                               rtol=0, atol=1e-12)
+    assert view.edges.n_edges == kg.n_triples
+
+
+def test_topk_without_noise_keeps_each_heads_attention_argmax():
+    rng = np.random.default_rng(8)
+    triples = sorted({(int(rng.integers(5)), int(rng.integers(3)), int(rng.integers(7)))
+                      for _ in range(20)})
+    kg = _kg(triples, 7)
+    edges = kg.full_edges()
+    assert edges.counts.max() > 1  # so k_top = 1 prunes
+    ent, rel = rng.normal(size=(7, 4)), rng.normal(size=(3, 4))
+    view = denoise.sample_topk(kg, ent, rel, k_top=1, rng=ZeroGumbelRng())
+    beta = _kg_attention(ent, rel, edges)
+    for head in range(7):
+        lo, hi = edges.offsets[head], edges.offsets[head + 1]
+        want = np.zeros(hi - lo, dtype=bool)
+        if hi > lo:
+            want[np.argmax(beta[lo:hi])] = True
+        np.testing.assert_array_equal(view.kept[lo:hi], want)
+
+
+def test_topk_on_kg_without_triples_is_empty():
+    kg = KnowledgeGraph(np.zeros((0, 3), dtype=np.int64), n_entities=3)
+    for k in (1, None):
+        view = denoise.sample_topk(kg, np.zeros((3, 2)), np.zeros((1, 2)), k,
+                                   np.random.default_rng(0))
+        assert view.kept.shape == (0,)
+        assert view.edges.n_edges == 0
+        np.testing.assert_array_equal(view.edges.offsets, np.zeros(4))
 
 
 def test_topk_none_keeps_everything():
@@ -101,12 +133,6 @@ def test_topk_tie_breaks_toward_lower_slot():
     kg = _kg([(0, 0, 1), (0, 0, 2)], 3)
     ent = np.zeros((3, 3))
     rel = np.zeros((1, 3))
-
-    class ZeroGumbelRng:
-        def random(self, size=None):
-            # eps = 1/e makes every perturbation exactly zero
-            return np.full(size, math.exp(-1.0)) if size is not None else math.exp(-1.0)
-
     view = denoise.sample_topk(kg, ent, rel, k_top=1, rng=ZeroGumbelRng())
     assert view.kept[0] and not view.kept[1]
 
@@ -123,8 +149,11 @@ def test_topk_per_head_budget_and_zeroed_weights():
         for h in range(6):
             lo, hi = edges.offsets[h], edges.offsets[h + 1]
             assert view.kept[lo:hi].sum() <= min(k, hi - lo)
-        assert (view.beta_hat[~view.kept] == 0.0).all()
-        assert (view.beta_hat[view.kept] > 0.0).all()
+        # dropped slots are absent from the view's mean operator; each kept
+        # slot weighs 1/|kept| in its head's mean
+        kept_per_head = np.bincount(view.edges.head, minlength=6)
+        np.testing.assert_allclose(view.edges.mean_operator.sum(axis=0),
+                                   1.0 / kept_per_head[view.edges.head])
 
 
 def test_topk_deterministic_under_seed():
@@ -134,7 +163,7 @@ def test_topk_deterministic_under_seed():
     v1 = denoise.sample_topk(kg, ent, rel, 1, np.random.default_rng(42))
     v2 = denoise.sample_topk(kg, ent, rel, 1, np.random.default_rng(42))
     assert np.array_equal(v1.kept, v2.kept)
-    assert np.array_equal(v1.beta_hat, v2.beta_hat)
+    assert np.array_equal(v1.edges.offsets, v2.edges.offsets)
 
 
 def test_topk_never_writes_kg(fingerprint):
@@ -167,7 +196,7 @@ def test_light_single_neighbor_identity_gate():
     users = ad.constant(RNG.normal(size=(1, 3)))
     ents = ad.constant(RNG.normal(size=(2, 3)))
     rel = ad.constant(np.ones((1, 3)))
-    stack = denoise.light_aggregate(users, ents, rel, kg.full_edges(), graph, 1, 1)
+    stack = denoise.light_aggregate(users, ents, rel, kg.full_edges(), graph, 1)
     np.testing.assert_allclose(stack.items[1].values[0], ents.values[1], atol=1e-12)
 
 
@@ -177,7 +206,7 @@ def test_light_single_item_user_copies_item():
     users = ad.constant(RNG.normal(size=(1, 3)))
     ents = ad.constant(RNG.normal(size=(2, 3)))
     rel = ad.constant(RNG.normal(size=(1, 3)))
-    stack = denoise.light_aggregate(users, ents, rel, kg.full_edges(), graph, 1, 1)
+    stack = denoise.light_aggregate(users, ents, rel, kg.full_edges(), graph, 1)
     np.testing.assert_allclose(stack.users[1].values[0], ents.values[0], atol=1e-12)
 
 
@@ -189,7 +218,7 @@ def test_light_chain_matches_loop_oracle():
     ents = np.array([[0.5, 1.0], [2.0, -1.0], [3.0, 4.0]])
     rel = np.array([[1.5, 0.5]])
     stack = denoise.light_aggregate(
-        ad.constant(users), ad.constant(ents), ad.constant(rel), kg.full_edges(), graph, 2, 1
+        ad.constant(users), ad.constant(ents), ad.constant(rel), kg.full_edges(), graph, 2
     )
     z = [ents]
     for _ in range(2):
@@ -210,7 +239,7 @@ def test_light_all_ones_relations_equal_mean_pooling():
     ents = rng.normal(size=(6, 4))
     stack = denoise.light_aggregate(
         ad.constant(users), ad.constant(ents), ad.constant(np.ones((1, 4))),
-        kg.full_edges(), graph, 1, 4
+        kg.full_edges(), graph, 1
     )
     edges = kg.full_edges()
     expected = ents.copy()
@@ -234,7 +263,7 @@ def test_light_empty_nodes_pass_through():
     users = ad.constant(RNG.normal(size=(2, 3)))
     ents = ad.constant(RNG.normal(size=(3, 3)))
     rel = ad.constant(RNG.normal(size=(1, 3)))
-    stack = denoise.light_aggregate(users, ents, rel, kg.full_edges(), graph, 1, 2)
+    stack = denoise.light_aggregate(users, ents, rel, kg.full_edges(), graph, 1)
     np.testing.assert_array_equal(stack.users[1].values[1], users.values[1])
     np.testing.assert_array_equal(stack.items[1].values[1], ents.values[1])
 

@@ -1,9 +1,12 @@
 """Fuzzed outside input: every file gives a result or a `KgtnError`, never a raw error."""
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from kgtn import data
+from kgtn import data, training
 from kgtn.config import ExperimentConfig, parse_config, to_ini
 from kgtn.errors import KgtnError
 
@@ -76,3 +79,41 @@ def test_fuzz_parse_config(tmp_path, raw):
         (tmp_path / "again.ini").write_text(to_ini(cfg), encoding="utf-8")
         assert parse_config(tmp_path / "again.ini") == cfg
 
+
+def _valid_checkpoint():
+    """Bytes of a small valid checkpoint: a matrix, a vector and a scalar."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.bin"
+        training.save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(2),
+                                        "s": np.array(0.5)})
+        return path.read_bytes()
+
+
+_CHECKPOINT = _valid_checkpoint()
+
+
+def _mutate(edits, cut):
+    raw = bytearray(_CHECKPOINT)
+    for at, byte in edits:
+        raw[at] = byte
+    return bytes(raw[:cut])
+
+
+# A valid checkpoint with a few bytes overwritten, then possibly cut short.
+_mutated_checkpoint = st.builds(
+    _mutate,
+    st.lists(st.tuples(st.integers(0, len(_CHECKPOINT) - 1), st.integers(0, 255)), max_size=4),
+    st.integers(0, len(_CHECKPOINT)),
+)
+
+
+@FUZZ
+@given(raw=st.one_of(_mutated_checkpoint, _byte_file))
+@example(raw=_CHECKPOINT)
+@example(raw=_mutate([(k, 0xFF) for k in range(20, 28)], len(_CHECKPOINT)))  # (2^32-1, 2^32-1)
+def test_fuzz_load_checkpoint(tmp_path, raw):
+    blob = _loads_or_kgtn_error(training.load_checkpoint, tmp_path / "c.bin", raw)
+    if blob is not None:
+        for values in blob.values():
+            assert values.dtype == np.float64
+            assert 8 * values.size <= len(raw)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgtn import autodiff as ad
-from kgtn import denoise, intents
+from kgtn import intents
 from kgtn.data import InteractionGraph, KnowledgeGraph
 from kgtn.gradcheck import check_gradients
 
@@ -111,20 +111,23 @@ def _kg(triples, n_entities):
 
 
 def test_kg_attention_singleton():
+    # one slot takes all the attention: the head becomes r * v
     kg = _kg([(0, 0, 1)], 2)
     ent = RNG.normal(size=(2, 3))
     rel = RNG.normal(size=(1, 3))
-    view = denoise.sample_topk(kg, ent, rel, k_top=None, rng=np.random.default_rng(0))
-    np.testing.assert_allclose(view.beta_hat, [1.0])
+    out = intents.kg_aggregate(ad.constant(ent), ad.constant(rel), kg.full_edges()).values
+    np.testing.assert_allclose(out, [rel[0] * ent[1], ent[1]], rtol=0, atol=1e-12)
 
 
 def test_kg_attention_identical_neighbors_split_evenly():
-    # two slots with the same relation and same tail embedding
+    # two slots with the same relation and same tail embedding: each gets
+    # attention 1/2, and the 1/|N| mean halves their sum again
     kg = _kg([(0, 0, 1), (0, 0, 2)], 3)
     ent = np.vstack([RNG.normal(size=3), np.tile(RNG.normal(size=3), (2, 1))])
-    view = denoise.sample_topk(kg, ent, RNG.normal(size=(1, 3)), k_top=None,
-                               rng=np.random.default_rng(0))
-    np.testing.assert_allclose(view.beta_hat, [0.5, 0.5], atol=1e-12)
+    rel = RNG.normal(size=(1, 3))
+    out = intents.kg_aggregate(ad.constant(ent), ad.constant(rel), kg.full_edges()).values
+    np.testing.assert_allclose(out[0], rel[0] * ent[1] / 2, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(out[1:], ent[1:])
 
 
 def test_kg_attention_concat_logit_identity():
@@ -308,7 +311,7 @@ def _toy_setup(d=4, K=2, depth=1):
 def test_forward_global_depth_zero_is_mixed_base():
     graph, kg, p, layers = _toy_setup(depth=0)
     state = intents.forward_global(
-        p["user"], p["ent"], p["rel"], p["cu"], p["cv"], [], graph, kg.full_edges(), 0, 3
+        p["user"], p["ent"], p["rel"], p["cu"], p["cv"], [], graph, kg.full_edges()
     )
     np.testing.assert_allclose(
         state.users.values, intents.intent_mix(p["user"], p["cu"]).values
@@ -324,7 +327,7 @@ def test_forward_global_state_matches_layer_by_layer_oracle():
     graph, kg, p, layers = _toy_setup(depth=2)
     edges = kg.full_edges()
     state = intents.forward_global(
-        p["user"], p["ent"], p["rel"], p["cu"], p["cv"], layers, graph, edges, 2, 3
+        p["user"], p["ent"], p["rel"], p["cu"], p["cv"], layers, graph, edges
     )
     assert state.users.values.shape == (2, 4) and state.entities.values.shape == (5, 4)
     users, ents = p["user"], p["ent"]
@@ -352,7 +355,7 @@ def test_forward_global_gradients_reach_every_parameter_class():
 
     def build():
         state = intents.forward_global(
-            p["user"], p["ent"], p["rel"], p["cu"], p["cv"], layers, graph, kg.full_edges(), 1, 3
+            p["user"], p["ent"], p["rel"], p["cu"], p["cv"], layers, graph, kg.full_edges()
         )
         acc = ad.sum_all(ad.mul(state.users, state.users))
         return acc + ad.sum_all(ad.mul(state.entities, state.entities))

@@ -2,6 +2,7 @@
 import gc
 import inspect
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -265,7 +266,7 @@ def test_light_user_step_gathers_no_interaction_edges(tiny_dataset, monkeypatch)
     monkeypatch.setattr(ad, "gather_rows", spy)
     with ad.Tape() as tape:
         stack = denoise.light_aggregate(params.user_emb, params.entity_emb, params.relation_emb,
-                                        view.edges, graph, cfg.agg_depth, tiny_dataset.n_items)
+                                        view.edges, graph, cfg.agg_depth)
     # per layer one relation and one tail gather of the kept slots, plus the
     # item rows of every layer; none over the user-item edges
     assert len(indexes) == 2 * cfg.agg_depth + cfg.agg_depth + 1
@@ -559,6 +560,30 @@ def test_checkpoint_undecodable_name_is_a_checkpoint_error(tmp_path):
     at = raw.index(b"w")
     path.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
     with pytest.raises(CheckpointError, match="name"):
+        training.load_checkpoint(path)
+
+
+def _declared_shape_checkpoint(shape, payload=b"\x00" * 64):
+    """One parameter 'w' whose header declares `shape`, followed by `payload`."""
+    return (b"KGTNCKPT" + struct.pack("<II", 1, 1) + struct.pack("<H", 1) + b"w"
+            + struct.pack("<B", len(shape)) + struct.pack(f"<{len(shape)}I", *shape) + payload)
+
+
+@pytest.mark.parametrize("shape", [(2**31, 2**31), (2**32 - 1,) * 3, (2**32 - 1,) * 4,
+                                   (2**16,) * 4])
+def test_checkpoint_huge_declared_shape_is_a_checkpoint_error(tmp_path, shape):
+    # the byte count exceeds what the file holds, whether or not it fits in int64
+    path = tmp_path / "model.bin"
+    path.write_bytes(_declared_shape_checkpoint(shape))
+    with pytest.raises(CheckpointError, match="truncated data for parameter 'w'"):
+        training.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("shape", [(0, 2**32 - 1, 2**32 - 1), (2**32 - 1,) * 3 + (0,)])
+def test_checkpoint_empty_shape_too_large_to_represent_is_a_checkpoint_error(tmp_path, shape):
+    path = tmp_path / "model.bin"
+    path.write_bytes(_declared_shape_checkpoint(shape, payload=b""))
+    with pytest.raises(CheckpointError, match="parameter 'w'"):
         training.load_checkpoint(path)
 
 
