@@ -55,6 +55,10 @@ class ExperimentConfig:
                     "train_ratio", "eval_ratio", "test_ratio"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
+        if self.data_dir != self.data_dir.strip():
+            # configparser strips a value's edges, so config.ini could not
+            # give this directory back
+            raise ConfigError(f"data_dir must not start or end with whitespace, got {self.data_dir!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.embed_dim < 1 or self.n_heads < 1:

@@ -5,9 +5,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import metrics, training
-from .data import inject_noise
-from .errors import ContractError
+from . import training
+from .data import csr_offsets, inject_noise
+from .errors import ContractError, DomainError
 from .metrics import ctr_eval  # the one CTR path; also reachable as experiments.ctr_eval
 
 
@@ -89,34 +89,84 @@ def balanced_pairs(dataset, split="train", seed=123):
     return np.array(rows, dtype=np.int64)
 
 
+# Scores held at once by `recall_at_k`: a block of test users is as many
+# rows as fit in this many scores (about 8 MiB of float64 per block array).
+RECALL_BLOCK_SCORES = 1 << 20
+
+
+def _csr_entries(offsets, values, rows):
+    """(position in `rows`, value) of every entry of the given CSR rows."""
+    starts = offsets[rows]
+    counts = offsets[rows + 1] - starts
+    ends = np.cumsum(counts)
+    index = np.arange(ends[-1]) - np.repeat(ends - counts - starts, counts)
+    return np.repeat(np.arange(rows.size), counts), values[index]
+
+
+def _ranked_top(keys, top):
+    """Columns of each row's `top` smallest keys, as `argsort(kind="stable")` orders them.
+
+    Keys ascend, ties go to the lower column and NaN sorts after every
+    number. `argpartition` picks a candidate set; a row whose boundary key
+    has ties left outside the set, or is NaN, gets its first `top` columns
+    from a full stable sort instead.
+    """
+    picked = np.argpartition(keys, top - 1, axis=1)[:, :top]
+    picked_keys = np.take_along_axis(keys, picked, axis=1)
+    kth = picked_keys[:, -1:]   # argpartition puts the top-th smallest key last
+    unsettled = np.isnan(kth[:, 0]) | (
+        (keys == kth).sum(axis=1) > (picked_keys == kth).sum(axis=1)
+    )
+    if unsettled.any():
+        picked[unsettled] = np.argsort(keys[unsettled], axis=1, kind="stable")[:, :top]
+    picked.sort(axis=1)
+    order = np.argsort(np.take_along_axis(keys, picked, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(picked, order, axis=1)
+
+
 def recall_at_k(zu, zi, dataset, ks, split="test"):
-    """Mean Recall@K over users with at least one test positive.
+    """Mean Recall@K over users with at least one positive in `split`.
 
     Candidates are every item except the user's training positives; the
     exclusion guards against leaking memorized training interactions into
-    the ranking.
+    the ranking. A user's ranking is `argsort(-scores, kind="stable")` with
+    the training positives scored -inf: scores descend, ties go to the lower
+    item index (also at the top-K boundary), the training positives follow
+    every candidate and a NaN score follows every number. Recall@K of a
+    user is the share of their distinct positives in the first K ranked
+    items; the mean adds users in ascending order.
+
+    Users are ranked in blocks of at most `RECALL_BLOCK_SCORES` scores: one
+    score GEMM, one train-positive scatter and one `argpartition` per block.
+    Raises `DomainError` for any K < 1.
     """
     ks = sorted(ks)
+    if ks and ks[0] < 1:
+        raise DomainError(f"recall@k needs k >= 1, got {ks[0]}")
     pairs = getattr(dataset.split, split)
     positives = pairs[pairs[:, 2] == 1]
-    by_user = {}
-    for u, i in positives[:, :2]:
-        by_user.setdefault(int(u), []).append(int(i))
-    graph = dataset.train_graph
-    totals = {k: 0.0 for k in ks}
-    n_users = 0
-    for u, relevant in sorted(by_user.items()):
-        scores = zu[u] @ zi.T
-        train_items = graph.items_of(u)
-        scores = scores.copy()
-        scores[train_items] = -np.inf
-        order = np.argsort(-scores, kind="stable")
-        n_users += 1
-        for k in ks:
-            totals[k] += metrics.recall_from_ranking(order[:k], relevant, k)
-    if n_users == 0:
+    positives = positives[np.argsort(positives[:, 0], kind="stable")]
+    pos_offsets = csr_offsets(positives[:, 0], dataset.n_users)
+    users = np.flatnonzero(np.diff(pos_offsets))
+    if users.size == 0 or not ks:
         return {k: float("nan") for k in ks}
-    return {k: totals[k] / n_users for k in ks}
+    graph = dataset.train_graph
+    n_items = zi.shape[0]
+    top = min(ks[-1], n_items)
+    at = np.minimum(ks, top) - 1   # column of recall@k in the running hit count
+    block = max(1, RECALL_BLOCK_SCORES // n_items)
+    recalls = []
+    for start in range(0, users.size, block):
+        rows = users[start:start + block]
+        keys = -(zu[rows] @ zi.T)
+        keys[_csr_entries(graph.u_offsets, graph.u_items, rows)] = np.inf
+        relevant = np.zeros(keys.shape, dtype=bool)
+        relevant[_csr_entries(pos_offsets, positives[:, 1], rows)] = True
+        ranked = _ranked_top(keys, top)
+        hits = np.cumsum(np.take_along_axis(relevant, ranked, axis=1), axis=1)
+        recalls.append(hits[:, at] / relevant.sum(axis=1, keepdims=True))
+    totals = np.cumsum(np.concatenate(recalls), axis=0)[-1]   # sequential, in user order
+    return {k: float(total) / users.size for k, total in zip(ks, totals)}
 
 
 def evaluate_model(params, dataset, cfg, label="model", split="test"):

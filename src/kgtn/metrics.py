@@ -1,4 +1,4 @@
-"""Click-through-rate and ranking metrics."""
+"""Click-through-rate metrics and the one CTR scorer."""
 from __future__ import annotations
 
 import warnings
@@ -55,13 +55,3 @@ def ctr_eval(zu, zi, pairs):
     labels = pairs[:, 2]
     return auc(probs, labels), f1(probs, labels)
 
-
-def recall_from_ranking(ranked_items, relevant_items, k):
-    """Recall@k for one user given a full ranking and their relevant set."""
-    if k < 1:
-        raise DomainError(f"recall@k needs k >= 1, got {k}")
-    relevant = set(int(i) for i in relevant_items)
-    if not relevant:
-        raise DomainError("recall is undefined for a user with no relevant items")
-    hits = sum(1 for i in ranked_items[:k] if int(i) in relevant)
-    return hits / len(relevant)

@@ -110,6 +110,22 @@ def test_percent_signs_are_literal(tmp_path):
     assert parse_config(path) == cfg
 
 
+@pytest.mark.parametrize("data_dir", ["sp/D ", " sp/D", "sp/D\n", "\tsp/D"])
+def test_data_dir_edge_whitespace_rejected_by_name(data_dir):
+    # configparser strips a value's edges on reading, so such a directory
+    # could not come back from the config.ini a run writes
+    with pytest.raises(ConfigError, match="data_dir"):
+        ExperimentConfig(data_dir=data_dir).validate()
+
+
+@pytest.mark.parametrize("data_dir", ["sp/D x", "sp/a\nb"])
+def test_data_dir_inner_whitespace_round_trips(tmp_path, data_dir):
+    cfg = ExperimentConfig(data_dir=data_dir).validate()
+    path = tmp_path / "c.ini"
+    write_config(cfg, path)
+    assert parse_config(path) == cfg
+
+
 def test_non_utf8_config_rejected(tmp_path):
     path = tmp_path / "c.ini"
     path.write_bytes(b"[train]\nseed = 1\n# caf\xe9\n")
@@ -346,6 +362,17 @@ def test_train_with_percent_in_data_dir(tmp_path, synth_dir):
     assert cli.main(["train", *flags, "--epochs", "1"]) == 0
     assert parse_config(out / "config.ini").data_dir == str(data_dir)
     assert cli.main(["train", *flags, "--data-dir", str(tmp_path / "missing%d")]) == 2
+
+
+def test_train_rejects_data_dir_with_trailing_space(tmp_path, synth_dir, capsys):
+    data_dir = tmp_path / "sp" / "D "
+    data_dir.mkdir(parents=True)
+    for name in ("ratings_final.txt", "kg_final.txt"):
+        (data_dir / name).write_bytes((synth_dir / name).read_bytes())
+    flags = _fast_flags(tmp_path, synth_dir, tmp_path / "run")
+    flags[3] = str(data_dir)
+    assert cli.main(["train", *flags, "--epochs", "1"]) == 2
+    assert "data_dir" in capsys.readouterr().err
 
 
 def test_grad_check_command(tmp_path, capsys):

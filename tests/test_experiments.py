@@ -1,11 +1,14 @@
 """Evaluation harnesses: CTR/top-K protocol, ablation, noise robustness."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from recall_oracle import loop_recall_at_k, same_bits
 
 from kgtn import experiments, training
 from kgtn.config import ExperimentConfig
 from kgtn.data import synthetic_dataset
-from kgtn.errors import ContractError
+from kgtn.errors import ContractError, DomainError
 
 
 def quick_cfg(**kw):
@@ -30,24 +33,110 @@ def trained(ds):
 
 
 def test_recall_matches_full_sort_oracle(ds, trained):
-    cfg, result, zu, zi = trained
-    got = experiments.recall_at_k(zu, zi, ds, ks=(1, 3, 5))
-    test_pos = ds.split.test[ds.split.test[:, 2] == 1]
-    by_user = {}
-    for u, i in test_pos[:, :2]:
-        by_user.setdefault(int(u), set()).add(int(i))
-    graph = ds.train_graph
-    for k in (1, 3, 5):
-        acc = []
-        for u, relevant in sorted(by_user.items()):
-            scores = zu[u] @ zi.T
-            order = [
-                i for i in np.argsort(-scores, kind="stable")
-                if not graph.has(u, int(i))
-            ]
-            hits = sum(1 for i in order[:k] if int(i) in relevant)
-            acc.append(hits / len(relevant))
-        assert abs(got[k] - np.mean(acc)) < 1e-12
+    _, _, zu, zi = trained
+    _assert_matches_loop(zu, zi, ds, (1, 3, 5))
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """120 test users over 300 items: wide enough that `argpartition` leaves tied
+    and NaN keys in no particular order."""
+    return synthetic_dataset(120, 300, 320, 3, density=0.1, seed=3, ratios=(0.6, 0.2, 0.2))
+
+
+def _tie_heavy(ds, seed, dim=3):
+    """Embeddings in {-1, 0, 1}: every score is a small exact integer, so ties
+    abound and no summation order can move a score."""
+    rng = np.random.default_rng(seed)
+    zu = rng.integers(-1, 2, (ds.n_users, dim)).astype(np.float64)
+    zi = rng.integers(-1, 2, (ds.n_items, dim)).astype(np.float64)
+    return zu, zi
+
+
+def _test_users(ds):
+    test = ds.split.test
+    return np.unique(test[test[:, 2] == 1, 0])
+
+
+def _candidate_scores(zu, zi, ds):
+    """Descending candidate scores of each user with a test positive."""
+    for u in _test_users(ds):
+        scores = np.delete(zu[u] @ zi.T, ds.train_graph.items_of(u))
+        yield np.sort(scores)[::-1]
+
+
+def _assert_matches_loop(zu, zi, ds, ks):
+    assert same_bits(experiments.recall_at_k(zu, zi, ds, ks=ks), loop_recall_at_k(zu, zi, ds, ks))
+
+
+def test_recall_bitwise_with_ties_at_the_top_k_boundary(wide):
+    zu, zi = _tie_heavy(wide, seed=0)
+    ks = (1, 2, 5, 20)
+    scores = list(_candidate_scores(zu, zi, wide))
+    assert all(any(s[k - 1] == s[k] for s in scores) for k in ks)
+    _assert_matches_loop(zu, zi, wide, ks)
+
+
+def test_recall_bitwise_when_train_items_enter_the_top_k(wide):
+    zu, zi = _tie_heavy(wide, seed=1)
+    ks = (5, 290)
+    sizes = [s.size for s in _candidate_scores(zu, zi, wide)]
+    assert min(sizes) < 290 < max(sizes)
+    _assert_matches_loop(zu, zi, wide, ks)
+
+
+def test_recall_bitwise_with_k_at_or_above_the_item_count(wide):
+    zu, zi = _tie_heavy(wide, seed=2)
+    ks = (3, wide.n_items, wide.n_items + 7)
+    got = experiments.recall_at_k(zu, zi, wide, ks=ks)
+    assert same_bits(got, loop_recall_at_k(zu, zi, wide, ks))
+    assert got[wide.n_items] == got[wide.n_items + 7] == 1.0
+
+
+def test_recall_bitwise_with_nan_scores(wide):
+    zu, zi = _tie_heavy(wide, seed=3)
+    users = _test_users(wide)
+    zu[users[::7]] = np.nan   # whole score rows
+    zi[::11, 0] = np.nan      # some items' scores for every user
+    _assert_matches_loop(zu, zi, wide, (1, 3, 20, 100))
+
+
+def test_recall_bitwise_across_blocks(wide, monkeypatch):
+    rows = 25
+    n_test_users = _test_users(wide).size
+    assert n_test_users > 2 * rows and n_test_users % rows   # >= 3 blocks, last one partial
+    monkeypatch.setattr(experiments, "RECALL_BLOCK_SCORES", (rows + 1) * wide.n_items - 1)
+    rng = np.random.default_rng(5)
+    normal = rng.normal(size=(wide.n_users, 6)), rng.normal(size=(wide.n_items, 6))
+    for zu, zi in (_tie_heavy(wide, seed=4), normal):
+        _assert_matches_loop(zu, zi, wide, (1, 4, 10))
+
+
+def test_recall_counts_a_repeated_k_once(wide):
+    # `recall_ks = 16 16` passes validate(); each K is one mean, never a sum
+    zu, zi = _tie_heavy(wide, seed=8)
+    once = experiments.recall_at_k(zu, zi, wide, ks=(5, 300))
+    assert experiments.recall_at_k(zu, zi, wide, ks=(5, 5, 300, 300)) == once
+    assert once[300] == 1.0
+
+
+def test_recall_rejects_k_below_one(wide):
+    zu, zi = _tie_heavy(wide, seed=6)
+    with pytest.raises(DomainError, match="k >= 1"):
+        experiments.recall_at_k(zu, zi, wide, ks=(0, 5))
+    test = wide.split.test
+    no_positives = wide.with_split(replace(wide.split, test=test[test[:, 2] == 0]))
+    assert np.isnan(experiments.recall_at_k(zu, zi, no_positives, ks=(5,))[5])
+    with pytest.raises(DomainError, match="k >= 1"):
+        experiments.recall_at_k(zu, zi, no_positives, ks=(-1, 5))
+
+
+def test_recall_does_not_mutate_inputs(wide, fingerprint):
+    zu, zi = _tie_heavy(wide, seed=7)
+    graph = wide.train_graph
+    before = fingerprint((zu, zi, wide, graph.u_offsets, graph.u_items))
+    experiments.recall_at_k(zu, zi, wide, ks=(1, 5, wide.n_items))
+    assert fingerprint((zu, zi, wide, graph.u_offsets, graph.u_items)) == before
 
 
 def test_recall_monotone_in_k(ds, trained):

@@ -1,6 +1,7 @@
 """CTR and ranking metric oracles."""
 import numpy as np
 import pytest
+from recall_oracle import recall_from_ranking
 
 from kgtn import metrics
 from kgtn.errors import DomainError
@@ -65,27 +66,31 @@ def test_f1_tp_fp_fn_oracle():
     assert metrics.f1([0.9, 0.8, 0.1], [1, 0, 1]) == 0.5
 
 
+# The per-user recall of the loop that `experiments.recall_at_k` must match
+# bit for bit (see tests/recall_oracle.py).
+
+
 def test_recall_handles_full_candidate_coverage():
-    assert metrics.recall_from_ranking([3, 1, 2], [1, 2, 3], k=3) == 1.0
+    assert recall_from_ranking([3, 1, 2], [1, 2, 3], k=3) == 1.0
 
 
 def test_recall_single_item_first():
-    assert metrics.recall_from_ranking([5, 1, 2], [5], k=1) == 1.0
+    assert recall_from_ranking([5, 1, 2], [5], k=1) == 1.0
 
 
 def test_recall_half():
-    assert metrics.recall_from_ranking(list(range(10)), [0, 99], k=10) == 0.5
+    assert recall_from_ranking(list(range(10)), [0, 99], k=10) == 0.5
 
 
 def test_recall_monotone_in_k():
     rng = np.random.default_rng(0)
     ranking = rng.permutation(50)
     relevant = rng.choice(50, size=7, replace=False)
-    values = [metrics.recall_from_ranking(ranking, relevant, k) for k in range(1, 51)]
+    values = [recall_from_ranking(ranking, relevant, k) for k in range(1, 51)]
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert values[-1] == 1.0
 
 
 def test_recall_requires_relevant_items():
     with pytest.raises(DomainError):
-        metrics.recall_from_ranking([1, 2], [], k=1)
+        recall_from_ranking([1, 2], [], k=1)
