@@ -125,6 +125,9 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def _parse_value(key, text):
+    if key == "data_dir":
+        # verbatim, so validate() sees edge whitespace the caller gave
+        return text
     text = text.strip()
     if key == "k_top":
         if text.lower() in ("none", "inf", ""):
@@ -138,8 +141,6 @@ def _parse_value(key, text):
         if not ks:
             raise ConfigError(f"{key}: empty list")
         return ks
-    if key == "data_dir":
-        return text
     kind = _FIELD_TYPES[key]
     if kind == "bool":
         if text.lower() in ("1", "true", "yes", "on"):

@@ -293,12 +293,19 @@ def negative_sample(graph, user, count, seed):
     """Draw `count` distinct non-interacted items for `user`, uniformly.
 
     Truncates (with a warning) when the user has fewer candidates than
-    requested. Deterministic for integer seeds; a Generator may be passed
-    instead to share a stream.
+    requested; a user outside the graph or a negative count is a
+    `DomainError`. Deterministic for integer seeds; a Generator may be
+    passed instead to share a stream.
     """
+    if not 0 <= user < graph.n_users:
+        raise DomainError(f"user {user} is not in [0, {graph.n_users})")
+    if count < 0:
+        raise DomainError(f"user {user}: negative count {count}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    pos = graph.items_of(user)
-    pool = np.setdiff1d(np.arange(graph.n_items, dtype=np.int64), pos, assume_unique=False)
+    # the user's free items in ascending order; the pool's order fixes what rng.choice draws
+    free = np.ones(graph.n_items, dtype=bool)
+    free[graph.items_of(user)] = False
+    pool = np.flatnonzero(free).astype(np.int64, copy=False)
     if pool.size == 0:
         raise DomainError(f"user {user} has interacted with every item; no negatives exist")
     if count == 0:
@@ -322,36 +329,61 @@ def make_split(interactions, ratios, seed):
     if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must be 3 non-negatives summing to 1, got {ratios}")
     rng = np.random.default_rng(seed)
-    positives = interactions.positives
     n_users, n_items = interactions.n_users, interactions.n_items
-    full_graph = InteractionGraph(n_users, n_items, positives)
+    full_graph = InteractionGraph(n_users, n_items, interactions.positives)
+    offsets = full_graph.u_offsets
+    degree = np.diff(offsets)
+    n_eval = np.where(degree < 3, 0, (degree * ratios[1]).astype(np.int64))
+    n_test = np.where(degree < 3, 0, (degree * ratios[2]).astype(np.int64))
+    n_held = n_eval + n_test
 
-    train_rows, eval_rows, test_rows = [], [], []
-    for u in range(n_users):
-        items = full_graph.items_of(u).copy()
-        if items.size == 0:
-            continue
-        rng.shuffle(items)
-        if items.size < 3:
-            n_eval = n_test = 0
-        else:
-            n_eval = int(items.size * ratios[1])
-            n_test = int(items.size * ratios[2])
-        n_train = items.size - n_eval - n_test
-        tr, ev, te = items[:n_train], items[n_train:n_train + n_eval], items[n_train + n_eval:]
-        train_rows.extend((u, int(i), 1) for i in tr)
-        eval_rows.extend((u, int(i), 1) for i in ev)
-        test_rows.extend((u, int(i), 1) for i in te)
-        n_neg = ev.size + te.size
-        if n_neg:
-            negs = negative_sample(full_graph, u, n_neg, rng)
-            eval_rows.extend((u, int(j), 0) for j in negs[:ev.size])
-            test_rows.extend((u, int(j), 0) for j in negs[ev.size:])
+    # The only per-user work is what the stream depends on: shuffle the
+    # user's items in place, then draw that user's negatives.
+    items = full_graph.u_items.copy()
+    negatives = [np.empty(0, dtype=np.int64)]
+    for u in np.flatnonzero(degree):
+        rng.shuffle(items[offsets[u]:offsets[u + 1]])
+        if n_held[u]:
+            negatives.append(negative_sample(full_graph, u, n_held[u], rng))
+    negatives = np.concatenate(negatives)
 
-    def _arr(rows):
-        return np.array(rows, dtype=np.int64).reshape(-1, 3)
+    # A user's shuffled items are train, then eval, then test; their drawn
+    # negatives (truncated to the items they lack) are eval, then test.
+    pos_user, rank = _blocks(degree)
+    pos_part = ((rank >= (degree - n_held)[pos_user]).astype(np.int64)
+                + (rank >= (degree - n_test)[pos_user]))
+    neg_user, rank = _blocks(np.minimum(n_held, n_items - degree))
+    neg_part = 1 + (rank >= n_eval[neg_user])
 
-    return Split(train=_arr(train_rows), eval=_arr(eval_rows), test=_arr(test_rows))
+    def rows(part):
+        """User-major rows of one portion: each user's positives, then negatives."""
+        pos, neg = pos_part == part, neg_part == part
+        user = np.concatenate([pos_user[pos], neg_user[neg]])
+        table = np.column_stack([user, np.concatenate([items[pos], negatives[neg]]),
+                                 np.repeat(np.int64([1, 0]), [pos.sum(), neg.sum()])])
+        return table[np.argsort(user, kind="stable")]
+
+    return Split(*(rows(part) for part in range(3)))
+
+
+def _blocks(counts):
+    """Block index and position within the block of each slot of consecutive blocks."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    starts = np.cumsum(counts) - counts
+    return owner, np.arange(owner.size) - starts[owner]
+
+
+def rows_with_negatives(graph, positives, counts, rng):
+    """(user, item, label) rows: `positives` labelled 1, then negatives labelled 0.
+
+    User u gets `counts[u]` negatives from `negative_sample`, drawn from `rng`
+    in ascending user order.
+    """
+    negatives = [negative_sample(graph, u, counts[u], rng) for u in np.flatnonzero(counts)]
+    user = np.concatenate([positives[:, 0], np.repeat(np.arange(counts.size), counts)])
+    item = np.concatenate([positives[:, 1], *negatives])
+    label = np.repeat(np.int64([1, 0]), [positives.shape[0], counts.sum()])
+    return np.column_stack([user, item, label])
 
 
 def inject_noise(dataset, ratio, seed):
@@ -503,29 +535,25 @@ def generate_synthetic(n_users, n_items, n_entities, n_relations, density=0.5, s
     p_same = min(1.0, density + spread)
     p_diff = max(0.0, density - spread)
 
-    pos_rows = []
+    p_of_group = np.where(np.arange(groups)[:, None] == item_groups, p_same, p_diff)
+    member = np.zeros((n_users, n_items), dtype=bool)
     for u in range(n_users):
-        p = np.where(item_groups == user_groups[u], p_same, p_diff)
+        p = p_of_group[user_groups[u]]
         for _ in range(1000):
             row = rng.random(n_items) < p
             if row.any():
+                member[u] = row
                 break
         else:
-            row = np.zeros(n_items, dtype=bool)
-            row[int(rng.integers(n_items))] = True
-        pos_rows.extend((u, int(i)) for i in np.flatnonzero(row))
-    positives = np.array(pos_rows, dtype=np.int64)
+            member[u, int(rng.integers(n_items))] = True
+    positives = np.argwhere(member)
 
     # balanced explicit negatives, mirroring the on-disk rating format
     graph = InteractionGraph(n_users, n_items, positives)
-    rows = [(u, i, 1) for u, i in positives]
-    for u in range(n_users):
-        want = graph.user_degree(u)
-        avail = n_items - want
-        if want and avail:
-            for j in negative_sample(graph, u, min(want, avail), rng):
-                rows.append((u, int(j), 0))
-    pairs = np.array(sorted(rows), dtype=np.int64)
+    degree = np.diff(graph.u_offsets)
+    pairs = rows_with_negatives(graph, positives, np.minimum(degree, n_items - degree), rng)
+    user, item, label = pairs.T
+    pairs = pairs[np.lexsort((label, item, user))]
 
     triples = []
     for i in range(n_items):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import training
-from .data import csr_offsets, inject_noise
+from .data import csr_offsets, inject_noise, rows_with_negatives
 from .errors import ContractError, DomainError
 from .metrics import ctr_eval  # the one CTR path; also reachable as experiments.ctr_eval
 
@@ -70,23 +70,13 @@ def balanced_pairs(dataset, split="train", seed=123):
     measuring CTR metrics on the train portion (whose ranking negatives are
     resampled every epoch and never stored).
     """
-    from .data import negative_sample
-
     pairs = getattr(dataset.split, split)
     positives = pairs[pairs[:, 2] == 1]
     graph = dataset.train_graph
     rng = np.random.default_rng(seed)
-    rows = [(int(u), int(i), 1) for u, i in positives[:, :2]]
-    counts = {}
-    for u, _ in positives[:, :2]:
-        counts[int(u)] = counts.get(int(u), 0) + 1
-    for u in sorted(counts):
-        avail = dataset.n_items - graph.user_degree(u)
-        if avail <= 0:
-            continue
-        for j in negative_sample(graph, u, min(counts[u], avail), rng):
-            rows.append((u, int(j), 0))
-    return np.array(rows, dtype=np.int64)
+    wanted = np.bincount(positives[:, 0], minlength=dataset.n_users)
+    n_negative = np.minimum(wanted, dataset.n_items - np.diff(graph.u_offsets))
+    return rows_with_negatives(graph, positives, n_negative, rng)
 
 
 # Scores held at once by `recall_at_k`: a block of test users is as many

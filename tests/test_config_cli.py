@@ -116,6 +116,16 @@ def test_data_dir_edge_whitespace_rejected_by_name(data_dir):
     # could not come back from the config.ini a run writes
     with pytest.raises(ConfigError, match="data_dir"):
         ExperimentConfig(data_dir=data_dir).validate()
+    # an override is taken verbatim, not stripped into another directory
+    with pytest.raises(ConfigError, match="data_dir"):
+        parse_config(None, {"data_dir": data_dir})
+
+
+def test_padded_values_still_parse(tmp_path):
+    path = tmp_path / "c.ini"
+    path.write_text("[data]\ndata_dir =   sp/D  \n[train]\nseed =  3 \n", encoding="utf-8")
+    cfg = parse_config(path, {"epochs": " 4", "lr": "0.01 ", "k_top": " none "})
+    assert (cfg.data_dir, cfg.seed, cfg.epochs, cfg.lr, cfg.k_top) == ("sp/D", 3, 4, 0.01, None)
 
 
 @pytest.mark.parametrize("data_dir", ["sp/D x", "sp/a\nb"])

@@ -238,6 +238,18 @@ def test_negative_sample_exhausted_user():
         data.negative_sample(graph, 0, 1, seed=0)
 
 
+@pytest.mark.parametrize("user, count, named", [
+    (-1, 1, "user -1"), (2, 1, "user 2"), (5, 1, "user 5"), (0, -1, "count -1"),
+])
+def test_negative_sample_domain_named(fingerprint, user, count, named):
+    # an unchecked -1 slices an empty CSR row and samples from every item
+    graph = data.InteractionGraph(2, 4, [(0, 0), (1, 3)])
+    before = fingerprint(graph)
+    with pytest.raises(DomainError, match=named):
+        data.negative_sample(graph, user, count, seed=0)
+    assert fingerprint(graph) == before
+
+
 def test_negative_sample_truncates_with_warning():
     graph = data.InteractionGraph(1, 4, [(0, 0)])
     with pytest.warns(UserWarning, match="truncat"):

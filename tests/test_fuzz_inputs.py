@@ -1,14 +1,19 @@
-"""Fuzzed outside input: every file gives a result or a `KgtnError`, never a raw error."""
+"""Fuzzed input: every file gives a result or a `KgtnError`, never a raw error.
+
+Random interaction graphs check that negative sampling matches its reference.
+"""
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import data_oracle as oracle
 from kgtn import data, training
 from kgtn.config import ExperimentConfig, parse_config, to_ini
-from kgtn.errors import KgtnError
+from kgtn.errors import DomainError, KgtnError
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -117,3 +122,42 @@ def test_fuzz_load_checkpoint(tmp_path, raw):
         for values in blob.values():
             assert values.dtype == np.float64
             assert 8 * values.size <= len(raw)
+
+
+# A small interaction graph: (n_users, n_items, positive pairs), often dense
+# enough that a user holds every item or has fewer free items than asked.
+_graph = st.integers(1, 4).flatmap(lambda n_users: st.integers(1, 10).flatmap(
+    lambda n_items: st.tuples(st.just(n_users), st.just(n_items), st.lists(
+        st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1)), max_size=40))))
+
+
+def _draw(sample, graph, user, count, seed):
+    """What one draw gives, and the shared stream's next value after it."""
+    rng = np.random.default_rng(seed)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = sample(graph, user, count, rng)
+    except DomainError as err:
+        return str(err), None, None
+    return out, [str(w.message) for w in caught], rng.integers(2**62)
+
+
+@FUZZ
+@given(graph=_graph, user=st.integers(0, 3), count=st.integers(0, 12), seed=st.integers(0, 2**32))
+def test_negative_sample_matches_oracle(fingerprint, graph, user, count, seed):
+    n_users, n_items, pairs = graph
+    graph = data.InteractionGraph(n_users, n_items, pairs)
+    user %= n_users
+    before = fingerprint(graph)
+    got, got_warned, got_next = _draw(data.negative_sample, graph, user, count, seed)
+    want, want_warned, want_next = _draw(oracle.negative_sample, graph, user, count, seed)
+    assert fingerprint(graph) == before
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert (got_warned, got_next) == (want_warned, want_next)
+    assert np.unique(got).size == got.size
+    assert not np.isin(got, graph.items_of(user)).any()
+    assert got.size == min(count, n_items - graph.user_degree(user))
