@@ -5,6 +5,7 @@
 import numpy as np
 
 from kgtn import autodiff as ad
+from kgtn.data import KnowledgeGraph
 from kgtn.gradcheck import check_gradients
 
 rng = np.random.default_rng(0)
@@ -42,9 +43,10 @@ v = rng.normal(size=5)
 print("softmax:", ad.softmax(ad.constant(v)).values)
 print("shifted:", ad.softmax(ad.constant(v + 100.0)).values)
 
-# Segment softmax normalizes within CSR neighborhoods; segments of a
-# 2-edge and a 3-edge node each sum to one.
-logits = ad.constant(rng.normal(size=5))
-offsets = np.array([0, 2, 5])
-seg = ad.segment_softmax(logits, offsets).values
-print("segment sums:", seg[:2].sum(), seg[2:].sum())
+# Fused edge ops work on a whole graph at once. The KG slot weights are a
+# softmax within each head's slots: head 0 has 2 slots and head 1 has 3,
+# and each head's weights sum to one.
+kg = KnowledgeGraph(np.array([[0, 0, 2], [0, 1, 3], [1, 0, 0], [1, 1, 2], [1, 0, 3]]))
+edges = kg.full_edges()
+beta = ad.slot_attention(rng.normal(size=(4, 3)), rng.normal(size=(2, 3)), edges).values
+print("slot weight sums per head:", beta[:2].sum(), beta[2:].sum())

@@ -3,13 +3,15 @@
 The operator set covers exactly what the recommender's forward pass needs:
 - arithmetic: `add`, `sub`, `mul` (elementwise, with scalar broadcast);
 - linear algebra: `matmul`, `transpose`;
-- layout: `gather_rows` (whose backward scatter-adds), `concat`
-  (row-wise), and over CSR neighborhoods `segment_softmax` (column by
-  column for multi-head logits);
-- neighborhood sums: `spmm`, one node per neighborhood aggregation: a
-  constant sparse matrix (cached by the graph that owns the structure)
-  times a dense block, with a fallback row where the matrix row is empty;
-- reductions and scaling: `sum_all`, `mean_all`, `rowsum`, `scale_rows`;
+- layout: `gather_rows` (whose backward scatter-adds), `concat` (row-wise);
+- neighborhood sums: `spmm`, a constant sparse matrix (cached by the graph
+  that owns the structure) times a dense block, with a fallback row where
+  the matrix row is empty;
+- fused edge operations, one node each over every edge of a graph:
+  `edge_attention` (one direction of masked multi-head attention),
+  `slot_attention` (the relation-aware KG slot weights) and `gated_sum`
+  (a sparse sum of relation-gated rows, optionally weighted per edge);
+- reductions: `sum_all`, `mean_all`, `rowsum`;
 - maps: `softmax`, `softplus`;
 - the contrastive objective: `infonce`, one fused node per InfoNCE term.
 There is no general broadcasting; the only implicit broadcasts are scalar
@@ -46,19 +48,33 @@ Backward does only the work a gradient needs:
   get no gradient computed at all.
 - The scatter behind `gather_rows` is one flat `np.bincount` over
   `row * d + column`, summed into the table's gradient as a single block.
-- `infonce` is the one op that forms its operand gradients in the
-  forward: its output is a scalar, so each gradient is a fixed (b, d)
-  array times the upstream scalar. Building them while the (b, 2b) logit
-  block exists lets the block be freed before the op returns; backward
-  only scales and accumulates.
+- The fused edge operations keep no (E, d) array between forward and
+  backward, only their operands and per-edge weights: the (E, H)
+  attention weights, the (E,) slot weights. Backward gathers the edge
+  rows it needs again, which costs a few gathers and saves holding them
+  on the tape for the whole step. Gradients onto the rows of a graph go
+  through its cached one-hot operators where it has them (the
+  interaction graph's `source_sum` and `target_sum`), through a segment
+  sum for the KG heads that group the slots, and otherwise through the
+  same bincount scatter as `gather_rows`.
+- `infonce` forms its operand gradients in the forward: its output is a
+  scalar, so each gradient is a fixed (b, d) array times the upstream
+  scalar. The (b, 2b) logit block is built, reduced and differentiated in
+  slabs of rows of at most `INFONCE_SLAB_BYTES`; each slab writes its
+  rows of the global view's gradient and adds its share of the key
+  gradient in place, so the whole block never exists. Backward only
+  scales and accumulates.
 
 Forward ops never mutate their inputs; only `.grad` buffers change during
 backward. Tape recording and backward are single-threaded per training step.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import sparse
+from scipy.linalg.blas import dgemm
 from scipy.special import expit
 
 from .errors import ContractError, DomainError, ShapeError
@@ -314,7 +330,7 @@ def transpose(a):
 # indexing and layout
 
 
-def _row_index(index):
+def _row_index(index, name="gather_rows"):
     """A 1-d integer row index; an empty index of any dtype is allowed."""
     idx = np.asarray(index)
     if idx.ndim == 1 and idx.dtype.kind in "iu":
@@ -322,7 +338,7 @@ def _row_index(index):
     if idx.size == 0:
         return np.zeros(0, dtype=np.intp)
     raise ShapeError(
-        f"gather_rows: index must be a 1-d integer array, got {idx.dtype} "
+        f"{name}: index must be a 1-d integer array, got {idx.dtype} "
         f"with shape {idx.shape}"
     )
 
@@ -342,26 +358,86 @@ def gather_rows(table, index):
             f"gather_rows: index out of range for table with {tv.shape[0]} rows"
         )
     out = Tensor(tv[idx], requires_grad=_needs_grad(table))
-    n, d = tv.shape
-
-    def backward(g):
-        flat = (idx.astype(np.intp, copy=False)[:, None] * d + np.arange(d)).ravel()
-        block = np.bincount(flat, weights=g.ravel(), minlength=n * d)
-        _accum(table, block.reshape(n, d), fresh=True)
-
-    _record("gather_rows", out, backward)
+    _record("gather_rows", out, lambda g: _accum(table, _scatter_rows(idx, g, tv.shape[0]),
+                                                 fresh=True))
     return out
 
 
-def _check_offsets(name, offsets, length):
-    off = np.asarray(offsets)
-    if off.ndim != 1 or off.size < 1:
-        raise ShapeError(f"{name}: offsets must be a 1-d array")
-    if off[0] != 0 or off[-1] != length or np.any(np.diff(off) < 0):
-        raise ShapeError(
-            f"{name}: offsets must rise from 0 to {length}, got [{off[0]}..{off[-1]}]"
+def _scatter_rows(index, rows, n):
+    """(n, d) sums of `rows` by their row `index`: one flat bincount over
+    `row * d + column`."""
+    d = rows.shape[1]
+    flat = (index.astype(np.intp, copy=False)[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=rows.ravel(), minlength=n * d).reshape(n, d)
+
+
+def _check_csr(name, matrix):
+    if not (sparse.issparse(matrix) and matrix.format == "csr"):
+        raise ContractError(
+            f"{name}: matrix must be a constant CSR sparse matrix, got {type(matrix).__name__}"
         )
-    return off
+
+
+def _fallback_rows(matrix, sums, fallback):
+    """Put `fallback` rows where `matrix` has an empty row; return the mask."""
+    empty = matrix.indptr[1:] == matrix.indptr[:-1]
+    if empty.any():
+        sums[empty] = fallback[empty]
+    return empty
+
+
+def _accum_fallback(fallback, g, empty):
+    if _tracked(fallback):
+        _accum(fallback, np.where(empty[:, None], g, 0.0), fresh=True)
+
+
+def spmm(matrix, x, fallback):
+    """Sparse-dense product whose rows without entries fall back.
+
+    Row i of the output is `(matrix @ x)[i]`, or `fallback[i]` when row i of
+    `matrix` holds no entries. `matrix` is a constant scipy CSR matrix
+    (n, m), `x` is (m, d) and `fallback` is (n, d). Backward gives
+    `matrix.T @ g` to `x` and `g` on the empty rows only to `fallback`.
+    """
+    _check_csr("spmm", matrix)
+    xv, fv = _values(x), _values(fallback)
+    n, m = matrix.shape
+    if xv.ndim != 2 or xv.shape[0] != m or fv.shape != (n, xv.shape[1]):
+        raise ShapeError(
+            f"spmm: matrix {matrix.shape}, x {xv.shape} and fallback {fv.shape} do not fit"
+        )
+    sums = matrix @ xv
+    empty = _fallback_rows(matrix, sums, fv)
+    out = Tensor(sums, requires_grad=_needs_grad(x, fallback))
+
+    def backward(g):
+        _accum_fallback(fallback, g, empty)
+        if _tracked(x):
+            _accum(x, matrix.T @ g, fresh=True)
+
+    _record("spmm", out, backward)
+    return out
+
+
+def concat(parts):
+    """Stack matrices row-wise (along axis 0)."""
+    vals = [_values(p) for p in parts]
+    if not parts:
+        raise DomainError("concat: no operands")
+    out = Tensor(np.concatenate(vals), requires_grad=_needs_grad(*parts))
+    splits = np.cumsum([v.shape[0] for v in vals])[:-1]
+
+    def backward(g):
+        for part, piece in zip(parts, np.split(g, splits)):
+            _accum(part, piece)
+
+    _record("concat", out, backward)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# fused edge operations: each keeps only per-edge weights for backward and
+# gathers the (E, d) edge rows again there
 
 
 def _segsum(x, offsets):
@@ -383,78 +459,165 @@ def _segmax(x, offsets):
     return out
 
 
-def spmm(matrix, x, fallback):
-    """Sparse-dense product whose rows without entries fall back.
-
-    Row i of the output is `(matrix @ x)[i]`, or `fallback[i]` when row i of
-    `matrix` holds no entries. `matrix` is a constant scipy CSR matrix
-    (n, m), `x` is (m, d) and `fallback` is (n, d). Backward gives
-    `matrix.T @ g` to `x` and `g` on the empty rows only to `fallback`.
-    """
-    if not (sparse.issparse(matrix) and matrix.format == "csr"):
-        raise ContractError(
-            f"spmm: matrix must be a constant CSR sparse matrix, got {type(matrix).__name__}"
-        )
-    xv, fv = _values(x), _values(fallback)
-    n, m = matrix.shape
-    if xv.ndim != 2 or xv.shape[0] != m or fv.shape != (n, xv.shape[1]):
-        raise ShapeError(
-            f"spmm: matrix {matrix.shape}, x {xv.shape} and fallback {fv.shape} do not fit"
-        )
-    empty = matrix.indptr[1:] == matrix.indptr[:-1]
-    sums = matrix @ xv
-    if empty.any():
-        sums[empty] = fv[empty]
-    out = Tensor(sums, requires_grad=_needs_grad(x, fallback))
-
-    def backward(g):
-        if _tracked(fallback):
-            _accum(fallback, np.where(empty[:, None], g, 0.0), fresh=True)
-        if _tracked(x):
-            _accum(x, matrix.T @ g, fresh=True)
-
-    _record("spmm", out, backward)
-    return out
-
-
-def segment_softmax(logits, offsets):
-    """Softmax within each consecutive CSR segment, max-shifted for stability.
-
-    `logits` is a vector or an (E, H) matrix; each column of a matrix is its
-    own softmax over the same segments (one column per attention head).
-    """
-    lv = _values(logits)
-    if lv.ndim not in (1, 2):
-        raise ShapeError(f"segment_softmax: expected a vector or matrix, got shape {lv.shape}")
-    off = _check_offsets("segment_softmax", offsets, lv.shape[0])
-    counts = np.diff(off)
-    shifted = lv - np.repeat(_segmax(lv, off), counts, axis=0)
+def _segment_softmax(logits, offsets):
+    """Softmax of each column within every CSR segment, max-shifted."""
+    counts = np.diff(offsets)
+    shifted = logits - np.repeat(_segmax(logits, offsets), counts, axis=0)
     e = np.exp(shifted)
-    denom = np.repeat(_segsum(e, off), counts, axis=0)
-    s = e / denom
-    out = Tensor(s, requires_grad=_needs_grad(logits))
+    return e / np.repeat(_segsum(e, offsets), counts, axis=0)
+
+
+def _segment_softmax_backward(g, s, offsets):
+    """Gradient on the logits of `s = _segment_softmax(logits, offsets)`."""
+    inner = np.repeat(_segsum(g * s, offsets), np.diff(offsets), axis=0)
+    return s * (g - inner)
+
+
+def edge_attention(queries, keys, values, fallback, edges, n_heads):
+    """Masked multi-head scaled dot-product attention along an edge list.
+
+    `edges` is one direction of the interaction graph (`data.EdgeList`):
+    edge e runs from source row `edges.source[e]` to target row
+    `edges.target[e]`, grouped by source along `edges.offsets`. Head h owns
+    columns h*d/H .. (h+1)*d/H - 1 of the (sources, d) `queries` and the
+    (targets, d) `keys` and `values`. Its logit on edge e is
+    q_s . k_t / sqrt(d/H) over those columns, its weight alpha the softmax
+    of the logits over each source's edges, and source row s of the output
+    is the alpha-weighted sum of its targets' value rows, summed by the
+    constant operator `edges.source_sum`; a source without edges takes
+    `fallback[s]`.
+
+    Only alpha (E, H) is kept. Backward gathers the query, key and value
+    rows of the edges again and scatters the source-side gradients through
+    `edges.source_sum`, the target-side ones through `edges.target_sum`.
+    """
+    qv, kv, vv, fv = (_values(t) for t in (queries, keys, values, fallback))
+    sums_to_source, sums_to_target = edges.source_sum, edges.target_sum
+    if (qv.ndim != 2 or kv.shape != (sums_to_target.shape[0], qv.shape[1])
+            or vv.shape != kv.shape or fv.shape != qv.shape
+            or qv.shape[0] != sums_to_source.shape[0]):
+        raise ShapeError(
+            f"edge_attention: queries {qv.shape}, keys {kv.shape}, values {vv.shape} and "
+            f"fallback {fv.shape} do not fit {sums_to_source.shape[0]} sources and "
+            f"{sums_to_target.shape[0]} targets"
+        )
+    d = qv.shape[1]
+    if n_heads < 1 or d % n_heads:
+        raise ShapeError(f"head count {n_heads} must divide embedding size {d}")
+    src, tgt, offsets = edges.source, edges.target, edges.offsets
+    # (d, H) head indicator: (q * k) @ blocks gives one column per head and
+    # alpha @ blocks.T spreads each head's weight over its value columns
+    blocks = np.repeat(np.eye(n_heads), d // n_heads, axis=0)
+    scaled = blocks * (1.0 / math.sqrt(d / n_heads))
+    prod = qv[src]
+    prod *= kv[tgt]
+    alpha = _segment_softmax(prod @ scaled, offsets)
+    del prod
+    msg = vv[tgt]
+    msg *= alpha @ blocks.T
+    sums = sums_to_source @ msg
+    del msg
+    empty = _fallback_rows(sums_to_source, sums, fv)
+    out = Tensor(sums, requires_grad=_needs_grad(queries, keys, values, fallback))
 
     def backward(g):
-        inner = np.repeat(_segsum(g * s, off), counts, axis=0)
-        _accum(logits, s * (g - inner), fresh=True)
+        _accum_fallback(fallback, g, empty)
+        g_edge = g[src]
+        if _tracked(values):
+            _accum(values, sums_to_target @ (g_edge * (alpha @ blocks.T)), fresh=True)
+        if not (_tracked(queries) or _tracked(keys)):
+            return
+        g_edge *= vv[tgt]
+        d_prod = _segment_softmax_backward(g_edge @ blocks, alpha, offsets) @ scaled.T
+        del g_edge
+        if _tracked(queries):
+            _accum(queries, sums_to_source @ (d_prod * kv[tgt]), fresh=True)
+        if _tracked(keys):
+            d_prod *= qv[src]
+            _accum(keys, sums_to_target @ d_prod, fresh=True)
 
-    _record("segment_softmax", out, backward)
+    _record("edge_attention", out, backward)
     return out
 
 
-def concat(parts):
-    """Stack matrices row-wise (along axis 0)."""
-    vals = [_values(p) for p in parts]
-    if not parts:
-        raise DomainError("concat: no operands")
-    out = Tensor(np.concatenate(vals), requires_grad=_needs_grad(*parts))
-    splits = np.cumsum([v.shape[0] for v in vals])[:-1]
+def slot_attention(entity, relation, edges):
+    """Relation-aware attention weight of every knowledge-graph slot.
+
+    `edges` is a `data.KGEdges`, its slots grouped by head along
+    `edges.offsets`. The weight of slot (h, r, t) is the softmax, over head
+    h's slots, of its logit `edges.slot_logits`: e_h . e_t + e_r . e_r.
+    Only the (E,) weights are kept; backward gathers the slot rows again.
+    """
+    ev, rv = _values(entity), _values(relation)
+    offsets = edges.offsets
+    if ev.ndim != 2 or rv.ndim != 2 or ev.shape[1] != rv.shape[1] or ev.shape[0] != offsets.size - 1:
+        raise ShapeError(
+            f"slot_attention: entities {ev.shape} and relations {rv.shape} do not fit "
+            f"{offsets.size - 1} heads"
+        )
+    beta = _segment_softmax(edges.slot_logits(ev, rv), offsets)
+    out = Tensor(beta, requires_grad=_needs_grad(entity, relation))
 
     def backward(g):
-        for part, piece in zip(parts, np.split(g, splits)):
-            _accum(part, piece)
+        d_logits = _segment_softmax_backward(g, beta, offsets)[:, None]
+        if _tracked(entity):
+            grad = _segsum(d_logits * ev[edges.tail], offsets)  # heads own the segments
+            grad += _scatter_rows(edges.tail, d_logits * ev[edges.head], ev.shape[0])
+            _accum(entity, grad, fresh=True)
+        if _tracked(relation):
+            rows = rv[edges.rel]
+            rows *= 2.0 * d_logits
+            _accum(relation, _scatter_rows(edges.rel, rows, rv.shape[0]), fresh=True)
 
-    _record("concat", out, backward)
+    _record("slot_attention", out, backward)
+    return out
+
+
+def gated_sum(operator, gate, gate_index, table, table_index, fallback, weight=None):
+    """Sparse sum of gated rows, `operator @ (gate[gate_index] * table[table_index])`.
+
+    Edge e's message is gate row `gate_index[e]` times table row
+    `table_index[e]`, scaled by `weight[e]` when an (E,) `weight` is given.
+    `operator` is a constant (n, E) CSR matrix; row i of the output is row i
+    of the product, or `fallback[i]` where row i of `operator` is empty.
+    Only the operands are kept; backward gathers the edge rows again.
+    """
+    _check_csr("gated_sum", operator)
+    gv, tv, fv = _values(gate), _values(table), _values(fallback)
+    gidx, tidx = _row_index(gate_index, "gated_sum"), _row_index(table_index, "gated_sum")
+    wv = None if weight is None else _values(weight)
+    n, n_edges = operator.shape
+    if (gv.ndim != 2 or tv.ndim != 2 or gv.shape[1] != tv.shape[1]
+            or fv.shape != (n, tv.shape[1]) or gidx.shape != (n_edges,)
+            or tidx.shape != (n_edges,) or (wv is not None and wv.shape != (n_edges,))):
+        raise ShapeError(
+            f"gated_sum: operator {operator.shape}, gate {gv.shape}, table {tv.shape}, "
+            f"fallback {fv.shape} and {n_edges} edges do not fit"
+        )
+    msg = gv[gidx]
+    msg *= tv[tidx]
+    if wv is not None:
+        msg *= wv[:, None]
+    sums = operator @ msg
+    del msg
+    empty = _fallback_rows(operator, sums, fv)
+    out = Tensor(sums, requires_grad=_needs_grad(gate, table, fallback, weight))
+
+    def backward(g):
+        _accum_fallback(fallback, g, empty)
+        g_edge = operator.T @ g
+        gate_rows, table_rows = gv[gidx], tv[tidx]
+        if _tracked(weight):
+            _accum(weight, (g_edge * (gate_rows * table_rows)).sum(axis=1), fresh=True)
+        if wv is not None:
+            g_edge *= wv[:, None]
+        if _tracked(gate):
+            _accum(gate, _scatter_rows(gidx, g_edge * table_rows, gv.shape[0]), fresh=True)
+        if _tracked(table):
+            g_edge *= gate_rows
+            _accum(table, _scatter_rows(tidx, g_edge, tv.shape[0]), fresh=True)
+
+    _record("gated_sum", out, backward)
     return out
 
 
@@ -485,23 +648,6 @@ def rowsum(a):
         raise ShapeError(f"rowsum: expected a matrix, got shape {av.shape}")
     out = Tensor(av.sum(axis=1), requires_grad=_needs_grad(a))
     _record("rowsum", out, lambda g: _accum(a, np.broadcast_to(g[:, None], av.shape)))
-    return out
-
-
-def scale_rows(m, w):
-    """Scale row i of a matrix by w[i]; differentiable through both operands."""
-    mv, wv = _values(m), _values(w)
-    if mv.ndim != 2 or wv.shape != (mv.shape[0],):
-        raise ShapeError(f"scale_rows: matrix {mv.shape} incompatible with weights {wv.shape}")
-    out = Tensor(mv * wv[:, None], requires_grad=_needs_grad(m, w))
-
-    def backward(g):
-        if _tracked(m):
-            _accum(m, g * wv[:, None], fresh=True)
-        if _tracked(w):
-            _accum(w, (g * mv).sum(axis=1), fresh=True)
-
-    _record("scale_rows", out, backward)
     return out
 
 
@@ -556,20 +702,26 @@ def _unit_rows_backward(grad, unit, norms):
     return (grad - unit * (grad * unit).sum(axis=1)[:, None]) / norms[:, None]
 
 
+# Cap on the bytes of one row slab of the InfoNCE logit block.
+INFONCE_SLAB_BYTES = 2 ** 21
+
+
 def infonce(global_rows, local_rows, tau, include_positive=False):
     """Mean over rows of the InfoNCE term between two (b, d) views.
 
     Row i of each view is normalized; its positive is the cross-view logit
-    gn_i . ln_i / tau, and its candidates are one (b, 2b) logit block
-    gn @ [ln; gn].T / tau with the self-similarity gn_i . gn_i masked to
+    gn_i . ln_i / tau, and its candidates are the logit row
+    gn_i @ [ln; gn].T / tau with the self-similarity gn_i . gn_i masked to
     -inf, and the positive masked too unless `include_positive` is set.
     The term is the max-shifted row log-sum-exp minus the positive, so it
     is finite for every temperature whose reciprocal is a finite float.
 
-    The output is a scalar, so each operand's gradient is a fixed (b, d)
-    array times the upstream scalar. When recorded, the op forms those
-    arrays here from the softmax of the block and frees the block before
-    returning; backward only scales and accumulates them.
+    The (b, 2b) logit block never exists whole: it is formed, reduced and
+    differentiated in slabs of rows of at most `INFONCE_SLAB_BYTES`. The
+    output is a scalar, so each operand's gradient is a fixed (b, d) array
+    times the upstream scalar. When recorded, the op forms those arrays
+    here, slab by slab, from the softmax of the slab; backward only scales
+    and accumulates them.
     """
     gv, lv = _values(global_rows), _values(local_rows)
     if gv.ndim != 2 or gv.shape != lv.shape:
@@ -582,29 +734,44 @@ def infonce(global_rows, local_rows, tau, include_positive=False):
     gn, g_norms = _unit_rows(gv)
     ln, l_norms = _unit_rows(lv)
     keys = np.concatenate([ln, gn])
-    block = (gn * (1.0 / tau)) @ keys.T
-    diag = np.arange(b)
-    positive = block[diag, diag]
-    block[diag, b + diag] = -np.inf
-    if not include_positive:
-        block[diag, diag] = -np.inf
-    shift = block.max(axis=1)
-    block -= shift[:, None]
-    np.exp(block, out=block)
-    mass = block.sum(axis=1)
-    out = Tensor(np.mean(shift + np.log(mass) - positive),
-                 requires_grad=_needs_grad(global_rows, local_rows))
-    if not out.requires_grad:
+    queries = gn * (1.0 / tau)
+    requires_grad = _needs_grad(global_rows, local_rows)
+    if requires_grad:
+        d_gn = np.empty_like(gn)
+        d_keys = np.zeros_like(keys)
+    terms = np.empty(b)
+    slab = max(1, INFONCE_SLAB_BYTES // (2 * b * 8))
+    for r0 in range(0, b, slab):
+        r1 = min(r0 + slab, b)
+        rows = np.arange(r1 - r0)
+        diag = r0 + rows
+        block = queries[r0:r1] @ keys.T
+        positive = block[rows, diag]
+        block[rows, b + diag] = -np.inf
+        if not include_positive:
+            block[rows, diag] = -np.inf
+        shift = block.max(axis=1)
+        block -= shift[:, None]
+        np.exp(block, out=block)
+        mass = block.sum(axis=1)
+        terms[r0:r1] = shift + np.log(mass) - positive
+        if not requires_grad:
+            continue
+        # d out / d block = (softmax - positive indicator) / b, and the block
+        # is (gn / tau) @ keys.T: fold 1 / (b * tau) into the softmax rows.
+        block *= (1.0 / (mass * (b * tau)))[:, None]
+        block[rows, diag] -= 1.0 / (b * tau)
+        np.matmul(block, keys, out=d_gn[r0:r1])
+        # d_keys += block.T @ gn[r0:r1], accumulated in place: the transposed
+        # product d_keys.T += gn[r0:r1].T @ block on the Fortran views
+        d_keys = dgemm(1.0, gn[r0:r1].T, block.T, beta=1.0, c=d_keys.T, trans_b=1,
+                       overwrite_c=1).T
+    out = Tensor(np.mean(terms), requires_grad=requires_grad)
+    if not requires_grad:
         return out
 
-    # d out / d block = (softmax - positive indicator) / b, and the block
-    # is (gn / tau) @ keys.T: fold 1 / (b * tau) into the softmax rows.
-    block *= (1.0 / (mass * (b * tau)))[:, None]
-    block[diag, diag] -= 1.0 / (b * tau)
-    d_keys = block.T @ gn
     grads = []
     if _tracked(global_rows):
-        d_gn = block @ keys
         d_gn += d_keys[b:]
         grads.append((global_rows, _unit_rows_backward(d_gn, gn, g_norms)))
     if _tracked(local_rows):

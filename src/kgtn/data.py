@@ -52,6 +52,16 @@ class KGEdges:
         """
         return block_operator(self.offsets, 1.0 / np.maximum(self.counts, 1))
 
+    def slot_logits(self, entity, relation):
+        """Relation-aware attention logit e_h . e_t + e_r . e_r of every slot.
+
+        `entity` and `relation` are plain (n, d) arrays. The logit equals the
+        dot product of the relation-concatenated pair ((e_h || e_r),
+        (e_t || e_r)).
+        """
+        r = relation[self.rel]
+        return (entity[self.head] * entity[self.tail]).sum(axis=1) + (r * r).sum(axis=1)
+
 
 def block_operator(offsets, weights):
     """(n, E) CSR matrix whose product with E stacked rows sums each CSR block.
@@ -65,6 +75,24 @@ def block_operator(offsets, weights):
         (np.repeat(weights, counts), np.arange(n_edges), np.array(offsets)),
         shape=(counts.size, n_edges),
     )
+
+
+@dataclass(frozen=True)
+class EdgeList:
+    """One direction of the interaction edges, grouped by source row.
+
+    Edge e runs from row `source[e]` to row `target[e]`; `offsets` delimits
+    each source's block. `source_sum` (sources, E) and `target_sum`
+    (targets, E) are the constant one-hot CSR operators whose products with
+    E stacked rows sum them onto their source and their target rows, each
+    row in ascending edge order.
+    """
+
+    offsets: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
+    source_sum: sparse.csr_array
+    target_sum: sparse.csr_array
 
 
 class InteractionGraph:
@@ -100,20 +128,53 @@ class InteractionGraph:
             shape=(self.n_users, self.n_items),
         )
 
-    @cached_property
-    def user_edge_sum(self):
-        """(users, interactions) block-sum operator over the user-major edge list."""
-        return block_operator(self.u_offsets, np.ones(self.n_users))
+    def _item_major(self):
+        """Position in the user-major edge list of each item-major edge."""
+        return np.lexsort((self.pairs[:, 0], self.pairs[:, 1]))
 
     @cached_property
-    def item_edge_sum(self):
-        """(items, interactions) block-sum operator over the item-major edge list."""
-        return block_operator(self.i_offsets, np.ones(self.n_items))
+    def user_edges(self):
+        """User-major edges: each user's block of interacted items."""
+        n_edges = self.n_interactions
+        return EdgeList(
+            offsets=self.u_offsets,
+            source=np.ascontiguousarray(self.pairs[:, 0]),
+            target=self.u_items,
+            source_sum=block_operator(self.u_offsets, np.ones(self.n_users)),
+            target_sum=sparse.csr_array(
+                (np.ones(n_edges), self._item_major(), np.array(self.i_offsets)),
+                shape=(self.n_items, n_edges),
+            ),
+        )
+
+    @cached_property
+    def item_edges(self):
+        """Item-major edges: each item's block of interacting users."""
+        n_edges = self.n_interactions
+        order = self._item_major()
+        position = np.empty(n_edges, dtype=np.int64)
+        position[order] = np.arange(n_edges)
+        return EdgeList(
+            offsets=self.i_offsets,
+            source=self.pairs[order, 1],
+            target=self.i_users,
+            source_sum=block_operator(self.i_offsets, np.ones(self.n_items)),
+            target_sum=sparse.csr_array(
+                (np.ones(n_edges), position, np.array(self.u_offsets)),
+                shape=(self.n_users, n_edges),
+            ),
+        )
+
+    def _check_user(self, u):
+        if not 0 <= u < self.n_users:
+            raise DomainError(f"user {u} is not in [0, {self.n_users})")
 
     def user_degree(self, u):
+        self._check_user(u)
         return int(self.u_offsets[u + 1] - self.u_offsets[u])
 
     def items_of(self, u):
+        self._check_user(u)
         return self.u_items[self.u_offsets[u]:self.u_offsets[u + 1]]
 
     def has(self, u, i):
@@ -297,8 +358,6 @@ def negative_sample(graph, user, count, seed):
     `DomainError`. Deterministic for integer seeds; a Generator may be
     passed instead to share a stream.
     """
-    if not 0 <= user < graph.n_users:
-        raise DomainError(f"user {user} is not in [0, {graph.n_users})")
     if count < 0:
         raise DomainError(f"user {user}: negative count {count}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

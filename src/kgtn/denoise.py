@@ -22,7 +22,6 @@ import numpy as np
 from . import autodiff as ad
 from .data import KGEdges, csr_offsets
 from .errors import ContractError, DomainError
-from .intents import _slot_logits
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -81,9 +80,7 @@ def sample_topk(kg, entity_vals, relation_vals, k_top, rng):
     if k_top is None or k_top >= int(edges.counts.max(initial=0)):
         kept = np.ones(n_edges, dtype=bool)
     else:
-        entity_vals, relation_vals = np.asarray(entity_vals), np.asarray(relation_vals)
-        logits = _slot_logits(entity_vals[edges.head], entity_vals[edges.tail],
-                              relation_vals[edges.rel]).values
+        logits = edges.slot_logits(np.asarray(entity_vals), np.asarray(relation_vals))
         perturbed = logits + sample_gumbel(rng, n_edges)
         order = np.lexsort((np.arange(n_edges), -perturbed, edges.head))
         rank_in_head = np.arange(n_edges) - np.repeat(edges.offsets[:-1], edges.counts)
@@ -129,12 +126,12 @@ class LayerStack:
 def light_aggregate(user_seed, entity_seed, relation_emb, view_edges, graph, depth):
     """Parameter-free propagation over the sampled KG and interaction graph.
 
-    Entities average relation-gated kept neighbors; users average their
-    interacted items' previous-layer values. Each average is one `spmm`
-    with an operator cached on the view's edges or on the graph; the user
-    step multiplies the item rows each layer gathers for the stack anyway.
-    Nodes with no active edges pass through unchanged. Returns all layers
-    0..depth.
+    Entities average relation-gated kept neighbors, one `gated_sum` node
+    with the view edges' cached mean operator; users average their
+    interacted items' previous-layer values, one `spmm` with the graph's
+    cached mean operator over the item rows each layer gathers for the
+    stack anyway. Nodes with no active edges pass through unchanged.
+    Returns all layers 0..depth.
     """
     item_idx = np.arange(graph.n_items)  # item ids are the entity prefix
     zu = [user_seed]
@@ -143,9 +140,8 @@ def light_aggregate(user_seed, entity_seed, relation_emb, view_edges, graph, dep
     for _ in range(depth):
         z = ze[-1]
         if view_edges.n_edges:
-            msgs = ad.mul(ad.gather_rows(relation_emb, view_edges.rel),
-                          ad.gather_rows(z, view_edges.tail))
-            z = ad.spmm(view_edges.mean_operator, msgs, z)
+            z = ad.gated_sum(view_edges.mean_operator, relation_emb, view_edges.rel,
+                             z, view_edges.tail, z)
         zu.append(ad.spmm(graph.user_mean, zi[-1], zu[-1]))
         ze.append(z)
         zi.append(ad.gather_rows(z, item_idx))

@@ -11,7 +11,6 @@ instead of replacing them.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,51 +77,20 @@ def intent_mix(e, prototypes):
     return ad.matmul(weights, prototypes)
 
 
-def _slot_logits(head_rows, tail_rows, rel_rows):
-    """Slot logits e_i . e_v + e_r . e_r from the slots' gathered rows.
-
-    This equals the dot product of the relation-concatenated pair
-    ((e_i || e_r), (e_v || e_r)). The rows may be tensors or plain arrays.
-    """
-    return ad.rowsum(ad.mul(head_rows, tail_rows)) + ad.rowsum(ad.mul(rel_rows, rel_rows))
-
-
 def kg_aggregate(entity_emb, relation_emb, edges):
     """Relation-aware neighborhood pooling over active KG slots.
 
     Each head with a nonempty active neighborhood is replaced by the
     attention-weighted, 1/|N_i|-scaled sum of relation-gated neighbor
-    embeddings (one `spmm` with the edges' cached mean operator); heads
-    without active slots pass through unchanged. Each slot's tail and
-    relation rows are gathered once, for both the attention logits and the
-    message.
+    embeddings: one `slot_attention` node for the weights and one
+    `gated_sum` node with the edges' cached mean operator for the sum.
+    Heads without active slots pass through unchanged.
     """
     if edges.n_edges == 0:
         return entity_emb
-    hv = ad.gather_rows(entity_emb, edges.tail)
-    hr = ad.gather_rows(relation_emb, edges.rel)
-    logits = _slot_logits(ad.gather_rows(entity_emb, edges.head), hv, hr)
-    beta = ad.segment_softmax(logits, edges.offsets)
-    msg = ad.scale_rows(ad.mul(hr, hv), beta)
-    return ad.spmm(edges.mean_operator, msg, entity_emb)
-
-
-def _attend(prev, queries, keys, values, offsets, targets, edge_sum, blocks, scale):
-    """All heads of one direction of masked attention along a CSR edge list.
-
-    `blocks` is the (d, H) head indicator: `(q * k) @ blocks` gives one
-    logit column per head, `alpha @ blocks.T` spreads each head's weight
-    over its value columns. Each row's output is the sum of its attended
-    messages, one `spmm` node with the graph's cached block-sum operator
-    `edge_sum` and `prev` as the fallback, so rows without edges keep
-    `prev`.
-    """
-    counts = np.diff(offsets)
-    q = ad.gather_rows(queries, np.repeat(np.arange(counts.size), counts))
-    k = ad.gather_rows(keys, targets)
-    alpha = ad.segment_softmax(ad.matmul(ad.mul(q, k), blocks * scale), offsets)
-    msg = ad.mul(ad.gather_rows(values, targets), ad.matmul(alpha, blocks.T))
-    return ad.spmm(edge_sum, msg, prev)
+    beta = ad.slot_attention(entity_emb, relation_emb, edges)
+    return ad.gated_sum(edges.mean_operator, relation_emb, edges.rel, entity_emb, edges.tail,
+                        entity_emb, weight=beta)
 
 
 def transformer_layer(user_emb, item_emb, params, graph):
@@ -130,26 +98,20 @@ def transformer_layer(user_emb, item_emb, params, graph):
 
     Attention logits exist only where the interaction indicator is 1; each
     user attends over their interacted items and, symmetrically with the
-    same projections, each item attends over its users. Nodes without any
-    interaction pass through unchanged. The per-head (d/H, d) projections
-    are stacked row-wise into one (d, d) matrix each for queries, keys and
-    values, so head h owns output columns h*d/H .. (h+1)*d/H - 1.
+    same projections, each item attends over its users, one
+    `edge_attention` node per direction. Nodes without any interaction pass
+    through unchanged. The per-head (d/H, d) projections are stacked
+    row-wise into one (d, d) matrix each for queries, keys and values, so
+    head h owns output columns h*d/H .. (h+1)*d/H - 1.
     """
-    d = user_emb.values.shape[1]
     H = params.n_heads
-    if d % H != 0:
-        raise ShapeError(f"head count {H} must divide embedding size {d}")
-    blocks = np.repeat(np.eye(H), d // H, axis=0)
-    scale = 1.0 / math.sqrt(d / H)
     wq = ad.transpose(ad.concat([head.wq for head in params.heads]))
     wk = ad.transpose(ad.concat([head.wk for head in params.heads]))
     wv = ad.transpose(ad.concat([head.wv for head in params.heads]))
-    new_u = _attend(user_emb, ad.matmul(user_emb, wq), ad.matmul(item_emb, wk),
-                    ad.matmul(item_emb, wv), graph.u_offsets, graph.u_items,
-                    graph.user_edge_sum, blocks, scale)
-    new_i = _attend(item_emb, ad.matmul(item_emb, wq), ad.matmul(user_emb, wk),
-                    ad.matmul(user_emb, wv), graph.i_offsets, graph.i_users,
-                    graph.item_edge_sum, blocks, scale)
+    new_u = ad.edge_attention(ad.matmul(user_emb, wq), ad.matmul(item_emb, wk),
+                              ad.matmul(item_emb, wv), user_emb, graph.user_edges, H)
+    new_i = ad.edge_attention(ad.matmul(item_emb, wq), ad.matmul(user_emb, wk),
+                              ad.matmul(user_emb, wv), item_emb, graph.item_edges, H)
     return new_u, new_i
 
 

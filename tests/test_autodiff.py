@@ -389,11 +389,11 @@ def test_spmm_operators_match_dense_oracle_with_isolated_nodes():
                                oracle(by_user, users, mean=True), rtol=0, atol=1e-14)
     edge_rows = rng.normal(size=(graph.n_interactions, 3))
     user_blocks = [edge_rows[graph.u_offsets[u]:graph.u_offsets[u + 1]] for u in range(4)]
-    np.testing.assert_allclose(ad.spmm(graph.user_edge_sum, edge_rows, users).values,
+    np.testing.assert_allclose(ad.spmm(graph.user_edges.source_sum, edge_rows, users).values,
                                oracle(user_blocks, users, mean=False), rtol=0, atol=1e-14)
     item_rows = rng.normal(size=(graph.n_interactions, 3))
     item_blocks = [item_rows[graph.i_offsets[i]:graph.i_offsets[i + 1]] for i in range(5)]
-    np.testing.assert_allclose(ad.spmm(graph.item_edge_sum, item_rows, items).values,
+    np.testing.assert_allclose(ad.spmm(graph.item_edges.source_sum, item_rows, items).values,
                                oracle(item_blocks, items, mean=False), rtol=0, atol=1e-14)
     msgs = rng.normal(size=(kg.n_triples, 3))
     head_blocks = [msgs[edges.head == h] for h in range(6)]
@@ -403,19 +403,36 @@ def test_spmm_operators_match_dense_oracle_with_isolated_nodes():
         np.testing.assert_array_equal(out[isolated], ents[isolated])
 
 
+# ---------------------------------------------------------------------------
+# segment softmax (the shared core of slot_attention and edge_attention)
+
+
+def _segment_fd(logits, offsets, upstream, eps=1e-6):
+    """Central differences of sum(upstream * segment softmax) per logit."""
+    grad = np.zeros_like(logits)
+    for j in np.ndindex(logits.shape):
+        hi, lo = logits.copy(), logits.copy()
+        hi[j] += eps
+        lo[j] -= eps
+        grad[j] = ((upstream * ad._segment_softmax(hi, offsets)).sum()
+                   - (upstream * ad._segment_softmax(lo, offsets)).sum()) / (2 * eps)
+    return grad
+
+
 def test_segment_softmax_sums_per_segment():
     logits = RNG.normal(size=7)
     offsets = np.array([0, 3, 3, 7])
-    out = ad.segment_softmax(ad.constant(logits), offsets).values
+    out = ad._segment_softmax(logits, offsets)
     assert abs(out[:3].sum() - 1.0) < 1e-9
     assert abs(out[3:].sum() - 1.0) < 1e-9
 
 
 def test_segment_softmax_finite_difference():
-    logits = ad.parameter(RNG.normal(size=6))
+    logits = RNG.normal(size=6)
     offsets = np.array([0, 2, 6])
-    w = ad.constant(RNG.normal(size=6))
-    fd_check(lambda: ad.sum_all(ad.mul(ad.segment_softmax(logits, offsets), w)), [("l", logits)])
+    w = RNG.normal(size=6)
+    got = ad._segment_softmax_backward(w, ad._segment_softmax(logits, offsets), offsets)
+    np.testing.assert_allclose(got, _segment_fd(logits, offsets, w), rtol=0, atol=1e-8)
 
 
 def test_segment_softmax_matrix_bitwise_equals_column_calls():
@@ -423,36 +440,184 @@ def test_segment_softmax_matrix_bitwise_equals_column_calls():
     offsets = np.array([0, 3, 3, 9, 10])
     logits = RNG.normal(size=(10, 4)) * 3.0
     upstream = RNG.normal(size=(10, 4))
-    m = ad.Tensor(logits, requires_grad=True)
-    with ad.Tape() as tape:
-        out = ad.segment_softmax(m, offsets)
-        loss = ad.sum_all(ad.mul(out, upstream))
-    tape.backward(loss)
+    s = ad._segment_softmax(logits, offsets)
+    g = ad._segment_softmax_backward(upstream, s, offsets)
     for h in range(4):
-        col = ad.Tensor(logits[:, h].copy(), requires_grad=True)
-        with ad.Tape() as tape:
-            out_h = ad.segment_softmax(col, offsets)
-            loss_h = ad.sum_all(ad.mul(out_h, upstream[:, h].copy()))
-        tape.backward(loss_h)
-        np.testing.assert_array_equal(out.values[:, h], out_h.values)
-        np.testing.assert_array_equal(m.grad[:, h], col.grad)
+        s_h = ad._segment_softmax(logits[:, h].copy(), offsets)
+        np.testing.assert_array_equal(s[:, h], s_h)
+        np.testing.assert_array_equal(
+            g[:, h], ad._segment_softmax_backward(upstream[:, h].copy(), s_h, offsets))
 
 
 def test_segment_softmax_matrix_finite_difference():
-    logits = ad.parameter(RNG.normal(size=(6, 3)))
+    logits = RNG.normal(size=(6, 3))
     offsets = np.array([0, 2, 2, 6])
-    w = ad.constant(RNG.normal(size=(6, 3)))
-    fd_check(lambda: ad.sum_all(ad.mul(ad.segment_softmax(logits, offsets), w)), [("l", logits)])
+    w = RNG.normal(size=(6, 3))
+    got = ad._segment_softmax_backward(w, ad._segment_softmax(logits, offsets), offsets)
+    np.testing.assert_allclose(got, _segment_fd(logits, offsets, w), rtol=0, atol=1e-8)
 
 
-def test_segment_softmax_rejects_three_dimensional_logits():
-    with pytest.raises(ShapeError):
-        ad.segment_softmax(ad.constant(np.ones((2, 2, 2))), np.array([0, 2]))
+# ---------------------------------------------------------------------------
+# fused edge operations
+
+# user 2 and item 3 have no interactions; entities 1, 4 and 5 head no slot
+# and entity 1 is no slot's tail either
+_PAIRS = [(0, 0), (0, 2), (1, 2), (1, 4), (3, 1), (3, 0), (3, 4)]
+_TRIPLES = [[0, 0, 3], [0, 1, 5], [2, 0, 1], [3, 1, 0], [3, 0, 2], [3, 1, 4], [2, 1, 2]]
 
 
-def test_segment_softmax_bad_offsets():
-    with pytest.raises(ShapeError):
-        ad.segment_softmax(ad.constant(np.ones(4)), np.array([0, 2, 3]))
+def _edge_fixture():
+    return InteractionGraph(4, 5, _PAIRS), KnowledgeGraph(np.array(_TRIPLES), n_entities=6,
+                                                          n_relations=3).full_edges()
+
+
+def _attention_oracle(q, k, v, fallback, targets_of, n_heads):
+    """Per-source, per-head loop over explicit target lists."""
+    out = fallback.copy()
+    dh = q.shape[1] // n_heads
+    for s, targets in enumerate(targets_of):
+        for h in range(n_heads if len(targets) else 0):
+            cols = slice(h * dh, (h + 1) * dh)
+            logits = np.array([q[s, cols] @ k[t, cols] for t in targets]) / math.sqrt(dh)
+            w = np.exp(logits - logits.max())
+            w /= w.sum()
+            out[s, cols] = sum(wt * v[t, cols] for wt, t in zip(w, targets))
+    return out
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_edge_attention_matches_per_head_loop_oracle(n_heads):
+    graph, _ = _edge_fixture()
+    users_of = [[u for u, i in _PAIRS if i == item] for item in range(5)]
+    items_of = [graph.items_of(u) for u in range(4)]
+    for edges, targets_of, n_src, n_tgt, isolated in ((graph.user_edges, items_of, 4, 5, 2),
+                                                      (graph.item_edges, users_of, 5, 4, 3)):
+        q, fallback = RNG.normal(size=(n_src, 4)) * 2.0, RNG.normal(size=(n_src, 4))
+        k, v = RNG.normal(size=(n_tgt, 4)) * 2.0, RNG.normal(size=(n_tgt, 4))
+        out = ad.edge_attention(q, k, v, fallback, edges, n_heads).values
+        np.testing.assert_allclose(out, _attention_oracle(q, k, v, fallback, targets_of, n_heads),
+                                   rtol=0, atol=1e-12)
+        # the isolated user and the isolated item keep their fallback rows
+        np.testing.assert_array_equal(out[isolated], fallback[isolated])
+
+
+@pytest.mark.parametrize("direction", ["user_edges", "item_edges"])
+def test_edge_attention_finite_difference(direction):
+    graph, _ = _edge_fixture()
+    edges = getattr(graph, direction)
+    n_src, n_tgt = edges.source_sum.shape[0], edges.target_sum.shape[0]
+    q, fallback = ad.parameter(RNG.normal(size=(n_src, 4))), ad.parameter(RNG.normal(size=(n_src, 4)))
+    k, v = ad.parameter(RNG.normal(size=(n_tgt, 4))), ad.parameter(RNG.normal(size=(n_tgt, 4)))
+    w = RNG.normal(size=(n_src, 4))
+    result = fd_check(lambda: ad.sum_all(ad.mul(ad.edge_attention(q, k, v, fallback, edges, 2), w)),
+                      [("q", q), ("k", k), ("v", v), ("fallback", fallback)], tol=1e-7)
+    # the fallback gradient reaches only the row without edges
+    assert np.count_nonzero(np.abs(fallback.grad).sum(axis=1)) == 1
+
+
+def test_edge_attention_rejects_misfit_shapes():
+    graph, _ = _edge_fixture()
+    edges = graph.user_edges
+    q, k = np.ones((4, 4)), np.ones((5, 4))
+    for args in ((q, k, k, np.ones((5, 4))), (q, q, k, q), (q, k, np.ones((5, 2)), q),
+                 (np.ones((4, 2, 2)), k, k, q)):
+        with pytest.raises(ShapeError, match="edge_attention"):
+            ad.edge_attention(*args, edges, 2)
+    with pytest.raises(ShapeError, match="head count 3"):
+        ad.edge_attention(q, k, k, q, edges, 3)
+
+
+def _kg_oracle_weights(ent, rel):
+    """Per-head loop: softmax of e_h . e_t + e_r . e_r over each head's slots."""
+    beta = {}
+    for head in range(ent.shape[0]):
+        slots = [(r, t) for h, r, t in _TRIPLES if h == head]
+        if slots:
+            logits = np.array([ent[head] @ ent[t] + rel[r] @ rel[r] for r, t in slots])
+            w = np.exp(logits - logits.max())
+            beta.update({(head, r, t): x for (r, t), x in zip(slots, w / w.sum())})
+    return beta
+
+
+def test_slot_attention_and_gated_sum_match_dense_oracle():
+    _, edges = _edge_fixture()
+    ent, rel = RNG.normal(size=(6, 3)), RNG.normal(size=(3, 3))
+    beta = ad.slot_attention(ent, rel, edges).values
+    want = _kg_oracle_weights(ent, rel)
+    slots = list(zip(edges.head.tolist(), edges.rel.tolist(), edges.tail.tolist()))
+    np.testing.assert_allclose(beta, [want[slot] for slot in slots], rtol=0, atol=1e-14)
+    fallback = RNG.normal(size=(6, 3))
+    for weight in (None, beta):
+        out = ad.gated_sum(edges.mean_operator, rel, edges.rel, ent, edges.tail, fallback,
+                           weight=weight).values
+        expect = fallback.copy()
+        for head in range(6):
+            msgs = [(1.0 if weight is None else want[(h, r, t)]) * rel[r] * ent[t]
+                    for h, r, t in slots if h == head]
+            if msgs:
+                expect[head] = np.mean(msgs, axis=0)
+        np.testing.assert_allclose(out, expect, rtol=0, atol=1e-14)
+    for isolated in (1, 4, 5):
+        np.testing.assert_array_equal(out[isolated], fallback[isolated])
+
+
+def test_slot_attention_finite_difference():
+    _, edges = _edge_fixture()
+    ent, rel = ad.parameter(RNG.normal(size=(6, 3))), ad.parameter(RNG.normal(size=(3, 3)))
+    w = RNG.normal(size=edges.n_edges)
+    fd_check(lambda: ad.sum_all(ad.mul(ad.slot_attention(ent, rel, edges), w)),
+             [("ent", ent), ("rel", rel)], tol=1e-7)
+
+
+def test_slot_attention_rejects_misfit_shapes():
+    _, edges = _edge_fixture()
+    for ent, rel in ((np.ones((5, 3)), np.ones((3, 3))), (np.ones((6, 3)), np.ones((3, 2))),
+                     (np.ones(6), np.ones((3, 3)))):
+        with pytest.raises(ShapeError, match="slot_attention"):
+            ad.slot_attention(ent, rel, edges)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_gated_sum_finite_difference_through_every_input(weighted):
+    _, edges = _edge_fixture()
+    gate, table = ad.parameter(RNG.normal(size=(3, 3))), ad.parameter(RNG.normal(size=(6, 3)))
+    fallback = ad.parameter(RNG.normal(size=(6, 3)))
+    weight = ad.parameter(RNG.uniform(0.5, 1.5, size=edges.n_edges)) if weighted else None
+    named = [("gate", gate), ("table", table), ("fallback", fallback)]
+    w = RNG.normal(size=(6, 3))
+    fd_check(lambda: ad.sum_all(ad.mul(ad.gated_sum(edges.mean_operator, gate, edges.rel, table,
+                                                    edges.tail, fallback, weight), w)),
+             named + ([("weight", weight)] if weighted else []), tol=1e-7)
+    # the fallback gradient reaches only the three heads without slots
+    assert np.flatnonzero(np.abs(fallback.grad).sum(axis=1)).tolist() == [1, 4, 5]
+
+
+def test_knowledge_pool_finite_difference_with_shared_entity_table():
+    # the KG pool's layout: one entity table is the attention input, the
+    # gated table and the fallback at once
+    _, edges = _edge_fixture()
+    ent, rel = ad.parameter(RNG.normal(size=(6, 3))), ad.parameter(RNG.normal(size=(3, 3)))
+    w = RNG.normal(size=(6, 3))
+
+    def build():
+        beta = ad.slot_attention(ent, rel, edges)
+        pooled = ad.gated_sum(edges.mean_operator, rel, edges.rel, ent, edges.tail, ent, beta)
+        return ad.sum_all(ad.mul(pooled, w))
+
+    fd_check(build, [("ent", ent), ("rel", rel)], tol=1e-7)
+
+
+def test_gated_sum_rejects_bad_operands():
+    _, edges = _edge_fixture()
+    gate, table = np.ones((3, 3)), np.ones((6, 3))
+    with pytest.raises(ContractError):
+        ad.gated_sum(edges.mean_operator.toarray(), gate, edges.rel, table, edges.tail, table)
+    for args in ((gate, edges.rel, table, edges.tail, np.ones((5, 3))),
+                 (np.ones((3, 2)), edges.rel, table, edges.tail, table),
+                 (gate, edges.rel[:-1], table, edges.tail, table),
+                 (gate, edges.rel, table, edges.tail, table, np.ones(2))):
+        with pytest.raises(ShapeError, match="gated_sum"):
+            ad.gated_sum(edges.mean_operator, *args)
 
 
 def test_concat_round_trip_rows():
@@ -494,16 +659,6 @@ def test_reduction_values():
 def test_reduction_finite_difference():
     m = ad.parameter(RNG.normal(size=(3, 4)))
     fd_check(lambda: ad.mean_all(ad.mul(m, m)) + ad.sum_all(ad.rowsum(m) * 0.5), [("m", m)])
-
-
-def test_scale_rows_value_and_finite_difference():
-    m = ad.parameter(RNG.normal(size=(3, 2)))
-    w = ad.parameter(RNG.normal(size=3))
-    np.testing.assert_allclose(
-        ad.scale_rows(m, w).values, m.values * w.values[:, None], atol=1e-12
-    )
-    q = ad.constant(RNG.normal(size=(3, 2)))
-    fd_check(lambda: ad.sum_all(ad.mul(ad.scale_rows(m, w), q)), [("m", m), ("w", w)])
 
 
 def test_map_values():
@@ -583,6 +738,59 @@ def test_infonce_domain_errors():
         ad.infonce(ad.constant(z[:1]), ad.constant(z[:1]), 1.0)
     with pytest.raises(ShapeError):
         ad.infonce(ad.constant(z), ad.constant(z[:2]), 1.0)
+
+
+def _infonce_run(zg, zl, tau, include_positive):
+    g, l = ad.parameter(zg), ad.parameter(zl)
+    with ad.Tape() as tape:
+        loss = ad.infonce(g, l, tau, include_positive)
+    tape.backward(loss)
+    return loss.item(), g.grad, l.grad
+
+
+def _slab_rows(monkeypatch, rows, b):
+    monkeypatch.setattr(ad, "INFONCE_SLAB_BYTES", rows * 2 * b * 8)
+
+
+@pytest.mark.parametrize("include_positive", [False, True])
+@pytest.mark.parametrize("b, rows", [(2, 1), (5, 2), (7, 3), (9, 4), (6, 6), (4, 100)])
+def test_infonce_slabs_match_one_block(monkeypatch, b, rows, include_positive):
+    # slabs of `rows` rows: one row, a partial last slab, an exact multiple,
+    # exactly one slab and fewer rows than one slab
+    zg, zl = RNG.normal(size=(b, 3)), RNG.normal(size=(b, 3))
+    for tau in (1e-4, 1e-2, 0.3, 1.0, 10.0):
+        _slab_rows(monkeypatch, b, b)
+        whole = _infonce_run(zg, zl, tau, include_positive)
+        _slab_rows(monkeypatch, rows, b)
+        value, d_g, d_l = _infonce_run(zg, zl, tau, include_positive)
+        want = _infonce_oracle(zg, zl, tau, include_positive)
+        assert np.isfinite(value) and abs(value - want) <= 1e-12 * max(1.0, abs(want))
+        scale = max(1.0, np.abs(whole[1]).max(), np.abs(whole[2]).max())
+        assert np.isfinite(d_g).all() and np.isfinite(d_l).all()
+        np.testing.assert_allclose(d_g, whole[1], rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(d_l, whole[2], rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("include_positive", [False, True])
+def test_infonce_slab_finite_difference(monkeypatch, include_positive):
+    _slab_rows(monkeypatch, 3, 7)
+    g = ad.parameter(RNG.normal(size=(7, 4)))
+    l = ad.parameter(RNG.normal(size=(7, 4)))
+    fd_check(lambda: ad.mul(ad.infonce(g, l, 0.4, include_positive), 2.5),
+             [("g", g), ("l", l)], tol=1e-6)
+
+
+def test_infonce_default_slab_partial_last_slab(monkeypatch):
+    # 700 rows at the default cap give slabs of 187 rows, the last one 139
+    b = 700
+    assert b % (ad.INFONCE_SLAB_BYTES // (2 * b * 8)) != 0
+    zg, zl = RNG.normal(size=(b, 8)), RNG.normal(size=(b, 8))
+    value, d_g, d_l = _infonce_run(zg, zl, 0.2, False)
+    assert abs(value - _infonce_oracle(zg, zl, 0.2, False)) <= 1e-12 * max(1.0, abs(value))
+    _slab_rows(monkeypatch, b, b)
+    _, want_g, want_l = _infonce_run(zg, zl, 0.2, False)
+    np.testing.assert_allclose(d_g, want_g, rtol=0, atol=1e-15 * b)
+    np.testing.assert_allclose(d_l, want_l, rtol=0, atol=1e-15 * b)
 
 
 # ---------------------------------------------------------------------------
@@ -704,13 +912,15 @@ def test_gradcheck_passes_through_shared_intermediates():
 def test_constants_receive_no_gradient():
     p = ad.parameter(RNG.normal(size=(3, 3)))
     consts = [ad.constant(RNG.normal(size=(3, 3))) for _ in range(4)]
-    w = ad.constant(RNG.normal(size=3))
+    w = ad.constant(RNG.normal(size=2))
     with ad.Tape() as tape:
         h = ad.mul(p, consts[0])
         h = ad.add(h, consts[1])
         h = ad.sub(consts[2], h)
         h = ad.matmul(consts[3], h)
-        h = ad.scale_rows(h, w)
+        # constant gate and edge weight, tracked table
+        h = ad.gated_sum(sparse.csr_array(np.ones((3, 2))), consts[0], np.array([0, 1]), h,
+                         np.array([2, 0]), consts[1], weight=w)
         loss = ad.sum_all(ad.mul(h, 0.5))
     tape.backward(loss)
     assert all(c.grad is None for c in consts) and w.grad is None

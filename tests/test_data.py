@@ -164,7 +164,7 @@ def test_pruning_fit_never_writes_kg_or_split(fingerprint):
     ds = _dataset40()
     assert ds.kg.full_edges().counts.max() > 1  # so k_top = 1 really prunes
     graph = ds.train_graph  # fill the lazy caches so their arrays are compared too
-    graph.user_mean, graph.user_edge_sum, graph.item_edge_sum, ds.kg.full_edges().mean_operator
+    graph.user_mean, graph.user_edges, graph.item_edges, ds.kg.full_edges().mean_operator
     before = fingerprint(ds)  # split, KG, its CSR edges, the train graph and their operators
     cfg = ExperimentConfig(embed_dim=8, n_intents=2, n_heads=2, agg_depth=1, k_top=1,
                            batch_size=64, epochs=2, seed=7).validate()
@@ -175,14 +175,14 @@ def test_pruning_fit_never_writes_kg_or_split(fingerprint):
 def test_propagation_operators_are_cached_per_structure():
     ds = _dataset40()
     graph, edges = ds.train_graph, ds.kg.full_edges()
-    for owner, name in [(graph, "user_mean"), (graph, "user_edge_sum"),
-                        (graph, "item_edge_sum"), (edges, "mean_operator")]:
+    for owner, name in [(graph, "user_mean"), (graph, "user_edges"),
+                        (graph, "item_edges"), (edges, "mean_operator")]:
         assert getattr(owner, name) is getattr(owner, name)
     # a new split gets a new graph, and so operators of its own
     fresh = ds.with_split(ds.split).train_graph
     assert fresh is not graph
     assert fresh.user_mean is not graph.user_mean
-    assert fresh.user_edge_sum is not graph.user_edge_sum
+    assert fresh.user_edges.source_sum is not graph.user_edges.source_sum
     assert (fresh.user_mean != graph.user_mean).nnz == 0
 
 
@@ -192,7 +192,9 @@ def test_propagation_operators_leave_the_structure_unchanged():
     arrays = [ds.kg.triples, edges.offsets, edges.rel, edges.tail, edges.head, graph.pairs,
               graph.u_offsets, graph.u_items, graph.i_offsets, graph.i_users]
     before = [a.copy() for a in arrays]
-    operators = [graph.user_mean, graph.user_edge_sum, graph.item_edge_sum, edges.mean_operator]
+    operators = [graph.user_mean, edges.mean_operator]
+    for direction in (graph.user_edges, graph.item_edges):
+        operators += [direction.source_sum, direction.target_sum]
     rng = np.random.default_rng(0)
     for op in operators:
         out = ad.spmm(op, rng.normal(size=(op.shape[1], 3)), np.zeros((op.shape[0], 3)))
@@ -215,6 +217,36 @@ def test_interaction_graph_has_matches_pairs(raw40):
     for u in range(40):
         for i in range(30):
             assert graph.has(u, i) is ((u, i) in observed)
+
+
+@pytest.mark.parametrize("user", [-1, -2, 2, 3])
+def test_interaction_graph_rejects_user_outside_graph(user):
+    # user -1 once read the CSR block of the last user backwards (degree -3)
+    # and user 2 raised a raw IndexError
+    graph = data.InteractionGraph(2, 3, [(0, 0), (0, 1), (1, 2)])
+    for call in (lambda: graph.user_degree(user), lambda: graph.items_of(user),
+                 lambda: graph.has(user, 0)):
+        with pytest.raises(DomainError, match=rf"user {user} is not in \[0, 2\)"):
+            call()
+    assert [graph.user_degree(u) for u in (0, 1)] == [2, 1]
+    assert graph.has(1, 2) and not graph.has(1, 0)
+
+
+def test_interaction_edges_cover_each_pair_once_per_direction():
+    graph = data.InteractionGraph(4, 5, [(0, 0), (0, 2), (1, 2), (1, 4), (3, 1), (3, 0), (3, 4)])
+    for edges, n_src, n_tgt, flip in ((graph.user_edges, 4, 5, False),
+                                      (graph.item_edges, 5, 4, True)):
+        users, items = (edges.target, edges.source) if flip else (edges.source, edges.target)
+        assert sorted(map(list, zip(users.tolist(), items.tolist()))) == graph.pairs.tolist()
+        np.testing.assert_array_equal(np.repeat(np.arange(n_src), np.diff(edges.offsets)),
+                                      edges.source)
+        # the one-hot operators put edge e on the rows of its source and target
+        for op, index, n in ((edges.source_sum, edges.source, n_src),
+                             (edges.target_sum, edges.target, n_tgt)):
+            dense = np.zeros((n, graph.n_interactions))
+            dense[index, np.arange(graph.n_interactions)] = 1.0
+            np.testing.assert_array_equal(op.toarray(), dense)
+            assert op.has_sorted_indices
 
 
 # ---------------------------------------------------------------------------

@@ -279,15 +279,15 @@ def test_transformer_attention_sums_to_one_over_random_instances():
         graph = InteractionGraph(n_u, n_i, sorted(pairs))
         users = ad.constant(rng.normal(size=(n_u, 4)))
         items = ad.constant(rng.normal(size=(n_i, 4)))
-        q = ad.matmul(users, ad.transpose(ad.constant(rng.normal(size=(2, 4)))))
-        k = ad.matmul(items, ad.transpose(ad.constant(rng.normal(size=(2, 4)))))
-        src = np.repeat(np.arange(n_u), np.diff(graph.u_offsets))
-        logits = ad.rowsum(ad.mul(ad.gather_rows(q, src), ad.gather_rows(k, graph.u_items)))
-        alpha = ad.segment_softmax(logits, graph.u_offsets).values
+        q = ad.matmul(users, ad.transpose(ad.constant(rng.normal(size=(4, 4)))))
+        k = ad.matmul(items, ad.transpose(ad.constant(rng.normal(size=(4, 4)))))
+        # with every value row all ones, a user's output column is the sum
+        # of the user's attention weights in that column's head
+        ones = np.ones((n_i, 4))
+        sums = ad.edge_attention(q, k, ones, np.zeros((n_u, 4)), graph.user_edges, 2).values
         for u in range(n_u):
-            seg = alpha[graph.u_offsets[u]:graph.u_offsets[u + 1]]
-            if seg.size:
-                assert abs(seg.sum() - 1.0) < 1e-9
+            if graph.user_degree(u):
+                assert np.abs(sums[u] - 1.0).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------

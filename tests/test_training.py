@@ -244,12 +244,14 @@ def test_step_records_every_public_op_and_no_other(tiny_dataset):
 @pytest.mark.parametrize("depth, agg_depth", [(1, 1), (1, 2), (2, 1)])
 def test_each_aggregation_is_one_node(tiny_dataset, depth, agg_depth):
     counts = _step_tape(tiny_dataset, small_cfg(depth=depth, agg_depth=agg_depth))[0].op_counts()
-    # per layer: the KG pool and both attention directions; per light layer
-    # and track: the entity and the user pool
-    assert counts["spmm"] == 3 * depth + 2 * 2 * agg_depth
-    assert "segment_sum_rows" not in counts
-    # the attention weighting of the KG messages is the only row scaling
-    assert counts["scale_rows"] == depth
+    # per layer: one node per attention direction, and the KG pool as its
+    # slot weights and one gated sum
+    assert counts["edge_attention"] == 2 * depth
+    assert counts["slot_attention"] == depth
+    # per light layer and track: the entity pool (a gated sum) and the user pool
+    assert counts["gated_sum"] == depth + 2 * agg_depth
+    assert counts["spmm"] == 2 * agg_depth
+    assert not {"segment_sum_rows", "segment_softmax", "scale_rows"} & set(counts)
 
 
 def test_light_user_step_gathers_no_interaction_edges(tiny_dataset, monkeypatch):
@@ -267,12 +269,34 @@ def test_light_user_step_gathers_no_interaction_edges(tiny_dataset, monkeypatch)
     with ad.Tape() as tape:
         stack = denoise.light_aggregate(params.user_emb, params.entity_emb, params.relation_emb,
                                         view.edges, graph, cfg.agg_depth)
-    # per layer one relation and one tail gather of the kept slots, plus the
-    # item rows of every layer; none over the user-item edges
-    assert len(indexes) == 2 * cfg.agg_depth + cfg.agg_depth + 1
-    assert not any(np.array_equal(idx, graph.u_items) for idx in indexes)
-    assert tape.op_counts()["spmm"] == 2 * cfg.agg_depth
+    # only the item rows of every layer are gathered: the kept slots' rows
+    # live inside the gated sums, and no gather runs over the user-item edges
+    assert len(indexes) == cfg.agg_depth + 1
+    assert all(np.array_equal(idx, np.arange(graph.n_items)) for idx in indexes)
+    counts = tape.op_counts()
+    assert counts["spmm"] == counts["gated_sum"] == cfg.agg_depth
     assert len(stack.users) == cfg.agg_depth + 1
+
+
+def test_step_tape_holds_no_edge_block(tiny_dataset):
+    # Every edge computation keeps only per-edge weights: no recorded output
+    # has one row per interaction or per KG slot and d columns.
+    cfg = small_cfg(depth=2, agg_depth=2, k_top=1)
+    params, _, batch = _step_inputs(tiny_dataset, cfg)
+    view = denoise.sample_topk(tiny_dataset.kg, params.entity_emb.values,
+                               params.relation_emb.values, cfg.k_top, np.random.default_rng(0))
+    batch = batch[:batch.shape[0] // 2]
+    edge_rows = {tiny_dataset.train_graph.n_interactions, tiny_dataset.kg.n_triples,
+                 view.edges.n_edges}
+    node_rows = {tiny_dataset.n_users, tiny_dataset.n_items, tiny_dataset.n_entities,
+                 tiny_dataset.n_relations, batch.shape[0], cfg.embed_dim, 1}
+    assert len(edge_rows) == 3 and not edge_rows & node_rows  # the shapes tell them apart
+    with ad.Tape() as tape:
+        training.training_step_loss(params, tiny_dataset, view, cfg, batch)
+    shapes = [(name, out.values.shape) for name, out, _ in tape._nodes]
+    assert len(shapes) > 50
+    assert [(name, shape) for name, shape in shapes
+            if len(shape) == 2 and shape[0] in edge_rows and shape[1] == cfg.embed_dim] == []
 
 
 def test_every_step_node_receives_a_gradient(tiny_dataset, monkeypatch):
