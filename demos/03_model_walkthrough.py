@@ -40,8 +40,9 @@ agg = intents.kg_aggregate(params.entity_emb, params.relation_emb, edges)
 print("aggregated entities shape:", agg.values.shape)
 
 # --- masked graph transformer -----------------------------------------------
-# Attention logits exist only on observed user-item pairs; each head is a
-# column block of one stacked projection, so all heads run in one pass.
+# Attention logits exist only on observed user-item pairs. Each layer stores
+# its query, key and value projection as one (d, d) matrix, and each head is
+# a column block of it, so all heads run in one pass.
 # After the last layer, the intent mixture reads out the global state: the
 # users and the entity seed (intent-mixed items, then the other entities).
 state = intents.forward_global(

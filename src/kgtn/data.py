@@ -165,22 +165,27 @@ class InteractionGraph:
             ),
         )
 
-    def _check_user(self, u):
-        if not 0 <= u < self.n_users:
-            raise DomainError(f"user {u} is not in [0, {self.n_users})")
-
     def user_degree(self, u):
-        self._check_user(u)
+        _check_index("user", u, self.n_users)
         return int(self.u_offsets[u + 1] - self.u_offsets[u])
 
     def items_of(self, u):
-        self._check_user(u)
+        _check_index("user", u, self.n_users)
         return self.u_items[self.u_offsets[u]:self.u_offsets[u + 1]]
 
     def has(self, u, i):
         row = self.items_of(u)  # sorted within each CSR row
+        _check_index("item", i, self.n_items)
         k = np.searchsorted(row, i)
         return bool(k < row.size and row[k] == i)
+
+
+def _check_index(kind, x, n):
+    """A user or item index must be an integer (not a bool) in [0, n)."""
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
+        raise DomainError(f"{kind} {x!r} is not an integer")
+    if not 0 <= x < n:
+        raise DomainError(f"{kind} {x} is not in [0, {n})")
 
 
 def csr_offsets(keys, n_keys):

@@ -20,27 +20,22 @@ from .errors import DomainError, ShapeError
 
 
 @dataclass
-class HeadProjections:
-    """Per-head query/key/value projections, each (d/H, d)."""
+class TransformerLayerParams:
+    """Query, key and value projections of one layer, each one (d, d) matrix.
+
+    Rows index the input and columns the output; head h owns the column
+    block h*d/H .. (h+1)*d/H - 1 of each matrix.
+    """
 
     wq: ad.Tensor
     wk: ad.Tensor
     wv: ad.Tensor
-
-
-@dataclass
-class TransformerLayerParams:
-    heads: list
-
-    @property
-    def n_heads(self):
-        return len(self.heads)
+    n_heads: int
 
     def tensors(self):
-        for h, head in enumerate(self.heads):
-            yield f"h{h}.wq", head.wq
-            yield f"h{h}.wk", head.wk
-            yield f"h{h}.wv", head.wv
+        yield "wq", self.wq
+        yield "wk", self.wk
+        yield "wv", self.wv
 
 
 @dataclass
@@ -100,14 +95,10 @@ def transformer_layer(user_emb, item_emb, params, graph):
     user attends over their interacted items and, symmetrically with the
     same projections, each item attends over its users, one
     `edge_attention` node per direction. Nodes without any interaction pass
-    through unchanged. The per-head (d/H, d) projections are stacked
-    row-wise into one (d, d) matrix each for queries, keys and values, so
-    head h owns output columns h*d/H .. (h+1)*d/H - 1.
+    through unchanged. Head h reads output columns h*d/H .. (h+1)*d/H - 1
+    of the stacked query, key and value projections.
     """
-    H = params.n_heads
-    wq = ad.transpose(ad.concat([head.wq for head in params.heads]))
-    wk = ad.transpose(ad.concat([head.wk for head in params.heads]))
-    wv = ad.transpose(ad.concat([head.wv for head in params.heads]))
+    wq, wk, wv, H = params.wq, params.wk, params.wv, params.n_heads
     new_u = ad.edge_attention(ad.matmul(user_emb, wq), ad.matmul(item_emb, wk),
                               ad.matmul(item_emb, wv), user_emb, graph.user_edges, H)
     new_i = ad.edge_attention(ad.matmul(item_emb, wq), ad.matmul(user_emb, wk),

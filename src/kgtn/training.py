@@ -29,7 +29,18 @@ def _xavier(rng, rows, cols):
 
 @dataclass
 class ModelParameters:
-    """The learnable set: embedding tables, prototypes, head projections."""
+    """The learnable set: embedding tables, prototypes, transformer projections.
+
+    Each entry of `transformer` is one layer's query, key and value
+    projection, each stored as one (d, d) matrix whose column block
+    h*d/H .. (h+1)*d/H - 1 belongs to head h. A model with shared
+    transformer weights stores one layer and reuses it at every depth;
+    otherwise it stores max(1, depth) layers.
+
+    Checkpoints keep the per-head layout: the entry
+    `transformer.l{l}.h{h}.w{q,k,v}` holds head h's column block of that
+    matrix, transposed to (d/H, d), so a checkpoint names its head count.
+    """
 
     user_emb: ad.Tensor
     entity_emb: ad.Tensor
@@ -37,7 +48,6 @@ class ModelParameters:
     intent_user: ad.Tensor
     intent_item: ad.Tensor
     transformer: list
-    share_transformer: bool = False
 
     @classmethod
     def initialize(cls, n_users, n_entities, n_relations, cfg, rng):
@@ -48,15 +58,12 @@ class ModelParameters:
         n_layer_params = 1 if cfg.share_transformer_weights else max(1, cfg.depth)
         layers = []
         for _ in range(n_layer_params):
-            heads = [
-                intents.HeadProjections(
-                    wq=ad.parameter(_xavier(rng, dh, d)),
-                    wk=ad.parameter(_xavier(rng, dh, d)),
-                    wv=ad.parameter(_xavier(rng, dh, d)),
-                )
-                for _ in range(H)
-            ]
-            layers.append(intents.TransformerLayerParams(heads=heads))
+            # per head, a (d/H, d) block for q, k, v in turn; stacked and
+            # transposed, the blocks become each matrix's column blocks
+            blocks = [[_xavier(rng, dh, d) for _ in range(3)] for _ in range(H)]
+            wq, wk, wv = (ad.parameter(np.ascontiguousarray(np.concatenate(kind).T))
+                          for kind in zip(*blocks))
+            layers.append(intents.TransformerLayerParams(wq=wq, wk=wk, wv=wv, n_heads=H))
         return cls(
             user_emb=ad.parameter(_xavier(rng, n_users, d)),
             entity_emb=ad.parameter(_xavier(rng, n_entities, d)),
@@ -64,24 +71,28 @@ class ModelParameters:
             intent_user=ad.parameter(_xavier(rng, K, d)),
             intent_item=ad.parameter(_xavier(rng, K, d)),
             transformer=layers,
-            share_transformer=cfg.share_transformer_weights,
         )
 
-    def named(self):
-        out = [
+    def _tables(self):
+        return [
             ("user_emb", self.user_emb),
             ("entity_emb", self.entity_emb),
             ("relation_emb", self.relation_emb),
             ("intent_user", self.intent_user),
             ("intent_item", self.intent_item),
         ]
+
+    def named(self):
+        out = self._tables()
         for l, layer in enumerate(self.transformer):
             out.extend((f"transformer.l{l}.{name}", t) for name, t in layer.tensors())
         return out
 
     def layer_list(self, depth):
-        if self.share_transformer:
-            return [self.transformer[0]] * depth
+        """One layer per propagation step: the shared layer repeated, or the
+        first `depth` stored layers."""
+        if len(self.transformer) == 1:
+            return self.transformer * depth
         return self.transformer[:depth]
 
     def l2_term(self):
@@ -89,18 +100,35 @@ class ModelParameters:
         stacked = ad.concat([p for _, p in self.named()])
         return ad.sum_all(ad.mul(stacked, stacked))
 
+    def _checkpoint_views(self):
+        """Checkpoint entry name -> the view of the parameter values it holds."""
+        views = {name: p.values for name, p in self._tables()}
+        for l, layer in enumerate(self.transformer):
+            dh = layer.wq.values.shape[1] // layer.n_heads
+            for h in range(layer.n_heads):
+                for name, t in layer.tensors():
+                    views[f"transformer.l{l}.h{h}.{name}"] = t.values[:, h * dh:(h + 1) * dh].T
+        return views
+
     def copy_values(self):
-        return {name: p.values.copy() for name, p in self.named()}
+        return {name: view.copy() for name, view in self._checkpoint_views().items()}
 
     def load_values(self, blob):
-        for name, p in self.named():
+        """Overwrite every parameter from `blob`, or raise CheckpointError
+        without writing any when an entry is missing, misshapen or unknown."""
+        views = self._checkpoint_views()
+        for name, view in views.items():
             if name not in blob:
                 raise CheckpointError(f"checkpoint is missing parameter '{name}'")
-            if blob[name].shape != p.values.shape:
+            if blob[name].shape != view.shape:
                 raise CheckpointError(
-                    f"parameter '{name}' has shape {blob[name].shape}, expected {p.values.shape}"
+                    f"parameter '{name}' has shape {blob[name].shape}, expected {view.shape}"
                 )
-            p.values[...] = blob[name]
+        for name in blob:
+            if name not in views:
+                raise CheckpointError(f"the model lacks parameter '{name}' of the checkpoint")
+        for name, view in views.items():
+            view[...] = blob[name]
 
 
 class Adam:
@@ -115,11 +143,15 @@ class Adam:
         self.v = [np.zeros_like(p.values) for _, p in self.params]
 
     def step(self):
-        self.t += 1
-        for k, (name, p) in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.values)
+        """One update of every parameter; a non-finite gradient anywhere
+        raises TrainingDiverged before any value or moment changes."""
+        grads = [p.grad if p.grad is not None else np.zeros_like(p.values)
+                 for _, p in self.params]
+        for (name, _), g in zip(self.params, grads):
             if not np.isfinite(g).all():
                 raise TrainingDiverged(f"non-finite gradient in parameter '{name}'")
+        self.t += 1
+        for k, ((_, p), g) in enumerate(zip(self.params, grads)):
             self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
             self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
             m_hat = self.m[k] / (1.0 - self.beta1 ** self.t)

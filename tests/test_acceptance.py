@@ -85,11 +85,8 @@ def test_criterion_3_structural_invariants():
     # transformer mask: zero gradient onto never-interacted items
     rng = np.random.default_rng(0)
     graph = InteractionGraph(2, 3, [(0, 0), (0, 1), (1, 2)])
-    heads = [
-        intents.HeadProjections(*(ad.parameter(rng.normal(size=(2, 4)) * 0.4) for _ in range(3)))
-        for _ in range(2)
-    ]
-    params = intents.TransformerLayerParams(heads=heads)
+    params = intents.TransformerLayerParams(
+        *(ad.parameter(rng.normal(size=(4, 4)) * 0.4) for _ in range(3)), n_heads=2)
     items = ad.parameter(rng.normal(size=(3, 4)))
     with ad.Tape() as tape:
         new_u, _ = intents.transformer_layer(ad.constant(rng.normal(size=(2, 4))), items, params, graph)

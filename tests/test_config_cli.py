@@ -209,8 +209,9 @@ def test_train_zero_epochs_equals_initialization(tmp_path, synth_dir):
     fresh = training.ModelParameters.initialize(
         ds.n_users, ds.n_entities, ds.n_relations, cfg, np.random.default_rng(cfg.seed)
     )
-    for name, tensor in fresh.named():
-        np.testing.assert_array_equal(blob[name], tensor.values)
+    assert list(blob) == list(fresh.copy_values())
+    for name, values in fresh.copy_values().items():
+        np.testing.assert_array_equal(blob[name], values)
 
 
 def test_train_determinism_bitwise(tmp_path, synth_dir):
@@ -233,6 +234,25 @@ def test_evaluate_loads_checkpoint(tmp_path, synth_dir, capsys):
     ]) == 0
     assert (out2 / "report.csv").exists()
     assert "checkpoint" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("trained, evaluated", [
+    ([], ["--heads", "4"]),
+    ([], ["--heads", "1"]),
+    ([], ["--depth", "2"]),
+    (["--depth", "2"], []),
+])
+def test_evaluate_with_another_architecture_exits_2(tmp_path, synth_dir, capsys,
+                                                     trained, evaluated):
+    out = tmp_path / "run"
+    assert cli.main(["train", *_fast_flags(tmp_path, synth_dir, out), "--epochs", "0",
+                     *trained]) == 0
+    code = cli.main([
+        "evaluate", *_fast_flags(tmp_path, synth_dir, tmp_path / "e"),
+        "--checkpoint", str(out / "checkpoint.bin"), *evaluated,
+    ])
+    assert code == 2
+    assert "parameter 'transformer.l" in capsys.readouterr().err
 
 
 def test_evaluate_corrupt_checkpoint_nonzero_exit(tmp_path, synth_dir, capsys):

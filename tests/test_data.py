@@ -232,6 +232,25 @@ def test_interaction_graph_rejects_user_outside_graph(user):
     assert graph.has(1, 2) and not graph.has(1, 0)
 
 
+@pytest.mark.parametrize("item", [-1, 3, 2.5, True, np.float64(1.0)])
+def test_interaction_graph_rejects_item_outside_graph(item):
+    # has(0, -1), has(0, 3) and has(1, 2.5) once answered False
+    graph = data.InteractionGraph(2, 3, [(0, 0), (0, 1), (1, 2)])
+    with pytest.raises(DomainError, match=r"item .* is not (in \[0, 3\)|an integer)"):
+        graph.has(0, item)
+
+
+@pytest.mark.parametrize("user", [0.5, True, np.float64(0.0), "0"])
+def test_interaction_graph_rejects_user_that_is_not_an_integer(user):
+    # user_degree(0.5) once raised a raw IndexError, items_of(True) a raw TypeError
+    graph = data.InteractionGraph(2, 3, [(0, 0), (0, 1), (1, 2)])
+    for call in (lambda: graph.user_degree(user), lambda: graph.items_of(user),
+                 lambda: graph.has(user, 0)):
+        with pytest.raises(DomainError, match=r"user .* is not an integer"):
+            call()
+    assert graph.has(np.int64(1), np.int32(2)) and graph.user_degree(np.int64(0)) == 2
+
+
 def test_interaction_edges_cover_each_pair_once_per_direction():
     graph = data.InteractionGraph(4, 5, [(0, 0), (0, 2), (1, 2), (1, 4), (3, 1), (3, 0), (3, 4)])
     for edges, n_src, n_tgt, flip in ((graph.user_edges, 4, 5, False),

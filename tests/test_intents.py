@@ -12,18 +12,18 @@ from kgtn.gradcheck import check_gradients
 RNG = np.random.default_rng(7)
 
 
-def head_params(d, n_heads, identity=False):
-    dh = d // n_heads
-    heads = []
-    for h in range(n_heads):
-        if identity:
-            w = np.eye(d)[h * dh:(h + 1) * dh]
-            heads.append(intents.HeadProjections(*(ad.parameter(w.copy()) for _ in range(3))))
-        else:
-            heads.append(
-                intents.HeadProjections(*(ad.parameter(RNG.normal(size=(dh, d)) * 0.3) for _ in range(3)))
-            )
-    return intents.TransformerLayerParams(heads=heads)
+def head_params(d, n_heads):
+    """Stacked (d, d) projections; head h owns columns h*d/H .. (h+1)*d/H - 1."""
+    return intents.TransformerLayerParams(
+        *(ad.parameter(RNG.normal(size=(d, d)) * 0.3) for _ in range(3)), n_heads=n_heads)
+
+
+def head_blocks(params):
+    """Per head, its (wq, wk, wv) column blocks, each (d, d/H)."""
+    d = params.wq.values.shape[1]
+    dh = d // params.n_heads
+    return [tuple(w.values[:, h * dh:(h + 1) * dh] for w in (params.wq, params.wk, params.wv))
+            for h in range(params.n_heads)]
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ def test_transformer_single_item_gets_full_attention():
     users = ad.constant(RNG.normal(size=(1, d)))
     items = ad.constant(RNG.normal(size=(1, d)))
     new_u, _ = intents.transformer_layer(users, items, params, graph)
-    expected = np.concatenate([items.values @ h.wv.values.T for h in params.heads], axis=1)
+    expected = np.concatenate([items.values @ wv for _, _, wv in head_blocks(params)], axis=1)
     np.testing.assert_allclose(new_u.values, expected, atol=1e-12)
 
 
@@ -240,10 +240,9 @@ def test_transformer_matches_dense_oracle(n_heads):
     scale = 1.0 / np.sqrt(d / n_heads)
     # each head on its own, then the head outputs side by side
     exp_u, exp_i = [], []
-    for head in params.heads:
-        wq, wk, wv = head.wq.values, head.wk.values, head.wv.values
-        exp_u.append(_dense_attention(users @ wq.T, items @ wk.T, items @ wv.T, mask, scale))
-        exp_i.append(_dense_attention(items @ wq.T, users @ wk.T, users @ wv.T, mask.T, scale))
+    for wq, wk, wv in head_blocks(params):
+        exp_u.append(_dense_attention(users @ wq, items @ wk, items @ wv, mask, scale))
+        exp_i.append(_dense_attention(items @ wq, users @ wk, users @ wv, mask.T, scale))
     np.testing.assert_allclose(new_u.values, np.concatenate(exp_u, axis=1), atol=1e-10)
     np.testing.assert_allclose(new_i.values, np.concatenate(exp_i, axis=1), atol=1e-10)
 

@@ -49,8 +49,13 @@ def _dense_kg_aggregate(ents, rel, edges):
     return out
 
 
-def _dense_transformer(users, items, heads, graph, d):
-    scale = 1.0 / math.sqrt(d / len(heads))
+def _dense_transformer(users, items, layer, graph, d):
+    H = layer.n_heads
+    dh = d // H
+    scale = 1.0 / math.sqrt(dh)
+    # head h: its own column block of each stacked (d, d) projection
+    heads = [tuple(w.values[:, h * dh:(h + 1) * dh] for w in (layer.wq, layer.wk, layer.wv))
+             for h in range(H)]
 
     def one_side(src, dst, offsets, targets):
         out = src.copy()
@@ -60,12 +65,11 @@ def _dense_transformer(users, items, heads, graph, d):
                 continue
             tgt = targets[lo:hi]
             pieces = []
-            for head in heads:
-                wq, wk, wv = head.wq.values, head.wk.values, head.wv.values
-                q = wq @ src[node]
-                logits = np.array([q @ (wk @ dst[t]) for t in tgt]) * scale
+            for wq, wk, wv in heads:
+                q = src[node] @ wq
+                logits = np.array([q @ (dst[t] @ wk) for t in tgt]) * scale
                 alpha = _softmax(logits)
-                pieces.append(sum(a * (wv @ dst[t]) for a, t in zip(alpha, tgt)))
+                pieces.append(sum(a * (dst[t] @ wv) for a, t in zip(alpha, tgt)))
             out[node] = np.concatenate(pieces)
         return out
 
@@ -142,7 +146,7 @@ def test_training_step_loss_matches_dense_reimplementation():
     n_items = ds.n_items
 
     ent_agg = _dense_kg_aggregate(ents0, rel, ds.kg.full_edges())
-    u1, i1 = _dense_transformer(users0, ent_agg[:n_items], params.transformer[0].heads,
+    u1, i1 = _dense_transformer(users0, ent_agg[:n_items], params.transformer[0],
                                 ds.train_graph, cfg.embed_dim)
     ia_u = _mix(u1, cu)
     ia_i = _mix(i1, cv)

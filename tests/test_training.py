@@ -1,5 +1,6 @@
 """Prediction, losses, Adam, the fit loop, checkpoints, determinism."""
 import gc
+import hashlib
 import inspect
 import math
 import struct
@@ -152,6 +153,18 @@ def test_adam_rejects_nan_gradient_naming_parameter():
         opt.step()
 
 
+def test_adam_checks_every_gradient_before_updating_any():
+    # a NaN in the second tensor once left the first already stepped and t at 1
+    a, b = ad.parameter(np.array([1.0])), ad.parameter(np.array([2.0]))
+    opt = training.Adam([("a", a), ("b", b)], lr=0.1)
+    a.grad[...] = 1.0
+    b.grad[...] = np.nan
+    with pytest.raises(TrainingDiverged, match="'b'"):
+        opt.step()
+    assert a.values[0] == 1.0 and b.values[0] == 2.0 and opt.t == 0
+    assert not any(m.any() for m in opt.m) and not any(v.any() for v in opt.v)
+
+
 # ---------------------------------------------------------------------------
 # fit
 
@@ -252,6 +265,18 @@ def test_each_aggregation_is_one_node(tiny_dataset, depth, agg_depth):
     assert counts["gated_sum"] == depth + 2 * agg_depth
     assert counts["spmm"] == 2 * agg_depth
     assert not {"segment_sum_rows", "segment_softmax", "scale_rows"} & set(counts)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_step_restacks_no_projection(tiny_dataset, depth):
+    # the projections are stored stacked: the only transposes are the two
+    # prototype transposes of the intent readout, and the only concats join
+    # the items to the other entities (after each layer but the first, and
+    # at the readout) and stack the L2 term
+    counts = _step_tape(tiny_dataset, small_cfg(depth=depth))[0].op_counts()
+    assert tiny_dataset.n_entities > tiny_dataset.n_items
+    assert counts["transpose"] == 2
+    assert counts["concat"] == depth + 1
 
 
 def test_light_user_step_gathers_no_interaction_edges(tiny_dataset, monkeypatch):
@@ -544,6 +569,41 @@ def test_checkpoint_round_trip(tmp_path):
         np.testing.assert_array_equal(a.values, b.values)
 
 
+def test_checkpoint_bytes_of_a_seeded_initialization_are_pinned(tmp_path):
+    # digests taken while each head's projections were stored as their own
+    # (d/H, d) tensors: the stacked store writes the same bytes
+    digests = {}
+    for kw in (dict(depth=2, n_heads=2),
+               dict(depth=2, n_heads=4, share_transformer_weights=True),
+               dict(depth=0, n_heads=1)):
+        cfg = ExperimentConfig(embed_dim=8, n_intents=2, agg_depth=1, seed=5, **kw).validate()
+        p = training.ModelParameters.initialize(3, 5, 2, cfg, np.random.default_rng(11))
+        path = tmp_path / "model.bin"
+        training.save_checkpoint(path, p.copy_values())
+        digests[kw["n_heads"]] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == {
+        2: "bea720d87f9c9a7f9bc8f81b3ddc497e32bb1f561e659d0aecf5d94b8c07347f",
+        4: "12fa6353f50c86757c8e6e7f267705e5863c8124170df1436f8d7884807c5012",
+        1: "26b10ad6e6d0e3060268d4a19e30083d7bc32a369a54afdf2c7d9e908638810f",
+    }
+
+
+@pytest.mark.parametrize("saved, loaded", [
+    (dict(depth=2), dict(depth=1)),
+    (dict(depth=2), dict(depth=2, share_transformer_weights=True)),
+])
+def test_checkpoint_entry_the_model_lacks_is_a_checkpoint_error(saved, loaded):
+    # a depth-2 checkpoint once loaded into a depth-1 or a shared model,
+    # dropping the second layer without a word
+    blob = training.ModelParameters.initialize(
+        3, 5, 2, small_cfg(**saved), np.random.default_rng(1)).copy_values()
+    q = training.ModelParameters.initialize(3, 5, 2, small_cfg(**loaded), np.random.default_rng(9))
+    before = q.copy_values()
+    with pytest.raises(CheckpointError, match=r"lacks parameter 'transformer\.l1\.h0\.wq'"):
+        q.load_values(blob)
+    assert all(np.array_equal(v, q.copy_values()[k]) for k, v in before.items())
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
@@ -627,6 +687,36 @@ def test_parameter_names_are_unique():
     p = training.ModelParameters.initialize(3, 5, 2, cfg, np.random.default_rng(0))
     names = [name for name, _ in p.named()]
     assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("depth, share, n_layers", [(0, False, 1), (1, False, 1), (3, False, 3),
+                                                    (3, True, 1)])
+def test_each_layer_stores_three_stacked_projections(depth, share, n_layers):
+    cfg = small_cfg(depth=depth, n_heads=4, share_transformer_weights=share)
+    p = training.ModelParameters.initialize(3, 5, 2, cfg, np.random.default_rng(0))
+    names = [name for name, _ in p.named()]
+    assert names[5:] == [f"transformer.l{l}.{w}" for l in range(n_layers)
+                         for w in ("wq", "wk", "wv")]
+    for layer in p.transformer:
+        assert layer.n_heads == 4
+        for _, w in layer.tensors():
+            assert w.values.shape == (8, 8) and w.values.flags.c_contiguous
+    assert len(p.layer_list(depth)) == depth
+
+
+def test_checkpoint_entry_is_a_head_column_block_transposed():
+    cfg = small_cfg(depth=2, n_heads=4)
+    p = training.ModelParameters.initialize(3, 5, 2, cfg, np.random.default_rng(0))
+    blob = p.copy_values()
+    assert len(blob) == 5 + 2 * 4 * 3
+    layer = p.transformer[1]
+    np.testing.assert_array_equal(blob["transformer.l1.h2.wk"], layer.wk.values[:, 4:6].T)
+    assert blob["transformer.l1.h2.wk"].flags.c_contiguous
+    blob["transformer.l1.h2.wk"][...] = 7.0  # a copy: the model is untouched
+    assert not (layer.wk.values == 7.0).any()
+    p.load_values(blob)
+    assert (layer.wk.values[:, 4:6] == 7.0).all()
+    assert not (np.delete(layer.wk.values, [4, 5], axis=1) == 7.0).any()
 
 
 def test_shared_transformer_weights_reduce_parameter_count():
