@@ -3,14 +3,17 @@
 The operator set covers exactly what the recommender's forward pass needs:
 - arithmetic: `add`, `sub`, `mul` (elementwise, with scalar broadcast);
 - linear algebra: `matmul`, `transpose`;
-- layout: `gather_rows` (whose backward scatter-adds), `concat` (row-wise);
+- layout: `gather_rows` (whose backward scatter-adds), `slice_rows` (a
+  contiguous block of rows, whose backward is a slice add), `concat`
+  (row-wise);
 - neighborhood sums: `spmm`, a constant sparse matrix (cached by the graph
   that owns the structure) times a dense block, with a fallback row where
   the matrix row is empty;
 - fused edge operations, one node each over every edge of a graph:
   `edge_attention` (one direction of masked multi-head attention),
   `slot_attention` (the relation-aware KG slot weights) and `gated_sum`
-  (a sparse sum of relation-gated rows, optionally weighted per edge);
+  (the per-head mean of relation-gated KG rows, optionally weighted per
+  slot);
 - reductions: `sum_all`, `mean_all`, `rowsum`;
 - maps: `softmax`, `softplus`;
 - the contrastive objective: `infonce`, one fused node per InfoNCE term.
@@ -46,17 +49,31 @@ Backward does only the work a gradient needs:
   share a buffer. Later contributions are added in place.
 - Operands that are not grad-requiring tensors (constants, Python numbers)
   get no gradient computed at all.
-- The scatter behind `gather_rows` is one flat `np.bincount` over
-  `row * d + column`, summed into the table's gradient as a single block.
+- No op builds a sparse matrix per call. Every operator, transpose and
+  index set that depends only on a graph's structure is a fact of the
+  object that owns the structure, built on first use and kept with it:
+  `data.InteractionGraph` and its `EdgeList`s for the whole fit,
+  `data.KGEdges` for the fit (the full KG) or for one epoch (a pruned
+  view). A `SparseOperator` keeps its CSR transpose and the index of its
+  empty rows; `KGEdges` keeps its mean operator and the one-hot
+  `tail_sum` and `relation_sum` scatters; the (d, H) head indicator of
+  `edge_attention` is built once per (d, H). Each cached product sums in
+  the same order as what it replaces, so the gradients are bitwise equal.
+- A fallback receives the upstream gradient on the empty rows only, added
+  into those rows of its gradient buffer (a zero buffer is made first if
+  it has none); `slice_rows` adds into its own rows the same way. Neither
+  forms a full-size masked copy of the upstream gradient.
+- The scatter behind `gather_rows`, the one op that takes per-step batch
+  indices, is one flat `np.bincount` over `row * d + column`, summed into
+  the table's gradient as a single block.
 - The fused edge operations keep no (E, d) array between forward and
   backward, only their operands and per-edge weights: the (E, H)
   attention weights, the (E,) slot weights. Backward gathers the edge
   rows it needs again, which costs a few gathers and saves holding them
   on the tape for the whole step. Gradients onto the rows of a graph go
-  through its cached one-hot operators where it has them (the
-  interaction graph's `source_sum` and `target_sum`), through a segment
-  sum for the KG heads that group the slots, and otherwise through the
-  same bincount scatter as `gather_rows`.
+  through its cached one-hot operators (the interaction graph's
+  `source_sum` and `target_sum`, the KG's `tail_sum` and `relation_sum`)
+  or through a segment sum for the KG heads that group the slots.
 - `infonce` forms its operand gradients in the forward: its output is a
   scalar, so each gradient is a fixed (b, d) array times the upstream
   scalar. The (b, 2b) logit block is built, reduced and differentiated in
@@ -71,6 +88,7 @@ backward. Tape recording and backward are single-threaded per training step.
 from __future__ import annotations
 
 import math
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -330,7 +348,7 @@ def transpose(a):
 # indexing and layout
 
 
-def _row_index(index, name="gather_rows"):
+def _row_index(index):
     """A 1-d integer row index; an empty index of any dtype is allowed."""
     idx = np.asarray(index)
     if idx.ndim == 1 and idx.dtype.kind in "iu":
@@ -338,7 +356,7 @@ def _row_index(index, name="gather_rows"):
     if idx.size == 0:
         return np.zeros(0, dtype=np.intp)
     raise ShapeError(
-        f"{name}: index must be a 1-d integer array, got {idx.dtype} "
+        f"gather_rows: index must be a 1-d integer array, got {idx.dtype} "
         f"with shape {idx.shape}"
     )
 
@@ -363,6 +381,20 @@ def gather_rows(table, index):
     return out
 
 
+def slice_rows(table, start, stop):
+    """Rows `start` .. `stop - 1` of a matrix, as a copy.
+
+    Backward adds the gradient into those rows of the table's gradient and
+    touches no other row.
+    """
+    tv = _values(table)
+    if tv.ndim != 2 or not 0 <= start <= stop <= tv.shape[0]:
+        raise ShapeError(f"slice_rows: rows {start}..{stop} do not fit shape {tv.shape}")
+    out = Tensor(tv[start:stop].copy(), requires_grad=_needs_grad(table))
+    _record("slice_rows", out, lambda g: _accum_rows(table, slice(start, stop), g))
+    return out
+
+
 def _scatter_rows(index, rows, n):
     """(n, d) sums of `rows` by their row `index`: one flat bincount over
     `row * d + column`."""
@@ -371,24 +403,53 @@ def _scatter_rows(index, rows, n):
     return np.bincount(flat, weights=rows.ravel(), minlength=n * d).reshape(n, d)
 
 
-def _check_csr(name, matrix):
+class SparseOperator(sparse.csr_array):
+    """A constant CSR matrix that keeps what backward reads from it.
+
+    Its CSR transpose and the index of its empty rows are built on first use
+    and live as long as the matrix. The graphs build their propagation
+    operators as `SparseOperator`s and keep them, so each is built once per
+    structure. The transpose sums each row's entries in the same order as
+    `matrix.T @ g` does, so both products are bitwise equal.
+    """
+
+    @cached_property
+    def transposed(self):
+        return self.T.tocsr()
+
+    @cached_property
+    def empty_rows(self):
+        return np.flatnonzero(self.indptr[1:] == self.indptr[:-1])
+
+
+def _operator(name, matrix):
+    """`matrix` as a `SparseOperator`: itself, or a new one sharing its arrays."""
     if not (sparse.issparse(matrix) and matrix.format == "csr"):
         raise ContractError(
             f"{name}: matrix must be a constant CSR sparse matrix, got {type(matrix).__name__}"
         )
+    return matrix if isinstance(matrix, SparseOperator) else SparseOperator(matrix)
 
 
-def _fallback_rows(matrix, sums, fallback):
-    """Put `fallback` rows where `matrix` has an empty row; return the mask."""
-    empty = matrix.indptr[1:] == matrix.indptr[:-1]
-    if empty.any():
+def _fallback_rows(operator, sums, fallback):
+    """Put `fallback` rows where `operator` has an empty row."""
+    empty = operator.empty_rows
+    if empty.size:
         sums[empty] = fallback[empty]
-    return empty
 
 
-def _accum_fallback(fallback, g, empty):
-    if _tracked(fallback):
-        _accum(fallback, np.where(empty[:, None], g, 0.0), fresh=True)
+def _accum_rows(t, rows, g):
+    """Add `g` into rows `rows` (a slice or an index) of `t.grad`; the other
+    rows are left as they are."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.values)
+    t.grad[rows] += g
+
+
+def _accum_fallback(fallback, g, operator):
+    empty = operator.empty_rows
+    if _tracked(fallback) and empty.size:
+        _accum_rows(fallback, empty, g[empty])
 
 
 def spmm(matrix, x, fallback):
@@ -397,23 +458,24 @@ def spmm(matrix, x, fallback):
     Row i of the output is `(matrix @ x)[i]`, or `fallback[i]` when row i of
     `matrix` holds no entries. `matrix` is a constant scipy CSR matrix
     (n, m), `x` is (m, d) and `fallback` is (n, d). Backward gives
-    `matrix.T @ g` to `x` and `g` on the empty rows only to `fallback`.
+    `matrix.T @ g` to `x`, through the transpose a `SparseOperator` keeps,
+    and `g` on the empty rows only to `fallback`.
     """
-    _check_csr("spmm", matrix)
+    operator = _operator("spmm", matrix)
     xv, fv = _values(x), _values(fallback)
-    n, m = matrix.shape
+    n, m = operator.shape
     if xv.ndim != 2 or xv.shape[0] != m or fv.shape != (n, xv.shape[1]):
         raise ShapeError(
-            f"spmm: matrix {matrix.shape}, x {xv.shape} and fallback {fv.shape} do not fit"
+            f"spmm: matrix {operator.shape}, x {xv.shape} and fallback {fv.shape} do not fit"
         )
-    sums = matrix @ xv
-    empty = _fallback_rows(matrix, sums, fv)
+    sums = operator @ xv
+    _fallback_rows(operator, sums, fv)
     out = Tensor(sums, requires_grad=_needs_grad(x, fallback))
 
     def backward(g):
-        _accum_fallback(fallback, g, empty)
+        _accum_fallback(fallback, g, operator)
         if _tracked(x):
-            _accum(x, matrix.T @ g, fresh=True)
+            _accum(x, operator.transposed @ g, fresh=True)
 
     _record("spmm", out, backward)
     return out
@@ -440,37 +502,56 @@ def concat(parts):
 # gathers the (E, d) edge rows again there
 
 
+def _segments(offsets):
+    """Starts and lengths of the nonempty CSR segments, and their mask.
+
+    `np.add.reduceat` mishandles empty segments, so every segment reduction
+    runs over the nonempty ones only.
+    """
+    counts = np.diff(offsets)
+    nonempty = counts > 0
+    return offsets[:-1][nonempty], counts[nonempty], nonempty
+
+
 def _segsum(x, offsets):
-    # np.add.reduceat mishandles empty segments; route around them.
-    n = offsets.size - 1
-    out = np.zeros((n,) + x.shape[1:], dtype=np.float64)
-    nonempty = offsets[:-1] < offsets[1:]
-    if nonempty.any():
-        out[nonempty] = np.add.reduceat(x, offsets[:-1][nonempty], axis=0)
-    return out
-
-
-def _segmax(x, offsets):
-    n = offsets.size - 1
-    out = np.full((n,) + x.shape[1:], -np.inf, dtype=np.float64)
-    nonempty = offsets[:-1] < offsets[1:]
-    if nonempty.any():
-        out[nonempty] = np.maximum.reduceat(x, offsets[:-1][nonempty], axis=0)
+    """Sum of each CSR segment; an empty segment sums to zero."""
+    starts, _, nonempty = _segments(offsets)
+    out = np.zeros((nonempty.size,) + x.shape[1:], dtype=np.float64)
+    if starts.size:
+        out[nonempty] = np.add.reduceat(x, starts, axis=0)
     return out
 
 
 def _segment_softmax(logits, offsets):
-    """Softmax of each column within every CSR segment, max-shifted."""
-    counts = np.diff(offsets)
-    shifted = logits - np.repeat(_segmax(logits, offsets), counts, axis=0)
+    """Softmax of each column within every CSR segment, max-shifted.
+
+    Each reduction covers the nonempty segments and is repeated back over
+    their rows; an empty segment has no rows to fill.
+    """
+    starts, counts, _ = _segments(offsets)
+    shifted = logits - np.repeat(np.maximum.reduceat(logits, starts, axis=0), counts, axis=0)
     e = np.exp(shifted)
-    return e / np.repeat(_segsum(e, offsets), counts, axis=0)
+    return e / np.repeat(np.add.reduceat(e, starts, axis=0), counts, axis=0)
 
 
 def _segment_softmax_backward(g, s, offsets):
     """Gradient on the logits of `s = _segment_softmax(logits, offsets)`."""
-    inner = np.repeat(_segsum(g * s, offsets), np.diff(offsets), axis=0)
+    starts, counts, _ = _segments(offsets)
+    inner = np.repeat(np.add.reduceat(g * s, starts, axis=0), counts, axis=0)
     return s * (g - inner)
+
+
+@lru_cache(maxsize=8)
+def _head_blocks(d, n_heads):
+    """The (d, H) head indicator and its copy scaled by 1 / sqrt(d/H), read-only.
+
+    `(q * k) @ scaled` gives one scaled logit column per head, and
+    `alpha @ blocks.T` spreads each head's weight over its value columns.
+    """
+    blocks = np.repeat(np.eye(n_heads), d // n_heads, axis=0)
+    scaled = blocks * (1.0 / math.sqrt(d / n_heads))
+    blocks.flags.writeable = scaled.flags.writeable = False
+    return blocks, scaled
 
 
 def edge_attention(queries, keys, values, fallback, edges, n_heads):
@@ -492,7 +573,8 @@ def edge_attention(queries, keys, values, fallback, edges, n_heads):
     `edges.source_sum`, the target-side ones through `edges.target_sum`.
     """
     qv, kv, vv, fv = (_values(t) for t in (queries, keys, values, fallback))
-    sums_to_source, sums_to_target = edges.source_sum, edges.target_sum
+    sums_to_source = _operator("edge_attention", edges.source_sum)
+    sums_to_target = edges.target_sum
     if (qv.ndim != 2 or kv.shape != (sums_to_target.shape[0], qv.shape[1])
             or vv.shape != kv.shape or fv.shape != qv.shape
             or qv.shape[0] != sums_to_source.shape[0]):
@@ -505,10 +587,7 @@ def edge_attention(queries, keys, values, fallback, edges, n_heads):
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"head count {n_heads} must divide embedding size {d}")
     src, tgt, offsets = edges.source, edges.target, edges.offsets
-    # (d, H) head indicator: (q * k) @ blocks gives one column per head and
-    # alpha @ blocks.T spreads each head's weight over its value columns
-    blocks = np.repeat(np.eye(n_heads), d // n_heads, axis=0)
-    scaled = blocks * (1.0 / math.sqrt(d / n_heads))
+    blocks, scaled = _head_blocks(d, n_heads)
     prod = qv[src]
     prod *= kv[tgt]
     alpha = _segment_softmax(prod @ scaled, offsets)
@@ -517,11 +596,11 @@ def edge_attention(queries, keys, values, fallback, edges, n_heads):
     msg *= alpha @ blocks.T
     sums = sums_to_source @ msg
     del msg
-    empty = _fallback_rows(sums_to_source, sums, fv)
+    _fallback_rows(sums_to_source, sums, fv)
     out = Tensor(sums, requires_grad=_needs_grad(queries, keys, values, fallback))
 
     def backward(g):
-        _accum_fallback(fallback, g, empty)
+        _accum_fallback(fallback, g, sums_to_source)
         g_edge = g[src]
         if _tracked(values):
             _accum(values, sums_to_target @ (g_edge * (alpha @ blocks.T)), fresh=True)
@@ -540,21 +619,28 @@ def edge_attention(queries, keys, values, fallback, edges, n_heads):
     return out
 
 
+def _check_kg_tables(name, entity, relation, edges):
+    if (entity.ndim != 2 or relation.ndim != 2 or entity.shape[1] != relation.shape[1]
+            or entity.shape[0] != edges.offsets.size - 1
+            or relation.shape[0] != edges.n_relations):
+        raise ShapeError(
+            f"{name}: entities {entity.shape} and relations {relation.shape} do not fit "
+            f"{edges.offsets.size - 1} heads and {edges.n_relations} relations"
+        )
+
+
 def slot_attention(entity, relation, edges):
     """Relation-aware attention weight of every knowledge-graph slot.
 
     `edges` is a `data.KGEdges`, its slots grouped by head along
     `edges.offsets`. The weight of slot (h, r, t) is the softmax, over head
     h's slots, of its logit `edges.slot_logits`: e_h . e_t + e_r . e_r.
-    Only the (E,) weights are kept; backward gathers the slot rows again.
+    Only the (E,) weights are kept; backward gathers the slot rows again and
+    scatters them through the edges' one-hot `tail_sum` and `relation_sum`.
     """
     ev, rv = _values(entity), _values(relation)
+    _check_kg_tables("slot_attention", ev, rv, edges)
     offsets = edges.offsets
-    if ev.ndim != 2 or rv.ndim != 2 or ev.shape[1] != rv.shape[1] or ev.shape[0] != offsets.size - 1:
-        raise ShapeError(
-            f"slot_attention: entities {ev.shape} and relations {rv.shape} do not fit "
-            f"{offsets.size - 1} heads"
-        )
     beta = _segment_softmax(edges.slot_logits(ev, rv), offsets)
     out = Tensor(beta, requires_grad=_needs_grad(entity, relation))
 
@@ -562,60 +648,59 @@ def slot_attention(entity, relation, edges):
         d_logits = _segment_softmax_backward(g, beta, offsets)[:, None]
         if _tracked(entity):
             grad = _segsum(d_logits * ev[edges.tail], offsets)  # heads own the segments
-            grad += _scatter_rows(edges.tail, d_logits * ev[edges.head], ev.shape[0])
+            grad += edges.tail_sum @ (d_logits * ev[edges.head])
             _accum(entity, grad, fresh=True)
         if _tracked(relation):
             rows = rv[edges.rel]
             rows *= 2.0 * d_logits
-            _accum(relation, _scatter_rows(edges.rel, rows, rv.shape[0]), fresh=True)
+            _accum(relation, edges.relation_sum @ rows, fresh=True)
 
     _record("slot_attention", out, backward)
     return out
 
 
-def gated_sum(operator, gate, gate_index, table, table_index, fallback, weight=None):
-    """Sparse sum of gated rows, `operator @ (gate[gate_index] * table[table_index])`.
+def gated_sum(edges, gate, table, fallback, weight=None):
+    """Mean over each head's slots of relation-gated rows.
 
-    Edge e's message is gate row `gate_index[e]` times table row
-    `table_index[e]`, scaled by `weight[e]` when an (E,) `weight` is given.
-    `operator` is a constant (n, E) CSR matrix; row i of the output is row i
-    of the product, or `fallback[i]` where row i of `operator` is empty.
-    Only the operands are kept; backward gathers the edge rows again.
+    `edges` is a `data.KGEdges`. Slot e's message is row `edges.rel[e]` of
+    the (relations, d) `gate` times row `edges.tail[e]` of the
+    (entities, d) `table`, scaled by `weight[e]` when an (E,) `weight` is
+    given. Row h of the output is the mean of head h's messages, summed by
+    the edges' `mean_operator`, or `fallback[h]` where head h has no slots.
+    Only the operands are kept; backward gathers the slot rows again and
+    scatters them through the edges' one-hot `relation_sum` and `tail_sum`.
     """
-    _check_csr("gated_sum", operator)
     gv, tv, fv = _values(gate), _values(table), _values(fallback)
-    gidx, tidx = _row_index(gate_index, "gated_sum"), _row_index(table_index, "gated_sum")
     wv = None if weight is None else _values(weight)
-    n, n_edges = operator.shape
-    if (gv.ndim != 2 or tv.ndim != 2 or gv.shape[1] != tv.shape[1]
-            or fv.shape != (n, tv.shape[1]) or gidx.shape != (n_edges,)
-            or tidx.shape != (n_edges,) or (wv is not None and wv.shape != (n_edges,))):
+    _check_kg_tables("gated_sum", tv, gv, edges)
+    if fv.shape != tv.shape or (wv is not None and wv.shape != (edges.n_edges,)):
         raise ShapeError(
-            f"gated_sum: operator {operator.shape}, gate {gv.shape}, table {tv.shape}, "
-            f"fallback {fv.shape} and {n_edges} edges do not fit"
+            f"gated_sum: fallback {fv.shape} must match table {tv.shape}, and a weight "
+            f"must hold one value per slot ({edges.n_edges})"
         )
-    msg = gv[gidx]
-    msg *= tv[tidx]
+    operator = edges.mean_operator
+    msg = gv[edges.rel]
+    msg *= tv[edges.tail]
     if wv is not None:
         msg *= wv[:, None]
     sums = operator @ msg
     del msg
-    empty = _fallback_rows(operator, sums, fv)
+    _fallback_rows(operator, sums, fv)
     out = Tensor(sums, requires_grad=_needs_grad(gate, table, fallback, weight))
 
     def backward(g):
-        _accum_fallback(fallback, g, empty)
-        g_edge = operator.T @ g
-        gate_rows, table_rows = gv[gidx], tv[tidx]
+        _accum_fallback(fallback, g, operator)
+        g_edge = operator.transposed @ g
+        gate_rows, table_rows = gv[edges.rel], tv[edges.tail]
         if _tracked(weight):
             _accum(weight, (g_edge * (gate_rows * table_rows)).sum(axis=1), fresh=True)
         if wv is not None:
             g_edge *= wv[:, None]
         if _tracked(gate):
-            _accum(gate, _scatter_rows(gidx, g_edge * table_rows, gv.shape[0]), fresh=True)
+            _accum(gate, edges.relation_sum @ (g_edge * table_rows), fresh=True)
         if _tracked(table):
             g_edge *= gate_rows
-            _accum(table, _scatter_rows(tidx, g_edge, tv.shape[0]), fresh=True)
+            _accum(table, edges.tail_sum @ g_edge, fresh=True)
 
     _record("gated_sum", out, backward)
     return out

@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
+from .autodiff import SparseOperator
 from .errors import ConfigError, DataFormatError, DomainError
 
 
@@ -28,12 +29,18 @@ from .errors import ConfigError, DataFormatError, DomainError
 
 @dataclass
 class KGEdges:
-    """Flat CSR view of knowledge-graph adjacency, grouped by head entity."""
+    """Flat CSR view of knowledge-graph adjacency, grouped by head entity.
+
+    The operators below are built on first use and kept with these edges:
+    for the whole fit on `kg.full_edges()`, for one epoch on a sampled
+    view's edges.
+    """
 
     offsets: np.ndarray   # (n_entities + 1,)
     rel: np.ndarray       # (E,)
     tail: np.ndarray      # (E,)
     head: np.ndarray      # (E,) = repeat(arange(n), counts)
+    n_relations: int
 
     @property
     def n_edges(self):
@@ -45,12 +52,18 @@ class KGEdges:
 
     @cached_property
     def mean_operator(self):
-        """(n, E) CSR matrix of the block means: row i averages head i's slots.
-
-        Built on first use and kept with these edges: for the whole fit on
-        `kg.full_edges()`, for one epoch on a sampled view's edges.
-        """
+        """(n, E) CSR matrix of the block means: row i averages head i's slots."""
         return block_operator(self.offsets, 1.0 / np.maximum(self.counts, 1))
+
+    @cached_property
+    def tail_sum(self):
+        """(n, E) one-hot operator summing slot rows onto their tail entities."""
+        return one_hot_operator(self.tail, self.offsets.size - 1)
+
+    @cached_property
+    def relation_sum(self):
+        """(relations, E) one-hot operator summing slot rows onto their relations."""
+        return one_hot_operator(self.rel, self.n_relations)
 
     def slot_logits(self, entity, relation):
         """Relation-aware attention logit e_h . e_t + e_r . e_r of every slot.
@@ -71,9 +84,19 @@ def block_operator(offsets, weights):
     """
     counts = np.diff(offsets)
     n_edges = int(offsets[-1])
-    return sparse.csr_array(
+    return SparseOperator(
         (np.repeat(weights, counts), np.arange(n_edges), np.array(offsets)),
         shape=(counts.size, n_edges),
+    )
+
+
+def one_hot_operator(keys, n_keys):
+    """(n_keys, E) CSR matrix whose product with E stacked rows sums row e
+    onto row `keys[e]`, each sum in ascending e: bitwise the same sums as a
+    flat `np.bincount` over `keys[e] * d + column`."""
+    return SparseOperator(
+        (np.ones(keys.size), np.argsort(keys, kind="stable"), csr_offsets(keys, n_keys)),
+        shape=(n_keys, keys.size),
     )
 
 
@@ -122,47 +145,32 @@ class InteractionGraph:
     def user_mean(self):
         """(users, items) CSR matrix: row u averages the items of user u."""
         degree = np.diff(self.u_offsets)
-        return sparse.csr_array(
+        return SparseOperator(
             (np.repeat(1.0 / np.maximum(degree, 1), degree), np.array(self.u_items),
              np.array(self.u_offsets)),
             shape=(self.n_users, self.n_items),
         )
 
-    def _item_major(self):
-        """Position in the user-major edge list of each item-major edge."""
-        return np.lexsort((self.pairs[:, 0], self.pairs[:, 1]))
-
     @cached_property
     def user_edges(self):
         """User-major edges: each user's block of interacted items."""
-        n_edges = self.n_interactions
         return EdgeList(
             offsets=self.u_offsets,
             source=np.ascontiguousarray(self.pairs[:, 0]),
             target=self.u_items,
             source_sum=block_operator(self.u_offsets, np.ones(self.n_users)),
-            target_sum=sparse.csr_array(
-                (np.ones(n_edges), self._item_major(), np.array(self.i_offsets)),
-                shape=(self.n_items, n_edges),
-            ),
+            target_sum=one_hot_operator(self.u_items, self.n_items),
         )
 
     @cached_property
     def item_edges(self):
         """Item-major edges: each item's block of interacting users."""
-        n_edges = self.n_interactions
-        order = self._item_major()
-        position = np.empty(n_edges, dtype=np.int64)
-        position[order] = np.arange(n_edges)
         return EdgeList(
             offsets=self.i_offsets,
-            source=self.pairs[order, 1],
+            source=np.repeat(np.arange(self.n_items), np.diff(self.i_offsets)),
             target=self.i_users,
             source_sum=block_operator(self.i_offsets, np.ones(self.n_items)),
-            target_sum=sparse.csr_array(
-                (np.ones(n_edges), position, np.array(self.u_offsets)),
-                shape=(self.n_users, n_edges),
-            ),
+            target_sum=one_hot_operator(self.i_users, self.n_users),
         )
 
     def user_degree(self, u):
@@ -228,6 +236,7 @@ class KnowledgeGraph:
             rel=triples[order, 1] if triples.size else np.array([], dtype=np.int64),
             tail=triples[order, 2] if triples.size else np.array([], dtype=np.int64),
             head=heads,
+            n_relations=self.n_relations,
         )
 
     @property

@@ -53,8 +53,10 @@ def sample_gumbel(rng, size):
 class SampledGraphView:
     """One epoch's sampled knowledge view: the only record of the kept slots.
 
-    The knowledge graph itself is never written; `edges` is a fresh CSR
-    restricted to the kept slots, in full slot order.
+    The knowledge graph itself is never written. When top-k keeps every slot,
+    `edges` is the graph's own `kg.full_edges()`, whose cached operators
+    then serve the whole fit; otherwise it is a fresh CSR restricted to the
+    kept slots, in full slot order.
     """
 
     kept: np.ndarray        # (T,) bool over full slot order
@@ -66,26 +68,35 @@ def full_view(kg):
     return SampledGraphView(kept=np.ones(kg.n_triples, dtype=bool), edges=kg.full_edges())
 
 
+def keeps_every_slot(kg, k_top):
+    """Whether top-k keeps every slot: no head has more than `k_top` slots.
+
+    Then sampling needs no scores and draws no noise.
+    """
+    if k_top is not None and k_top < 1:
+        raise ContractError(f"k_top must be at least 1, got {k_top}")
+    return k_top is None or k_top >= int(kg.full_edges().counts.max(initial=0))
+
+
 def sample_topk(kg, entity_vals, relation_vals, k_top, rng):
     """Keep at most `k_top` slots per head entity, Gumbel-perturbed.
 
     `entity_vals`/`relation_vals` are plain arrays (the selection is a
     stop-gradient structural decision). Ties in the perturbed score break
     toward the lower slot index. Deterministic under a seeded generator.
+    When `keeps_every_slot` holds, this is `full_view(kg)` and the
+    generator is not used.
     """
-    if k_top is not None and k_top < 1:
-        raise ContractError(f"k_top must be at least 1, got {k_top}")
+    if keeps_every_slot(kg, k_top):
+        return full_view(kg)
     edges = kg.full_edges()
     n_edges = edges.n_edges
-    if k_top is None or k_top >= int(edges.counts.max(initial=0)):
-        kept = np.ones(n_edges, dtype=bool)
-    else:
-        logits = edges.slot_logits(np.asarray(entity_vals), np.asarray(relation_vals))
-        perturbed = logits + sample_gumbel(rng, n_edges)
-        order = np.lexsort((np.arange(n_edges), -perturbed, edges.head))
-        rank_in_head = np.arange(n_edges) - np.repeat(edges.offsets[:-1], edges.counts)
-        kept = np.empty(n_edges, dtype=bool)
-        kept[order] = rank_in_head < k_top
+    logits = edges.slot_logits(np.asarray(entity_vals), np.asarray(relation_vals))
+    perturbed = logits + sample_gumbel(rng, n_edges)
+    order = np.lexsort((np.arange(n_edges), -perturbed, edges.head))
+    rank_in_head = np.arange(n_edges) - np.repeat(edges.offsets[:-1], edges.counts)
+    kept = np.empty(n_edges, dtype=bool)
+    kept[order] = rank_in_head < k_top
 
     head = edges.head[kept]
     masked = KGEdges(
@@ -93,6 +104,7 @@ def sample_topk(kg, entity_vals, relation_vals, k_top, rng):
         rel=edges.rel[kept],
         tail=edges.tail[kept],
         head=head,
+        n_relations=edges.n_relations,
     )
     return SampledGraphView(kept=kept, edges=masked)
 
@@ -127,24 +139,23 @@ def light_aggregate(user_seed, entity_seed, relation_emb, view_edges, graph, dep
     """Parameter-free propagation over the sampled KG and interaction graph.
 
     Entities average relation-gated kept neighbors, one `gated_sum` node
-    with the view edges' cached mean operator; users average their
-    interacted items' previous-layer values, one `spmm` with the graph's
-    cached mean operator over the item rows each layer gathers for the
-    stack anyway. Nodes with no active edges pass through unchanged.
-    Returns all layers 0..depth.
+    over the view's edges; users average their interacted items'
+    previous-layer values, one `spmm` with the graph's cached mean operator
+    over the item rows each layer slices off for the stack anyway. Nodes
+    with no active edges pass through unchanged. Returns all layers
+    0..depth.
     """
-    item_idx = np.arange(graph.n_items)  # item ids are the entity prefix
+    n_items = graph.n_items  # item ids are the entity prefix
     zu = [user_seed]
     ze = [entity_seed]
-    zi = [ad.gather_rows(entity_seed, item_idx)]
+    zi = [ad.slice_rows(entity_seed, 0, n_items)]
     for _ in range(depth):
         z = ze[-1]
         if view_edges.n_edges:
-            z = ad.gated_sum(view_edges.mean_operator, relation_emb, view_edges.rel,
-                             z, view_edges.tail, z)
+            z = ad.gated_sum(view_edges, relation_emb, z, z)
         zu.append(ad.spmm(graph.user_mean, zi[-1], zu[-1]))
         ze.append(z)
-        zi.append(ad.gather_rows(z, item_idx))
+        zi.append(ad.slice_rows(z, 0, n_items))
     return LayerStack(users=zu, items=zi)
 
 

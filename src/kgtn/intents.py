@@ -84,8 +84,7 @@ def kg_aggregate(entity_emb, relation_emb, edges):
     if edges.n_edges == 0:
         return entity_emb
     beta = ad.slot_attention(entity_emb, relation_emb, edges)
-    return ad.gated_sum(edges.mean_operator, relation_emb, edges.rel, entity_emb, edges.tail,
-                        entity_emb, weight=beta)
+    return ad.gated_sum(edges, relation_emb, entity_emb, entity_emb, weight=beta)
 
 
 def transformer_layer(user_emb, item_emb, params, graph):
@@ -116,13 +115,12 @@ def forward_global(user_emb, entity_emb, relation_emb, proto_user, proto_item,
     propagated users and items over the intent prototypes; with no layers
     it mixes the base embeddings. Only what the readout needs is recorded.
     """
-    rest_idx = np.arange(graph.n_items, entity_emb.values.shape[0])
-    item_idx = np.arange(graph.n_items)
+    n_items, n_entities = graph.n_items, entity_emb.values.shape[0]
 
     def join(items, source):
-        if not rest_idx.size:
+        if n_items == n_entities:
             return items
-        return ad.concat([items, ad.gather_rows(source, rest_idx)])
+        return ad.concat([items, ad.slice_rows(source, n_items, n_entities)])
 
     # The current entities are `items` followed by the non-item rows of
     # `source`; `items` is None while they are still `entity_emb` itself.
@@ -130,8 +128,8 @@ def forward_global(user_emb, entity_emb, relation_emb, proto_user, proto_item,
     for layer in layer_params:
         p_e = source if items is None else join(items, source)
         source = kg_aggregate(p_e, relation_emb, kg_edges)
-        p_u, items = transformer_layer(p_u, ad.gather_rows(source, item_idx), layer, graph)
+        p_u, items = transformer_layer(p_u, ad.slice_rows(source, 0, n_items), layer, graph)
     if items is None:
-        items = ad.gather_rows(entity_emb, item_idx)
+        items = ad.slice_rows(entity_emb, 0, n_items)
     return GlobalState(users=intent_mix(p_u, proto_user),
                        entities=join(intent_mix(items, proto_item), source))

@@ -5,7 +5,7 @@ intent propagation over the intact KG, light aggregation of the global
 (and, when the contrastive weight is nonzero, local) track over the
 epoch's sampled view, pairwise ranking loss over the batch, the
 layer-wise contrastive term, and L2 over every parameter. The knowledge
-view is redrawn once per epoch, between steps, as a fresh
+view is redrawn once per epoch, between steps, as a
 `denoise.SampledGraphView`; the dataset's knowledge graph is only read.
 """
 from __future__ import annotations
@@ -320,7 +320,8 @@ def fit(cfg, dataset):
     """Train on the dataset's train split; returns parameters and the log.
 
     Per epoch: redraw the knowledge view from the current intent-aware
-    representations, resample one ranking negative per positive, then sweep
+    representations (unless top-k keeps every slot, when the view is the
+    whole KG throughout), resample one ranking negative per positive, then sweep
     shuffled batches recording forward/backward and applying Adam. Early
     stopping watches eval AUC with the configured patience and restores the
     best parameters. Non-finite losses or gradients abort with the last
@@ -342,9 +343,11 @@ def fit(cfg, dataset):
     best_values = None
     last_good = params.copy_values()
     stopped = False
+    # a top-k that keeps every slot needs no scores: the view is the whole KG
+    resample = cfg.sample_knowledge and not denoise.keeps_every_slot(dataset.kg, cfg.k_top)
 
     for epoch in range(cfg.epochs):
-        if cfg.sample_knowledge and dataset.kg.n_triples:
+        if resample:
             entity_vals = global_state(params, dataset, cfg).entities.values
             view = denoise.sample_topk(
                 dataset.kg, entity_vals, params.relation_emb.values, cfg.k_top, rng

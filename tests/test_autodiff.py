@@ -303,6 +303,56 @@ def test_gather_rows_scatter_into_nonzero_grad():
     np.testing.assert_allclose(t.grad, oracle, rtol=0, atol=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# slice_rows: a contiguous block of rows
+
+
+@pytest.mark.parametrize("start, stop", [(0, 4), (2, 6), (1, 3), (0, 6), (3, 3)])
+def test_slice_rows_finite_difference(start, stop):
+    t = ad.parameter(RNG.normal(size=(6, 3)))
+    w = ad.constant(RNG.normal(size=(stop - start, 3)))
+    fd_check(lambda: ad.sum_all(ad.mul(ad.slice_rows(t, start, stop), w)), [("t", t)], tol=1e-7)
+
+
+def test_slice_rows_copies_its_rows():
+    # Adam writes parameters in place, so a slice must not see later writes
+    t = ad.parameter(RNG.normal(size=(5, 3)))
+    rows = t.values[1:4].copy()
+    out = ad.slice_rows(t, 1, 4)
+    assert not np.shares_memory(out.values, t.values)
+    t.values -= 1.0
+    np.testing.assert_array_equal(out.values, rows)
+
+
+def test_slice_rows_sends_gradient_only_to_its_rows():
+    start = RNG.normal(size=(6, 2))
+    t = ad.parameter(np.zeros((6, 2)))
+    t.grad[...] = start
+    upstream = RNG.normal(size=(2, 2))
+    with ad.Tape() as tape:
+        mid = ad.mul(t, 1.0)  # an intermediate table without a grad buffer
+        loss = ad.sum_all(ad.mul(ad.slice_rows(t, 3, 5), ad.constant(upstream)))
+        loss = loss + ad.sum_all(ad.mul(ad.slice_rows(mid, 0, 2), ad.constant(upstream)))
+    tape.backward(loss)
+    expect = start.copy()
+    expect[3:5] += upstream
+    expect[0:2] += upstream
+    assert t.grad.tobytes() == expect.tobytes()
+
+
+def test_slice_rows_rejects_rows_outside_the_table():
+    t = ad.constant(np.ones((4, 2)))
+    for start, stop in ((-1, 2), (2, 5), (3, 2)):
+        with pytest.raises(ShapeError, match="slice_rows"):
+            ad.slice_rows(t, start, stop)
+    with pytest.raises(ShapeError, match="slice_rows"):
+        ad.slice_rows(ad.constant(np.ones(4)), 0, 2)
+
+
+# ---------------------------------------------------------------------------
+# spmm
+
+
 def _csr(dense):
     return sparse.csr_array(np.asarray(dense, dtype=np.float64))
 
@@ -548,8 +598,7 @@ def test_slot_attention_and_gated_sum_match_dense_oracle():
     np.testing.assert_allclose(beta, [want[slot] for slot in slots], rtol=0, atol=1e-14)
     fallback = RNG.normal(size=(6, 3))
     for weight in (None, beta):
-        out = ad.gated_sum(edges.mean_operator, rel, edges.rel, ent, edges.tail, fallback,
-                           weight=weight).values
+        out = ad.gated_sum(edges, rel, ent, fallback, weight=weight).values
         expect = fallback.copy()
         for head in range(6):
             msgs = [(1.0 if weight is None else want[(h, r, t)]) * rel[r] * ent[t]
@@ -585,8 +634,7 @@ def test_gated_sum_finite_difference_through_every_input(weighted):
     weight = ad.parameter(RNG.uniform(0.5, 1.5, size=edges.n_edges)) if weighted else None
     named = [("gate", gate), ("table", table), ("fallback", fallback)]
     w = RNG.normal(size=(6, 3))
-    fd_check(lambda: ad.sum_all(ad.mul(ad.gated_sum(edges.mean_operator, gate, edges.rel, table,
-                                                    edges.tail, fallback, weight), w)),
+    fd_check(lambda: ad.sum_all(ad.mul(ad.gated_sum(edges, gate, table, fallback, weight), w)),
              named + ([("weight", weight)] if weighted else []), tol=1e-7)
     # the fallback gradient reaches only the three heads without slots
     assert np.flatnonzero(np.abs(fallback.grad).sum(axis=1)).tolist() == [1, 4, 5]
@@ -601,7 +649,7 @@ def test_knowledge_pool_finite_difference_with_shared_entity_table():
 
     def build():
         beta = ad.slot_attention(ent, rel, edges)
-        pooled = ad.gated_sum(edges.mean_operator, rel, edges.rel, ent, edges.tail, ent, beta)
+        pooled = ad.gated_sum(edges, rel, ent, ent, beta)
         return ad.sum_all(ad.mul(pooled, w))
 
     fd_check(build, [("ent", ent), ("rel", rel)], tol=1e-7)
@@ -610,14 +658,13 @@ def test_knowledge_pool_finite_difference_with_shared_entity_table():
 def test_gated_sum_rejects_bad_operands():
     _, edges = _edge_fixture()
     gate, table = np.ones((3, 3)), np.ones((6, 3))
-    with pytest.raises(ContractError):
-        ad.gated_sum(edges.mean_operator.toarray(), gate, edges.rel, table, edges.tail, table)
-    for args in ((gate, edges.rel, table, edges.tail, np.ones((5, 3))),
-                 (np.ones((3, 2)), edges.rel, table, edges.tail, table),
-                 (gate, edges.rel[:-1], table, edges.tail, table),
-                 (gate, edges.rel, table, edges.tail, table, np.ones(2))):
+    for args in ((gate, table, np.ones((5, 3))),
+                 (np.ones((3, 2)), table, table),
+                 (np.ones((2, 3)), table, table),
+                 (gate, np.ones((5, 3)), np.ones((5, 3))),
+                 (gate, table, table, np.ones(2))):
         with pytest.raises(ShapeError, match="gated_sum"):
-            ad.gated_sum(edges.mean_operator, *args)
+            ad.gated_sum(edges, *args)
 
 
 def test_concat_round_trip_rows():
@@ -919,8 +966,9 @@ def test_constants_receive_no_gradient():
         h = ad.sub(consts[2], h)
         h = ad.matmul(consts[3], h)
         # constant gate and edge weight, tracked table
-        h = ad.gated_sum(sparse.csr_array(np.ones((3, 2))), consts[0], np.array([0, 1]), h,
-                         np.array([2, 0]), consts[1], weight=w)
+        edges = KnowledgeGraph(np.array([[0, 0, 2], [1, 1, 0]]), n_entities=3,
+                               n_relations=3).full_edges()
+        h = ad.gated_sum(edges, consts[0], h, consts[1], weight=w)
         loss = ad.sum_all(ad.mul(h, 0.5))
     tape.backward(loss)
     assert all(c.grad is None for c in consts) and w.grad is None

@@ -4,7 +4,7 @@ import pytest
 from scipy.stats import chisquare
 
 from kgtn import autodiff as ad
-from kgtn import data, training
+from kgtn import data, denoise, training
 from kgtn.config import ExperimentConfig
 from kgtn.errors import ConfigError, DataFormatError, DomainError
 
@@ -163,8 +163,12 @@ def test_generated_kg_files_load(tmp_path, args):
 def test_pruning_fit_never_writes_kg_or_split(fingerprint):
     ds = _dataset40()
     assert ds.kg.full_edges().counts.max() > 1  # so k_top = 1 really prunes
-    graph = ds.train_graph  # fill the lazy caches so their arrays are compared too
-    graph.user_mean, graph.user_edges, graph.item_edges, ds.kg.full_edges().mean_operator
+    graph, edges = ds.train_graph, ds.kg.full_edges()
+    # fill the lazy caches so their arrays are compared too
+    for op in (graph.user_mean, graph.user_edges.source_sum, graph.item_edges.source_sum,
+               edges.mean_operator):
+        op.transposed, op.empty_rows
+    edges.tail_sum, edges.relation_sum
     before = fingerprint(ds)  # split, KG, its CSR edges, the train graph and their operators
     cfg = ExperimentConfig(embed_dim=8, n_intents=2, n_heads=2, agg_depth=1, k_top=1,
                            batch_size=64, epochs=2, seed=7).validate()
@@ -192,7 +196,7 @@ def test_propagation_operators_leave_the_structure_unchanged():
     arrays = [ds.kg.triples, edges.offsets, edges.rel, edges.tail, edges.head, graph.pairs,
               graph.u_offsets, graph.u_items, graph.i_offsets, graph.i_users]
     before = [a.copy() for a in arrays]
-    operators = [graph.user_mean, edges.mean_operator]
+    operators = [graph.user_mean, edges.mean_operator, edges.tail_sum, edges.relation_sum]
     for direction in (graph.user_edges, graph.item_edges):
         operators += [direction.source_sum, direction.target_sum]
     rng = np.random.default_rng(0)
@@ -203,6 +207,65 @@ def test_propagation_operators_leave_the_structure_unchanged():
             assert not any(np.shares_memory(part, a) for a in arrays)
     for a, b in zip(arrays, before):
         np.testing.assert_array_equal(a, b)
+
+
+def _bincount_scatter(index, rows, n):
+    """The flat-bincount scatter the one-hot operators replace: row e onto row index[e]."""
+    d = rows.shape[1]
+    flat = (index[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=rows.ravel(), minlength=n * d).reshape(n, d)
+
+
+def _kg_edge_cases():
+    """Full and sampled KG edges: repeated tails and relations, heads 1, 4 and
+    5 without slots, a KG with no slots at all, and the generated KG."""
+    kg = data.KnowledgeGraph(np.array([[0, 0, 3], [0, 1, 3], [0, 1, 2], [2, 0, 3], [3, 1, 3],
+                                       [3, 0, 0], [3, 2, 0], [3, 1, 2]]),
+                             n_entities=6, n_relations=4)
+    rng = np.random.default_rng(2)
+    view = denoise.sample_topk(kg, rng.normal(size=(6, 3)), rng.normal(size=(4, 3)), 1, rng)
+    empty = data.KnowledgeGraph(np.zeros((0, 3), dtype=np.int64), n_entities=4, n_relations=2)
+    generated = _dataset40().kg
+    view40 = denoise.sample_topk(generated, rng.normal(size=(generated.n_entities, 3)),
+                                 rng.normal(size=(generated.n_relations, 3)), 1, rng)
+    return [kg.full_edges(), view.edges, empty.full_edges(), generated.full_edges(), view40.edges]
+
+
+def _spread_rows(rng, n, d):
+    """Rows over many magnitudes, with a signed zero, so any change in
+    summation order shows in the bits."""
+    rows = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-12, 12, size=(n, 1))
+    if n:
+        rows[0, 0] = -0.0
+    return rows
+
+
+def test_cached_scatters_equal_the_bincount_oracle():
+    rng = np.random.default_rng(0)
+    for edges in _kg_edge_cases():
+        rows = _spread_rows(rng, edges.n_edges, 5)
+        for op, index, n in ((edges.tail_sum, edges.tail, edges.offsets.size - 1),
+                             (edges.relation_sum, edges.rel, edges.n_relations)):
+            assert op.shape == (n, edges.n_edges)
+            assert (op @ rows).tobytes() == _bincount_scatter(index, rows, n).tobytes()
+    graph = _dataset40().train_graph
+    for direction, n_targets in ((graph.user_edges, graph.n_items),
+                                 (graph.item_edges, graph.n_users)):
+        rows = _spread_rows(rng, graph.n_interactions, 5)
+        assert (direction.target_sum @ rows).tobytes() == \
+            _bincount_scatter(direction.target, rows, n_targets).tobytes()
+
+
+def test_cached_transposes_equal_the_fresh_transpose_product():
+    rng = np.random.default_rng(1)
+    graph = _dataset40().train_graph
+    operators = [graph.user_mean, graph.user_edges.source_sum, graph.item_edges.source_sum]
+    operators += [edges.mean_operator for edges in _kg_edge_cases()]
+    for op in operators:
+        g = _spread_rows(rng, op.shape[0], 4)
+        assert op.transposed is op.transposed
+        assert (op.transposed @ g).tobytes() == (op.T @ g).tobytes()
+        np.testing.assert_array_equal(op.empty_rows, np.flatnonzero(np.diff(op.indptr) == 0))
 
 
 def test_kg_declared_entities_enforced():

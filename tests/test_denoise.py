@@ -180,6 +180,24 @@ def test_topk_never_writes_kg(fingerprint):
                                       np.bincount(e.head[view.kept], minlength=3))
 
 
+def test_topk_keeping_every_slot_is_the_full_view():
+    # the largest head has 2 slots: k_top >= 2 keeps everything
+    kg = _kg([(0, 0, 1), (0, 1, 2), (1, 0, 2), (2, 1, 0)], 3)
+    ent, rel = RNG.normal(size=(3, 4)), RNG.normal(size=(2, 4))
+    assert not denoise.keeps_every_slot(kg, 1)
+    for k in (2, 5, None):
+        assert denoise.keeps_every_slot(kg, k)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        view = denoise.sample_topk(kg, ent, rel, k, rng)
+        # the graph's own edges, so their cached operators serve every epoch
+        assert view.edges is kg.full_edges()
+        assert view.kept.dtype == bool and view.kept.all() and view.kept.size == kg.n_triples
+        assert rng.bit_generator.state == state  # no noise drawn
+    empty = _kg(np.zeros((0, 3), dtype=np.int64), 2)
+    assert denoise.sample_topk(empty, ent, rel, 1, rng).edges is empty.full_edges()
+
+
 def test_topk_rejects_nonpositive_k():
     kg = _kg([(0, 0, 1)], 2)
     with pytest.raises(ContractError):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from kgtn import autodiff as ad
 from kgtn import data, denoise, training
@@ -283,21 +284,26 @@ def test_light_user_step_gathers_no_interaction_edges(tiny_dataset, monkeypatch)
     cfg = small_cfg(agg_depth=2)
     params, view, _ = _step_inputs(tiny_dataset, cfg)
     graph = tiny_dataset.train_graph
-    indexes = []
-    gather = ad.gather_rows
+    gathers, slices = [], []
+    gather, slice_rows = ad.gather_rows, ad.slice_rows
 
-    def spy(table, index):
-        indexes.append(np.asarray(index))
+    def spy_gather(table, index):
+        gathers.append(np.asarray(index))
         return gather(table, index)
 
-    monkeypatch.setattr(ad, "gather_rows", spy)
+    def spy_slice(table, start, stop):
+        slices.append((start, stop))
+        return slice_rows(table, start, stop)
+
+    monkeypatch.setattr(ad, "gather_rows", spy_gather)
+    monkeypatch.setattr(ad, "slice_rows", spy_slice)
     with ad.Tape() as tape:
         stack = denoise.light_aggregate(params.user_emb, params.entity_emb, params.relation_emb,
                                         view.edges, graph, cfg.agg_depth)
-    # only the item rows of every layer are gathered: the kept slots' rows
+    # only the item prefix of every layer is sliced off: the kept slots' rows
     # live inside the gated sums, and no gather runs over the user-item edges
-    assert len(indexes) == cfg.agg_depth + 1
-    assert all(np.array_equal(idx, np.arange(graph.n_items)) for idx in indexes)
+    assert gathers == []
+    assert slices == [(0, graph.n_items)] * (cfg.agg_depth + 1)
     counts = tape.op_counts()
     assert counts["spmm"] == counts["gated_sum"] == cfg.agg_depth
     assert len(stack.users) == cfg.agg_depth + 1
@@ -369,6 +375,77 @@ def test_fit_builds_each_view_operator_once_per_epoch(tiny_dataset, monkeypatch)
     graph = ds.train_graph
     for offsets in (ds.kg.full_edges().offsets, graph.u_offsets, graph.i_offsets):
         assert sum(o is offsets for o in built) <= 1
+
+
+@pytest.mark.parametrize("k_top", [None, 1])
+def test_fit_builds_no_sparse_matrix_after_the_first_step_of_an_epoch(tiny_dataset, monkeypatch,
+                                                                      k_top):
+    # Every operator, transpose and scatter is a fact of the graph or the
+    # view that owns it. A fresh graph builds them in its first step, a
+    # pruned view in the first step of its epoch; later steps build none.
+    ds = tiny_dataset.with_split(tiny_dataset.split)
+    events = []
+
+    def mark(owner, name, event):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            events.append(event)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for cls in (sparse.csr_array, sparse.csc_array, sparse.coo_array,
+                sparse.csr_matrix, sparse.csc_matrix, sparse.coo_matrix):
+        mark(cls, "__init__", "build")
+    mark(data, "block_operator", "build")
+    mark(training, "build_bpr_triples", "epoch")
+    mark(training, "training_step_loss", "step")
+    mark(training, "representations", "eval")
+    cfg = small_cfg(epochs=2, batch_size=8, k_top=k_top)
+    training.fit(cfg, ds)
+
+    windows = []  # [marker, builds until the next marker]
+    for event in events:
+        if event == "build":
+            if windows:
+                windows[-1][1] += 1
+        else:
+            windows.append([event, 0])
+    steps = [(prev[0], builds) for prev, (event, builds) in zip(windows, windows[1:])
+             if event == "step"]
+    assert sum(prev == "epoch" for prev, _ in steps) == cfg.epochs
+    assert sum(prev == "step" for prev, _ in steps) >= cfg.epochs
+    assert steps[0][1] > 0  # the first step does build: the counting works
+    assert [builds for prev, builds in steps if prev == "step"] == \
+        [0] * sum(prev == "step" for prev, _ in steps)
+
+
+def test_fit_scores_slots_only_when_topk_prunes(tiny_dataset, monkeypatch):
+    calls = {"global_state": 0, "training_step_loss": 0, "representations": 0}
+    for name in calls:
+        original = getattr(training, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(training, name, counted)
+    logs = {}
+    for k_top in (None, 2):
+        for key in calls:
+            calls[key] = 0
+        cfg = small_cfg(epochs=2, k_top=k_top)
+        logs[k_top] = training.fit(cfg, tiny_dataset).log
+        prunes = not denoise.keeps_every_slot(tiny_dataset.kg, k_top)
+        assert prunes is (k_top == 2)
+        # one global forward per step and per evaluation, plus one per epoch
+        # for the sampler's scores only where top-k drops a slot
+        assert calls["global_state"] == (calls["training_step_loss"] + calls["representations"]
+                                         + (cfg.epochs if prunes else 0))
+    # keeping every slot draws nothing: the same log as not sampling at all
+    assert logs[None] == training.fit(small_cfg(epochs=2, k_top=None, sample_knowledge=False),
+                                      tiny_dataset).log
 
 
 def test_representations_bitwise_equal_across_calls(tiny_dataset):

@@ -1,0 +1,108 @@
+"""Alternating A/B pairs of the benchmark in two checkouts.
+
+    python3 tools/ab_pairs.py --parent ../kgtn-parent --change . \
+        --workload toy-overfit --pairs 10 --seeds 1,13
+
+Each pair runs `perfbench/run.py --workload W --seed S --trace 0` once in
+each checkout, every run in a fresh process from the root of its checkout
+and with the benchmark's own run length.
+Pair k takes seed `seeds[k % len(seeds)]`; the parent goes first in even
+pairs and the change in odd ones, so a drift of the machine's speed over
+the session falls on both sides alike.
+
+For every end-to-end metric named in the change's BENCHMARK.json, it
+prints each side's median and quartiles and how many pairs the change
+wins (strictly better in the metric's direction; ties count for neither
+side). A gain holds when the change wins at least nine tenths of the pairs
+and the medians differ by more than the parent's interquartile range.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seeds", default="1,13", help="comma-separated workload seeds")
+    args = parser.parse_args(argv)
+    args.seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    if args.pairs < 1 or not args.seeds:
+        parser.error("need at least one pair and one seed")
+    for side in SIDES:
+        if not (getattr(args, side) / "perfbench" / "run.py").is_file():
+            parser.error(f"--{side}: no perfbench/run.py under {getattr(args, side)}")
+    return args
+
+
+def run_once(root, workload, seed):
+    """One benchmark run; its last stdout line is the result JSON."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{root}: {' '.join(cmd)} exited with status {proc.returncode}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(metric, better, runs):
+    """One table row: the medians, quartiles, wins and whether a gain holds."""
+    pairs = [(p["metrics"].get(metric), c["metrics"].get(metric)) for p, c in runs]
+    pairs = [(p["value"], c["value"]) for p, c in pairs if p and c
+             and p["value"] is not None and c["value"] is not None]
+    if not pairs:
+        return f"  {metric:<14} not measured on both sides"
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (p - c) > 0 for p, c in pairs)
+    losses = sum(sign * (c - p) > 0 for p, c in pairs)
+    (p1, pm, p3), (c1, cm, c3) = (quartiles([pair[k] for pair in pairs]) for k in (0, 1))
+    holds = wins >= 0.9 * len(pairs) and sign * (pm - cm) > p3 - p1
+    change = f"{100.0 * (cm / pm - 1.0):+.1f}%" if pm else "n/a"
+    return (f"  {metric:<14} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  change {cm:.6g} "
+            f"[{c1:.6g}, {c3:.6g}]  {change}  wins {wins}/{len(pairs)} losses {losses}"
+            f"  gain {'holds' if holds else 'not shown'}")
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    with open(args.change / "BENCHMARK.json", encoding="utf-8") as fh:
+        end_to_end = json.load(fh)["end_to_end"]
+    runs = []
+    for k in range(args.pairs):
+        seed = args.seeds[k % len(args.seeds)]
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        result = {side: run_once(getattr(args, side), args.workload, seed) for side in order}
+        runs.append((result["parent"], result["change"]))
+        for side in SIDES:
+            r = result[side]
+            shown = " ".join(f"{name}={m['value']:.6g}" for name, m in r["metrics"].items()
+                             if m["value"] is not None)
+            print(f"pair {k} seed {seed} {side:<6} correct={r['correct']} "
+                  f"failed={r['failed']}/{r['attempted']} {shown}", flush=True)
+    print(f"{args.workload}: {args.pairs} pairs, seeds {args.seeds}, "
+          "median [quartiles] per side")
+    for entry in end_to_end:
+        print(summarize(entry["name"], entry["better"], runs))
+    return 0 if all(p["correct"] and c["correct"] for p, c in runs) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
