@@ -15,10 +15,10 @@ cfg = ExperimentConfig(epochs=15, seed=7, lr=3e-3, batch_size=64,
                        recall_ks=(5, 10)).validate()
 
 # Every variant trains under the identical seed and split; the variants
-# differ only in configuration (alpha, sampling flag, intent count).
+# differ only in configuration (alpha, top-k cut, intent count).
 for variant in experiments.ABLATION_VARIANTS:
     vcfg = experiments.variant_config(cfg, variant)
-    print(f"{variant:12s} alpha={vcfg.alpha} sampling={vcfg.sample_knowledge} K={vcfg.n_intents}")
+    print(f"{variant:12s} alpha={vcfg.alpha} k_top={vcfg.k_top} K={vcfg.n_intents}")
 
 report = experiments.run_ablation(cfg, ds)
 print()

@@ -45,8 +45,13 @@ Backward does only the work a gradient needs:
 - The first contribution to a tensor without a `.grad` buffer becomes the
   buffer. An array the backward has just computed is adopted as is; a
   pass-through gradient or a view of one (the upstream gradient itself, a
-  transpose, a split piece, a broadcast) is copied, so no two tensors ever
+  transpose, a split piece, a broadcast) is copied, so no two tensors
   share a buffer. Later contributions are added in place.
+- The one exception is a parameter store (`training.ModelParameters`):
+  one leaf whose rows are cut into named parameter leaves, each with
+  `.values` and `.grad` that are views of the store's. A leaf always has
+  its grad buffer, so `_accum` adds into it in place and never replaces
+  it, and a gradient reaching a parameter view lands in the store's.
 - Operands that are not grad-requiring tensors (constants, Python numbers)
   get no gradient computed at all.
 - No op builds a sparse matrix per call. Every operator, transpose and

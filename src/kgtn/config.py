@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -30,7 +31,6 @@ class ExperimentConfig:
     tau: float = 0.5
     share_transformer_weights: bool = False
     infonce_standard: bool = False
-    sample_knowledge: bool = True
     # training
     alpha: float = 0.1
     l2: float = 1e-5
@@ -51,6 +51,12 @@ class ExperimentConfig:
         return (self.train_ratio, self.eval_ratio, self.test_ratio)
 
     def validate(self):
+        integers = [(key, getattr(self, key)) for key, kind in _FIELD_TYPES.items()
+                    if kind == "int" and not (key == "k_top" and self.k_top is None)]
+        for key, value in integers + [("recall_ks", k) for k in self.recall_ks]:
+            # numpy integers count; bool is an int subclass, but not a count
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         for key in ("tau", "alpha", "l2", "lr", "noise_ratio",
                     "train_ratio", "eval_ratio", "test_ratio"):
             if not math.isfinite(getattr(self, key)):
@@ -110,7 +116,6 @@ _SECTION_OF = {
     "tau": "model",
     "share_transformer_weights": "model",
     "infonce_standard": "model",
-    "sample_knowledge": "model",
     "alpha": "train",
     "l2": "train",
     "lr": "train",

@@ -185,11 +185,11 @@ def variant_config(cfg, variant):
     if variant == "full":
         return replace(cfg)
     if variant == "wo_sampling":
-        return replace(cfg, sample_knowledge=False)
+        return replace(cfg, k_top=None)
     if variant == "wo_contrast":
         return replace(cfg, alpha=0.0)
     if variant == "wo_intents":
-        return replace(cfg, n_intents=1, sample_knowledge=False, alpha=0.0)
+        return replace(cfg, n_intents=1, k_top=None, alpha=0.0)
     raise ContractError(f"unknown ablation variant '{variant}'")
 
 

@@ -46,7 +46,9 @@ def f1(scores, labels, threshold=0.5):
 def ctr_scores(zu, zi, pairs):
     """Sigmoid click probabilities for labelled (user, item) pairs."""
     raw = (zu[pairs[:, 0]] * zi[pairs[:, 1]]).sum(axis=1)
-    return 1.0 / (1.0 + np.exp(-raw))
+    # below about -709, exp(-raw) overflows to inf and the probability is 0.0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-raw))
 
 
 def ctr_eval(zu, zi, pairs):

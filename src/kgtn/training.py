@@ -27,6 +27,17 @@ def _xavier(rng, rows, cols):
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
+def _row_views(arrays):
+    """One leaf holding `arrays` stacked by rows, and per array a leaf whose
+    `.values` and `.grad` are that row block of the store's."""
+    store = ad.parameter(np.concatenate(arrays))
+    bounds = np.cumsum([len(a) for a in arrays])[:-1]
+    views = [ad.Tensor(rows, requires_grad=True) for rows in np.split(store.values, bounds)]
+    for view, grad in zip(views, np.split(store.grad, bounds)):
+        view.grad = grad
+    return store, views
+
+
 @dataclass
 class ModelParameters:
     """The learnable set: embedding tables, prototypes, transformer projections.
@@ -36,6 +47,10 @@ class ModelParameters:
     h*d/H .. (h+1)*d/H - 1 belongs to head h. A model with shared
     transformer weights stores one layer and reuses it at every depth;
     otherwise it stores max(1, depth) layers.
+
+    Every parameter is a row block of `store`, one C-contiguous (rows, d)
+    leaf in `named()` order: its `.values` and `.grad` are views of the
+    store's, so Adam and the L2 term each treat the whole set as one array.
 
     Checkpoints keep the per-head layout: the entry
     `transformer.l{l}.h{h}.w{q,k,v}` holds head h's column block of that
@@ -48,6 +63,7 @@ class ModelParameters:
     intent_user: ad.Tensor
     intent_item: ad.Tensor
     transformer: list
+    store: ad.Tensor
 
     @classmethod
     def initialize(cls, n_users, n_entities, n_relations, cfg, rng):
@@ -56,22 +72,17 @@ class ModelParameters:
             raise ContractError(f"head count {H} must divide embedding size {d}")
         dh = d // H
         n_layer_params = 1 if cfg.share_transformer_weights else max(1, cfg.depth)
-        layers = []
+        projections = []
         for _ in range(n_layer_params):
             # per head, a (d/H, d) block for q, k, v in turn; stacked and
             # transposed, the blocks become each matrix's column blocks
             blocks = [[_xavier(rng, dh, d) for _ in range(3)] for _ in range(H)]
-            wq, wk, wv = (ad.parameter(np.ascontiguousarray(np.concatenate(kind).T))
-                          for kind in zip(*blocks))
-            layers.append(intents.TransformerLayerParams(wq=wq, wk=wk, wv=wv, n_heads=H))
-        return cls(
-            user_emb=ad.parameter(_xavier(rng, n_users, d)),
-            entity_emb=ad.parameter(_xavier(rng, n_entities, d)),
-            relation_emb=ad.parameter(_xavier(rng, n_relations, d)),
-            intent_user=ad.parameter(_xavier(rng, K, d)),
-            intent_item=ad.parameter(_xavier(rng, K, d)),
-            transformer=layers,
-        )
+            projections.extend(np.concatenate(kind).T for kind in zip(*blocks))
+        tables = [_xavier(rng, n, d) for n in (n_users, n_entities, n_relations, K, K)]
+        store, views = _row_views(tables + projections)
+        layers = [intents.TransformerLayerParams(*views[k:k + 3], n_heads=H)
+                  for k in range(5, len(views), 3)]
+        return cls(*views[:5], transformer=layers, store=store)
 
     def _tables(self):
         return [
@@ -96,9 +107,8 @@ class ModelParameters:
         return self.transformer[:depth]
 
     def l2_term(self):
-        """Sum of squares of every parameter entry; all have d columns."""
-        stacked = ad.concat([p for _, p in self.named()])
-        return ad.sum_all(ad.mul(stacked, stacked))
+        """Sum of squares of every parameter entry."""
+        return ad.sum_all(ad.mul(self.store, self.store))
 
     def _checkpoint_views(self):
         """Checkpoint entry name -> the view of the parameter values it holds."""
@@ -132,35 +142,37 @@ class ModelParameters:
 
 
 class Adam:
-    """Bias-corrected Adam over named leaf tensors."""
+    """Bias-corrected Adam over one parameter store.
 
-    def __init__(self, named_params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = list(named_params)
+    `named` are the (name, view) pairs that cover `store`; they only name
+    the parameter of a non-finite gradient.
+    """
+
+    def __init__(self, store, named, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.store = store
+        self.named = list(named)
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros_like(p.values) for _, p in self.params]
-        self.v = [np.zeros_like(p.values) for _, p in self.params]
+        self.m = np.zeros_like(store.values)
+        self.v = np.zeros_like(store.values)
 
     def step(self):
         """One update of every parameter; a non-finite gradient anywhere
         raises TrainingDiverged before any value or moment changes."""
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.values)
-                 for _, p in self.params]
-        for (name, _), g in zip(self.params, grads):
-            if not np.isfinite(g).all():
-                raise TrainingDiverged(f"non-finite gradient in parameter '{name}'")
+        g = self.store.grad
+        if not np.isfinite(g).all():
+            name = next(name for name, p in self.named if not np.isfinite(p.grad).all())
+            raise TrainingDiverged(f"non-finite gradient in parameter '{name}'")
         self.t += 1
-        for k, ((_, p), g) in enumerate(zip(self.params, grads)):
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[k] / (1.0 - self.beta1 ** self.t)
-            v_hat = self.v[k] / (1.0 - self.beta2 ** self.t)
-            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
+        m_hat = self.m / (1.0 - self.beta1 ** self.t)
+        v_hat = self.v / (1.0 - self.beta2 ** self.t)
+        self.store.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def zero_grad(self):
-        for _, p in self.params:
-            p.zero_grad()
+        self.store.grad.fill(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +343,7 @@ def fit(cfg, dataset):
     params = ModelParameters.initialize(
         dataset.n_users, dataset.n_entities, dataset.n_relations, cfg, rng
     )
-    optimizer = Adam(params.named(), lr=cfg.lr)
+    optimizer = Adam(params.store, params.named(), lr=cfg.lr)
     graph = dataset.train_graph
     train_pos = dataset.split.train[:, :2]
     eval_pairs = dataset.split.eval
@@ -344,7 +356,7 @@ def fit(cfg, dataset):
     last_good = params.copy_values()
     stopped = False
     # a top-k that keeps every slot needs no scores: the view is the whole KG
-    resample = cfg.sample_knowledge and not denoise.keeps_every_slot(dataset.kg, cfg.k_top)
+    resample = not denoise.keeps_every_slot(dataset.kg, cfg.k_top)
 
     for epoch in range(cfg.epochs):
         if resample:

@@ -43,3 +43,34 @@ def test_direction_and_ties(better, wins):
 def test_a_metric_missing_on_one_side_is_reported():
     runs = [(_run(step_ms_p50=1.0), _run(epoch_s=1.0))]
     assert "not measured" in ab_pairs.summarize("step_ms_p50", "lower", runs)
+
+
+def test_a_median_worse_than_the_bound_is_reported():
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.05, 9.95, 10.1, 10.0]
+    change = [x * 1.3 for x in parent]
+    row = ab_pairs.summarize("step_ms_p50", "lower", _runs(parent, change), bound=0.25)
+    assert row.endswith("worse beyond bound")
+    # higher is better: an AUC 30% lower is as far out
+    row = ab_pairs.summarize("auc", "higher", _runs([0.9] * 4, [0.6] * 4, name="auc"),
+                             bound=0.1)
+    assert row.endswith("worse beyond bound")
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    # parent IQR 4.0 against a bound of 0.25 x 8.0 = 2.0; a 20% slower median
+    # stays inside the bound, yet the spread cannot tell it from noise
+    parent = [6.0, 10.0, 6.0, 10.0, 6.0, 10.0, 6.0, 10.0, 6.0, 10.0]
+    change = [x * 1.2 for x in parent]
+    row = ab_pairs.summarize("step_ms_p50", "lower", _runs(parent, change), bound=0.25)
+    assert row.endswith("unresolved")
+    # unless every change run beats every parent run
+    change = [5.0] * 10
+    row = ab_pairs.summarize("step_ms_p50", "lower", _runs(parent, change), bound=0.25)
+    assert row.endswith("within bound")
+
+
+def test_a_change_inside_the_bound_is_within_it():
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.05, 9.95, 10.1, 10.0]
+    change = [x * 1.1 for x in parent]
+    row = ab_pairs.summarize("step_ms_p50", "lower", _runs(parent, change), bound=0.25)
+    assert row.endswith("within bound") and "gain not shown" in row

@@ -201,7 +201,7 @@ def test_criterion_6_ablation_harness(capacity_runs):
     )
     mapping_ok = (
         experiments.variant_config(cfg, "wo_contrast").alpha == 0.0
-        and experiments.variant_config(cfg, "wo_sampling").sample_knowledge is False
+        and experiments.variant_config(cfg, "wo_sampling").k_top is None
         and experiments.variant_config(cfg, "wo_intents").n_intents == 1
     )
     # comparative capacity oracle: ablations never dominate by a margin

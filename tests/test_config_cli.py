@@ -65,6 +65,39 @@ def test_threads_key_rejected_by_name(tmp_path):
     assert "threads" not in to_ini(ExperimentConfig())
 
 
+def test_sample_knowledge_key_rejected_by_name(tmp_path):
+    # `sample_knowledge = false` did what `k_top = none` does
+    path = tmp_path / "c.ini"
+    path.write_text("[model]\nsample_knowledge = false\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="sample_knowledge"):
+        parse_config(path)
+    assert "sample_knowledge" not in to_ini(ExperimentConfig())
+
+
+@pytest.mark.parametrize("kw, key", [
+    (dict(epochs=2.5), "epochs"),
+    (dict(batch_size=16.0), "batch_size"),
+    (dict(k_top=1.5), "k_top"),
+    (dict(depth=True), "depth"),
+    (dict(seed="3"), "seed"),
+    (dict(k_top=np.True_), "k_top"),
+    (dict(recall_ks=(10, 20.0)), "recall_ks"),
+    (dict(recall_ks=(False, 5)), "recall_ks"),
+])
+def test_non_integer_in_integer_field_rejected_by_name(kw, key):
+    # epochs=2.5 and batch_size=16.0 once passed and failed in fit with a raw
+    # TypeError; k_top=1.5 kept 2 slots per head; depth=True trained as depth 1
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig(**kw).validate()
+
+
+def test_numpy_integers_pass_integer_fields():
+    cfg = ExperimentConfig(epochs=np.int64(2), k_top=np.int32(3), depth=np.uint8(2),
+                           recall_ks=(np.int64(5), 10)).validate()
+    assert cfg.epochs == 2 and cfg.k_top == 3
+    assert ExperimentConfig(k_top=None).validate().k_top is None
+
+
 def test_config_round_trip(tmp_path):
     cfg = parse_config(None, {
         "alpha": 0.25, "k_top": "none", "recall_ks": "5 15",

@@ -171,11 +171,11 @@ def test_evaluate_model_reports_valid_row(ds, trained):
 def test_variant_config_mapping():
     cfg = quick_cfg()
     assert experiments.variant_config(cfg, "wo_contrast").alpha == 0.0
-    assert experiments.variant_config(cfg, "wo_sampling").sample_knowledge is False
+    assert experiments.variant_config(cfg, "wo_sampling").k_top is None
     wo_i = experiments.variant_config(cfg, "wo_intents")
-    assert wo_i.n_intents == 1 and wo_i.alpha == 0.0 and wo_i.sample_knowledge is False
+    assert wo_i.n_intents == 1 and wo_i.alpha == 0.0 and wo_i.k_top is None
     full = experiments.variant_config(cfg, "full")
-    assert full.alpha == cfg.alpha and full.sample_knowledge
+    assert full.alpha == cfg.alpha and full.k_top == cfg.k_top is not None
     with pytest.raises(ContractError):
         experiments.variant_config(cfg, "nope")
 

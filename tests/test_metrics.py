@@ -1,4 +1,6 @@
 """CTR and ranking metric oracles."""
+import warnings
+
 import numpy as np
 import pytest
 from recall_oracle import recall_from_ranking
@@ -94,3 +96,16 @@ def test_recall_monotone_in_k():
 def test_recall_requires_relevant_items():
     with pytest.raises(DomainError):
         recall_from_ranking([1, 2], [], k=1)
+
+
+def test_ctr_scores_saturate_without_an_overflow_warning():
+    # a raw score below about -709 made np.exp(-raw) overflow, and the
+    # RuntimeWarning became an error under -W error
+    zu, zi = np.array([[30.0], [0.5]]), np.array([[-30.0], [2.0]])
+    pairs = np.array([[0, 0, 1], [1, 1, 0], [0, 1, 1], [1, 0, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probs = metrics.ctr_scores(zu, zi, pairs)
+    raw = np.array([-900.0, 1.0, 60.0, -15.0])
+    assert probs[0] == 0.0
+    np.testing.assert_array_equal(probs[1:], 1.0 / (1.0 + np.exp(-raw[1:])))

@@ -111,44 +111,46 @@ def test_total_loss_l2_oracle():
 # adam
 
 
+def _adam(lr, **arrays):
+    """Adam over a store of one view per keyword, in keyword order."""
+    store, views = training._row_views(list(arrays.values()))
+    return training.Adam(store, zip(arrays, views), lr=lr), views
+
+
 def test_adam_zero_gradient_keeps_parameter():
-    p = ad.parameter(np.array([1.0, -2.0]))
-    opt = training.Adam([("p", p)], lr=0.1)
+    opt, (p,) = _adam(0.1, p=np.array([[1.0, -2.0]]))
     opt.zero_grad()
     opt.step()
-    np.testing.assert_array_equal(p.values, [1.0, -2.0])
+    np.testing.assert_array_equal(p.values, [[1.0, -2.0]])
 
 
 def test_adam_first_step_magnitude_is_lr():
     for g in (0.5, -3.0, 1e-4):
-        p = ad.parameter(np.array([0.0]))
-        opt = training.Adam([("p", p)], lr=0.01)
+        opt, (p,) = _adam(0.01, p=np.array([[0.0]]))
         p.grad[...] = g
         opt.step()
         # bias-corrected first step: lr * g / (|g| + eps)
         expected = -0.01 * g / (abs(g) + 1e-8)
-        assert abs(p.values[0] - expected) < 1e-12
+        assert abs(p.values[0, 0] - expected) < 1e-12
 
 
 def test_adam_bitwise_determinism_over_steps():
     def run():
         rng = np.random.default_rng(3)
-        p = ad.parameter(rng.normal(size=(4, 2)))
-        opt = training.Adam([("p", p)], lr=0.05)
+        opt, (p, q) = _adam(0.05, p=rng.normal(size=(4, 2)), q=rng.normal(size=(1, 2)))
         for step in range(5):
             opt.zero_grad()
             with ad.Tape() as tape:
-                loss = ad.sum_all(ad.mul(ad.softplus(p), p))
+                loss = ad.sum_all(ad.mul(ad.softplus(p), p)) + ad.sum_all(ad.mul(q, q))
             tape.backward(loss)
             opt.step()
-        return p.values.copy()
+        return opt.store.values.copy()
 
     assert run().tobytes() == run().tobytes()
 
 
 def test_adam_rejects_nan_gradient_naming_parameter():
-    p = ad.parameter(np.array([1.0]))
-    opt = training.Adam([("theta", p)], lr=0.1)
+    opt, (p,) = _adam(0.1, theta=np.array([[1.0]]))
     p.grad[...] = np.nan
     with pytest.raises(TrainingDiverged, match="theta"):
         opt.step()
@@ -156,14 +158,65 @@ def test_adam_rejects_nan_gradient_naming_parameter():
 
 def test_adam_checks_every_gradient_before_updating_any():
     # a NaN in the second tensor once left the first already stepped and t at 1
-    a, b = ad.parameter(np.array([1.0])), ad.parameter(np.array([2.0]))
-    opt = training.Adam([("a", a), ("b", b)], lr=0.1)
+    opt, (a, b) = _adam(0.1, a=np.array([[1.0]]), b=np.array([[2.0]]))
     a.grad[...] = 1.0
     b.grad[...] = np.nan
     with pytest.raises(TrainingDiverged, match="'b'"):
         opt.step()
-    assert a.values[0] == 1.0 and b.values[0] == 2.0 and opt.t == 0
-    assert not any(m.any() for m in opt.m) and not any(v.any() for v in opt.v)
+    assert a.values[0, 0] == 1.0 and b.values[0, 0] == 2.0 and opt.t == 0
+    assert not opt.m.any() and not opt.v.any()
+
+
+def _assert_views_of_store(params):
+    store = params.store
+    assert store.values.flags.c_contiguous and store.values.ndim == 2
+    rows = 0
+    for name, p in params.named():
+        assert np.shares_memory(p.values, store.values), name
+        assert np.shares_memory(p.grad, store.grad), name
+        rows += p.values.shape[0]
+    assert rows == store.values.shape[0]
+
+
+@pytest.mark.parametrize("depth, shared", [(0, False), (1, False), (3, False), (3, True)])
+def test_every_parameter_is_a_row_view_of_the_store(tiny_dataset, tmp_path, depth, shared):
+    cfg = small_cfg(depth=depth, share_transformer_weights=shared)
+    params, view, batch = _step_inputs(tiny_dataset, cfg)
+    _assert_views_of_store(params)
+    # named() order is the store's row order
+    np.testing.assert_array_equal(
+        np.concatenate([p.values for _, p in params.named()]), params.store.values)
+    opt = training.Adam(params.store, params.named(), lr=cfg.lr)
+    opt.zero_grad()
+    with ad.Tape() as tape:
+        loss, _ = training.training_step_loss(params, tiny_dataset, view, cfg, batch)
+    tape.backward(loss)
+    before = params.copy_values()
+    opt.step()
+    _assert_views_of_store(params)
+    # one step moves every parameter, and Adam holds two arrays at any depth
+    after = params.copy_values()
+    assert all(not np.array_equal(before[k], after[k]) for k in before)
+    assert opt.m.shape == opt.v.shape == params.store.values.shape
+    path = tmp_path / "model.bin"
+    training.save_checkpoint(path, before)
+    params.load_values(training.load_checkpoint(path))
+    _assert_views_of_store(params)
+    assert all(np.array_equal(before[k], v) for k, v in params.copy_values().items())
+
+
+def test_gradient_check_keeps_every_parameter_a_view(monkeypatch):
+    from kgtn import gradcheck
+
+    made, toy_problem = [], gradcheck.toy_problem
+
+    def recording(**kw):
+        made.append(toy_problem(**kw))
+        return made[-1]
+
+    monkeypatch.setattr(gradcheck, "toy_problem", recording)
+    assert gradcheck.full_model_check().ok
+    _assert_views_of_store(made[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +239,7 @@ def test_fit_loss_decreases_over_first_five_epochs():
     # full-batch steps on the intact KG: the only epoch-to-epoch noise left
     # is ranking-negative resampling
     ds = synthetic_dataset(12, 10, 16, 2, density=0.4, seed=11, ratios=(1.0, 0.0, 0.0))
-    cfg = small_cfg(epochs=5, lr=3e-3, batch_size=1024, seed=11, sample_knowledge=False)
+    cfg = small_cfg(epochs=5, lr=3e-3, batch_size=1024, seed=11, k_top=None)
     result = training.fit(cfg, ds)
     totals = [
         row["loss_bpr"] + cfg.alpha * row["loss_cl"] + cfg.l2 * row["loss_reg"]
@@ -273,11 +326,11 @@ def test_step_restacks_no_projection(tiny_dataset, depth):
     # the projections are stored stacked: the only transposes are the two
     # prototype transposes of the intent readout, and the only concats join
     # the items to the other entities (after each layer but the first, and
-    # at the readout) and stack the L2 term
+    # at the readout); the L2 term reads the parameter store as is
     counts = _step_tape(tiny_dataset, small_cfg(depth=depth))[0].op_counts()
     assert tiny_dataset.n_entities > tiny_dataset.n_items
     assert counts["transpose"] == 2
-    assert counts["concat"] == depth + 1
+    assert counts["concat"] == depth
 
 
 def test_light_user_step_gathers_no_interaction_edges(tiny_dataset, monkeypatch):
@@ -365,7 +418,7 @@ def test_fit_builds_each_view_operator_once_per_epoch(tiny_dataset, monkeypatch)
 
     monkeypatch.setattr(denoise, "sample_topk", record_view)
     monkeypatch.setattr(data, "block_operator", record_build)
-    cfg = small_cfg(epochs=2, sample_knowledge=True)
+    cfg = small_cfg(epochs=2)
     assert cfg.alpha > 0
     training.fit(cfg, ds)
     assert len(views) == 2
@@ -443,9 +496,9 @@ def test_fit_scores_slots_only_when_topk_prunes(tiny_dataset, monkeypatch):
         # for the sampler's scores only where top-k drops a slot
         assert calls["global_state"] == (calls["training_step_loss"] + calls["representations"]
                                          + (cfg.epochs if prunes else 0))
-    # keeping every slot draws nothing: the same log as not sampling at all
-    assert logs[None] == training.fit(small_cfg(epochs=2, k_top=None, sample_knowledge=False),
-                                      tiny_dataset).log
+    # a top-k as wide as the widest head draws nothing: the same log as no cut
+    widest = int(tiny_dataset.kg.full_edges().counts.max())
+    assert logs[None] == training.fit(small_cfg(epochs=2, k_top=widest), tiny_dataset).log
 
 
 def test_representations_bitwise_equal_across_calls(tiny_dataset):

@@ -15,6 +15,13 @@ prints each side's median and quartiles and how many pairs the change
 wins (strictly better in the metric's direction; ties count for neither
 side). A gain holds when the change wins at least nine tenths of the pairs
 and the medians differ by more than the parent's interquartile range.
+
+Each metric also gets one verdict against its relative `bound`:
+- `worse beyond bound`: the change's median is worse than the parent's by
+  more than `bound` times the parent's median;
+- `unresolved`: the parent's interquartile range is wider than `bound`
+  times its median, and not every change run beats every parent run;
+- `within bound`: otherwise.
 """
 from __future__ import annotations
 
@@ -63,8 +70,9 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def summarize(metric, better, runs):
-    """One table row: the medians, quartiles, wins and whether a gain holds."""
+def summarize(metric, better, runs, bound=None):
+    """One table row: the medians, quartiles, wins, whether a gain holds and,
+    given the metric's relative `bound`, the regression verdict."""
     pairs = [(p["metrics"].get(metric), c["metrics"].get(metric)) for p, c in runs]
     pairs = [(p["value"], c["value"]) for p, c in pairs if p and c
              and p["value"] is not None and c["value"] is not None]
@@ -76,9 +84,19 @@ def summarize(metric, better, runs):
     (p1, pm, p3), (c1, cm, c3) = (quartiles([pair[k] for pair in pairs]) for k in (0, 1))
     holds = wins >= 0.9 * len(pairs) and sign * (pm - cm) > p3 - p1
     change = f"{100.0 * (cm / pm - 1.0):+.1f}%" if pm else "n/a"
-    return (f"  {metric:<14} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  change {cm:.6g} "
-            f"[{c1:.6g}, {c3:.6g}]  {change}  wins {wins}/{len(pairs)} losses {losses}"
-            f"  gain {'holds' if holds else 'not shown'}")
+    row = (f"  {metric:<14} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  change {cm:.6g} "
+           f"[{c1:.6g}, {c3:.6g}]  {change}  wins {wins}/{len(pairs)} losses {losses}"
+           f"  gain {'holds' if holds else 'not shown'}")
+    if bound is None:
+        return row
+    beats_every_parent_run = all(sign * (p - c) > 0 for p, _ in pairs for _, c in pairs)
+    if sign * (cm - pm) > bound * abs(pm):
+        verdict = "worse beyond bound"
+    elif p3 - p1 > bound * abs(pm) and not beats_every_parent_run:
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
+    return f"{row}  {verdict}"
 
 
 def main(argv=None):
@@ -100,7 +118,7 @@ def main(argv=None):
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seeds}, "
           "median [quartiles] per side")
     for entry in end_to_end:
-        print(summarize(entry["name"], entry["better"], runs))
+        print(summarize(entry["name"], entry["better"], runs, entry["bound"]))
     return 0 if all(p["correct"] and c["correct"] for p, c in runs) else 1
 
 
