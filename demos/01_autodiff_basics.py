@@ -43,10 +43,16 @@ v = rng.normal(size=5)
 print("softmax:", ad.softmax(ad.constant(v)).values)
 print("shifted:", ad.softmax(ad.constant(v + 100.0)).values)
 
-# Fused edge ops work on a whole graph at once. The KG slot weights are a
-# softmax within each head's slots: head 0 has 2 slots and head 1 has 3,
-# and each head's weights sum to one.
+# Fused edge ops work on a whole graph at once. The KG pool replaces each
+# head entity's row by the attention-weighted mean of its relation-gated
+# slot rows, the weights a softmax within the head's slots (head 0 has 2
+# slots, head 1 has 3); entities 2 and 3 head no slot and keep their rows.
+# It is one tape node, and its gradient passes the same check.
 kg = KnowledgeGraph(np.array([[0, 0, 2], [0, 1, 3], [1, 0, 0], [1, 1, 2], [1, 0, 3]]))
 edges = kg.full_edges()
-beta = ad.slot_attention(rng.normal(size=(4, 3)), rng.normal(size=(2, 3)), edges).values
-print("slot weight sums per head:", beta[:2].sum(), beta[2:].sum())
+ent, rel = ad.parameter(rng.normal(size=(4, 3))), ad.parameter(rng.normal(size=(2, 3)))
+pooled = ad.kg_pool(ent, rel, edges).values
+print("slotless heads keep their rows:", np.array_equal(pooled[2:], ent.values[2:]))
+result = check_gradients(lambda: ad.sum_all(ad.kg_pool(ent, rel, edges)),
+                         [("ent", ent), ("rel", rel)])
+print(f"kg_pool finite-difference max rel err: {result.max_rel_err:.2e}")

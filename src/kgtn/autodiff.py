@@ -11,9 +11,8 @@ The operator set covers exactly what the recommender's forward pass needs:
   the matrix row is empty;
 - fused edge operations, one node each over every edge of a graph:
   `edge_attention` (one direction of masked multi-head attention),
-  `slot_attention` (the relation-aware KG slot weights) and `gated_sum`
-  (the per-head mean of relation-gated KG rows, optionally weighted per
-  slot);
+  `kg_pool` (the relation-aware attention pool of the KG slots) and
+  `gated_sum` (the per-head mean of relation-gated KG rows);
 - reductions: `sum_all`, `mean_all`, `rowsum`;
 - maps: `softmax`, `softplus`;
 - the contrastive objective: `infonce`, one fused node per InfoNCE term.
@@ -634,77 +633,95 @@ def _check_kg_tables(name, entity, relation, edges):
         )
 
 
-def slot_attention(entity, relation, edges):
-    """Relation-aware attention weight of every knowledge-graph slot.
+def _slot_weights(entity, relation, edges):
+    """The (E,) slot weights `kg_pool` applies: per-head softmax of the
+    slot logits of the plain `entity` and `relation` arrays."""
+    return _segment_softmax(edges.slot_logits(entity, relation), edges.offsets)
+
+
+def kg_pool(entity, relation, edges):
+    """Relation-aware attention pool of every head's knowledge-graph slots.
 
     `edges` is a `data.KGEdges`, its slots grouped by head along
-    `edges.offsets`. The weight of slot (h, r, t) is the softmax, over head
-    h's slots, of its logit `edges.slot_logits`: e_h . e_t + e_r . e_r.
-    Only the (E,) weights are kept; backward gathers the slot rows again and
-    scatters them through the edges' one-hot `tail_sum` and `relation_sum`.
+    `edges.offsets`. The weight beta of slot (h, r, t) is the softmax, over
+    head h's slots, of its logit `edges.slot_logits`: e_h . e_t + e_r . e_r.
+    Row h of the output is the mean over head h's slots of beta times row r
+    of `relation` times row t of `entity`, summed by the edges'
+    `mean_operator`, or `entity[h]` where head h has no slots.
+
+    Only the (E,) beta is kept. Backward gathers the slot rows again, holds
+    at most three (E, d) blocks at once and scatters them once through the
+    edges' one-hot `relation_sum` and once through `tail_sum`; the heads'
+    share is a segment sum.
     """
     ev, rv = _values(entity), _values(relation)
-    _check_kg_tables("slot_attention", ev, rv, edges)
-    offsets = edges.offsets
-    beta = _segment_softmax(edges.slot_logits(ev, rv), offsets)
-    out = Tensor(beta, requires_grad=_needs_grad(entity, relation))
+    _check_kg_tables("kg_pool", ev, rv, edges)
+    offsets, operator = edges.offsets, edges.mean_operator
+    beta = _slot_weights(ev, rv, edges)
+    msg = rv[edges.rel]
+    msg *= ev[edges.tail]
+    msg *= beta[:, None]
+    sums = operator @ msg
+    _fallback_rows(operator, sums, ev)
+    out = Tensor(sums, requires_grad=_needs_grad(entity, relation))
 
     def backward(g):
-        d_logits = _segment_softmax_backward(g, beta, offsets)[:, None]
-        if _tracked(entity):
-            grad = _segsum(d_logits * ev[edges.tail], offsets)  # heads own the segments
-            grad += edges.tail_sum @ (d_logits * ev[edges.head])
-            _accum(entity, grad, fresh=True)
+        _accum_fallback(entity, g, operator)
+        g_edge = operator.transposed @ g
+        rel_rows, tail_rows = rv[edges.rel], ev[edges.tail]
+        d_logits = _segment_softmax_backward(
+            np.einsum("ij,ij,ij->i", g_edge, rel_rows, tail_rows), beta, offsets)
+        g_edge *= beta[:, None]
+        rel_rows *= g_edge  # from here on the gradient onto each slot's tail
         if _tracked(relation):
-            rows = rv[edges.rel]
-            rows *= 2.0 * d_logits
-            _accum(relation, edges.relation_sum @ rows, fresh=True)
+            g_edge *= tail_rows
+            grad = edges.relation_sum @ g_edge
+            # the logit's e_r . e_r term needs no slot rows: 2 e_r times the
+            # summed logit gradient of the relation's slots
+            grad += 2.0 * rv * (edges.relation_sum @ d_logits)[:, None]
+            _accum(relation, grad, fresh=True)
+        del g_edge
+        if _tracked(entity):
+            tail_rows *= d_logits[:, None]
+            grad = _segsum(tail_rows, offsets)  # heads own the segments
+            del tail_rows
+            head_rows = ev[edges.head]
+            head_rows *= d_logits[:, None]
+            rel_rows += head_rows
+            grad += edges.tail_sum @ rel_rows
+            _accum(entity, grad, fresh=True)
 
-    _record("slot_attention", out, backward)
+    _record("kg_pool", out, backward)
     return out
 
 
-def gated_sum(edges, gate, table, fallback, weight=None):
+def gated_sum(edges, gate, table):
     """Mean over each head's slots of relation-gated rows.
 
     `edges` is a `data.KGEdges`. Slot e's message is row `edges.rel[e]` of
     the (relations, d) `gate` times row `edges.tail[e]` of the
-    (entities, d) `table`, scaled by `weight[e]` when an (E,) `weight` is
-    given. Row h of the output is the mean of head h's messages, summed by
-    the edges' `mean_operator`, or `fallback[h]` where head h has no slots.
-    Only the operands are kept; backward gathers the slot rows again and
-    scatters them through the edges' one-hot `relation_sum` and `tail_sum`.
+    (entities, d) `table`. Row h of the output is the mean of head h's
+    messages, summed by the edges' `mean_operator`, or `table[h]` where
+    head h has no slots. Only the operands are kept; backward gathers the
+    slot rows again and scatters them through the edges' one-hot
+    `relation_sum` and `tail_sum`.
     """
-    gv, tv, fv = _values(gate), _values(table), _values(fallback)
-    wv = None if weight is None else _values(weight)
+    gv, tv = _values(gate), _values(table)
     _check_kg_tables("gated_sum", tv, gv, edges)
-    if fv.shape != tv.shape or (wv is not None and wv.shape != (edges.n_edges,)):
-        raise ShapeError(
-            f"gated_sum: fallback {fv.shape} must match table {tv.shape}, and a weight "
-            f"must hold one value per slot ({edges.n_edges})"
-        )
     operator = edges.mean_operator
     msg = gv[edges.rel]
     msg *= tv[edges.tail]
-    if wv is not None:
-        msg *= wv[:, None]
     sums = operator @ msg
-    del msg
-    _fallback_rows(operator, sums, fv)
-    out = Tensor(sums, requires_grad=_needs_grad(gate, table, fallback, weight))
+    _fallback_rows(operator, sums, tv)
+    out = Tensor(sums, requires_grad=_needs_grad(gate, table))
 
     def backward(g):
-        _accum_fallback(fallback, g, operator)
+        _accum_fallback(table, g, operator)
         g_edge = operator.transposed @ g
-        gate_rows, table_rows = gv[edges.rel], tv[edges.tail]
-        if _tracked(weight):
-            _accum(weight, (g_edge * (gate_rows * table_rows)).sum(axis=1), fresh=True)
-        if wv is not None:
-            g_edge *= wv[:, None]
         if _tracked(gate):
-            _accum(gate, edges.relation_sum @ (g_edge * table_rows), fresh=True)
+            _accum(gate, edges.relation_sum @ (g_edge * tv[edges.tail]), fresh=True)
         if _tracked(table):
-            g_edge *= gate_rows
+            g_edge *= gv[edges.rel]
             _accum(table, edges.tail_sum @ g_edge, fresh=True)
 
     _record("gated_sum", out, backward)

@@ -13,6 +13,7 @@ import configparser
 import io
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -51,16 +52,18 @@ class ExperimentConfig:
         return (self.train_ratio, self.eval_ratio, self.test_ratio)
 
     def validate(self):
-        integers = [(key, getattr(self, key)) for key, kind in _FIELD_TYPES.items()
-                    if kind == "int" and not (key == "k_top" and self.k_top is None)]
-        for key, value in integers + [("recall_ks", k) for k in self.recall_ks]:
-            # numpy integers count; bool is an int subclass, but not a count
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-        for key in ("tau", "alpha", "l2", "lr", "noise_ratio",
-                    "train_ratio", "eval_ratio", "test_ratio"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
+        if isinstance(self.recall_ks, str) or not isinstance(self.recall_ks, Sequence):
+            raise ConfigError(f"recall_ks must be a sequence of integers, got {self.recall_ks!r}")
+        typed = [(key, getattr(self, key), kind) for key, kind in _FIELD_TYPES.items()
+                 if kind in _KINDS and not (key == "k_top" and self.k_top is None)]
+        for key, value, kind in typed + [("recall_ks", k, "int") for k in self.recall_ks]:
+            cls, what = _KINDS[kind]
+            # numpy numbers count; bool is an int subclass, but neither a
+            # count nor a real number
+            if not isinstance(value, cls) or (kind != "bool" and isinstance(value, bool)):
+                raise ConfigError(f"{key} must be {what}, got {value!r}")
+            if kind == "float" and not _finite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.data_dir != self.data_dir.strip():
             # configparser strips a value's edges, so config.ini could not
             # give this directory back
@@ -96,8 +99,9 @@ class ExperimentConfig:
         ratios = self.split_ratios
         if any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
             raise ConfigError(f"split ratios must sum to 1, got {ratios}")
-        if any(k < 1 for k in self.recall_ks):
-            raise ConfigError("recall_ks entries must be positive")
+        if not self.recall_ks or any(k < 1 for k in self.recall_ks):
+            # an empty list would write a config.ini that cannot be read back
+            raise ConfigError(f"recall_ks must list positive ks, got {self.recall_ks}")
         return self
 
 
@@ -127,6 +131,18 @@ _SECTION_OF = {
 }
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+# the type each annotated field kind must hold, and how an error names it
+_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a real number"),
+          "bool": (bool, "true or false"), "str": (str, "a string")}
+
+
+def _finite(value):
+    """Whether a real number is finite as a float; an int too large for a
+    float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _parse_value(key, text):

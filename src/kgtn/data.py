@@ -217,7 +217,7 @@ class KnowledgeGraph:
 
     def __init__(self, triples, n_entities=None, n_relations=None):
         triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-        triples = np.unique(triples, axis=0) if triples.size else triples.reshape(0, 3)
+        triples = np.unique(triples, axis=0)
         if triples.size and triples.min() < 0:
             raise DataFormatError("negative ID in knowledge-graph triples")
         max_ent = int(max(triples[:, 0].max(), triples[:, 2].max())) + 1 if triples.size else 0
@@ -229,12 +229,12 @@ class KnowledgeGraph:
                 f"entity ID overflow: triples use {max_ent} entities, declared {n_entities}"
             )
         self.triples = triples
-        order = np.lexsort((triples[:, 2], triples[:, 1], triples[:, 0])) if triples.size else np.array([], dtype=np.int64)
-        heads = triples[order, 0] if triples.size else np.array([], dtype=np.int64)
+        order = np.lexsort((triples[:, 2], triples[:, 1], triples[:, 0]))
+        heads = triples[order, 0]
         self._edges = KGEdges(
             offsets=csr_offsets(heads, self.n_entities),
-            rel=triples[order, 1] if triples.size else np.array([], dtype=np.int64),
-            tail=triples[order, 2] if triples.size else np.array([], dtype=np.int64),
+            rel=triples[order, 1],
+            tail=triples[order, 2],
             head=heads,
             n_relations=self.n_relations,
         )

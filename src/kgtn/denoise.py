@@ -152,7 +152,7 @@ def light_aggregate(user_seed, entity_seed, relation_emb, view_edges, graph, dep
     for _ in range(depth):
         z = ze[-1]
         if view_edges.n_edges:
-            z = ad.gated_sum(view_edges, relation_emb, z, z)
+            z = ad.gated_sum(view_edges, relation_emb, z)
         zu.append(ad.spmm(graph.user_mean, zi[-1], zu[-1]))
         ze.append(z)
         zi.append(ad.slice_rows(z, 0, n_items))

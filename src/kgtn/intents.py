@@ -77,14 +77,12 @@ def kg_aggregate(entity_emb, relation_emb, edges):
 
     Each head with a nonempty active neighborhood is replaced by the
     attention-weighted, 1/|N_i|-scaled sum of relation-gated neighbor
-    embeddings: one `slot_attention` node for the weights and one
-    `gated_sum` node with the edges' cached mean operator for the sum.
+    embeddings: one `kg_pool` node, which keeps only the slot weights.
     Heads without active slots pass through unchanged.
     """
     if edges.n_edges == 0:
         return entity_emb
-    beta = ad.slot_attention(entity_emb, relation_emb, edges)
-    return ad.gated_sum(edges, relation_emb, entity_emb, entity_emb, weight=beta)
+    return ad.kg_pool(entity_emb, relation_emb, edges)
 
 
 def transformer_layer(user_emb, item_emb, params, graph):

@@ -299,17 +299,22 @@ def build_bpr_triples(graph, train_pos, rng):
 def _epoch_batches(triples, batch_size, rng):
     """Shuffled batches of `batch_size` rows.
 
-    A last batch with fewer than 2 distinct users or positive items (too
-    few for the contrastive term) joins the batch before it.
+    A batch with fewer than 2 distinct users or positive items (too few for
+    the contrastive term) joins the batch after it; such a last batch joins
+    the batch before it. Every batch is a contiguous slice of one shuffle.
     """
-    perm = rng.permutation(triples.shape[0])
-    shuffled = triples[perm]
-    batches = [shuffled[k:k + batch_size] for k in range(0, shuffled.shape[0], batch_size)]
-    if len(batches) > 1:
-        tail = batches[-1]
-        if np.unique(tail[:, 0]).size < 2 or np.unique(tail[:, 1]).size < 2:
-            batches[-2:] = [np.concatenate(batches[-2:], axis=0)]
-    return batches
+    shuffled = triples[rng.permutation(triples.shape[0])]
+    n = shuffled.shape[0]
+    cuts = [0]
+    for stop in range(batch_size, n + batch_size, batch_size):
+        block = shuffled[cuts[-1]:stop]
+        if (block[:, 0] != block[0, 0]).any() and (block[:, 1] != block[0, 1]).any():
+            cuts.append(min(stop, n))
+    if len(cuts) > 1:
+        cuts[-1] = n  # a degenerate rest joins the batch before it
+    elif n:
+        cuts.append(n)
+    return [shuffled[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def representations(params, dataset, cfg):

@@ -10,8 +10,8 @@ ab_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(ab_pairs)
 
 
-def _run(**metrics):
-    return {"correct": True, "failed": 0, "attempted": 1,
+def _run(failed=0, attempted=1, correct=True, **metrics):
+    return {"correct": correct, "failed": failed, "attempted": attempted,
             "metrics": {k: {"value": v, "unit": "ms"} for k, v in metrics.items()}}
 
 
@@ -74,3 +74,18 @@ def test_a_change_inside_the_bound_is_within_it():
     change = [x * 1.1 for x in parent]
     row = ab_pairs.summarize("step_ms_p50", "lower", _runs(parent, change), bound=0.25)
     assert row.endswith("within bound") and "gain not shown" in row
+
+
+def test_a_larger_failed_share_fails_the_run():
+    # shares sum over the runs: parent 1/40, change 2/40
+    runs = [(_run(failed=1, attempted=20), _run(failed=0, attempted=20)),
+            (_run(failed=0, attempted=20), _run(failed=2, attempted=20))]
+    assert ab_pairs.failed_shares(runs) == (1 / 40, 2 / 40)
+    assert ab_pairs.exit_status(runs) == 1
+    # an equal share passes; an incorrect run fails whatever the shares
+    runs[1] = (_run(failed=0, attempted=20), _run(failed=1, attempted=20))
+    assert ab_pairs.failed_shares(runs) == (1 / 40, 1 / 40)
+    assert ab_pairs.exit_status(runs) == 0
+    runs.append((_run(), _run(correct=False)))
+    assert ab_pairs.exit_status(runs) == 1
+    assert ab_pairs.failed_shares([(_run(attempted=0), _run(attempted=0))]) == (0.0, 0.0)

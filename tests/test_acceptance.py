@@ -68,14 +68,14 @@ def test_criterion_3_structural_invariants():
         c = ad.constant(rng.normal(size=(int(rng.integers(1, 6)), 4)))
         rows = intents.intent_assignment(e, c).values.sum(axis=1)
         worst_sum_err = max(worst_sum_err, float(np.abs(rows - 1.0).max()))
-        # KG slot attention: weights sum to 1 over every head with slots
+        # the KG pool's slot weights sum to 1 over every head with slots
         n_ent = int(rng.integers(1, 5))
         heads = np.repeat(np.arange(n_ent), rng.integers(0, 4, size=n_ent))
         triples = np.stack([heads, rng.integers(0, 2, size=heads.size),
                             rng.integers(0, n_ent, size=heads.size)], axis=1)
         edges = KnowledgeGraph(triples, n_entities=n_ent, n_relations=2).full_edges()
-        s = ad.slot_attention(rng.normal(size=(n_ent, 4)) * rng.uniform(0.1, 3),
-                              rng.normal(size=(2, 4)), edges).values
+        s = ad._slot_weights(rng.normal(size=(n_ent, 4)) * rng.uniform(0.1, 3),
+                             rng.normal(size=(2, 4)), edges)
         for k in range(n_ent):
             seg = s[edges.offsets[k]:edges.offsets[k + 1]]
             if seg.size:

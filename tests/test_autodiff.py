@@ -454,7 +454,7 @@ def test_spmm_operators_match_dense_oracle_with_isolated_nodes():
 
 
 # ---------------------------------------------------------------------------
-# segment softmax (the shared core of slot_attention and edge_attention)
+# segment softmax (the shared core of kg_pool and edge_attention)
 
 
 def _segment_fd(logits, offsets, upstream, eps=1e-6):
@@ -511,7 +511,6 @@ def test_segment_softmax_matrix_finite_difference():
 # fused edge operations
 
 # user 2 and item 3 have no interactions; entities 1, 4 and 5 head no slot
-# and entity 1 is no slot's tail either
 _PAIRS = [(0, 0), (0, 2), (1, 2), (1, 4), (3, 1), (3, 0), (3, 4)]
 _TRIPLES = [[0, 0, 3], [0, 1, 5], [2, 0, 1], [3, 1, 0], [3, 0, 2], [3, 1, 4], [2, 1, 2]]
 
@@ -589,55 +588,61 @@ def _kg_oracle_weights(ent, rel):
     return beta
 
 
-def test_slot_attention_and_gated_sum_match_dense_oracle():
+def test_kg_pool_and_gated_sum_match_dense_oracle():
     _, edges = _edge_fixture()
     ent, rel = RNG.normal(size=(6, 3)), RNG.normal(size=(3, 3))
-    beta = ad.slot_attention(ent, rel, edges).values
     want = _kg_oracle_weights(ent, rel)
     slots = list(zip(edges.head.tolist(), edges.rel.tolist(), edges.tail.tolist()))
-    np.testing.assert_allclose(beta, [want[slot] for slot in slots], rtol=0, atol=1e-14)
-    fallback = RNG.normal(size=(6, 3))
-    for weight in (None, beta):
-        out = ad.gated_sum(edges, rel, ent, fallback, weight=weight).values
-        expect = fallback.copy()
+    np.testing.assert_allclose(ad._slot_weights(ent, rel, edges), [want[slot] for slot in slots],
+                               rtol=0, atol=1e-14)
+    table = RNG.normal(size=(6, 3))
+    # the pool weights each slot and falls back to the entity row; the gated
+    # sum weights every slot 1 and falls back to its table's row
+    for out, weight_of, rows in ((ad.kg_pool(ent, rel, edges).values, want.get, ent),
+                                 (ad.gated_sum(edges, rel, table).values, lambda slot: 1.0, table)):
+        expect = rows.copy()
         for head in range(6):
-            msgs = [(1.0 if weight is None else want[(h, r, t)]) * rel[r] * ent[t]
-                    for h, r, t in slots if h == head]
+            msgs = [weight_of((h, r, t)) * rel[r] * rows[t] for h, r, t in slots if h == head]
             if msgs:
                 expect[head] = np.mean(msgs, axis=0)
         np.testing.assert_allclose(out, expect, rtol=0, atol=1e-14)
-    for isolated in (1, 4, 5):
-        np.testing.assert_array_equal(out[isolated], fallback[isolated])
+        for isolated in (1, 4, 5):
+            np.testing.assert_array_equal(out[isolated], rows[isolated])
 
 
-def test_slot_attention_finite_difference():
+def test_kg_pool_finite_difference():
+    # each table on its own, the other one a constant
     _, edges = _edge_fixture()
-    ent, rel = ad.parameter(RNG.normal(size=(6, 3))), ad.parameter(RNG.normal(size=(3, 3)))
-    w = RNG.normal(size=edges.n_edges)
-    fd_check(lambda: ad.sum_all(ad.mul(ad.slot_attention(ent, rel, edges), w)),
-             [("ent", ent), ("rel", rel)], tol=1e-7)
+    ent, rel = RNG.normal(size=(6, 3)), RNG.normal(size=(3, 3))
+    w = RNG.normal(size=(6, 3))
+    for name, p in (("ent", ad.parameter(ent)), ("rel", ad.parameter(rel))):
+        tables = {"ent": ent, "rel": rel, name: p}
+        fd_check(lambda: ad.sum_all(ad.mul(ad.kg_pool(tables["ent"], tables["rel"], edges), w)),
+                 [(name, p)], tol=1e-7)
 
 
-def test_slot_attention_rejects_misfit_shapes():
+def test_kg_pool_rejects_misfit_shapes():
     _, edges = _edge_fixture()
     for ent, rel in ((np.ones((5, 3)), np.ones((3, 3))), (np.ones((6, 3)), np.ones((3, 2))),
                      (np.ones(6), np.ones((3, 3)))):
-        with pytest.raises(ShapeError, match="slot_attention"):
-            ad.slot_attention(ent, rel, edges)
+        with pytest.raises(ShapeError, match="kg_pool"):
+            ad.kg_pool(ent, rel, edges)
 
 
-@pytest.mark.parametrize("weighted", [False, True])
-def test_gated_sum_finite_difference_through_every_input(weighted):
+@pytest.mark.parametrize("pruned", [False, True])
+def test_gated_sum_finite_difference_through_every_input(pruned):
     _, edges = _edge_fixture()
+    if pruned:  # one slot per head that has any, as a top-1 sampled view keeps
+        edges = KnowledgeGraph(np.array([[0, 0, 3], [2, 0, 1], [3, 1, 0]]), n_entities=6,
+                               n_relations=3).full_edges()
     gate, table = ad.parameter(RNG.normal(size=(3, 3))), ad.parameter(RNG.normal(size=(6, 3)))
-    fallback = ad.parameter(RNG.normal(size=(6, 3)))
-    weight = ad.parameter(RNG.uniform(0.5, 1.5, size=edges.n_edges)) if weighted else None
-    named = [("gate", gate), ("table", table), ("fallback", fallback)]
     w = RNG.normal(size=(6, 3))
-    fd_check(lambda: ad.sum_all(ad.mul(ad.gated_sum(edges, gate, table, fallback, weight), w)),
-             named + ([("weight", weight)] if weighted else []), tol=1e-7)
-    # the fallback gradient reaches only the three heads without slots
-    assert np.flatnonzero(np.abs(fallback.grad).sum(axis=1)).tolist() == [1, 4, 5]
+    fd_check(lambda: ad.sum_all(ad.mul(ad.gated_sum(edges, gate, table), w)),
+             [("gate", gate), ("table", table)], tol=1e-7)
+    # a row that heads no slot and is no slot's tail only passes through
+    lone = [h for h in range(6) if edges.counts[h] == 0 and h not in edges.tail]
+    assert lone == ([4, 5] if pruned else [])
+    np.testing.assert_array_equal(table.grad[lone], w[lone])
 
 
 def test_knowledge_pool_finite_difference_with_shared_entity_table():
@@ -646,23 +651,17 @@ def test_knowledge_pool_finite_difference_with_shared_entity_table():
     _, edges = _edge_fixture()
     ent, rel = ad.parameter(RNG.normal(size=(6, 3))), ad.parameter(RNG.normal(size=(3, 3)))
     w = RNG.normal(size=(6, 3))
-
-    def build():
-        beta = ad.slot_attention(ent, rel, edges)
-        pooled = ad.gated_sum(edges, rel, ent, ent, beta)
-        return ad.sum_all(ad.mul(pooled, w))
-
-    fd_check(build, [("ent", ent), ("rel", rel)], tol=1e-7)
+    fd_check(lambda: ad.sum_all(ad.mul(ad.kg_pool(ent, rel, edges), w)),
+             [("ent", ent), ("rel", rel)], tol=1e-7)
 
 
 def test_gated_sum_rejects_bad_operands():
     _, edges = _edge_fixture()
     gate, table = np.ones((3, 3)), np.ones((6, 3))
-    for args in ((gate, table, np.ones((5, 3))),
-                 (np.ones((3, 2)), table, table),
-                 (np.ones((2, 3)), table, table),
-                 (gate, np.ones((5, 3)), np.ones((5, 3))),
-                 (gate, table, table, np.ones(2))):
+    for args in ((np.ones((3, 2)), table),
+                 (np.ones((2, 3)), table),
+                 (gate, np.ones((5, 3))),
+                 (gate, np.ones(6))):
         with pytest.raises(ShapeError, match="gated_sum"):
             ad.gated_sum(edges, *args)
 
@@ -959,19 +958,19 @@ def test_gradcheck_passes_through_shared_intermediates():
 def test_constants_receive_no_gradient():
     p = ad.parameter(RNG.normal(size=(3, 3)))
     consts = [ad.constant(RNG.normal(size=(3, 3))) for _ in range(4)]
-    w = ad.constant(RNG.normal(size=2))
     with ad.Tape() as tape:
         h = ad.mul(p, consts[0])
         h = ad.add(h, consts[1])
         h = ad.sub(consts[2], h)
         h = ad.matmul(consts[3], h)
-        # constant gate and edge weight, tracked table
+        # a constant gate and a constant relation table, tracked entities
         edges = KnowledgeGraph(np.array([[0, 0, 2], [1, 1, 0]]), n_entities=3,
                                n_relations=3).full_edges()
-        h = ad.gated_sum(edges, consts[0], h, consts[1], weight=w)
+        h = ad.gated_sum(edges, consts[0], h)
+        h = ad.kg_pool(h, consts[1], edges)
         loss = ad.sum_all(ad.mul(h, 0.5))
     tape.backward(loss)
-    assert all(c.grad is None for c in consts) and w.grad is None
+    assert all(c.grad is None for c in consts)
     assert np.any(p.grad != 0.0)
 
 

@@ -91,10 +91,37 @@ def test_non_integer_in_integer_field_rejected_by_name(kw, key):
         ExperimentConfig(**kw).validate()
 
 
+@pytest.mark.parametrize("kw, key", [
+    (dict(recall_ks=10), "recall_ks"),
+    (dict(recall_ks="10 20"), "recall_ks"),
+    (dict(recall_ks=()), "recall_ks"),
+    (dict(tau="0.5"), "tau"),
+    (dict(lr=None), "lr"),
+    (dict(alpha="x"), "alpha"),
+    (dict(lr=10 ** 400), "lr"),
+    (dict(tau=True), "tau"),
+    (dict(noise_ratio=np.False_), "noise_ratio"),
+    (dict(data_dir=3), "data_dir"),
+    (dict(share_transformer_weights="no"), "share_transformer_weights"),
+    (dict(infonce_standard=1), "infonce_standard"),
+])
+def test_mistyped_value_rejected_by_name(kw, key):
+    # recall_ks=10, tau="0.5", lr=None and alpha="x" once ended in a raw
+    # TypeError, lr=10**400 in an OverflowError and data_dir=3 in an
+    # AttributeError; tau=True trained with tau 1 and
+    # share_transformer_weights="no" with shared weights; recall_ks=() wrote
+    # a config.ini that parse_config rejects
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig(**kw).validate()
+
+
 def test_numpy_integers_pass_integer_fields():
     cfg = ExperimentConfig(epochs=np.int64(2), k_top=np.int32(3), depth=np.uint8(2),
                            recall_ks=(np.int64(5), 10)).validate()
     assert cfg.epochs == 2 and cfg.k_top == 3
+    # any real number that is no bool passes a float field; a list of ks passes
+    cfg = ExperimentConfig(tau=1, lr=np.float32(0.5), alpha=np.int64(0), recall_ks=[5, 10])
+    assert cfg.validate().lr == 0.5
     assert ExperimentConfig(k_top=None).validate().k_top is None
 
 

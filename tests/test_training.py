@@ -311,12 +311,11 @@ def test_step_records_every_public_op_and_no_other(tiny_dataset):
 @pytest.mark.parametrize("depth, agg_depth", [(1, 1), (1, 2), (2, 1)])
 def test_each_aggregation_is_one_node(tiny_dataset, depth, agg_depth):
     counts = _step_tape(tiny_dataset, small_cfg(depth=depth, agg_depth=agg_depth))[0].op_counts()
-    # per layer: one node per attention direction, and the KG pool as its
-    # slot weights and one gated sum
+    # per layer: one node per attention direction and one for the KG pool
     assert counts["edge_attention"] == 2 * depth
-    assert counts["slot_attention"] == depth
+    assert counts["kg_pool"] == depth
     # per light layer and track: the entity pool (a gated sum) and the user pool
-    assert counts["gated_sum"] == depth + 2 * agg_depth
+    assert counts["gated_sum"] == 2 * agg_depth
     assert counts["spmm"] == 2 * agg_depth
     assert not {"segment_sum_rows", "segment_softmax", "scale_rows"} & set(counts)
 
@@ -599,6 +598,46 @@ def test_epoch_batches_each_have_two_users_and_items():
                 assert np.unique(b[:, 0]).size >= 2 and np.unique(b[:, 1]).size >= 2
             joined = np.concatenate(batches)
             assert sorted(map(tuple, joined)) == sorted(map(tuple, triples))
+
+
+def test_epoch_batches_merge_every_degenerate_batch():
+    # at 2 or 3 rows a batch often repeats its user or its item: each such
+    # batch joins the one after it, a degenerate rest the one before it, and
+    # the batches stay contiguous pieces of the one shuffle
+    triples = np.column_stack([np.arange(24) % 3, np.arange(24) % 4, np.arange(24)])
+    for seed in range(20):
+        for batch_size in (2, 3):
+            batches = training._epoch_batches(triples, batch_size, np.random.default_rng(seed))
+            assert len(batches) > 1
+            for b in batches:
+                assert np.unique(b[:, 0]).size >= 2 and np.unique(b[:, 1]).size >= 2
+            np.testing.assert_array_equal(
+                np.concatenate(batches), triples[np.random.default_rng(seed).permutation(24)])
+
+
+def test_epoch_batches_that_qualify_are_plain_slices():
+    triples = np.column_stack([np.arange(30) % 3, np.arange(30) % 5, np.arange(30)])
+    qualified = 0
+    for seed in range(20):
+        shuffled = triples[np.random.default_rng(seed).permutation(30)]
+        plain = [shuffled[k:k + 7] for k in range(0, 30, 7)]
+        if all(np.unique(b[:, 0]).size > 1 and np.unique(b[:, 1]).size > 1 for b in plain):
+            qualified += 1
+            batches = training._epoch_batches(triples, 7, np.random.default_rng(seed))
+            assert len(batches) == len(plain)
+            for got, want in zip(batches, plain):
+                np.testing.assert_array_equal(got, want)
+    assert qualified > 10
+
+
+def test_fit_at_batch_size_two():
+    # every batch of 2 rows that repeats a user or an item once made fit
+    # raise ContractError in the contrastive term
+    ds = synthetic_dataset(40, 30, 50, 3)
+    result = training.fit(small_cfg(batch_size=2, epochs=2), ds)
+    assert len(result.log) == 2
+    assert all(math.isfinite(row[k]) for row in result.log
+               for k in ("loss_bpr", "loss_cl", "loss_reg"))
 
 
 def test_fit_divergence_aborts_with_last_good(tiny_dataset, monkeypatch):

@@ -22,6 +22,11 @@ Each metric also gets one verdict against its relative `bound`:
 - `unresolved`: the parent's interquartile range is wider than `bound`
   times its median, and not every change run beats every parent run;
 - `within bound`: otherwise.
+
+It also prints each side's failed share, the failed operations summed over
+its runs divided by the attempted ones. The exit status is nonzero when a
+run is not `correct` or the change's failed share is larger than the
+parent's.
 """
 from __future__ import annotations
 
@@ -99,6 +104,23 @@ def summarize(metric, better, runs, bound=None):
     return f"{row}  {verdict}"
 
 
+def failed_shares(runs):
+    """Each side's summed failed over summed attempted operations, parent
+    first; a side that attempted nothing reads 0."""
+    shares = []
+    for k in range(len(SIDES)):
+        attempted = sum(pair[k]["attempted"] for pair in runs)
+        shares.append(sum(pair[k]["failed"] for pair in runs) / attempted if attempted else 0.0)
+    return tuple(shares)
+
+
+def exit_status(runs):
+    """1 when a run is not correct or the change fails a larger share, else 0."""
+    parent_share, change_share = failed_shares(runs)
+    correct = all(p["correct"] and c["correct"] for p, c in runs)
+    return 0 if correct and change_share <= parent_share else 1
+
+
 def main(argv=None):
     args = parse_args(argv)
     with open(args.change / "BENCHMARK.json", encoding="utf-8") as fh:
@@ -119,7 +141,9 @@ def main(argv=None):
           "median [quartiles] per side")
     for entry in end_to_end:
         print(summarize(entry["name"], entry["better"], runs, entry["bound"]))
-    return 0 if all(p["correct"] and c["correct"] for p, c in runs) else 1
+    print("  failed share   " + "  ".join(
+        f"{side} {share:.6g}" for side, share in zip(SIDES, failed_shares(runs))))
+    return exit_status(runs)
 
 
 if __name__ == "__main__":
