@@ -426,15 +426,6 @@ class SparseOperator(sparse.csr_array):
         return np.flatnonzero(self.indptr[1:] == self.indptr[:-1])
 
 
-def _operator(name, matrix):
-    """`matrix` as a `SparseOperator`: itself, or a new one sharing its arrays."""
-    if not (sparse.issparse(matrix) and matrix.format == "csr"):
-        raise ContractError(
-            f"{name}: matrix must be a constant CSR sparse matrix, got {type(matrix).__name__}"
-        )
-    return matrix if isinstance(matrix, SparseOperator) else SparseOperator(matrix)
-
-
 def _fallback_rows(operator, sums, fallback):
     """Put `fallback` rows where `operator` has an empty row."""
     empty = operator.empty_rows
@@ -460,26 +451,27 @@ def spmm(matrix, x, fallback):
     """Sparse-dense product whose rows without entries fall back.
 
     Row i of the output is `(matrix @ x)[i]`, or `fallback[i]` when row i of
-    `matrix` holds no entries. `matrix` is a constant scipy CSR matrix
+    `matrix` holds no entries. `matrix` is a constant `SparseOperator`
     (n, m), `x` is (m, d) and `fallback` is (n, d). Backward gives
-    `matrix.T @ g` to `x`, through the transpose a `SparseOperator` keeps,
-    and `g` on the empty rows only to `fallback`.
+    `matrix.T @ g` to `x`, through the transpose the operator keeps, and
+    `g` on the empty rows only to `fallback`.
     """
-    operator = _operator("spmm", matrix)
+    if not isinstance(matrix, SparseOperator):
+        raise ContractError(f"spmm: matrix must be a SparseOperator, got {type(matrix).__name__}")
     xv, fv = _values(x), _values(fallback)
-    n, m = operator.shape
+    n, m = matrix.shape
     if xv.ndim != 2 or xv.shape[0] != m or fv.shape != (n, xv.shape[1]):
         raise ShapeError(
-            f"spmm: matrix {operator.shape}, x {xv.shape} and fallback {fv.shape} do not fit"
+            f"spmm: matrix {matrix.shape}, x {xv.shape} and fallback {fv.shape} do not fit"
         )
-    sums = operator @ xv
-    _fallback_rows(operator, sums, fv)
+    sums = matrix @ xv
+    _fallback_rows(matrix, sums, fv)
     out = Tensor(sums, requires_grad=_needs_grad(x, fallback))
 
     def backward(g):
-        _accum_fallback(fallback, g, operator)
+        _accum_fallback(fallback, g, matrix)
         if _tracked(x):
-            _accum(x, operator.transposed @ g, fresh=True)
+            _accum(x, matrix.transposed @ g, fresh=True)
 
     _record("spmm", out, backward)
     return out
@@ -577,8 +569,7 @@ def edge_attention(queries, keys, values, fallback, edges, n_heads):
     `edges.source_sum`, the target-side ones through `edges.target_sum`.
     """
     qv, kv, vv, fv = (_values(t) for t in (queries, keys, values, fallback))
-    sums_to_source = _operator("edge_attention", edges.source_sum)
-    sums_to_target = edges.target_sum
+    sums_to_source, sums_to_target = edges.source_sum, edges.target_sum
     if (qv.ndim != 2 or kv.shape != (sums_to_target.shape[0], qv.shape[1])
             or vv.shape != kv.shape or fv.shape != qv.shape
             or qv.shape[0] != sums_to_source.shape[0]):

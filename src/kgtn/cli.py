@@ -1,8 +1,15 @@
 """Command-line entry point: train / evaluate / ablate / noise-test / gen-synth / grad-check.
 
-Every run writes its fully resolved configuration next to its outputs, so
-any artifact can be reproduced from the run directory alone. All
-randomness flows through the single seeded generator named in that config.
+Each command accepts only the flags its code reads. The four run commands
+(train, evaluate, ablate, noise-test) take the run flags; the three that
+train also take the training flags, and the three that print a metric
+report take `--emit-plot-data`. A run command writes its fully resolved
+configuration next to its outputs, so any artifact can be reproduced from
+the run directory alone, and all randomness flows through the single seeded
+generator named in that config. Its data carry the run's injected noise,
+except in noise-test, whose ratio is the one under test. gen-synth and
+grad-check read no config and write no `config.ini`: grad-check takes
+`--seed` only, gen-synth `--seed`, `--out` and its generator flags.
 """
 from __future__ import annotations
 
@@ -14,36 +21,45 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data, denoise, experiments, gradcheck, training
+from . import data, experiments, gradcheck, training
 from .config import ExperimentConfig, parse_config, write_config
 from .errors import ConfigError, KgtnError
 
-
-def _add_common_flags(p):
-    p.add_argument("--config", metavar="PATH", help="INI config file")
-    p.add_argument("--data-dir", help="directory with ratings_final.txt / kg_final.txt "
-                                      "(falls back to $KGTN_DATA_DIR)")
-    p.add_argument("--out", metavar="DIR", help="output directory (default runs/<command>)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--alpha", type=float, help="contrastive loss weight")
-    p.add_argument("--tau", type=float, help="contrastive temperature")
-    p.add_argument("--k-top", dest="k_top", help="KG slots kept per head ('none' keeps all)")
-    p.add_argument("--intents", dest="n_intents", type=int, help="intent prototype count")
-    p.add_argument("--depth", type=int, help="graph transformer depth")
-    p.add_argument("--heads", dest="n_heads", type=int, help="attention head count")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--l2", type=float, help="L2 regularization weight")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--noise-ratio", dest="noise_ratio", type=float,
-                   help="fraction of fake training positives to inject")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--share-transformer-weights", dest="share_transformer_weights",
-                   action="store_const", const=True, default=None)
-    p.add_argument("--infonce-standard", dest="infonce_standard",
-                   action="store_const", const=True, default=None)
-    p.add_argument("--emit-plot-data", action="store_true",
-                   help="also write x/y CSV series for plotting")
-
+# Every flag by option string. A flag whose dest names a config field
+# overrides that key, so this table is the only list of overrides.
+_FLAGS = {
+    "--config": dict(metavar="PATH", help="INI config file"),
+    "--data-dir": dict(help="directory with ratings_final.txt / kg_final.txt "
+                            "(falls back to $KGTN_DATA_DIR)"),
+    "--out": dict(metavar="DIR", help="output directory (default runs/<command>)"),
+    "--seed": dict(type=int),
+    "--noise-ratio": dict(type=float, help="fraction of fake training positives to inject"),
+    "--intents": dict(dest="n_intents", type=int, help="intent prototype count"),
+    "--depth": dict(type=int, help="graph transformer depth"),
+    "--heads": dict(dest="n_heads", type=int, help="attention head count"),
+    "--share-transformer-weights": dict(action="store_const", const=True, default=None),
+    "--alpha": dict(type=float, help="contrastive loss weight"),
+    "--tau": dict(type=float, help="contrastive temperature"),
+    "--k-top": dict(help="KG slots kept per head ('none' keeps all)"),
+    "--lr": dict(type=float),
+    "--l2": dict(type=float, help="L2 regularization weight"),
+    "--epochs": dict(type=int),
+    "--batch-size": dict(type=int),
+    "--infonce-standard": dict(action="store_const", const=True, default=None),
+    "--emit-plot-data": dict(action="store_true", help="also write x/y CSV series for plotting"),
+    "--checkpoint": dict(required=True, metavar="PATH"),
+    "--users": dict(type=int, default=40),
+    "--items": dict(type=int, default=30),
+    "--extra-entities": dict(type=int, default=20,
+                             help="non-item entities appended after the item prefix"),
+    "--relations": dict(type=int, default=3),
+    "--density": dict(type=float, default=0.5),
+    "--groups": dict(type=int, default=4),
+}
+_RUN_FLAGS = ("--config", "--data-dir", "--out", "--seed", "--noise-ratio", "--intents",
+              "--depth", "--heads", "--share-transformer-weights")
+_TRAINING_FLAGS = ("--alpha", "--tau", "--k-top", "--lr", "--l2", "--epochs", "--batch-size",
+                   "--infonce-standard")
 
 _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
@@ -62,19 +78,34 @@ def _resolve(args, command):
     return cfg, out
 
 
-def _load(cfg):
+def _seed(args):
+    """`--seed` of a command without a config, checked as `validate()` checks it."""
+    return parse_config(None, {"seed": args.seed}).seed
+
+
+def _load(cfg, noisy=True):
+    """The run's dataset; unless `noisy` is off, its training positives
+    carry the run's injected noise, drawn as `train` draws it."""
     if not cfg.data_dir:
         raise ConfigError("no data directory: pass --data-dir, set it in the config, "
                           "or export KGTN_DATA_DIR")
-    return data.load_dataset(cfg.data_dir, cfg.split_ratios, cfg.seed)
+    dataset = data.load_dataset(cfg.data_dir, cfg.split_ratios, cfg.seed)
+    if noisy and cfg.noise_ratio > 0:
+        dataset = data.inject_noise(dataset, cfg.noise_ratio, seed=cfg.seed + 1)
+    return dataset
+
+
+def _report(args, out, report, csv_name, stem):
+    print(report.render_table())
+    (out / csv_name).write_text(report.to_csv(), encoding="utf-8")
+    if args.emit_plot_data:
+        experiments.plot_series(report, out, stem)
+    return 0
 
 
 def _cmd_train(args):
     cfg, out = _resolve(args, "train")
-    dataset = _load(cfg)
-    if cfg.noise_ratio > 0:
-        dataset = data.inject_noise(dataset, cfg.noise_ratio, seed=cfg.seed + 1)
-    result = training.fit(cfg, dataset)
+    result = training.fit(cfg, _load(cfg))
     training.save_checkpoint(out / "checkpoint.bin", result.params.copy_values())
     training.write_metric_log(out / "metrics.csv", result.log)
     if result.log:
@@ -98,55 +129,39 @@ def _cmd_evaluate(args):
     params.load_values(blob)
     row = experiments.evaluate_model(params, dataset, cfg, label="checkpoint")
     report = experiments.MetricReport(rows=[row]).validate()
-    print(report.render_table())
-    (out / "report.csv").write_text(report.to_csv(), encoding="utf-8")
-    if args.emit_plot_data:
-        experiments.plot_series(report, out, "evaluate")
-    return 0
+    return _report(args, out, report, "report.csv", "evaluate")
 
 
 def _cmd_ablate(args):
     cfg, out = _resolve(args, "ablate")
-    dataset = _load(cfg)
-    report = experiments.run_ablation(cfg, dataset)
-    print(report.render_table())
-    (out / "ablation.csv").write_text(report.to_csv(), encoding="utf-8")
-    if args.emit_plot_data:
-        experiments.plot_series(report, out, "ablation")
-    return 0
+    report = experiments.run_ablation(cfg, _load(cfg))
+    return _report(args, out, report, "ablation.csv", "ablation")
 
 
 def _cmd_noise_test(args):
     cfg, out = _resolve(args, "noise-test")
-    dataset = _load(cfg)
     ratios = experiments.NOISE_RATIOS if args.noise_ratio is None else (0.0, cfg.noise_ratio)
-    report = experiments.noise_robustness(cfg, dataset, ratios=ratios)
-    print(report.render_table())
-    (out / "noise.csv").write_text(report.to_csv(), encoding="utf-8")
-    if args.emit_plot_data:
-        experiments.plot_series(report, out, "noise")
-    return 0
+    report = experiments.noise_robustness(cfg, _load(cfg, noisy=False), ratios=ratios)
+    return _report(args, out, report, "noise.csv", "noise")
 
 
 def _cmd_gen_synth(args):
-    cfg, out = _resolve(args, "gen-synth")
     raw = data.generate_synthetic(
         n_users=args.users,
         n_items=args.items,
         n_entities=args.items + args.extra_entities,
         n_relations=args.relations,
         density=args.density,
-        seed=cfg.seed,
+        seed=_seed(args),
         n_groups=args.groups,
     )
-    ratings, kg_path = data.write_dataset(raw, out)
+    ratings, kg_path = data.write_dataset(raw, args.out or Path("runs") / "gen-synth")
     print(f"wrote {ratings} ({raw.pairs.shape[0]} rows) and {kg_path} ({raw.triples.shape[0]} triples)")
     return 0
 
 
 def _cmd_grad_check(args):
-    cfg, out = _resolve(args, "grad-check")
-    result = gradcheck.full_model_check(seed=cfg.seed)
+    result = gradcheck.full_model_check(seed=_seed(args))
     for name in sorted(result.per_param):
         print(f"  {name:<28} max rel err {result.per_param[name]:.3e}")
     print(f"checked {result.entries_checked} parameter entries; "
@@ -158,45 +173,34 @@ def _cmd_grad_check(args):
     return 0
 
 
+# name: (handler, help, accepted flags)
+_COMMANDS = {
+    "train": (_cmd_train, "train a model, write checkpoint + metric log",
+              _RUN_FLAGS + _TRAINING_FLAGS),
+    "evaluate": (_cmd_evaluate, "evaluate a checkpoint on the test split",
+                 _RUN_FLAGS + ("--checkpoint", "--emit-plot-data")),
+    "ablate": (_cmd_ablate, "train and compare the four ablation variants",
+               _RUN_FLAGS + _TRAINING_FLAGS + ("--emit-plot-data",)),
+    "noise-test": (_cmd_noise_test, "training-noise robustness protocol",
+                   _RUN_FLAGS + _TRAINING_FLAGS + ("--emit-plot-data",)),
+    "gen-synth": (_cmd_gen_synth, "write a planted synthetic dataset",
+                  ("--seed", "--out", "--users", "--items", "--extra-entities", "--relations",
+                   "--density", "--groups")),
+    "grad-check": (_cmd_grad_check, "finite-difference check on a toy instance", ("--seed",)),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="kgtn",
         description="Knowledge-enhanced multi-intent recommender: training and evaluation workflows",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="train a model, write checkpoint + metric log")
-    _add_common_flags(p)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint on the test split")
-    _add_common_flags(p)
-    p.add_argument("--checkpoint", required=True, metavar="PATH")
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("ablate", help="train and compare the four ablation variants")
-    _add_common_flags(p)
-    p.set_defaults(func=_cmd_ablate)
-
-    p = sub.add_parser("noise-test", help="training-noise robustness protocol")
-    _add_common_flags(p)
-    p.set_defaults(func=_cmd_noise_test)
-
-    p = sub.add_parser("gen-synth", help="write a planted synthetic dataset")
-    _add_common_flags(p)
-    p.add_argument("--users", type=int, default=40)
-    p.add_argument("--items", type=int, default=30)
-    p.add_argument("--extra-entities", type=int, default=20,
-                   help="non-item entities appended after the item prefix")
-    p.add_argument("--relations", type=int, default=3)
-    p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--groups", type=int, default=4)
-    p.set_defaults(func=_cmd_gen_synth)
-
-    p = sub.add_parser("grad-check", help="finite-difference check on a toy instance")
-    _add_common_flags(p)
-    p.set_defaults(func=_cmd_grad_check)
-
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .autodiff import SparseOperator
 from .errors import ConfigError, DataFormatError, DomainError
@@ -114,8 +113,8 @@ class EdgeList:
     offsets: np.ndarray
     source: np.ndarray
     target: np.ndarray
-    source_sum: sparse.csr_array
-    target_sum: sparse.csr_array
+    source_sum: SparseOperator
+    target_sum: SparseOperator
 
 
 class InteractionGraph:
@@ -229,12 +228,13 @@ class KnowledgeGraph:
                 f"entity ID overflow: triples use {max_ent} entities, declared {n_entities}"
             )
         self.triples = triples
-        order = np.lexsort((triples[:, 2], triples[:, 1], triples[:, 0]))
-        heads = triples[order, 0]
+        # `unique` sorts the rows by (head, relation, tail); the columns are
+        # copied so the edges never alias `triples`
+        heads = triples[:, 0].copy()
         self._edges = KGEdges(
             offsets=csr_offsets(heads, self.n_entities),
-            rel=triples[order, 1],
-            tail=triples[order, 2],
+            rel=triples[:, 1].copy(),
+            tail=triples[:, 2].copy(),
             head=heads,
             n_relations=self.n_relations,
         )

@@ -150,9 +150,7 @@ def light_aggregate(user_seed, entity_seed, relation_emb, view_edges, graph, dep
     ze = [entity_seed]
     zi = [ad.slice_rows(entity_seed, 0, n_items)]
     for _ in range(depth):
-        z = ze[-1]
-        if view_edges.n_edges:
-            z = ad.gated_sum(view_edges, relation_emb, z)
+        z = ad.gated_sum(view_edges, relation_emb, ze[-1])
         zu.append(ad.spmm(graph.user_mean, zi[-1], zu[-1]))
         ze.append(z)
         zi.append(ad.slice_rows(z, 0, n_items))

@@ -80,8 +80,6 @@ def kg_aggregate(entity_emb, relation_emb, edges):
     embeddings: one `kg_pool` node, which keeps only the slot weights.
     Heads without active slots pass through unchanged.
     """
-    if edges.n_edges == 0:
-        return entity_emb
     return ad.kg_pool(entity_emb, relation_emb, edges)
 
 

@@ -157,19 +157,32 @@ class Adam:
         self.m = np.zeros_like(store.values)
         self.v = np.zeros_like(store.values)
 
+    def _diverged(self, what, rows):
+        """TrainingDiverged naming the parameter that holds the first
+        non-finite row of the store-shaped `rows`."""
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
+        ends = np.cumsum([p.values.shape[0] for _, p in self.named])
+        name = self.named[np.searchsorted(ends, bad, side="right")][0]
+        return TrainingDiverged(f"non-finite {what} in parameter '{name}'")
+
     def step(self):
-        """One update of every parameter; a non-finite gradient anywhere
-        raises TrainingDiverged before any value or moment changes."""
+        """One update of every parameter; a non-finite gradient or new value
+        anywhere raises TrainingDiverged before any value or moment changes."""
         g = self.store.grad
         if not np.isfinite(g).all():
-            name = next(name for name, p in self.named if not np.isfinite(p.grad).all())
-            raise TrainingDiverged(f"non-finite gradient in parameter '{name}'")
-        self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
-        v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        self.store.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            raise self._diverged("gradient", g)
+        t = self.t + 1
+        m = self.beta1 * self.m + (1.0 - self.beta1) * g
+        v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
+        m_hat = m / (1.0 - self.beta1 ** t)
+        v_hat = v / (1.0 - self.beta2 ** t)
+        # a finite gradient can still overflow the update: lr * m_hat and
+        # v_hat both infinite give NaN
+        new = self.store.values - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        if not np.isfinite(new).all():
+            raise self._diverged("update", new)
+        self.t, self.m, self.v = t, m, v
+        self.store.values[...] = new
 
     def zero_grad(self):
         self.store.grad.fill(0.0)

@@ -354,7 +354,7 @@ def test_slice_rows_rejects_rows_outside_the_table():
 
 
 def _csr(dense):
-    return sparse.csr_array(np.asarray(dense, dtype=np.float64))
+    return ad.SparseOperator(np.asarray(dense, dtype=np.float64))
 
 
 def test_spmm_empty_rows_take_fallback():
@@ -416,6 +416,10 @@ def test_spmm_rejects_bad_operands():
         ad.spmm(matrix.toarray(), np.ones((3, 2)), np.ones((2, 2)))
     with pytest.raises(ContractError):
         ad.spmm(ad.constant(matrix.toarray()), np.ones((3, 2)), np.ones((2, 2)))
+    # a raw CSR matrix is no operator: wrapping it on every call rebuilt its
+    # transpose each time
+    with pytest.raises(ContractError, match="SparseOperator"):
+        ad.spmm(sparse.csr_array(matrix), np.ones((3, 2)), np.ones((2, 2)))
 
 
 def test_spmm_operators_match_dense_oracle_with_isolated_nodes():

@@ -4,7 +4,7 @@ import argparse
 import numpy as np
 import pytest
 
-from kgtn import cli, data, training
+from kgtn import cli, data, experiments, training
 from kgtn.config import ExperimentConfig, parse_config, to_ini, write_config
 from kgtn.errors import ConfigError
 
@@ -236,7 +236,7 @@ def test_gen_synth_deterministic(tmp_path):
         assert cli.main(["gen-synth", "--seed", "7", "--out", str(out)]) == 0
     for name in ("ratings_final.txt", "kg_final.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    assert (out1 / "config.ini").exists()
+    assert sorted(p.name for p in out1.iterdir()) == ["kg_final.txt", "ratings_final.txt"]
 
 
 def test_train_writes_artifacts(tmp_path, synth_dir):
@@ -404,7 +404,45 @@ def test_unreadable_path_exits_2(tmp_path, synth_dir, capsys, case):
     assert "error:" in capsys.readouterr().err
 
 
-# A non-default value for each common flag that names a config field.
+def _subparsers():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+_RUN_FLAGS = {"--config", "--data-dir", "--out", "--seed", "--noise-ratio", "--intents",
+              "--depth", "--heads", "--share-transformer-weights"}
+_TRAINING_FLAGS = {"--alpha", "--tau", "--k-top", "--lr", "--l2", "--epochs", "--batch-size",
+                   "--infonce-standard"}
+_ACCEPTED = {
+    "train": _RUN_FLAGS | _TRAINING_FLAGS,
+    "evaluate": _RUN_FLAGS | {"--checkpoint", "--emit-plot-data"},
+    "ablate": _RUN_FLAGS | _TRAINING_FLAGS | {"--emit-plot-data"},
+    "noise-test": _RUN_FLAGS | _TRAINING_FLAGS | {"--emit-plot-data"},
+    "gen-synth": {"--seed", "--out", "--users", "--items", "--extra-entities", "--relations",
+                  "--density", "--groups"},
+    "grad-check": {"--seed"},
+}
+
+
+def test_each_command_accepts_only_the_flags_it_reads():
+    # every command once took all 18 common flags: `grad-check --depth 3`
+    # passed and wrote a config.ini claiming depth 3
+    accepted = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                for name, p in _subparsers().items()}
+    assert accepted == _ACCEPTED
+    assert [len(accepted[name]) for name in _ACCEPTED] == [17, 11, 18, 18, 8, 1]
+
+
+@pytest.mark.parametrize("command", ["gen-synth", "grad-check"])
+def test_negative_seed_without_config_exits_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([command, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+# A non-default value for each run or training flag that names a config field.
 _FLAG_VALUES = {
     "data_dir": ("somewhere/ data", "somewhere/ data"),
     "seed": ("3", 3),
@@ -425,16 +463,13 @@ _FLAG_VALUES = {
 
 
 def test_every_config_flag_reaches_config_ini(tmp_path):
-    parser = argparse.ArgumentParser()
-    cli._add_common_flags(parser)
     fields = set(vars(ExperimentConfig()))
-    actions = {a.dest: a for a in parser._actions if a.dest in fields}
+    actions = {a.dest: a for a in _subparsers()["train"]._actions if a.dest in fields}
     assert set(actions) == set(_FLAG_VALUES)
-    argv = ["gen-synth", "--out", str(tmp_path / "run"), "--users", "6", "--items", "5",
-            "--extra-entities", "2", "--relations", "1"]
+    argv = ["train", "--out", str(tmp_path / "run")]
     for dest, (text, _) in _FLAG_VALUES.items():
         argv += [actions[dest].option_strings[0]] + ([] if text is None else [text])
-    assert cli.main(argv) == 0
+    cli._resolve(cli.build_parser().parse_args(argv), "train")
     cfg = parse_config(tmp_path / "run" / "config.ini")
     for dest, (_, want) in _FLAG_VALUES.items():
         assert getattr(cfg, dest) == want, dest
@@ -465,11 +500,13 @@ def test_train_rejects_data_dir_with_trailing_space(tmp_path, synth_dir, capsys)
     assert "data_dir" in capsys.readouterr().err
 
 
-def test_grad_check_command(tmp_path, capsys):
-    assert cli.main(["grad-check", "--out", str(tmp_path / "gc")]) == 0
+def test_grad_check_command(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["grad-check"]) == 0
     out = capsys.readouterr().out
     assert "max relative error" in out
     assert "passed" in out
+    assert list(tmp_path.iterdir()) == []  # no config.ini, no runs/ directory
 
 
 def test_noise_test_single_ratio(tmp_path, synth_dir):
@@ -486,3 +523,45 @@ def test_ablate_command(tmp_path, synth_dir):
     assert cli.main(["ablate", *_fast_flags(tmp_path, synth_dir, out), "--epochs", "1"]) == 0
     text = (out / "ablation.csv").read_text()
     assert "wo_intents" in text
+
+
+def test_evaluate_sees_the_noise_the_run_trained_with(tmp_path, synth_dir):
+    # evaluate once scored a model trained with --noise-ratio 0.3 on the
+    # clean train graph: test auc 0.8333 instead of 0.6944
+    run = tmp_path / "run"
+    assert cli.main(["train", *_fast_flags(tmp_path, synth_dir, run), "--noise-ratio", "0.3"]) == 0
+    out = tmp_path / "eval"
+    assert cli.main(["evaluate", "--config", str(run / "config.ini"), "--out", str(out),
+                     "--checkpoint", str(run / "checkpoint.bin")]) == 0
+    cfg = parse_config(run / "config.ini")
+    clean = data.load_dataset(synth_dir, cfg.split_ratios, cfg.seed)
+    noisy = data.inject_noise(clean, 0.3, seed=cfg.seed + 1)
+    params = training.ModelParameters.initialize(
+        noisy.n_users, noisy.n_entities, noisy.n_relations, cfg, np.random.default_rng(cfg.seed))
+    params.load_values(training.load_checkpoint(run / "checkpoint.bin"))
+    want = experiments.evaluate_model(params, noisy, cfg, label="checkpoint")
+    assert float((out / "report.csv").read_text().splitlines()[1].split(",")[1]) == want.auc
+    assert want.auc != experiments.evaluate_model(params, clean, cfg).auc
+
+
+@pytest.mark.parametrize("command, target, noisy", [
+    ("train", (training, "fit"), True),
+    ("ablate", (experiments, "run_ablation"), True),
+    ("noise-test", (experiments, "noise_robustness"), False),
+])
+def test_each_command_trains_on_the_runs_noise(tmp_path, synth_dir, monkeypatch,
+                                               command, target, noisy):
+    # noise-test reads --noise-ratio as the ratio under test: its protocol
+    # injects the noise itself, so it starts from the clean data
+    seen = []
+
+    def capture(cfg, dataset, **kwargs):
+        seen.append(dataset.split.train)
+        raise ConfigError("captured")
+
+    monkeypatch.setattr(*target, capture)
+    flags = _fast_flags(tmp_path, synth_dir, tmp_path / "run")
+    assert cli.main([command, *flags, "--noise-ratio", "0.2"]) == 2
+    clean = data.load_dataset(synth_dir, (0.6, 0.2, 0.2), 5)
+    want = data.inject_noise(clean, 0.2, seed=6) if noisy else clean
+    np.testing.assert_array_equal(seen[0], want.split.train)

@@ -268,6 +268,20 @@ def test_cached_transposes_equal_the_fresh_transpose_product():
         np.testing.assert_array_equal(op.empty_rows, np.flatnonzero(np.diff(op.indptr) == 0))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2000])
+def test_kg_edges_are_sorted_copies_of_the_triple_columns(n):
+    rng = np.random.default_rng(n)
+    raw = np.column_stack([rng.integers(0, 50, n), rng.integers(0, 7, n), rng.integers(0, 50, n)])
+    kg = data.KnowledgeGraph(raw, n_entities=50, n_relations=7)
+    edges = kg.full_edges()
+    order = np.lexsort((raw[:, 2], raw[:, 1], raw[:, 0]))
+    want = np.unique(raw[order], axis=0) if n else raw.reshape(0, 3)
+    for column, got in enumerate((edges.head, edges.rel, edges.tail)):
+        np.testing.assert_array_equal(got, want[:, column])
+        assert got.flags.c_contiguous and not np.shares_memory(got, kg.triples)
+    np.testing.assert_array_equal(edges.offsets, data.csr_offsets(want[:, 0], 50))
+
+
 def test_kg_declared_entities_enforced():
     with pytest.raises(DataFormatError, match="overflow"):
         data.KnowledgeGraph(np.array([[9, 0, 1]]), n_entities=5)

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from kgtn import autodiff as ad
-from kgtn import data, denoise, training
+from kgtn import data, denoise, intents, training
 from kgtn.config import ExperimentConfig
 from kgtn.data import synthetic_dataset
-from kgtn.errors import CheckpointError, TrainingDiverged
+from kgtn.errors import CheckpointError, KgtnError, TrainingDiverged
 
 RNG = np.random.default_rng(77)
 
@@ -167,6 +167,21 @@ def test_adam_checks_every_gradient_before_updating_any():
     assert not opt.m.any() and not opt.v.any()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_adam_rejects_an_update_that_overflows_before_updating_any():
+    # lr 1e300 on a gradient of 1e200 once wrote NaN into the parameter:
+    # lr * m_hat and v_hat both overflow. fit ended with finite losses and a
+    # NaN parameter when it was the last step.
+    opt, (a, b, c) = _adam(1e300, a=np.array([[1.0]]), b=np.array([[2.0], [3.0]]),
+                           c=np.array([[4.0]]))
+    b.grad[1] = 1e200
+    with pytest.raises(TrainingDiverged, match="non-finite update in parameter 'b'"):
+        opt.step()
+    assert (a.values[0, 0], c.values[0, 0]) == (1.0, 4.0) and opt.t == 0
+    np.testing.assert_array_equal(b.values, [[2.0], [3.0]])
+    assert not opt.m.any() and not opt.v.any()
+
+
 def _assert_views_of_store(params):
     store = params.store
     assert store.values.flags.c_contiguous and store.values.ndim == 2
@@ -266,6 +281,27 @@ def _step_inputs(dataset, cfg):
         cfg, np.random.default_rng(cfg.seed),
     )
     return params, view, batch
+
+
+@pytest.mark.parametrize("n_relations", [0, 2])
+def test_one_step_on_a_kg_without_triples(tiny_dataset, n_relations):
+    # kg_pool and gated_sum pass every head through on a KG without triples,
+    # so kg_aggregate and light_aggregate call them there as everywhere else
+    kg = data.KnowledgeGraph(np.zeros((0, 3), dtype=np.int64),
+                             n_entities=tiny_dataset.n_entities, n_relations=n_relations)
+    ds = data.Dataset(tiny_dataset.n_users, tiny_dataset.n_items, kg, tiny_dataset.split)
+    cfg = small_cfg(epochs=1, l2=0.0, agg_depth=2)
+    params, view, batch = _step_inputs(ds, cfg)
+    with ad.Tape() as tape:
+        loss, _ = training.training_step_loss(params, ds, view, cfg, batch)
+    tape.backward(loss)
+    assert np.isfinite(loss.values)
+    counts = tape.op_counts()
+    assert (counts["kg_pool"], counts["gated_sum"]) == (cfg.depth, 2 * cfg.agg_depth)
+    assert not params.relation_emb.grad.any()
+    entity, relation = params.entity_emb.values, params.relation_emb.values
+    assert intents.kg_aggregate(entity, relation, view.edges).values.tobytes() == entity.tobytes()
+    assert np.isfinite(training.fit(cfg, ds).log[0]["loss_bpr"])
 
 
 def test_fit_alpha_zero_skips_contrastive_ops(tiny_dataset):
@@ -688,6 +724,65 @@ def test_every_valid_tau_trains_finitely(toy_dataset, tau):
     for name, p in params.named():
         assert np.all(np.isfinite(p.grad)), name
     result = training.fit(cfg, ds)
+    assert all(math.isfinite(row[k]) for row in result.log
+               for k in ("loss_bpr", "loss_cl", "loss_reg"))
+    assert all(np.all(np.isfinite(p.values)) for _, p in result.params.named())
+
+
+_RATIO = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _valid_configs(draw):
+    """A small config that `validate()` accepts; floats span their valid
+    range and the split may be degenerate."""
+    d = draw(st.sampled_from([4, 8]))
+    low, high = sorted(draw(st.tuples(_RATIO, _RATIO)))
+    return ExperimentConfig(
+        embed_dim=d,
+        n_heads=draw(st.sampled_from([h for h in (1, 2, 4, 8) if d % h == 0])),
+        n_intents=draw(st.integers(1, 4)),
+        depth=draw(st.integers(0, 2)),
+        agg_depth=draw(st.integers(0, 2)),
+        k_top=draw(st.one_of(st.none(), st.integers(1, 4))),
+        tau=draw(st.floats(1e-300, 1e300)),
+        share_transformer_weights=draw(st.booleans()),
+        infonce_standard=draw(st.booleans()),
+        alpha=draw(st.floats(0.0, 1e300)),
+        l2=draw(st.floats(0.0, 1e300)),
+        lr=draw(st.floats(1e-300, 1e300)),
+        batch_size=draw(st.integers(2, 80)),
+        epochs=draw(st.integers(0, 2)),
+        patience=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2 ** 32)),
+        noise_ratio=draw(st.floats(0.0, 0.5)),
+        train_ratio=low,
+        eval_ratio=high - low,
+        test_ratio=1.0 - high,
+        recall_ks=tuple(draw(st.lists(st.integers(1, 20), min_size=1, max_size=3))),
+    ).validate()
+
+
+@given(cfg=_valid_configs(), data_seed=st.integers(0, 2 ** 16))
+@example(  # a finite gradient once stepped a parameter to NaN in the last step
+    cfg=ExperimentConfig(embed_dim=4, n_intents=1, depth=0, agg_depth=0, n_heads=1, k_top=None,
+                         tau=1.3162013174534953e-74, alpha=1.0, l2=0.0, lr=5.356293054680316e234,
+                         batch_size=3, epochs=1, seed=0, train_ratio=0.0, eval_ratio=0.0,
+                         test_ratio=1.0, recall_ks=(1,)),
+    data_seed=0,
+)
+@settings(max_examples=30, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+def test_every_valid_config_trains_or_fails_by_name(cfg, data_seed):
+    # the data a run of this config trains on: its split and injected noise
+    raw = data.generate_synthetic(12, 16, 22, 2, seed=data_seed)
+    ds = data.build_dataset(raw.interactions(), raw.knowledge_graph(), cfg.split_ratios, cfg.seed)
+    try:
+        if cfg.noise_ratio > 0:
+            ds = data.inject_noise(ds, cfg.noise_ratio, seed=cfg.seed + 1)
+        result = training.fit(cfg, ds)
+    except KgtnError:
+        return
     assert all(math.isfinite(row[k]) for row in result.log
                for k in ("loss_bpr", "loss_cl", "loss_reg"))
     assert all(np.all(np.isfinite(p.values)) for _, p in result.params.named())
