@@ -15,7 +15,8 @@ The operator set covers exactly what the recommender's forward pass needs:
   `gated_sum` (the per-head mean of relation-gated KG rows);
 - reductions: `sum_all`, `mean_all`, `rowsum`;
 - maps: `softmax`, `softplus`;
-- the contrastive objective: `infonce`, one fused node per InfoNCE term.
+- the contrastive objective: `infonce`, one fused node per InfoNCE term,
+  any number of terms per call.
 There is no general broadcasting; the only implicit broadcasts are scalar
 (0-d) tensors and plain Python numbers against an array operand.
 
@@ -78,8 +79,8 @@ Backward does only the work a gradient needs:
   through its cached one-hot operators (the interaction graph's
   `source_sum` and `target_sum`, the KG's `tail_sum` and `relation_sum`)
   or through a segment sum for the KG heads that group the slots.
-- `infonce` forms its operand gradients in the forward: its output is a
-  scalar, so each gradient is a fixed (b, d) array times the upstream
+- `infonce` forms its operand gradients in the forward: each term's output
+  is a scalar, so each gradient is a fixed (b, d) array times the upstream
   scalar. The (b, 2b) logit block is built, reduced and differentiated in
   slabs of rows of at most `INFONCE_SLAB_BYTES`; each slab writes its
   rows of the global view's gradient and adds its share of the key
@@ -87,12 +88,21 @@ Backward does only the work a gradient needs:
   scales and accumulates.
 
 Forward ops never mutate their inputs; only `.grad` buffers change during
-backward. Tape recording and backward are single-threaded per training step.
+backward. Recording and backward run on the calling thread and use no
+other. The one place threads run is inside an `infonce` call of several
+terms: when the process may use more than one core and some term spans
+more than one slab, the terms' slab loops run on a lazily started pool of
+`min(terms, cores)` threads. Those loops only fill buffers the calling
+thread allocated; the calling thread checks every operand first, waits for
+every loop, and records the terms' nodes in order.
 """
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from functools import cached_property, lru_cache
+from itertools import islice
 
 import numpy as np
 from scipy import sparse
@@ -786,13 +796,12 @@ def softplus(a):
 # contrastive objective
 
 
-def _unit_rows(z):
-    """Rows of `z` scaled to unit length, and their original norms."""
+def _row_norms(z):
+    """Euclidean norms of the rows of `z`, none of them zero."""
     sq = (z * z).sum(axis=1)
     if np.any(sq <= 0.0):
         raise DomainError("infonce: zero-norm embedding row")
-    norms = np.sqrt(sq)
-    return z * (1.0 / norms)[:, None], norms
+    return np.sqrt(sq)
 
 
 def _unit_rows_backward(grad, unit, norms):
@@ -804,8 +813,152 @@ def _unit_rows_backward(grad, unit, norms):
 INFONCE_SLAB_BYTES = 2 ** 21
 
 
-def infonce(global_rows, local_rows, tau, include_positive=False):
-    """Mean over rows of the InfoNCE term between two (b, d) views.
+def _cores():
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+@lru_cache(maxsize=None)
+def _executor(workers):
+    """The process's InfoNCE worker threads, started on the first pooled call."""
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="kgtn-infonce")
+
+
+# A forked child inherits the executors but not their threads: it starts its own.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_executor.cache_clear)
+
+
+class _InfonceTerm:
+    """One InfoNCE term, in three steps: `allocate` and `finish` run on the
+    calling thread, `run` on any thread, and only `run` does the slab work.
+
+    The calling thread allocates every array `run` writes and `finish`
+    drops them, so the large buffers come from and return to its heap.
+    """
+
+    def __init__(self, global_rows, local_rows, tau, include_positive):
+        gv, lv = _values(global_rows), _values(local_rows)
+        if gv.ndim != 2 or gv.shape != lv.shape:
+            raise ShapeError(
+                f"infonce: views {gv.shape} and {lv.shape} are not matching matrices")
+        b = gv.shape[0]
+        if b < 2:
+            raise DomainError(f"infonce: needs at least 2 rows, got {b}")
+        if not tau > 0:
+            raise DomainError(f"infonce: temperature must be positive, got {tau}")
+        self.operands = global_rows, local_rows
+        self.b, self.tau, self.include_positive = b, tau, include_positive
+        self.g_norms, self.l_norms = _row_norms(gv), _row_norms(lv)
+        self.requires_grad = _needs_grad(global_rows, local_rows)
+        self.slab = max(1, INFONCE_SLAB_BYTES // (2 * b * 8))
+
+    def allocate(self):
+        gv, lv = _values(self.operands[0]), _values(self.operands[1])
+        # the unit rows of both views, stacked: keys = [ln; gn]
+        self.keys = np.empty((2 * self.b, gv.shape[1]))
+        self.ln, self.gn = self.keys[:self.b], self.keys[self.b:]
+        np.multiply(lv, (1.0 / self.l_norms)[:, None], out=self.ln)
+        np.multiply(gv, (1.0 / self.g_norms)[:, None], out=self.gn)
+        self.queries = self.gn * (1.0 / self.tau)
+        if self.requires_grad:
+            self.d_gn = np.empty_like(self.gn)
+            self.d_keys = np.zeros_like(self.keys)
+        self.terms = np.empty(self.b)
+        self.block = np.empty((min(self.slab, self.b), 2 * self.b))
+
+    def run(self):
+        """Fill `terms` (and the gradients) slab by slab, in place."""
+        b, tau, gn, keys = self.b, self.tau, self.gn, self.keys
+        for r0 in range(0, b, self.slab):
+            r1 = min(r0 + self.slab, b)
+            rows = np.arange(r1 - r0)
+            diag = r0 + rows
+            block = np.matmul(self.queries[r0:r1], keys.T, out=self.block[:r1 - r0])
+            positive = block[rows, diag]
+            block[rows, b + diag] = -np.inf
+            if not self.include_positive:
+                block[rows, diag] = -np.inf
+            shift = block.max(axis=1)
+            block -= shift[:, None]
+            np.exp(block, out=block)
+            mass = block.sum(axis=1)
+            self.terms[r0:r1] = shift + np.log(mass) - positive
+            if not self.requires_grad:
+                continue
+            # d out / d block = (softmax - positive indicator) / b, and the block
+            # is (gn / tau) @ keys.T: fold 1 / (b * tau) into the softmax rows.
+            block *= (1.0 / (mass * (b * tau)))[:, None]
+            block[rows, diag] -= 1.0 / (b * tau)
+            np.matmul(block, keys, out=self.d_gn[r0:r1])
+            # d_keys += block.T @ gn[r0:r1], accumulated in place: the transposed
+            # product d_keys.T += gn[r0:r1].T @ block on the Fortran views
+            self.d_keys = dgemm(1.0, gn[r0:r1].T, block.T, beta=1.0, c=self.d_keys.T,
+                                trans_b=1, overwrite_c=1).T
+
+    def finish(self):
+        """Form the value and the operand gradients; drop the buffers."""
+        self.value = np.mean(self.terms)
+        self.grads = []
+        if self.requires_grad:
+            global_rows, local_rows = self.operands
+            b, d_keys = self.b, self.d_keys
+            if _tracked(global_rows):
+                self.d_gn += d_keys[b:]
+                self.grads.append(
+                    (global_rows, _unit_rows_backward(self.d_gn, self.gn, self.g_norms)))
+            if _tracked(local_rows):
+                self.grads.append(
+                    (local_rows, _unit_rows_backward(d_keys[:b], self.ln, self.l_norms)))
+            del self.d_gn, self.d_keys
+        del self.gn, self.ln, self.keys, self.queries, self.terms, self.block
+
+    def record(self):
+        """The term's scalar tensor, recorded as one `infonce` node."""
+        out = Tensor(self.value, requires_grad=self.requires_grad)
+        if not self.requires_grad:
+            return out
+        grads = self.grads
+
+        def backward(g):
+            for operand, grad in grads:
+                grad *= g
+                _accum(operand, grad, fresh=True)
+            grads.clear()
+
+        _record("infonce", out, backward)
+        return out
+
+
+def _run_pooled(terms, workers):
+    """Each term's slab loop on a worker; at most `workers` terms hold
+    buffers at a time, and each is finished as soon as it is done."""
+    pending = iter(terms)
+    running = {}
+
+    def submit(term):
+        term.allocate()
+        running[_executor(workers).submit(term.run)] = term
+
+    for term in islice(pending, workers):
+        submit(term)
+    while running:
+        done, _ = wait(running, return_when=FIRST_COMPLETED)
+        for future in done:
+            term = running.pop(future)
+            future.result()
+            term.finish()
+            term = next(pending, None)
+            if term is not None:
+                submit(term)
+
+
+def infonce(pairs, tau, include_positive=False):
+    """One InfoNCE term per (global, local) pair of (b, d) views: a list of
+    scalar tensors in the order of `pairs`, each the mean over rows below.
 
     Row i of each view is normalized; its positive is the cross-view logit
     gn_i . ln_i / tau, and its candidates are the logit row
@@ -814,72 +967,31 @@ def infonce(global_rows, local_rows, tau, include_positive=False):
     The term is the max-shifted row log-sum-exp minus the positive, so it
     is finite for every temperature whose reciprocal is a finite float.
 
-    The (b, 2b) logit block never exists whole: it is formed, reduced and
-    differentiated in slabs of rows of at most `INFONCE_SLAB_BYTES`. The
+    A term's (b, 2b) logit block never exists whole: it is formed, reduced
+    and differentiated in slabs of rows of at most `INFONCE_SLAB_BYTES`. The
     output is a scalar, so each operand's gradient is a fixed (b, d) array
     times the upstream scalar. When recorded, the op forms those arrays
     here, slab by slab, from the softmax of the slab; backward only scales
     and accumulates them.
+
+    Every pair is checked before any term is computed, so a bad pair raises
+    here and no term is recorded. The terms share nothing: when the process
+    may run on more than one core and some term spans more than one slab,
+    their slab loops run on `min(len(pairs), cores)` worker threads,
+    otherwise one after another on the calling thread. A term's arithmetic
+    is the same on either path, so the results are bitwise equal. The
+    calling thread allocates each term's buffers before its loop starts and
+    releases them once it ends, so no more than one term per worker holds
+    them at a time. It then records one `infonce` node per term, in the
+    order of `pairs`; no worker touches the tape.
     """
-    gv, lv = _values(global_rows), _values(local_rows)
-    if gv.ndim != 2 or gv.shape != lv.shape:
-        raise ShapeError(f"infonce: views {gv.shape} and {lv.shape} are not matching matrices")
-    b = gv.shape[0]
-    if b < 2:
-        raise DomainError(f"infonce: needs at least 2 rows, got {b}")
-    if not tau > 0:
-        raise DomainError(f"infonce: temperature must be positive, got {tau}")
-    gn, g_norms = _unit_rows(gv)
-    ln, l_norms = _unit_rows(lv)
-    keys = np.concatenate([ln, gn])
-    queries = gn * (1.0 / tau)
-    requires_grad = _needs_grad(global_rows, local_rows)
-    if requires_grad:
-        d_gn = np.empty_like(gn)
-        d_keys = np.zeros_like(keys)
-    terms = np.empty(b)
-    slab = max(1, INFONCE_SLAB_BYTES // (2 * b * 8))
-    for r0 in range(0, b, slab):
-        r1 = min(r0 + slab, b)
-        rows = np.arange(r1 - r0)
-        diag = r0 + rows
-        block = queries[r0:r1] @ keys.T
-        positive = block[rows, diag]
-        block[rows, b + diag] = -np.inf
-        if not include_positive:
-            block[rows, diag] = -np.inf
-        shift = block.max(axis=1)
-        block -= shift[:, None]
-        np.exp(block, out=block)
-        mass = block.sum(axis=1)
-        terms[r0:r1] = shift + np.log(mass) - positive
-        if not requires_grad:
-            continue
-        # d out / d block = (softmax - positive indicator) / b, and the block
-        # is (gn / tau) @ keys.T: fold 1 / (b * tau) into the softmax rows.
-        block *= (1.0 / (mass * (b * tau)))[:, None]
-        block[rows, diag] -= 1.0 / (b * tau)
-        np.matmul(block, keys, out=d_gn[r0:r1])
-        # d_keys += block.T @ gn[r0:r1], accumulated in place: the transposed
-        # product d_keys.T += gn[r0:r1].T @ block on the Fortran views
-        d_keys = dgemm(1.0, gn[r0:r1].T, block.T, beta=1.0, c=d_keys.T, trans_b=1,
-                       overwrite_c=1).T
-    out = Tensor(np.mean(terms), requires_grad=requires_grad)
-    if not requires_grad:
-        return out
-
-    grads = []
-    if _tracked(global_rows):
-        d_gn += d_keys[b:]
-        grads.append((global_rows, _unit_rows_backward(d_gn, gn, g_norms)))
-    if _tracked(local_rows):
-        grads.append((local_rows, _unit_rows_backward(d_keys[:b], ln, l_norms)))
-
-    def backward(g):
-        for operand, grad in grads:
-            grad *= g
-            _accum(operand, grad, fresh=True)
-        grads.clear()
-
-    _record("infonce", out, backward)
-    return out
+    terms = [_InfonceTerm(g, l, tau, include_positive) for g, l in pairs]
+    workers = min(len(terms), _cores())
+    if workers > 1 and any(t.slab < t.b for t in terms):
+        _run_pooled(terms, workers)
+    else:
+        for term in terms:
+            term.allocate()
+            term.run()
+            term.finish()
+    return [term.record() for term in terms]

@@ -157,16 +157,15 @@ def light_aggregate(user_seed, entity_seed, relation_emb, view_edges, graph, dep
     return LayerStack(users=zu, items=zi)
 
 
-def _side_loss(global_layers, local_layers, tau, include_positive):
-    total = None
-    for zg, zl in zip(global_layers, local_layers):
-        layer_loss = ad.infonce(zg, zl, tau, include_positive)
-        total = layer_loss if total is None else total + layer_loss
+def _layer_mean(terms):
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
     # Layers 0..L are summed and divided by L; a single-layer input
     # degenerates to a factor of 1. Each layer term averages over the
     # in-batch nodes so the objective scale is batch-size free and sits at
     # the same level as the mean ranking loss.
-    return ad.mul(total, 1.0 / max(1, len(global_layers) - 1))
+    return ad.mul(total, 1.0 / max(1, len(terms) - 1))
 
 
 def contrastive_loss(global_track, local_track, tau, include_positive=False):
@@ -180,11 +179,13 @@ def contrastive_loss(global_track, local_track, tau, include_positive=False):
     added. Both tracks must carry the same number of layers and at least
     two nodes per side.
 
-    Each (layer, side) term is one `ad.infonce` node: a max-shifted
-    log-sum-exp over the masked cross- and self-view logits minus the
-    positive logit. Nothing is excluded by subtraction and no unshifted
-    `exp` is taken, so every `tau > 0` gives a finite loss and finite
-    gradients (of order 1/tau).
+    Each (layer, side) term is one `ad.infonce` node. All of them come from
+    one `ad.infonce` call, which may compute them on worker threads but
+    records them on the calling thread, the user side first, layer by
+    layer. A term is a max-shifted log-sum-exp over the masked cross- and
+    self-view logits minus the positive logit. Nothing is excluded by
+    subtraction and no unshifted `exp` is taken, so every `tau > 0` gives a
+    finite loss and finite gradients (of order 1/tau).
     """
     if tau <= 0:
         raise ContractError(f"temperature must be positive, got {tau}")
@@ -195,6 +196,7 @@ def contrastive_loss(global_track, local_track, tau, include_positive=False):
     for layers in (global_track.users, global_track.items):
         if layers[0].values.shape[0] < 2:
             raise ContractError("contrastive batch must contain at least 2 nodes per side")
-    user_loss = _side_loss(global_track.users, local_track.users, tau, include_positive)
-    item_loss = _side_loss(global_track.items, local_track.items, tau, include_positive)
-    return user_loss + item_loss
+    users = list(zip(global_track.users, local_track.users))
+    items = list(zip(global_track.items, local_track.items))
+    terms = ad.infonce(users + items, tau, include_positive)
+    return _layer_mean(terms[:len(users)]) + _layer_mean(terms[len(users):])

@@ -166,21 +166,28 @@ class Adam:
         return TrainingDiverged(f"non-finite {what} in parameter '{name}'")
 
     def step(self):
-        """One update of every parameter; a non-finite gradient or new value
-        anywhere raises TrainingDiverged before any value or moment changes."""
+        """One update of every parameter; a non-finite gradient, new value or
+        second moment anywhere raises TrainingDiverged before any value or
+        moment changes."""
         g = self.store.grad
         if not np.isfinite(g).all():
             raise self._diverged("gradient", g)
         t = self.t + 1
-        m = self.beta1 * self.m + (1.0 - self.beta1) * g
-        v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
-        m_hat = m / (1.0 - self.beta1 ** t)
-        v_hat = v / (1.0 - self.beta2 ** t)
-        # a finite gradient can still overflow the update: lr * m_hat and
-        # v_hat both infinite give NaN
-        new = self.store.values - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        with np.errstate(over="ignore", invalid="ignore"):  # caught below, by name
+            m = self.beta1 * self.m + (1.0 - self.beta1) * g
+            v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1 ** t)
+            v_hat = v / (1.0 - self.beta2 ** t)
+            # a finite gradient can still overflow the update: lr * m_hat and
+            # v_hat both infinite give NaN
+            new = self.store.values - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
         if not np.isfinite(new).all():
             raise self._diverged("update", new)
+        # (1 - beta2) * g * g overflows for |g| above ~4e155: the update
+        # m_hat / inf is then a finite 0, and an infinite v would hold that
+        # entry still for good
+        if not np.isfinite(v).all():
+            raise self._diverged("second moment", v)
         self.t, self.m, self.v = t, m, v
         self.store.values[...] = new
 
@@ -300,6 +307,8 @@ def build_bpr_triples(graph, train_pos, rng):
     Positives of users who interacted with every item are skipped: no
     ranking pair exists for them.
     """
+    if train_pos.shape[0] == 0:
+        raise ContractError("no trainable positives: the train split is empty")
     degrees = np.diff(graph.u_offsets)
     keep = degrees[train_pos[:, 0]] < graph.n_items
     kept = train_pos[keep]

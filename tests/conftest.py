@@ -1,6 +1,10 @@
 """Shared test helpers."""
+import threading
+
 import numpy as np
 import pytest
+
+from kgtn import autodiff as ad
 
 
 def _fingerprint(obj):
@@ -19,3 +23,20 @@ def _fingerprint(obj):
 @pytest.fixture
 def fingerprint():
     return _fingerprint
+
+
+@pytest.fixture
+def infonce_pool(monkeypatch):
+    """Force the pooled InfoNCE path on any machine: slabs of one row and two
+    cores. Returns the list that names the thread of every slab loop run."""
+    threads = []
+    run = ad._InfonceTerm.run
+
+    def spied_run(term):
+        threads.append(threading.current_thread().name)
+        run(term)
+
+    monkeypatch.setattr(ad._InfonceTerm, "run", spied_run)
+    monkeypatch.setattr(ad, "INFONCE_SLAB_BYTES", 8)
+    monkeypatch.setattr(ad, "_cores", lambda: 2)
+    return threads

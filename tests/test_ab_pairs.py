@@ -89,3 +89,16 @@ def test_a_larger_failed_share_fails_the_run():
     runs.append((_run(), _run(correct=False)))
     assert ab_pairs.exit_status(runs) == 1
     assert ab_pairs.failed_shares([(_run(attempted=0), _run(attempted=0))]) == (0.0, 0.0)
+
+
+def test_sides_run_in_different_environments_fail_the_run():
+    one = '{"blas": "scipy-openblas 0.3.31", "blas_threads": {"lib": 1}, "nproc": 2}'
+    two = one.replace('"nproc": 2', '"nproc": 1')
+    runs = [(_run(), _run()), (_run(), _run())]
+    for parent, change in runs:
+        parent["env"], change["env"] = one, one
+    assert ab_pairs.environments(runs) == ([one], [one])
+    assert ab_pairs.exit_status(runs) == 0
+    runs[1][1]["env"] = two
+    assert ab_pairs.environments(runs) == ([one], sorted([one, two]))
+    assert ab_pairs.exit_status(runs) == 1

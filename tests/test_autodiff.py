@@ -1,5 +1,8 @@
 """Primitive-level contracts: identity cases, edge cases, finite differences."""
 import math
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -747,7 +750,7 @@ def test_infonce_value_matches_masked_logsumexp():
     zg, zl = RNG.normal(size=(6, 4)), RNG.normal(size=(6, 4))
     for tau in (10.0, 0.3, 1e-3):
         for include_positive in (False, True):
-            out = ad.infonce(ad.constant(zg), ad.constant(zl), tau, include_positive).values
+            out = ad.infonce([(ad.constant(zg), ad.constant(zl))], tau, include_positive)[0].values
             want = _infonce_oracle(zg, zl, tau, include_positive)
             assert np.isfinite(out) and abs(out - want) <= 1e-12 * max(1.0, abs(want))
 
@@ -757,7 +760,7 @@ def test_infonce_finite_difference(include_positive):
     g = ad.parameter(RNG.normal(size=(5, 4)))
     l = ad.parameter(RNG.normal(size=(5, 4)))
     # the upstream scale checks that backward multiplies by its gradient
-    fd_check(lambda: ad.mul(ad.infonce(g, l, 0.4, include_positive), 2.5),
+    fd_check(lambda: ad.mul(ad.infonce([(g, l)], 0.4, include_positive)[0], 2.5),
              [("g", g), ("l", l)], tol=1e-6)
 
 
@@ -768,7 +771,7 @@ def test_infonce_constant_view_gets_no_gradient():
         g = ad.parameter(zg)
         l = ad.constant(zl) if constant_local else ad.parameter(zl)
         with ad.Tape() as tape:
-            loss = ad.infonce(g, l, 0.5)
+            loss = ad.infonce([(g, l)], 0.5)[0]
         tape.backward(loss)
         grads.append(g.grad)
     assert l.grad is None
@@ -778,22 +781,22 @@ def test_infonce_constant_view_gets_no_gradient():
 def test_infonce_domain_errors():
     z = RNG.normal(size=(3, 2))
     with pytest.raises(DomainError, match="zero-norm"):
-        ad.infonce(ad.constant(np.vstack([z[:2], np.zeros(2)])), ad.constant(z), 1.0)
+        ad.infonce([(ad.constant(np.vstack([z[:2], np.zeros(2)])), ad.constant(z))], 1.0)
     with pytest.raises(DomainError, match="zero-norm"):
-        ad.infonce(ad.constant(z), ad.constant(np.vstack([np.zeros(2), z[1:]])), 1.0)
+        ad.infonce([(ad.constant(z), ad.constant(np.vstack([np.zeros(2), z[1:]])))], 1.0)
     for tau in (0.0, -1.0, float("nan")):
         with pytest.raises(DomainError, match="temperature"):
-            ad.infonce(ad.constant(z), ad.constant(z), tau)
+            ad.infonce([(ad.constant(z), ad.constant(z))], tau)
     with pytest.raises(DomainError, match="2 rows"):
-        ad.infonce(ad.constant(z[:1]), ad.constant(z[:1]), 1.0)
+        ad.infonce([(ad.constant(z[:1]), ad.constant(z[:1]))], 1.0)
     with pytest.raises(ShapeError):
-        ad.infonce(ad.constant(z), ad.constant(z[:2]), 1.0)
+        ad.infonce([(ad.constant(z), ad.constant(z[:2]))], 1.0)
 
 
 def _infonce_run(zg, zl, tau, include_positive):
     g, l = ad.parameter(zg), ad.parameter(zl)
     with ad.Tape() as tape:
-        loss = ad.infonce(g, l, tau, include_positive)
+        loss = ad.infonce([(g, l)], tau, include_positive)[0]
     tape.backward(loss)
     return loss.item(), g.grad, l.grad
 
@@ -826,7 +829,7 @@ def test_infonce_slab_finite_difference(monkeypatch, include_positive):
     _slab_rows(monkeypatch, 3, 7)
     g = ad.parameter(RNG.normal(size=(7, 4)))
     l = ad.parameter(RNG.normal(size=(7, 4)))
-    fd_check(lambda: ad.mul(ad.infonce(g, l, 0.4, include_positive), 2.5),
+    fd_check(lambda: ad.mul(ad.infonce([(g, l)], 0.4, include_positive)[0], 2.5),
              [("g", g), ("l", l)], tol=1e-6)
 
 
@@ -841,6 +844,81 @@ def test_infonce_default_slab_partial_last_slab(monkeypatch):
     _, want_g, want_l = _infonce_run(zg, zl, 0.2, False)
     np.testing.assert_allclose(d_g, want_g, rtol=0, atol=1e-15 * b)
     np.testing.assert_allclose(d_l, want_l, rtol=0, atol=1e-15 * b)
+
+
+def _infonce_terms(pairs, tau, include_positive):
+    """Values, operand gradients and recorded nodes of one multi-term call."""
+    leaves = [(ad.parameter(g), ad.parameter(l)) for g, l in pairs]
+    with ad.Tape() as tape:
+        terms = ad.infonce(leaves, tau, include_positive)
+        loss = terms[0]
+        for k, term in enumerate(terms[1:], 2):
+            loss = loss + ad.mul(term, float(k))
+    tape.backward(loss)
+    recorded = [out for name, out, _ in tape._nodes if name == "infonce"]
+    assert len(recorded) == len(terms) and all(a is b for a, b in zip(recorded, terms))
+    return ([t.item() for t in terms], [(g.grad.tobytes(), l.grad.tobytes()) for g, l in leaves],
+            [name for name, _, _ in tape._nodes])
+
+
+@pytest.mark.parametrize("include_positive", [False, True])
+@pytest.mark.parametrize("cores", [2, 6])
+def test_infonce_pool_matches_inline_bitwise(monkeypatch, infonce_pool, cores, include_positive):
+    pairs = [(RNG.normal(size=(b, 3)), RNG.normal(size=(b, 3))) for b in (5, 7, 2, 9, 6, 4)]
+    monkeypatch.setattr(ad, "_cores", lambda: cores)
+    # six workers on fewer cores, switching threads as often as possible
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = _infonce_terms(pairs, 0.3, include_positive)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(infonce_pool) == 6
+    assert all(name.startswith("kgtn-infonce") for name in infonce_pool)
+    infonce_pool.clear()
+    monkeypatch.setattr(ad, "_cores", lambda: 1)
+    inline = _infonce_terms(pairs, 0.3, include_positive)
+    assert infonce_pool == [threading.current_thread().name] * 6
+    # the same values, operand gradients and tape op sequence, bit for bit
+    assert pooled == inline
+
+
+def test_infonce_pool_is_not_started_for_one_slab_terms(monkeypatch, infonce_pool):
+    # b = 2 rows fit in one slab once the cap holds two rows
+    monkeypatch.setattr(ad, "INFONCE_SLAB_BYTES", 2 * 2 * 2 * 8)
+    pairs = [(RNG.normal(size=(2, 3)), RNG.normal(size=(2, 3)))] * 6
+    _infonce_terms(pairs, 0.3, False)
+    assert infonce_pool == [threading.current_thread().name] * 6
+
+
+def test_infonce_pool_zero_norm_row_raises_before_any_term(infonce_pool):
+    pairs = [(ad.parameter(RNG.normal(size=(4, 3))), ad.parameter(RNG.normal(size=(4, 3))))
+             for _ in range(6)]
+    pairs[4][0].values[2] = 0.0
+    with ad.Tape() as tape:
+        with pytest.raises(DomainError, match="zero-norm"):
+            ad.infonce(pairs, 0.5)
+    assert len(tape) == 0 and infonce_pool == []
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork on this platform")
+def test_infonce_pool_runs_in_a_forked_child(infonce_pool):
+    # the child inherits the parent's executor but not its threads; a task
+    # queued there would never run
+    pairs = [(ad.constant(RNG.normal(size=(5, 3))), ad.constant(RNG.normal(size=(5, 3))))] * 3
+    want = [t.item() for t in ad.infonce(pairs, 0.5)]
+    ctx = multiprocessing.get_context("fork")
+    results = ctx.Queue()
+    child = ctx.Process(target=lambda: results.put([t.item() for t in ad.infonce(pairs, 0.5)]))
+    child.start()
+    try:
+        got = results.get(timeout=30)
+    finally:
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+    assert got == want and child.exitcode == 0
 
 
 # ---------------------------------------------------------------------------

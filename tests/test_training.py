@@ -15,7 +15,7 @@ from kgtn import autodiff as ad
 from kgtn import data, denoise, intents, training
 from kgtn.config import ExperimentConfig
 from kgtn.data import synthetic_dataset
-from kgtn.errors import CheckpointError, KgtnError, TrainingDiverged
+from kgtn.errors import CheckpointError, ContractError, KgtnError, TrainingDiverged
 
 RNG = np.random.default_rng(77)
 
@@ -182,6 +182,19 @@ def test_adam_rejects_an_update_that_overflows_before_updating_any():
     assert not opt.m.any() and not opt.v.any()
 
 
+def test_adam_rejects_a_gradient_whose_square_overflows_before_updating_any():
+    # (1 - beta2) * g * g overflows above |g| ~ 4e155: v went infinite, the
+    # update m_hat / inf read 0 and the entry never moved again, with no error
+    opt, (a, b) = _adam(0.1, a=np.array([[1.0]]), b=np.array([[2.0], [3.0]]))
+    a.grad[...] = 1.0
+    b.grad[1] = -1e160
+    with pytest.raises(TrainingDiverged, match="non-finite second moment in parameter 'b'"):
+        opt.step()
+    assert a.values[0, 0] == 1.0 and opt.t == 0
+    np.testing.assert_array_equal(b.values, [[2.0], [3.0]])
+    assert not opt.m.any() and not opt.v.any()
+
+
 def _assert_views_of_store(params):
     store = params.store
     assert store.values.flags.c_contiguous and store.values.ndim == 2
@@ -269,6 +282,31 @@ def test_fit_metric_log_reproducible(tiny_dataset):
     log1 = training.fit(cfg, tiny_dataset).log
     log2 = training.fit(cfg, tiny_dataset).log
     assert log1 == log2
+
+
+def test_build_bpr_triples_names_why_no_positive_trains():
+    rng = np.random.default_rng(0)
+    no_pairs = np.empty((0, 2), dtype=np.int64)
+    # an empty train split (train_ratio = 0) once read "every user covers all items"
+    with pytest.raises(ContractError, match="the train split is empty"):
+        training.build_bpr_triples(data.InteractionGraph(2, 3, no_pairs), no_pairs, rng)
+    full = data.InteractionGraph(2, 3, [(0, 0), (0, 1), (0, 2)])
+    with pytest.raises(ContractError, match="every user covers all items"):
+        training.build_bpr_triples(full, full.pairs, rng)
+
+
+def test_pooled_fits_write_identical_metric_logs(tmp_path, monkeypatch, infonce_pool,
+                                                tiny_dataset):
+    cfg = small_cfg(epochs=2)
+    logs = []
+    for cores in (2, 2, 1):
+        monkeypatch.setattr(ad, "_cores", lambda: cores)
+        path = tmp_path / f"metrics{len(logs)}.csv"
+        training.write_metric_log(path, training.fit(cfg, tiny_dataset).log)
+        logs.append(path.read_bytes())
+    assert any(name.startswith("kgtn-infonce") for name in infonce_pool)
+    # two pooled fits, and the inline fit, bit for bit
+    assert logs[0] == logs[1] == logs[2]
 
 
 def _step_inputs(dataset, cfg):

@@ -24,9 +24,12 @@ Each metric also gets one verdict against its relative `bound`:
 - `within bound`: otherwise.
 
 It also prints each side's failed share, the failed operations summed over
-its runs divided by the attempted ones. The exit status is nonzero when a
-run is not `correct` or the change's failed share is larger than the
-parent's.
+its runs divided by the attempted ones, and each side's `env` lines (core
+count, BLAS and its thread count, versions), one per distinct line among
+its runs: a timing compares the two sides only on the same environment.
+The exit status is nonzero when a run is not `correct`, the change's
+failed share is larger than the parent's, or the two sides' env lines
+differ.
 """
 from __future__ import annotations
 
@@ -58,14 +61,18 @@ def parse_args(argv):
 
 
 def run_once(root, workload, seed):
-    """One benchmark run; its last stdout line is the result JSON."""
+    """One benchmark run: the result JSON of its last stdout line, with the
+    rest of its `env ` line (the environment JSON, as text) under `env`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{root}: {' '.join(cmd)} exited with status {proc.returncode}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["env"] = next((line[len("env "):] for line in lines if line.startswith("env ")),
+                         None)
+    return result
 
 
 def quartiles(values):
@@ -114,11 +121,18 @@ def failed_shares(runs):
     return tuple(shares)
 
 
+def environments(runs):
+    """Each side's distinct env lines, sorted, parent first."""
+    return tuple(sorted({str(pair[k].get("env")) for pair in runs}) for k in range(len(SIDES)))
+
+
 def exit_status(runs):
-    """1 when a run is not correct or the change fails a larger share, else 0."""
+    """1 when a run is not correct, the change fails a larger share or the
+    sides ran in different environments, else 0."""
     parent_share, change_share = failed_shares(runs)
+    parent_env, change_env = environments(runs)
     correct = all(p["correct"] and c["correct"] for p, c in runs)
-    return 0 if correct and change_share <= parent_share else 1
+    return 0 if correct and change_share <= parent_share and parent_env == change_env else 1
 
 
 def main(argv=None):
@@ -143,6 +157,9 @@ def main(argv=None):
         print(summarize(entry["name"], entry["better"], runs, entry["bound"]))
     print("  failed share   " + "  ".join(
         f"{side} {share:.6g}" for side, share in zip(SIDES, failed_shares(runs))))
+    for side, envs in zip(SIDES, environments(runs)):
+        for env in envs:
+            print(f"  env {side:<6} {env}")
     return exit_status(runs)
 
 
