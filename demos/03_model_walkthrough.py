@@ -69,11 +69,7 @@ local = denoise.light_aggregate(params.user_emb, params.entity_emb,
                                 cfg.agg_depth)
 batch_users = np.arange(6)
 batch_items = np.arange(6)
-loss = denoise.contrastive_loss(
-    glob.gather(batch_users, batch_items),
-    local.gather(batch_users, batch_items),
-    tau=cfg.tau,
-)
+loss = denoise.contrastive_loss(glob, local, batch_users, batch_items, tau=cfg.tau)
 print("layer-wise local-global contrastive loss:", float(loss.values))
 
 # Prediction sums the global track's layers and takes inner products.

@@ -15,8 +15,8 @@ The operator set covers exactly what the recommender's forward pass needs:
   `gated_sum` (the per-head mean of relation-gated KG rows);
 - reductions: `sum_all`, `mean_all`, `rowsum`;
 - maps: `softmax`, `softplus`;
-- the contrastive objective: `infonce`, one fused node per InfoNCE term,
-  any number of terms per call.
+- the contrastive objective: `infonce`, one fused node that sums any
+  number of InfoNCE terms, each over given rows of two tables.
 There is no general broadcasting; the only implicit broadcasts are scalar
 (0-d) tensors and plain Python numbers against an array operand.
 
@@ -68,9 +68,9 @@ Backward does only the work a gradient needs:
   into those rows of its gradient buffer (a zero buffer is made first if
   it has none); `slice_rows` adds into its own rows the same way. Neither
   forms a full-size masked copy of the upstream gradient.
-- The scatter behind `gather_rows`, the one op that takes per-step batch
-  indices, is one flat `np.bincount` over `row * d + column`, summed into
-  the table's gradient as a single block.
+- The scatter behind `gather_rows` and `infonce`, the ops that take
+  per-step batch indices, is one flat `np.bincount` over
+  `row * d + column`, summed into the table's gradient as a single block.
 - The fused edge operations keep no (E, d) array between forward and
   backward, only their operands and per-edge weights: the (E, H)
   attention weights, the (E,) slot weights. Backward gathers the edge
@@ -79,13 +79,13 @@ Backward does only the work a gradient needs:
   through its cached one-hot operators (the interaction graph's
   `source_sum` and `target_sum`, the KG's `tail_sum` and `relation_sum`)
   or through a segment sum for the KG heads that group the slots.
-- `infonce` forms its operand gradients in the forward: each term's output
-  is a scalar, so each gradient is a fixed (b, d) array times the upstream
-  scalar. The (b, 2b) logit block is built, reduced and differentiated in
-  slabs of rows of at most `INFONCE_SLAB_BYTES`; each slab writes its
-  rows of the global view's gradient and adds its share of the key
-  gradient in place, so the whole block never exists. Backward only
-  scales and accumulates.
+- `infonce` forms its operand gradients in the forward: the output is a
+  scalar, so each term's gradient on its rows of a table is a fixed (b, d)
+  array times the upstream scalar. The (b, 2b) logit block is built,
+  reduced and differentiated in slabs of rows of at most
+  `INFONCE_SLAB_BYTES`; each slab writes its rows of the global view's
+  gradient and adds its share of the key gradient in place, so the whole
+  block never exists. Backward only scales and scatters.
 
 Forward ops never mutate their inputs; only `.grad` buffers change during
 backward. Recording and backward run on the calling thread and use no
@@ -93,8 +93,8 @@ other. The one place threads run is inside an `infonce` call of several
 terms: when the process may use more than one core and some term spans
 more than one slab, the terms' slab loops run on a lazily started pool of
 `min(terms, cores)` threads. Those loops only fill buffers the calling
-thread allocated; the calling thread checks every operand first, waits for
-every loop, and records the terms' nodes in order.
+thread allocated; the calling thread checks every operand and reads its
+rows first, waits for every loop, and records the one node.
 """
 from __future__ import annotations
 
@@ -362,17 +362,17 @@ def transpose(a):
 # indexing and layout
 
 
-def _row_index(index):
-    """A 1-d integer row index; an empty index of any dtype is allowed."""
+def _row_index(op, index, n):
+    """A 1-d integer index into `n` rows; an empty index of any dtype is allowed."""
     idx = np.asarray(index)
-    if idx.ndim == 1 and idx.dtype.kind in "iu":
-        return idx
     if idx.size == 0:
         return np.zeros(0, dtype=np.intp)
-    raise ShapeError(
-        f"gather_rows: index must be a 1-d integer array, got {idx.dtype} "
-        f"with shape {idx.shape}"
-    )
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise ShapeError(
+            f"{op}: index must be a 1-d integer array, got {idx.dtype} with shape {idx.shape}")
+    if idx.min() < 0 or idx.max() >= n:
+        raise ShapeError(f"{op}: index out of range for table with {n} rows")
+    return idx
 
 
 def gather_rows(table, index):
@@ -382,13 +382,9 @@ def gather_rows(table, index):
     or multi-dimensional indexes raise `ShapeError`.
     """
     tv = _values(table)
-    idx = _row_index(index)
     if tv.ndim != 2:
         raise ShapeError(f"gather_rows: expected a matrix, got shape {tv.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= tv.shape[0]):
-        raise ShapeError(
-            f"gather_rows: index out of range for table with {tv.shape[0]} rows"
-        )
+    idx = _row_index("gather_rows", index, tv.shape[0])
     out = Tensor(tv[idx], requires_grad=_needs_grad(table))
     _record("gather_rows", out, lambda g: _accum(table, _scatter_rows(idx, g, tv.shape[0]),
                                                  fresh=True))
@@ -488,10 +484,13 @@ def spmm(matrix, x, fallback):
 
 
 def concat(parts):
-    """Stack matrices row-wise (along axis 0)."""
+    """Stack matrices of one width row-wise (along axis 0)."""
     vals = [_values(p) for p in parts]
     if not parts:
         raise DomainError("concat: no operands")
+    if any(v.ndim != 2 or v.shape[1] != vals[0].shape[-1] for v in vals):
+        raise ShapeError(
+            f"concat: operands {[v.shape for v in vals]} are not matrices of one width")
     out = Tensor(np.concatenate(vals), requires_grad=_needs_grad(*parts))
     splits = np.cumsum([v.shape[0] for v in vals])[:-1]
 
@@ -840,24 +839,26 @@ class _InfonceTerm:
     drops them, so the large buffers come from and return to its heap.
     """
 
-    def __init__(self, global_rows, local_rows, tau, include_positive):
-        gv, lv = _values(global_rows), _values(local_rows)
-        if gv.ndim != 2 or gv.shape != lv.shape:
+    def __init__(self, global_table, local_table, rows, tau, include_positive):
+        gt, lt = _values(global_table), _values(local_table)
+        if gt.ndim != 2 or lt.ndim != 2 or gt.shape[1] != lt.shape[1]:
             raise ShapeError(
-                f"infonce: views {gv.shape} and {lv.shape} are not matching matrices")
-        b = gv.shape[0]
+                f"infonce: tables {gt.shape} and {lt.shape} are not matrices of one width")
+        self.rows = _row_index("infonce", rows, min(gt.shape[0], lt.shape[0]))
+        b = self.rows.size
         if b < 2:
             raise DomainError(f"infonce: needs at least 2 rows, got {b}")
         if not tau > 0:
             raise DomainError(f"infonce: temperature must be positive, got {tau}")
-        self.operands = global_rows, local_rows
+        self.tables = global_table, local_table
+        self.views = gt[self.rows], lt[self.rows]
         self.b, self.tau, self.include_positive = b, tau, include_positive
-        self.g_norms, self.l_norms = _row_norms(gv), _row_norms(lv)
-        self.requires_grad = _needs_grad(global_rows, local_rows)
+        self.g_norms, self.l_norms = _row_norms(self.views[0]), _row_norms(self.views[1])
+        self.requires_grad = _needs_grad(global_table, local_table)
         self.slab = max(1, INFONCE_SLAB_BYTES // (2 * b * 8))
 
     def allocate(self):
-        gv, lv = _values(self.operands[0]), _values(self.operands[1])
+        gv, lv = self.views
         # the unit rows of both views, stacked: keys = [ln; gn]
         self.keys = np.empty((2 * self.b, gv.shape[1]))
         self.ln, self.gn = self.keys[:self.b], self.keys[self.b:]
@@ -900,37 +901,22 @@ class _InfonceTerm:
                                 trans_b=1, overwrite_c=1).T
 
     def finish(self):
-        """Form the value and the operand gradients; drop the buffers."""
+        """Form the value and the (b, d) gradients on the table rows; drop the
+        buffers."""
         self.value = np.mean(self.terms)
         self.grads = []
         if self.requires_grad:
-            global_rows, local_rows = self.operands
+            global_table, local_table = self.tables
             b, d_keys = self.b, self.d_keys
-            if _tracked(global_rows):
+            if _tracked(global_table):
                 self.d_gn += d_keys[b:]
                 self.grads.append(
-                    (global_rows, _unit_rows_backward(self.d_gn, self.gn, self.g_norms)))
-            if _tracked(local_rows):
+                    (global_table, _unit_rows_backward(self.d_gn, self.gn, self.g_norms)))
+            if _tracked(local_table):
                 self.grads.append(
-                    (local_rows, _unit_rows_backward(d_keys[:b], self.ln, self.l_norms)))
+                    (local_table, _unit_rows_backward(d_keys[:b], self.ln, self.l_norms)))
             del self.d_gn, self.d_keys
-        del self.gn, self.ln, self.keys, self.queries, self.terms, self.block
-
-    def record(self):
-        """The term's scalar tensor, recorded as one `infonce` node."""
-        out = Tensor(self.value, requires_grad=self.requires_grad)
-        if not self.requires_grad:
-            return out
-        grads = self.grads
-
-        def backward(g):
-            for operand, grad in grads:
-                grad *= g
-                _accum(operand, grad, fresh=True)
-            grads.clear()
-
-        _record("infonce", out, backward)
-        return out
+        del self.views, self.gn, self.ln, self.keys, self.queries, self.terms, self.block
 
 
 def _run_pooled(terms, workers):
@@ -957,11 +943,12 @@ def _run_pooled(terms, workers):
 
 
 def infonce(pairs, tau, include_positive=False):
-    """One InfoNCE term per (global, local) pair of (b, d) views: a list of
-    scalar tensors in the order of `pairs`, each the mean over rows below.
+    """The sum over `(global_table, local_table, rows)` triples of one
+    InfoNCE term each, the mean over `rows` below; one scalar tensor.
 
-    Row i of each view is normalized; its positive is the cross-view logit
-    gn_i . ln_i / tau, and its candidates are the logit row
+    A term reads the (b, d) views `table[rows]` of both tables (repeats
+    allowed). Row i of each view is normalized; its positive is the
+    cross-view logit gn_i . ln_i / tau, and its candidates are the logit row
     gn_i @ [ln; gn].T / tau with the self-similarity gn_i . gn_i masked to
     -inf, and the positive masked too unless `include_positive` is set.
     The term is the max-shifted row log-sum-exp minus the positive, so it
@@ -969,23 +956,25 @@ def infonce(pairs, tau, include_positive=False):
 
     A term's (b, 2b) logit block never exists whole: it is formed, reduced
     and differentiated in slabs of rows of at most `INFONCE_SLAB_BYTES`. The
-    output is a scalar, so each operand's gradient is a fixed (b, d) array
+    output is a scalar, so each view's gradient is a fixed (b, d) array
     times the upstream scalar. When recorded, the op forms those arrays
     here, slab by slab, from the softmax of the slab; backward only scales
-    and accumulates them.
+    them and scatter-adds them into the tables' rows, as `gather_rows` does.
 
-    Every pair is checked before any term is computed, so a bad pair raises
-    here and no term is recorded. The terms share nothing: when the process
-    may run on more than one core and some term spans more than one slab,
-    their slab loops run on `min(len(pairs), cores)` worker threads,
-    otherwise one after another on the calling thread. A term's arithmetic
-    is the same on either path, so the results are bitwise equal. The
-    calling thread allocates each term's buffers before its loop starts and
-    releases them once it ends, so no more than one term per worker holds
-    them at a time. It then records one `infonce` node per term, in the
-    order of `pairs`; no worker touches the tape.
+    Every triple is checked, and its views read, on the calling thread
+    before any term is computed, so a bad triple raises here and nothing is
+    recorded. The terms share nothing: when the process may run on more
+    than one core and some term spans more than one slab, their slab loops
+    run on `min(len(pairs), cores)` worker threads, otherwise one after
+    another on the calling thread. A term's arithmetic is the same on
+    either path, so the results are bitwise equal. The calling thread
+    allocates each term's buffers before its loop starts and releases them
+    once it ends, so no more than one term per worker holds them at a time.
+    It then records the one `infonce` node; no worker touches the tape.
     """
-    terms = [_InfonceTerm(g, l, tau, include_positive) for g, l in pairs]
+    if not pairs:
+        raise DomainError("infonce: no (global, local, rows) triples")
+    terms = [_InfonceTerm(g, l, rows, tau, include_positive) for g, l, rows in pairs]
     workers = min(len(terms), _cores())
     if workers > 1 and any(t.slab < t.b for t in terms):
         _run_pooled(terms, workers)
@@ -994,4 +983,14 @@ def infonce(pairs, tau, include_positive=False):
             term.allocate()
             term.run()
             term.finish()
-    return [term.record() for term in terms]
+    out = Tensor(sum(t.value for t in terms), requires_grad=any(t.requires_grad for t in terms))
+    grads = [(table, t.rows, grad) for t in terms for table, grad in t.grads]
+
+    def backward(g):
+        for table, rows, grad in grads:
+            grad *= g
+            _accum(table, _scatter_rows(rows, grad, table.values.shape[0]), fresh=True)
+        grads.clear()
+
+    _record("infonce", out, backward)
+    return out

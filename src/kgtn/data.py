@@ -117,18 +117,32 @@ class EdgeList:
     target_sum: SparseOperator
 
 
+def _id_rows(rows, width, what):
+    """`rows` as an (n, width) int64 array of ids; an empty input of any
+    dtype is none. Any other shape, and non-integer or bool ids, raise
+    `DataFormatError`."""
+    arr = np.asarray(rows)
+    if arr.size == 0:
+        return np.zeros((0, width), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise DataFormatError(f"{what}: expected rows of {width} ids, got shape {arr.shape}")
+    if arr.dtype.kind not in "iu":
+        raise DataFormatError(f"{what}: ids must be integers, got {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 class InteractionGraph:
     """Bidirectional CSR adjacency over observed positive (user, item) pairs."""
 
     def __init__(self, n_users, n_items, pos_pairs):
-        pos_pairs = np.asarray(pos_pairs, dtype=np.int64).reshape(-1, 2)
+        pos_pairs = _id_rows(pos_pairs, 2, "interaction pairs")
         if pos_pairs.size:
             if pos_pairs.min() < 0 or pos_pairs[:, 0].max() >= n_users or pos_pairs[:, 1].max() >= n_items:
                 raise DataFormatError("interaction pair index out of range")
         self.n_users = int(n_users)
         self.n_items = int(n_items)
         # dedupe and sort for a canonical layout
-        pairs = np.unique(pos_pairs, axis=0) if pos_pairs.size else pos_pairs.reshape(0, 2)
+        pairs = np.unique(pos_pairs, axis=0)
         self.pairs = pairs
         self.u_offsets, self.u_items = _csr(pairs[:, 0], pairs[:, 1], self.n_users)
         self.i_offsets, self.i_users = _csr(pairs[:, 1], pairs[:, 0], self.n_items)
@@ -215,8 +229,7 @@ class KnowledgeGraph:
     """
 
     def __init__(self, triples, n_entities=None, n_relations=None):
-        triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-        triples = np.unique(triples, axis=0)
+        triples = np.unique(_id_rows(triples, 3, "knowledge-graph triples"), axis=0)
         if triples.size and triples.min() < 0:
             raise DataFormatError("negative ID in knowledge-graph triples")
         max_ent = int(max(triples[:, 0].max(), triples[:, 2].max())) + 1 if triples.size else 0
@@ -399,7 +412,7 @@ def make_split(interactions, ratios, seed):
     that portion), disjoint from every positive and from each other.
     """
     ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+    if len(ratios) != 3 or not all(r >= 0 for r in ratios) or not abs(sum(ratios) - 1.0) <= 1e-9:
         raise ConfigError(f"split ratios must be 3 non-negatives summing to 1, got {ratios}")
     rng = np.random.default_rng(seed)
     n_users, n_items = interactions.n_users, interactions.n_items

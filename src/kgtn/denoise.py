@@ -12,6 +12,8 @@ them.
 Both contrastive views run the same parameter-free light aggregation over
 the sampled graph: the global track is seeded with the intent-aware
 representations, the local track with the initial embeddings.
+`contrastive_loss` compares the two tracks at a batch's user and item rows,
+layer by layer, as one `ad.infonce` node.
 """
 from __future__ import annotations
 
@@ -128,12 +130,6 @@ class LayerStack:
             zi = zi + i
         return zu, zi
 
-    def gather(self, user_idx, item_idx):
-        return LayerStack(
-            users=[ad.gather_rows(u, user_idx) for u in self.users],
-            items=[ad.gather_rows(i, item_idx) for i in self.items],
-        )
-
 
 def light_aggregate(user_seed, entity_seed, relation_emb, view_edges, graph, depth):
     """Parameter-free propagation over the sampled KG and interaction graph.
@@ -157,35 +153,27 @@ def light_aggregate(user_seed, entity_seed, relation_emb, view_edges, graph, dep
     return LayerStack(users=zu, items=zi)
 
 
-def _layer_mean(terms):
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    # Layers 0..L are summed and divided by L; a single-layer input
-    # degenerates to a factor of 1. Each layer term averages over the
-    # in-batch nodes so the objective scale is batch-size free and sits at
-    # the same level as the mean ranking loss.
-    return ad.mul(total, 1.0 / max(1, len(terms) - 1))
-
-
-def contrastive_loss(global_track, local_track, tau, include_positive=False):
-    """Layer-wise InfoNCE between the global and local aggregation tracks.
+def contrastive_loss(global_track, local_track, users, items, tau, include_positive=False):
+    """Layer-wise InfoNCE between the global and local aggregation tracks,
+    over the in-batch `users` and `items` (row indexes into every layer).
 
     Positive pairs are the same node's embeddings across tracks; negatives
     are every other in-batch node, in both the global and the local view.
     The denominator excludes the positive pair, so negative loss values are
-    legal; `include_positive=True` switches to the conventional form. The
-    user side and item side are averaged over their in-batch nodes and
-    added. Both tracks must carry the same number of layers and at least
-    two nodes per side.
+    legal; `include_positive=True` switches to the conventional form. Each
+    (layer, side) term averages over its in-batch nodes, so the objective's
+    scale is batch-size free and sits at the level of the mean ranking
+    loss. Layers 0..L of both sides are summed and divided by L; a
+    single-layer input degenerates to a factor of 1. Both tracks must carry
+    the same number of layers and at least two nodes per side.
 
-    Each (layer, side) term is one `ad.infonce` node. All of them come from
-    one `ad.infonce` call, which may compute them on worker threads but
-    records them on the calling thread, the user side first, layer by
-    layer. A term is a max-shifted log-sum-exp over the masked cross- and
-    self-view logits minus the positive logit. Nothing is excluded by
-    subtraction and no unshifted `exp` is taken, so every `tau > 0` gives a
-    finite loss and finite gradients (of order 1/tau).
+    The whole sum is one `ad.infonce` node, which reads the batch rows of
+    each layer, may compute the terms on worker threads and scatters their
+    gradients back into the layers. A term is a max-shifted log-sum-exp
+    over the masked cross- and self-view logits minus the positive logit.
+    Nothing is excluded by subtraction and no unshifted `exp` is taken, so
+    every `tau > 0` gives a finite loss and finite gradients (of order
+    1/tau).
     """
     if tau <= 0:
         raise ContractError(f"temperature must be positive, got {tau}")
@@ -193,10 +181,9 @@ def contrastive_loss(global_track, local_track, tau, include_positive=False):
         raise ContractError(
             f"track layer counts differ: {global_track.n_layers} vs {local_track.n_layers}"
         )
-    for layers in (global_track.users, global_track.items):
-        if layers[0].values.shape[0] < 2:
-            raise ContractError("contrastive batch must contain at least 2 nodes per side")
-    users = list(zip(global_track.users, local_track.users))
-    items = list(zip(global_track.items, local_track.items))
-    terms = ad.infonce(users + items, tau, include_positive)
-    return _layer_mean(terms[:len(users)]) + _layer_mean(terms[len(users):])
+    if np.size(users) < 2 or np.size(items) < 2:
+        raise ContractError("contrastive batch must contain at least 2 nodes per side")
+    pairs = [(g, l, users) for g, l in zip(global_track.users, local_track.users)]
+    pairs += [(g, l, items) for g, l in zip(global_track.items, local_track.items)]
+    return ad.mul(ad.infonce(pairs, tau, include_positive),
+                  1.0 / max(1, global_track.n_layers - 1))

@@ -261,16 +261,8 @@ def training_step_loss(params, dataset, view, cfg, batch):
     bpr = bpr_loss(pos_scores, neg_scores)
     contrast = None
     if with_contrast:
-        bu = np.unique(users)
-        bi = np.unique(pos_items)
-        if bu.size < 2 or bi.size < 2:
-            raise ContractError(
-                "contrastive loss needs at least 2 distinct users and items per batch"
-            )
         contrast = denoise.contrastive_loss(
-            global_track.gather(bu, bi),
-            local_track.gather(bu, bi),
-            cfg.tau,
+            global_track, local_track, np.unique(users), np.unique(pos_items), cfg.tau,
             include_positive=cfg.infonce_standard,
         )
     total, reg = total_loss(bpr, contrast, params, cfg.alpha, cfg.l2)

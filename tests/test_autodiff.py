@@ -686,6 +686,15 @@ def test_concat_rejects_empty_operand_list():
         ad.concat([])
 
 
+def test_concat_rejects_operands_of_other_widths_or_ndim():
+    a = ad.constant(np.ones((2, 3)))
+    for other in (np.ones((1, 2)), np.ones(3), np.ones((1, 3, 1))):
+        with pytest.raises(ShapeError, match=r"concat: operands \[\(2, 3\), "):
+            ad.concat([a, ad.constant(other)])
+    with pytest.raises(ShapeError, match="concat"):
+        ad.concat([ad.constant(np.ones(3)), ad.constant(np.ones(3))])
+
+
 def test_mean_all_rejects_empty():
     with pytest.raises(DomainError):
         ad.mean_all(ad.constant(np.zeros((0, 2))))
@@ -750,7 +759,8 @@ def test_infonce_value_matches_masked_logsumexp():
     zg, zl = RNG.normal(size=(6, 4)), RNG.normal(size=(6, 4))
     for tau in (10.0, 0.3, 1e-3):
         for include_positive in (False, True):
-            out = ad.infonce([(ad.constant(zg), ad.constant(zl))], tau, include_positive)[0].values
+            out = ad.infonce([(ad.constant(zg), ad.constant(zl), np.arange(6))], tau,
+                             include_positive).values
             want = _infonce_oracle(zg, zl, tau, include_positive)
             assert np.isfinite(out) and abs(out - want) <= 1e-12 * max(1.0, abs(want))
 
@@ -760,7 +770,7 @@ def test_infonce_finite_difference(include_positive):
     g = ad.parameter(RNG.normal(size=(5, 4)))
     l = ad.parameter(RNG.normal(size=(5, 4)))
     # the upstream scale checks that backward multiplies by its gradient
-    fd_check(lambda: ad.mul(ad.infonce([(g, l)], 0.4, include_positive)[0], 2.5),
+    fd_check(lambda: ad.mul(ad.infonce([(g, l, np.arange(5))], 0.4, include_positive), 2.5),
              [("g", g), ("l", l)], tol=1e-6)
 
 
@@ -771,7 +781,7 @@ def test_infonce_constant_view_gets_no_gradient():
         g = ad.parameter(zg)
         l = ad.constant(zl) if constant_local else ad.parameter(zl)
         with ad.Tape() as tape:
-            loss = ad.infonce([(g, l)], 0.5)[0]
+            loss = ad.infonce([(g, l, np.arange(4))], 0.5)
         tape.backward(loss)
         grads.append(g.grad)
     assert l.grad is None
@@ -780,25 +790,54 @@ def test_infonce_constant_view_gets_no_gradient():
 
 def test_infonce_domain_errors():
     z = RNG.normal(size=(3, 2))
+    rows = np.arange(3)
     with pytest.raises(DomainError, match="zero-norm"):
-        ad.infonce([(ad.constant(np.vstack([z[:2], np.zeros(2)])), ad.constant(z))], 1.0)
+        ad.infonce([(ad.constant(np.vstack([z[:2], np.zeros(2)])), ad.constant(z), rows)], 1.0)
     with pytest.raises(DomainError, match="zero-norm"):
-        ad.infonce([(ad.constant(z), ad.constant(np.vstack([np.zeros(2), z[1:]])))], 1.0)
+        ad.infonce([(ad.constant(z), ad.constant(np.vstack([np.zeros(2), z[1:]])), rows)], 1.0)
     for tau in (0.0, -1.0, float("nan")):
         with pytest.raises(DomainError, match="temperature"):
-            ad.infonce([(ad.constant(z), ad.constant(z))], tau)
+            ad.infonce([(ad.constant(z), ad.constant(z), rows)], tau)
     with pytest.raises(DomainError, match="2 rows"):
-        ad.infonce([(ad.constant(z[:1]), ad.constant(z[:1]))], 1.0)
+        ad.infonce([(ad.constant(z[:1]), ad.constant(z[:1]), np.arange(1))], 1.0)
     with pytest.raises(ShapeError):
-        ad.infonce([(ad.constant(z), ad.constant(z[:2]))], 1.0)
+        ad.infonce([(ad.constant(z), ad.constant(z[:2]), rows)], 1.0)
+    with pytest.raises(DomainError, match="no .* triples"):
+        ad.infonce([], 1.0)
 
 
-def _infonce_run(zg, zl, tau, include_positive):
+def _infonce_run(zg, zl, tau, include_positive, rows=None):
     g, l = ad.parameter(zg), ad.parameter(zl)
+    rows = np.arange(zg.shape[0]) if rows is None else rows
     with ad.Tape() as tape:
-        loss = ad.infonce([(g, l)], tau, include_positive)[0]
+        loss = ad.infonce([(g, l, rows)], tau, include_positive)
     tape.backward(loss)
     return loss.item(), g.grad, l.grad
+
+
+def test_infonce_bad_rows_raise_before_any_term(infonce_pool):
+    z = RNG.normal(size=(4, 3))
+    good = (ad.parameter(z), ad.parameter(z), np.arange(4))
+    for rows in (np.array([0, 4]), np.array([-1, 2]), np.array([0.0, 1.0]),
+                 np.array([True, False, True, True]), np.array([[0, 1], [2, 3]])):
+        with ad.Tape() as tape:
+            with pytest.raises(ShapeError, match="infonce: index"):
+                ad.infonce([good, good, (ad.parameter(z), ad.parameter(z), rows)], 0.5)
+        assert len(tape) == 0 and infonce_pool == []
+
+
+@pytest.mark.parametrize("include_positive", [False, True])
+def test_infonce_duplicate_rows_scatter_add(include_positive):
+    zg, zl = RNG.normal(size=(3, 4)), RNG.normal(size=(3, 4))
+    rows = np.array([2, 0, 2, 1, 0])
+    value, d_g, d_l = _infonce_run(zg, zl, 0.4, include_positive, rows)
+    # the same term over the gathered views, its gradients added row by row
+    want, view_g, view_l = _infonce_run(zg[rows], zl[rows], 0.4, include_positive)
+    assert value == want
+    for got, view in ((d_g, view_g), (d_l, view_l)):
+        scattered = np.zeros_like(zg)
+        np.add.at(scattered, rows, view)
+        np.testing.assert_array_equal(got, scattered)
 
 
 def _slab_rows(monkeypatch, rows, b):
@@ -829,7 +868,7 @@ def test_infonce_slab_finite_difference(monkeypatch, include_positive):
     _slab_rows(monkeypatch, 3, 7)
     g = ad.parameter(RNG.normal(size=(7, 4)))
     l = ad.parameter(RNG.normal(size=(7, 4)))
-    fd_check(lambda: ad.mul(ad.infonce([(g, l)], 0.4, include_positive)[0], 2.5),
+    fd_check(lambda: ad.mul(ad.infonce([(g, l, np.arange(7))], 0.4, include_positive), 2.5),
              [("g", g), ("l", l)], tol=1e-6)
 
 
@@ -847,17 +886,15 @@ def test_infonce_default_slab_partial_last_slab(monkeypatch):
 
 
 def _infonce_terms(pairs, tau, include_positive):
-    """Values, operand gradients and recorded nodes of one multi-term call."""
-    leaves = [(ad.parameter(g), ad.parameter(l)) for g, l in pairs]
+    """Value, table gradients and recorded nodes of one multi-term call."""
+    leaves = [(ad.parameter(g), ad.parameter(l), np.arange(g.shape[0])) for g, l in pairs]
     with ad.Tape() as tape:
-        terms = ad.infonce(leaves, tau, include_positive)
-        loss = terms[0]
-        for k, term in enumerate(terms[1:], 2):
-            loss = loss + ad.mul(term, float(k))
+        out = ad.infonce(leaves, tau, include_positive)
+        loss = ad.mul(out, 2.5)
     tape.backward(loss)
-    recorded = [out for name, out, _ in tape._nodes if name == "infonce"]
-    assert len(recorded) == len(terms) and all(a is b for a, b in zip(recorded, terms))
-    return ([t.item() for t in terms], [(g.grad.tobytes(), l.grad.tobytes()) for g, l in leaves],
+    recorded = [node for name, node, _ in tape._nodes if name == "infonce"]
+    assert len(recorded) == 1 and recorded[0] is out
+    return (out.item(), [(g.grad.tobytes(), l.grad.tobytes()) for g, l, _ in leaves],
             [name for name, _, _ in tape._nodes])
 
 
@@ -892,8 +929,8 @@ def test_infonce_pool_is_not_started_for_one_slab_terms(monkeypatch, infonce_poo
 
 
 def test_infonce_pool_zero_norm_row_raises_before_any_term(infonce_pool):
-    pairs = [(ad.parameter(RNG.normal(size=(4, 3))), ad.parameter(RNG.normal(size=(4, 3))))
-             for _ in range(6)]
+    pairs = [(ad.parameter(RNG.normal(size=(4, 3))), ad.parameter(RNG.normal(size=(4, 3))),
+              np.arange(4)) for _ in range(6)]
     pairs[4][0].values[2] = 0.0
     with ad.Tape() as tape:
         with pytest.raises(DomainError, match="zero-norm"):
@@ -906,11 +943,12 @@ def test_infonce_pool_zero_norm_row_raises_before_any_term(infonce_pool):
 def test_infonce_pool_runs_in_a_forked_child(infonce_pool):
     # the child inherits the parent's executor but not its threads; a task
     # queued there would never run
-    pairs = [(ad.constant(RNG.normal(size=(5, 3))), ad.constant(RNG.normal(size=(5, 3))))] * 3
-    want = [t.item() for t in ad.infonce(pairs, 0.5)]
+    pairs = [(ad.constant(RNG.normal(size=(5, 3))), ad.constant(RNG.normal(size=(5, 3))),
+              np.arange(5))] * 3
+    want = ad.infonce(pairs, 0.5).item()
     ctx = multiprocessing.get_context("fork")
     results = ctx.Queue()
-    child = ctx.Process(target=lambda: results.put([t.item() for t in ad.infonce(pairs, 0.5)]))
+    child = ctx.Process(target=lambda: results.put(ad.infonce(pairs, 0.5).item()))
     child.start()
     try:
         got = results.get(timeout=30)

@@ -287,6 +287,42 @@ def test_kg_declared_entities_enforced():
         data.KnowledgeGraph(np.array([[9, 0, 1]]), n_entities=5)
 
 
+def test_interaction_graph_rejects_rows_that_are_not_pairs():
+    # three ids per row were once regrouped into pairs (0, 1), (2, 3), (4, 5)
+    for rows in ([[0, 1, 2], [3, 4, 5]], [0, 1], np.zeros((2, 2, 2), dtype=np.int64)):
+        with pytest.raises(DataFormatError, match="interaction pairs.*2 ids"):
+            data.InteractionGraph(6, 6, rows)
+
+
+def test_interaction_graph_rejects_float_ids():
+    # [[0.5, 1.0]] was once truncated to the pair (0, 1)
+    with pytest.raises(DataFormatError, match="interaction pairs.*integer.*float64"):
+        data.InteractionGraph(2, 2, [[0.5, 1.0]])
+
+
+def test_interaction_graph_rejects_bool_ids():
+    with pytest.raises(DataFormatError, match="interaction pairs.*integer.*bool"):
+        data.InteractionGraph(2, 2, np.array([[True, False]]))
+
+
+def test_knowledge_graph_rejects_rows_that_are_not_triples():
+    for rows in ([[0, 1]], [[0, 1, 2, 3]], [0, 1, 2]):
+        with pytest.raises(DataFormatError, match="knowledge-graph triples.*3 ids"):
+            data.KnowledgeGraph(rows)
+
+
+def test_knowledge_graph_rejects_float_and_bool_ids():
+    for rows, dtype in (([[0.0, 1.0, 2.0]], "float64"), (np.ones((1, 3), dtype=bool), "bool")):
+        with pytest.raises(DataFormatError, match=f"knowledge-graph triples.*integer.*{dtype}"):
+            data.KnowledgeGraph(rows)
+
+
+def test_graphs_accept_an_empty_input_of_any_dtype():
+    for empty in ([], np.zeros((0, 2)), np.zeros(0, dtype=bool), np.zeros((0, 3), dtype=object)):
+        assert data.InteractionGraph(2, 3, empty).n_interactions == 0
+        assert data.KnowledgeGraph(empty, n_entities=4).n_triples == 0
+
+
 def test_interaction_graph_has_matches_pairs(raw40):
     positives = raw40.interactions().positives
     graph = data.InteractionGraph(40, 30, positives)
@@ -452,6 +488,16 @@ def test_split_bad_ratios():
     inter = _interactions_with(1, 5, [(0, 0)])
     with pytest.raises(ConfigError):
         data.make_split(inter, (0.5, 0.2, 0.2), seed=0)
+
+
+
+def test_split_rejects_nan_ratio():
+    # a NaN ratio once passed the check and failed the split with a
+    # "negative count" DomainError
+    inter = _interactions_with(1, 8, [(0, i) for i in range(5)])
+    for ratios in ((0.5, float("nan"), 0.5), (float("nan"),) * 3):
+        with pytest.raises(ConfigError, match="ratios.*nan"):
+            data.make_split(inter, ratios, seed=0)
 
 
 # ---------------------------------------------------------------------------

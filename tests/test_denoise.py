@@ -300,7 +300,7 @@ def _stack(user_layers, item_layers):
 def test_contrastive_two_user_orthogonal_oracle():
     z = np.array([[1.0, 0.0], [0.0, 1.0]])
     track = _stack([z], [z])
-    loss = denoise.contrastive_loss(track, _stack([z], [z]), tau=1.0)
+    loss = denoise.contrastive_loss(track, _stack([z], [z]), np.arange(2), np.arange(2), tau=1.0)
     per_user = math.log(2.0) - 1.0
     # user side and item side contribute identically
     assert abs(loss.values - 2.0 * per_user) < 1e-9
@@ -310,7 +310,8 @@ def test_contrastive_identical_embeddings_oracle():
     for b in (2, 3, 5):
         z = np.tile([1.0, 1.0], (b, 1))
         track = _stack([z], [z])
-        loss = denoise.contrastive_loss(track, _stack([z], [z]), tau=0.7)
+        loss = denoise.contrastive_loss(track, _stack([z], [z]), np.arange(b), np.arange(b),
+                                        tau=0.7)
         assert abs(loss.values - 2.0 * math.log(2.0 * (b - 1))) < 1e-9
 
 
@@ -320,7 +321,8 @@ def test_contrastive_orthogonal_views_tau_independent():
     zl = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
     vals = []
     for tau in (0.1, 0.5, 2.0):
-        loss = denoise.contrastive_loss(_stack([zg], [zg]), _stack([zl], [zl]), tau=tau)
+        loss = denoise.contrastive_loss(_stack([zg], [zg]), _stack([zl], [zl]),
+                                        np.arange(2), np.arange(2), tau=tau)
         vals.append(loss.values)
     for v in vals:
         assert abs(v - 2.0 * math.log(2.0)) < 1e-9
@@ -329,29 +331,35 @@ def test_contrastive_orthogonal_views_tau_independent():
 def test_contrastive_batch_of_one_rejected():
     z = np.array([[1.0, 0.0]])
     with pytest.raises(ContractError):
-        denoise.contrastive_loss(_stack([z], [z]), _stack([z], [z]), tau=1.0)
+        denoise.contrastive_loss(_stack([z], [z]), _stack([z], [z]), np.arange(1), np.arange(1),
+                                 tau=1.0)
 
 
 def test_contrastive_layer_mismatch_rejected():
     z = np.eye(2)
     with pytest.raises(ContractError):
-        denoise.contrastive_loss(_stack([z, z], [z, z]), _stack([z], [z]), tau=1.0)
+        denoise.contrastive_loss(_stack([z, z], [z, z]), _stack([z], [z]), np.arange(2),
+                                 np.arange(2), tau=1.0)
 
 
 def test_contrastive_zero_norm_rejected():
     z = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(DomainError):
-        denoise.contrastive_loss(_stack([z], [z]), _stack([z], [z]), tau=1.0)
+        denoise.contrastive_loss(_stack([z], [z]), _stack([z], [z]), np.arange(2), np.arange(2),
+                                 tau=1.0)
 
 
 def test_contrastive_permutation_equivariance():
     rng = np.random.default_rng(4)
     zg, zl = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
     ig, il = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-    base = denoise.contrastive_loss(_stack([zg], [ig]), _stack([zl], [il]), tau=0.4).values
+    users, items = np.arange(6), np.arange(5)
+    base = denoise.contrastive_loss(_stack([zg], [ig]), _stack([zl], [il]), users, items,
+                                    tau=0.4).values
     perm_u, perm_i = rng.permutation(6), rng.permutation(5)
     permuted = denoise.contrastive_loss(
-        _stack([zg[perm_u]], [ig[perm_i]]), _stack([zl[perm_u]], [il[perm_i]]), tau=0.4
+        _stack([zg[perm_u]], [ig[perm_i]]), _stack([zl[perm_u]], [il[perm_i]]), users, items,
+        tau=0.4
     ).values
     assert abs(base - permuted) < 1e-10
 
@@ -359,7 +367,8 @@ def test_contrastive_permutation_equivariance():
 def test_contrastive_standard_form_includes_positive():
     z = np.tile([1.0, 1.0], (3, 1))
     track = _stack([z], [z])
-    loss = denoise.contrastive_loss(track, _stack([z], [z]), tau=1.0, include_positive=True)
+    loss = denoise.contrastive_loss(track, _stack([z], [z]), np.arange(3), np.arange(3),
+                                    tau=1.0, include_positive=True)
     # denominator gains the positive pair: log(2(B-1) + 1)
     assert abs(loss.values - 2.0 * math.log(2.0 * 2 + 1.0)) < 1e-9
 
@@ -368,11 +377,13 @@ def test_contrastive_layer_averaging_factor():
     rng = np.random.default_rng(9)
     z = [rng.normal(size=(3, 4)) for _ in range(3)]
     w = [rng.normal(size=(3, 4)) for _ in range(3)]
+    rows = np.arange(3)
     single = [
-        denoise.contrastive_loss(_stack([zg], [zg]), _stack([zl], [zl]), tau=0.5).values
+        denoise.contrastive_loss(_stack([zg], [zg]), _stack([zl], [zl]), rows, rows,
+                                 tau=0.5).values
         for zg, zl in zip(z, w)
     ]
-    stacked = denoise.contrastive_loss(_stack(z, z), _stack(w, w), tau=0.5).values
+    stacked = denoise.contrastive_loss(_stack(z, z), _stack(w, w), rows, rows, tau=0.5).values
     # layers 0..2 summed with a 1/2 factor
     assert abs(stacked - sum(single) / 2.0) < 1e-9
 
@@ -388,6 +399,7 @@ def test_contrastive_gradient_finite_difference():
         return denoise.contrastive_loss(
             denoise.LayerStack(users=[zg], items=[ig]),
             denoise.LayerStack(users=[zl], items=[il]),
+            np.arange(3), np.arange(3),
             tau=0.3,
         )
 
@@ -445,6 +457,7 @@ def test_contrastive_matches_dense_identity_oracle():
             loss = denoise.contrastive_loss(
                 denoise.LayerStack(users=params[0], items=params[2]),
                 denoise.LayerStack(users=params[1], items=params[3]),
+                np.arange(5), np.arange(4),
                 tau=tau, include_positive=include_positive,
             )
         tape.backward(loss)

@@ -366,6 +366,21 @@ def _step_tape(dataset, cfg):
     return tape, loss
 
 
+def test_toy_step_records_pinned_nodes():
+    # the overfit config of the acceptance suite; any change to the tape
+    # shows here as a diff. The contrastive term is one infonce node, and the
+    # only gathers are the two ranking predictions'.
+    ds = synthetic_dataset(40, 30, 50, 3, density=0.5, seed=1, ratios=(1.0, 0.0, 0.0))
+    tape, _ = _step_tape(ds, ExperimentConfig(seed=1, lr=3e-3, batch_size=32).validate())
+    assert tape.op_counts() == {
+        "add": 6, "concat": 1, "edge_attention": 2, "gated_sum": 4, "gather_rows": 4,
+        "infonce": 1, "kg_pool": 1, "matmul": 10, "mean_all": 1, "mul": 6, "rowsum": 2,
+        "slice_rows": 8, "softmax": 2, "softplus": 1, "spmm": 4, "sub": 1, "sum_all": 1,
+        "transpose": 2,
+    }
+    assert len(tape) == 57
+
+
 def test_step_node_count_independent_of_head_count(tiny_dataset):
     one, _ = _step_tape(tiny_dataset, small_cfg(n_heads=1))
     four, _ = _step_tape(tiny_dataset, small_cfg(n_heads=4))
@@ -600,8 +615,7 @@ def test_infonce_standard_includes_positive_in_denominator(tiny_dataset):
     )
     bu, bi = np.unique(batch[:, 0]), np.unique(batch[:, 1])
     expected = denoise.contrastive_loss(
-        global_track.gather(bu, bi), local_track.gather(bu, bi), cfg_standard.tau,
-        include_positive=True,
+        global_track, local_track, bu, bi, cfg_standard.tau, include_positive=True,
     )
     assert standard["cl"] == float(expected.values)
     assert standard["cl"] != default["cl"]
