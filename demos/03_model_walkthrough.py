@@ -72,6 +72,7 @@ batch_items = np.arange(6)
 loss = denoise.contrastive_loss(glob, local, batch_users, batch_items, tau=cfg.tau)
 print("layer-wise local-global contrastive loss:", float(loss.values))
 
-# Prediction sums the global track's layers and takes inner products.
-zu, zi = glob.summed()
-print("score(u0, i0) =", float(zu.values[0] @ zi.values[0]))
+# Prediction sums the global track's layers and takes inner products; item i
+# is entity row i.
+zu, ze = glob.summed()
+print("score(u0, i0) =", float(zu.values[0] @ ze.values[0]))

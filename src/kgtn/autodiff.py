@@ -4,11 +4,11 @@ The operator set covers exactly what the recommender's forward pass needs:
 - arithmetic: `add`, `sub`, `mul` (elementwise, with scalar broadcast);
 - linear algebra: `matmul`, `transpose`;
 - layout: `gather_rows` (whose backward scatter-adds), `slice_rows` (a
-  contiguous block of rows, whose backward is a slice add), `concat`
-  (row-wise);
+  contiguous block of rows, whose backward is a slice add), `splice` (a
+  table with its first rows replaced);
 - neighborhood sums: `spmm`, a constant sparse matrix (cached by the graph
-  that owns the structure) times a dense block, with a fallback row where
-  the matrix row is empty;
+  that owns the structure) times the leading rows of a dense block, with a
+  fallback row where the matrix row is empty;
 - fused edge operations, one node each over every edge of a graph:
   `edge_attention` (one direction of masked multi-head attention),
   `kg_pool` (the relation-aware attention pool of the KG slots) and
@@ -66,8 +66,9 @@ Backward does only the work a gradient needs:
   the same order as what it replaces, so the gradients are bitwise equal.
 - A fallback receives the upstream gradient on the empty rows only, added
   into those rows of its gradient buffer (a zero buffer is made first if
-  it has none); `slice_rows` adds into its own rows the same way. Neither
-  forms a full-size masked copy of the upstream gradient.
+  it has none); `slice_rows`, `splice` and `spmm` add into the rows they
+  read the same way. None forms a full-size masked copy of the upstream
+  gradient.
 - The scatter behind `gather_rows` and `infonce`, the ops that take
   per-step batch indices, is one flat `np.bincount` over
   `row * d + column`, summed into the table's gradient as a single block.
@@ -456,49 +457,52 @@ def _accum_fallback(fallback, g, operator):
 def spmm(matrix, x, fallback):
     """Sparse-dense product whose rows without entries fall back.
 
-    Row i of the output is `(matrix @ x)[i]`, or `fallback[i]` when row i of
-    `matrix` holds no entries. `matrix` is a constant `SparseOperator`
-    (n, m), `x` is (m, d) and `fallback` is (n, d). Backward gives
-    `matrix.T @ g` to `x`, through the transpose the operator keeps, and
-    `g` on the empty rows only to `fallback`.
+    Row i of the output is `(matrix @ x[:m])[i]`, or `fallback[i]` when
+    row i of `matrix` holds no entries. `matrix` is a constant
+    `SparseOperator` (n, m), `x` is (m', d) with m' >= m, of which only the
+    first m rows are read in place, and `fallback` is (n, d). Backward adds
+    `matrix.T @ g` into those rows of `x`'s gradient, through the transpose
+    the operator keeps, and gives `g` on the empty rows only to `fallback`.
     """
     if not isinstance(matrix, SparseOperator):
         raise ContractError(f"spmm: matrix must be a SparseOperator, got {type(matrix).__name__}")
     xv, fv = _values(x), _values(fallback)
     n, m = matrix.shape
-    if xv.ndim != 2 or xv.shape[0] != m or fv.shape != (n, xv.shape[1]):
+    if xv.ndim != 2 or xv.shape[0] < m or fv.shape != (n, xv.shape[1]):
         raise ShapeError(
             f"spmm: matrix {matrix.shape}, x {xv.shape} and fallback {fv.shape} do not fit"
         )
-    sums = matrix @ xv
+    sums = matrix @ xv[:m]
     _fallback_rows(matrix, sums, fv)
     out = Tensor(sums, requires_grad=_needs_grad(x, fallback))
 
     def backward(g):
         _accum_fallback(fallback, g, matrix)
         if _tracked(x):
-            _accum(x, matrix.transposed @ g, fresh=True)
+            _accum_rows(x, slice(0, m), matrix.transposed @ g)
 
     _record("spmm", out, backward)
     return out
 
 
-def concat(parts):
-    """Stack matrices of one width row-wise (along axis 0)."""
-    vals = [_values(p) for p in parts]
-    if not parts:
-        raise DomainError("concat: no operands")
-    if any(v.ndim != 2 or v.shape[1] != vals[0].shape[-1] for v in vals):
-        raise ShapeError(
-            f"concat: operands {[v.shape for v in vals]} are not matrices of one width")
-    out = Tensor(np.concatenate(vals), requires_grad=_needs_grad(*parts))
-    splits = np.cumsum([v.shape[0] for v in vals])[:-1]
+def splice(prefix, table):
+    """A copy of `table` whose first rows are `prefix`.
+
+    Backward gives `prefix` the first rows of the gradient and adds the
+    other rows into the same rows of `table`'s gradient.
+    """
+    pv, tv = _values(prefix), _values(table)
+    if pv.ndim != 2 or tv.ndim != 2 or pv.shape[0] > tv.shape[0] or pv.shape[1] != tv.shape[1]:
+        raise ShapeError(f"splice: prefix {pv.shape} does not fit table {tv.shape}")
+    k = pv.shape[0]
+    out = Tensor(np.concatenate([pv, tv[k:]]), requires_grad=_needs_grad(prefix, table))
 
     def backward(g):
-        for part, piece in zip(parts, np.split(g, splits)):
-            _accum(part, piece)
+        _accum(prefix, g[:k])
+        if _tracked(table):
+            _accum_rows(table, slice(k, None), g[k:])
 
-    _record("concat", out, backward)
+    _record("splice", out, backward)
     return out
 
 

@@ -240,6 +240,10 @@ class KnowledgeGraph:
             raise DataFormatError(
                 f"entity ID overflow: triples use {max_ent} entities, declared {n_entities}"
             )
+        if n_relations is not None and max_rel > n_relations:
+            raise DataFormatError(
+                f"relation ID overflow: triples use {max_rel} relations, declared {n_relations}"
+            )
         self.triples = triples
         # `unique` sorts the rows by (head, relation, tail); the columns are
         # copied so the edges never alias `triples`

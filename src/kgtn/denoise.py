@@ -11,9 +11,10 @@ them.
 
 Both contrastive views run the same parameter-free light aggregation over
 the sampled graph: the global track is seeded with the intent-aware
-representations, the local track with the initial embeddings.
-`contrastive_loss` compares the two tracks at a batch's user and item rows,
-layer by layer, as one `ad.infonce` node.
+representations, the local track with the initial embeddings. A track
+keeps user and entity tables only: item ids are the entity-id prefix, so
+the items are read in place. `contrastive_loss` compares the two tracks at
+a batch's user and item rows, layer by layer, as one `ad.infonce` node.
 """
 from __future__ import annotations
 
@@ -113,22 +114,26 @@ def sample_topk(kg, entity_vals, relation_vals, k_top, rng):
 
 @dataclass
 class LayerStack:
-    """Per-layer user and item matrices for one aggregation track."""
+    """Per-layer user and entity matrices for one aggregation track.
 
-    users: list   # layer 0..L_agg tensors (M, d)
-    items: list   # layer 0..L_agg tensors (N, d)
+    Item ids are the entity-id prefix, so item i is row i of every entity
+    matrix.
+    """
+
+    users: list      # layer 0..L_agg tensors (M, d)
+    entities: list   # layer 0..L_agg tensors (E, d)
 
     @property
     def n_layers(self):
         return len(self.users)
 
     def summed(self):
-        """Layer-summed user and item representations."""
-        zu, zi = self.users[0], self.items[0]
-        for u, i in zip(self.users[1:], self.items[1:]):
+        """Layer-summed user and entity representations."""
+        zu, ze = self.users[0], self.entities[0]
+        for u, e in zip(self.users[1:], self.entities[1:]):
             zu = zu + u
-            zi = zi + i
-        return zu, zi
+            ze = ze + e
+        return zu, ze
 
 
 def light_aggregate(user_seed, entity_seed, relation_emb, view_edges, graph, depth):
@@ -136,26 +141,24 @@ def light_aggregate(user_seed, entity_seed, relation_emb, view_edges, graph, dep
 
     Entities average relation-gated kept neighbors, one `gated_sum` node
     over the view's edges; users average their interacted items'
-    previous-layer values, one `spmm` with the graph's cached mean operator
-    over the item rows each layer slices off for the stack anyway. Nodes
+    previous-layer values, one `spmm` with the graph's cached mean operator,
+    which reads the item rows in place as the entity-table prefix. Nodes
     with no active edges pass through unchanged. Returns all layers
     0..depth.
     """
-    n_items = graph.n_items  # item ids are the entity prefix
     zu = [user_seed]
     ze = [entity_seed]
-    zi = [ad.slice_rows(entity_seed, 0, n_items)]
     for _ in range(depth):
         z = ad.gated_sum(view_edges, relation_emb, ze[-1])
-        zu.append(ad.spmm(graph.user_mean, zi[-1], zu[-1]))
+        zu.append(ad.spmm(graph.user_mean, ze[-1], zu[-1]))
         ze.append(z)
-        zi.append(ad.slice_rows(z, 0, n_items))
-    return LayerStack(users=zu, items=zi)
+    return LayerStack(users=zu, entities=ze)
 
 
 def contrastive_loss(global_track, local_track, users, items, tau, include_positive=False):
     """Layer-wise InfoNCE between the global and local aggregation tracks,
-    over the in-batch `users` and `items` (row indexes into every layer).
+    over the in-batch `users` and `items` (row indexes into every user and
+    entity layer).
 
     Positive pairs are the same node's embeddings across tracks; negatives
     are every other in-batch node, in both the global and the local view.
@@ -184,6 +187,6 @@ def contrastive_loss(global_track, local_track, users, items, tau, include_posit
     if np.size(users) < 2 or np.size(items) < 2:
         raise ContractError("contrastive batch must contain at least 2 nodes per side")
     pairs = [(g, l, users) for g, l in zip(global_track.users, local_track.users)]
-    pairs += [(g, l, items) for g, l in zip(global_track.items, local_track.items)]
+    pairs += [(g, l, items) for g, l in zip(global_track.entities, local_track.entities)]
     return ad.mul(ad.infonce(pairs, tau, include_positive),
                   1.0 / max(1, global_track.n_layers - 1))

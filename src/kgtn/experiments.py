@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import training
-from .data import csr_offsets, inject_noise, rows_with_negatives
+from .data import InteractionGraph, csr_offsets, inject_noise, rows_with_negatives
 from .errors import ContractError, DomainError
 from .metrics import ctr_eval  # the one CTR path; also reachable as experiments.ctr_eval
 
@@ -51,15 +51,17 @@ class MetricReport:
         return "\n".join(lines)
 
     def to_csv(self):
+        """One row per metric row, then one `drop_{ratio}` row per noise
+        ratio holding the AUC and F1 % drops, its recall cells `nan`."""
         ks = sorted({k for row in self.rows for k in row.recall})
-        out = ["label,auc,f1," + ",".join(f"recall_at_{k}" for k in ks)]
+        out = [",".join(["label", "auc", "f1"] + [f"recall_at_{k}" for k in ks])]
         for row in self.rows:
             cells = [row.label, repr(row.auc), repr(row.f1)]
             cells += [repr(row.recall.get(k, float("nan"))) for k in ks]
             out.append(",".join(cells))
         for ratio in sorted(self.noise_drops):
             da, df = self.noise_drops[ratio]
-            out.append(f"noise_{ratio},{da!r},{df!r}")
+            out.append(",".join([f"drop_{ratio:g}", repr(da), repr(df)] + ["nan"] * len(ks)))
         return "\n".join(out) + "\n"
 
 
@@ -68,11 +70,13 @@ def balanced_pairs(dataset, split="train", seed=123):
 
     Eval/test splits already carry frozen negatives; this helper exists for
     measuring CTR metrics on the train portion (whose ranking negatives are
-    resampled every epoch and never stored).
+    resampled every epoch and never stored). A user's negatives avoid their
+    train positives and the split's, so no pair carries both labels.
     """
     pairs = getattr(dataset.split, split)
     positives = pairs[pairs[:, 2] == 1]
-    graph = dataset.train_graph
+    graph = InteractionGraph(dataset.n_users, dataset.n_items,
+                             np.concatenate([dataset.split.train[:, :2], positives[:, :2]]))
     rng = np.random.default_rng(seed)
     wanted = np.bincount(positives[:, 0], minlength=dataset.n_users)
     n_negative = np.minimum(wanted, dataset.n_items - np.diff(graph.u_offsets))

@@ -1,13 +1,14 @@
 """Global-intent modeling over the fused interaction + knowledge graph.
 
-Each layer folds KG context into item (entity-prefix) embeddings by
-relation-aware aggregation, then propagates over observed user-item pairs
-only with a masked multi-head graph transformer. All heads run in one
-blocked pass: a head is a column block of one stacked (d, d) projection.
-After the last layer, an attentive mixture over learnable intent
-prototypes reads out the intent-aware users and items. The readout never
-feeds back into propagation, so intents modulate structural signals
-instead of replacing them.
+Each layer folds KG context into the entity embeddings by relation-aware
+aggregation, then propagates the item rows (item ids are the entity-id
+prefix) over observed user-item pairs only with a masked multi-head graph
+transformer; a `splice` puts the new items back over the entity table.
+All heads run in one blocked pass: a head is a column block of one
+stacked (d, d) projection. After the last layer, an attentive mixture over
+learnable intent prototypes reads out the intent-aware users and items.
+The readout never feeds back into propagation, so intents modulate
+structural signals instead of replacing them.
 """
 from __future__ import annotations
 
@@ -107,25 +108,21 @@ def forward_global(user_emb, entity_emb, relation_emb, proto_user, proto_item,
     intent mixtures.
 
     Each layer first folds KG context into entities, then runs the masked
-    transformer over the interaction graph. The readout mixes the last
-    propagated users and items over the intent prototypes; with no layers
-    it mixes the base embeddings. Only what the readout needs is recorded.
+    transformer over the interaction graph on the item rows, the entity
+    prefix. The readout mixes the last propagated users and items over the
+    intent prototypes; with no layers it mixes the base embeddings. The
+    items rejoin the other entities through one `splice` node per join.
+    Only what the readout needs is recorded.
     """
-    n_items, n_entities = graph.n_items, entity_emb.values.shape[0]
-
-    def join(items, source):
-        if n_items == n_entities:
-            return items
-        return ad.concat([items, ad.slice_rows(source, n_items, n_entities)])
-
-    # The current entities are `items` followed by the non-item rows of
-    # `source`; `items` is None while they are still `entity_emb` itself.
+    n_items = graph.n_items
+    # The current entities are `items` spliced over `source`; `items` is
+    # None while they are still `entity_emb` itself.
     p_u, source, items = user_emb, entity_emb, None
     for layer in layer_params:
-        p_e = source if items is None else join(items, source)
+        p_e = source if items is None else ad.splice(items, source)
         source = kg_aggregate(p_e, relation_emb, kg_edges)
         p_u, items = transformer_layer(p_u, ad.slice_rows(source, 0, n_items), layer, graph)
     if items is None:
         items = ad.slice_rows(entity_emb, 0, n_items)
     return GlobalState(users=intent_mix(p_u, proto_user),
-                       entities=join(intent_mix(items, proto_item), source))
+                       entities=ad.splice(intent_mix(items, proto_item), source))

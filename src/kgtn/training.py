@@ -229,10 +229,11 @@ def compute_tracks(params, dataset, view, cfg, with_local):
     return global_track, local_track
 
 
-def predict(users, items, zu, zi):
-    """Matching scores: inner products of rows of the layer-summed `zu`, `zi`."""
+def predict(users, items, zu, ze):
+    """Matching scores: inner products of rows of the layer-summed users `zu`
+    and entities `ze`, whose item rows are the prefix."""
     return ad.rowsum(ad.mul(ad.gather_rows(zu, np.asarray(users)),
-                            ad.gather_rows(zi, np.asarray(items))))
+                            ad.gather_rows(ze, np.asarray(items))))
 
 
 def bpr_loss(pos_scores, neg_scores):
@@ -255,9 +256,9 @@ def training_step_loss(params, dataset, view, cfg, batch):
     users, pos_items, neg_items = batch[:, 0], batch[:, 1], batch[:, 2]
     with_contrast = cfg.alpha != 0.0
     global_track, local_track = compute_tracks(params, dataset, view, cfg, with_contrast)
-    zu, zi = global_track.summed()
-    pos_scores = predict(users, pos_items, zu, zi)
-    neg_scores = predict(users, neg_items, zu, zi)
+    zu, ze = global_track.summed()
+    pos_scores = predict(users, pos_items, zu, ze)
+    neg_scores = predict(users, neg_items, zu, ze)
     bpr = bpr_loss(pos_scores, neg_scores)
     contrast = None
     if with_contrast:
@@ -332,11 +333,12 @@ def _epoch_batches(triples, batch_size, rng):
 
 
 def representations(params, dataset, cfg):
-    """Final layer-summed user/item matrices on the intact KG (no recording)."""
+    """Final layer-summed user/item matrices on the intact KG (no recording);
+    the item matrix is the entity sum's item-row prefix, a view."""
     view = denoise.full_view(dataset.kg)
     global_track, _ = compute_tracks(params, dataset, view, cfg, with_local=False)
-    zu, zi = global_track.summed()
-    return zu.values, zi.values
+    zu, ze = global_track.summed()
+    return zu.values, ze.values[:dataset.n_items]
 
 
 @dataclass

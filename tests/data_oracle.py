@@ -171,7 +171,10 @@ def balanced_pairs(dataset, split="train", seed=123):
     """
     pairs = getattr(dataset.split, split)
     positives = pairs[pairs[:, 2] == 1]
-    graph = dataset.train_graph
+    # a held-out positive is never its own user's negative
+    graph = InteractionGraph(dataset.n_users, dataset.n_items,
+                             [tuple(p) for p in dataset.split.train[:, :2]]
+                             + [tuple(p) for p in positives[:, :2]])
     rng = np.random.default_rng(seed)
     rows = [(int(u), int(i), 1) for u, i in positives[:, :2]]
     counts = {}

@@ -47,8 +47,8 @@ def test_criterion_2_closed_form_loss_oracles():
     ok = abs(bpr0 - 0.69314718056) < 1e-9 and abs(bpr1 - 0.31326168752) < 1e-9
 
     z = np.array([[1.0, 0.0], [0.0, 1.0]])
-    track = denoise.LayerStack(users=[ad.constant(z)], items=[ad.constant(z)])
-    local = denoise.LayerStack(users=[ad.constant(z)], items=[ad.constant(z)])
+    track = denoise.LayerStack(users=[ad.constant(z)], entities=[ad.constant(z)])
+    local = denoise.LayerStack(users=[ad.constant(z)], entities=[ad.constant(z)])
     loss = denoise.contrastive_loss(track, local, np.arange(2), np.arange(2), tau=1.0).values
     per_user = loss / 2.0  # user side and item side are identical here
     ok = ok and abs(per_user - (math.log(2.0) - 1.0)) < 1e-9

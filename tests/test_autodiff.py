@@ -1,6 +1,8 @@
 """Primitive-level contracts: identity cases, edge cases, finite differences."""
+import inspect
 import math
 import multiprocessing
+import re
 import sys
 import threading
 
@@ -23,6 +25,18 @@ def fd_check(build, named, tol=1e-4):
     result = check_gradients(build, named)
     assert result.max_rel_err < tol, f"{result.worst_param}: {result.max_rel_err}"
     return result
+
+
+def test_module_docstring_lists_exactly_the_public_ops():
+    # the operator list runs from its lead-in to the broadcasting paragraph
+    doc = ad.__doc__
+    listing = doc[doc.index("The operator set"):doc.index("There is no general broadcasting")]
+    listed = re.findall(r"`(\w+)`", listing)
+    public = {name for name, f in vars(ad).items()
+              if inspect.isfunction(f) and f.__module__ == ad.__name__
+              and not name.startswith("_")} - {"constant", "parameter"}
+    assert len(listed) == len(set(listed))
+    assert set(listed) == public
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +215,7 @@ def test_tapes_do_not_nest():
 
 
 # ---------------------------------------------------------------------------
-# gather (backward scatter-adds) / segments / concat
+# gather (backward scatter-adds) / segments
 
 
 def test_gather_rows_identity_permutation():
@@ -397,6 +411,36 @@ def test_spmm_gradients_split_by_emptiness():
     np.testing.assert_array_equal(fallback.grad, [[1.0, 2.0], [0.0, 0.0], [5.0, 6.0], [0.0, 0.0]])
 
 
+def test_spmm_reads_the_prefix_of_a_taller_x():
+    # rows 1 and 3 are empty; x has two rows more than the matrix has columns
+    matrix = _csr([[0.5, 0.0, 0.0, -1.5], [0.0, 0.0, 0.0, 0.0],
+                   [2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    x = ad.parameter(RNG.normal(size=(6, 3)))
+    start = RNG.normal(size=(6, 3))
+    x.grad[...] = start
+    fallback = ad.parameter(RNG.normal(size=(4, 3)))
+    upstream = RNG.normal(size=(4, 3))
+    with ad.Tape() as tape:
+        out = ad.spmm(matrix, x, fallback)
+        loss = ad.sum_all(ad.mul(out, ad.constant(upstream)))
+    tape.backward(loss)
+    want = ad.spmm(matrix, x.values[:4].copy(), fallback.values).values
+    assert out.values.tobytes() == want.tobytes()
+    np.testing.assert_allclose(x.grad[:4], start[:4] + matrix.toarray().T @ upstream,
+                               rtol=0, atol=1e-12)
+    assert x.grad[4:].tobytes() == start[4:].tobytes()
+
+
+def test_spmm_finite_difference_through_a_taller_x():
+    rng = np.random.default_rng(12)
+    matrix = _csr([[0.5, 0.0, -1.5], [0.0, 0.0, 0.0], [2.0, 1.0, 0.0]])
+    x = ad.parameter(rng.normal(size=(5, 2)))
+    fallback = ad.parameter(rng.normal(size=(3, 2)))
+    w = ad.constant(rng.normal(size=(3, 2)))
+    fd_check(lambda: ad.sum_all(ad.mul(ad.spmm(matrix, x, fallback), w)),
+             [("x", x), ("fallback", fallback)], tol=1e-6)
+
+
 def test_spmm_all_empty_is_fallback():
     fallback = np.arange(6.0).reshape(3, 2)
     matrix = block_operator(np.zeros(4, dtype=np.int64), np.full(3, np.inf))
@@ -413,6 +457,8 @@ def test_spmm_rejects_bad_operands():
         ad.spmm(matrix, np.ones((3, 2)), np.ones((3, 2)))
     with pytest.raises(ShapeError):
         ad.spmm(matrix, np.ones((2, 2)), np.ones((2, 2)))
+    with pytest.raises(ShapeError):
+        ad.spmm(matrix, np.ones((5, 3)), np.ones((2, 2)))
     with pytest.raises(ShapeError):
         ad.spmm(matrix, np.ones(3), np.ones((2, 1)))
     with pytest.raises(ContractError):
@@ -673,26 +719,42 @@ def test_gated_sum_rejects_bad_operands():
             ad.gated_sum(edges, *args)
 
 
-def test_concat_round_trip_rows():
-    a = RNG.normal(size=(2, 3))
-    b = RNG.normal(size=(4, 3))
-    np.testing.assert_array_equal(
-        ad.concat([ad.constant(a), ad.constant(b)]).values, np.vstack([a, b])
-    )
+# ---------------------------------------------------------------------------
+# splice: a table with its first rows replaced
 
 
-def test_concat_rejects_empty_operand_list():
-    with pytest.raises(DomainError):
-        ad.concat([])
+@pytest.mark.parametrize("k", [0, 2, 6])
+def test_splice_replaces_the_first_rows(k):
+    a = RNG.normal(size=(k, 3))
+    b = RNG.normal(size=(6, 3))
+    out = ad.splice(ad.constant(a), ad.constant(b)).values
+    np.testing.assert_array_equal(out, np.vstack([a, b[k:]]))
+    assert not np.shares_memory(out, a) and not np.shares_memory(out, b)
 
 
-def test_concat_rejects_operands_of_other_widths_or_ndim():
-    a = ad.constant(np.ones((2, 3)))
-    for other in (np.ones((1, 2)), np.ones(3), np.ones((1, 3, 1))):
-        with pytest.raises(ShapeError, match=r"concat: operands \[\(2, 3\), "):
-            ad.concat([a, ad.constant(other)])
-    with pytest.raises(ShapeError, match="concat"):
-        ad.concat([ad.constant(np.ones(3)), ad.constant(np.ones(3))])
+def test_splice_sends_each_row_gradient_to_its_source():
+    prefix = ad.parameter(np.zeros((2, 2)))
+    start = RNG.normal(size=(5, 2))
+    table = ad.parameter(np.zeros((5, 2)))
+    table.grad[...] = start
+    upstream = RNG.normal(size=(5, 2))
+    with ad.Tape() as tape:
+        loss = ad.sum_all(ad.mul(ad.splice(prefix, table), ad.constant(upstream)))
+    tape.backward(loss)
+    assert prefix.grad.tobytes() == upstream[:2].tobytes()
+    expect = start.copy()
+    expect[2:] += upstream[2:]
+    assert table.grad.tobytes() == expect.tobytes()
+
+
+def test_splice_rejects_a_prefix_that_does_not_fit():
+    table = ad.constant(np.ones((2, 3)))
+    for prefix in (np.ones((3, 3)), np.ones((1, 2)), np.ones(3), np.ones((1, 3, 1))):
+        with pytest.raises(ShapeError, match=r"splice: prefix \(.*\) does not fit table \(2, 3\)"):
+            ad.splice(ad.constant(prefix), table)
+    for bad_table in (np.ones(3), np.ones((2, 3, 1))):
+        with pytest.raises(ShapeError, match="splice"):
+            ad.splice(ad.constant(np.ones((1, 3))), ad.constant(bad_table))
 
 
 def test_mean_all_rejects_empty():
@@ -700,11 +762,12 @@ def test_mean_all_rejects_empty():
         ad.mean_all(ad.constant(np.zeros((0, 2))))
 
 
-def test_concat_finite_difference():
-    a = ad.parameter(RNG.normal(size=(2, 2)))
-    b = ad.parameter(RNG.normal(size=(3, 2)))
+@pytest.mark.parametrize("k", [0, 2, 5])
+def test_splice_finite_difference(k):
+    a = ad.parameter(RNG.normal(size=(k, 2)))
+    b = ad.parameter(RNG.normal(size=(5, 2)))
     w = ad.constant(RNG.normal(size=(5, 2)))
-    fd_check(lambda: ad.sum_all(ad.mul(ad.concat([a, b]), w)), [("a", a), ("b", b)])
+    fd_check(lambda: ad.sum_all(ad.mul(ad.splice(a, b), w)), [("a", a), ("b", b)])
 
 
 # ---------------------------------------------------------------------------
@@ -1029,14 +1092,15 @@ def test_reduction_first_then_other_op_accumulates():
 
 def test_pass_through_views_are_copied():
     # leaves built with requires_grad=True start without a buffer, so their
-    # first contribution decides it: a split piece (a, b), a transpose (m)
-    # and a broadcast (s, which then takes a second contribution)
+    # first contribution decides it: a split piece (a, and b's rows after
+    # it), a transpose (m) and a broadcast (s, which then takes a second
+    # contribution)
     a = ad.Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
-    b = ad.Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+    b = ad.Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
     m = ad.Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
     s = ad.Tensor(RNG.normal(size=(2, 2)), requires_grad=True)
     with ad.Tape() as tape:
-        cat = ad.concat([a, b])
+        cat = ad.splice(a, b)
         prod = ad.matmul(cat, ad.transpose(m))
         loss = ad.sum_all(ad.mul(prod, prod)) + ad.sum_all(ad.mul(s, s)) + ad.sum_all(s)
     tape.backward(loss)
@@ -1045,7 +1109,8 @@ def test_pass_through_views_are_copied():
         assert t.grad.flags.c_contiguous and t.grad.shape == t.values.shape
     dcat = 2.0 * prod.values @ m.values
     np.testing.assert_allclose(a.grad, dcat[:2], atol=1e-12)
-    np.testing.assert_allclose(b.grad, dcat[2:], atol=1e-12)
+    np.testing.assert_allclose(b.grad[2:], dcat[2:], atol=1e-12)
+    np.testing.assert_array_equal(b.grad[:2], 0.0)
     np.testing.assert_allclose(m.grad, 2.0 * prod.values.T @ cat.values, atol=1e-12)
     np.testing.assert_allclose(s.grad, 2.0 * s.values + 1.0, atol=1e-12)
 

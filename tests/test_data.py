@@ -287,6 +287,15 @@ def test_kg_declared_entities_enforced():
         data.KnowledgeGraph(np.array([[9, 0, 1]]), n_entities=5)
 
 
+def test_kg_declared_relations_enforced():
+    # a relation id past the declared count once grew n_relations silently
+    with pytest.raises(DataFormatError, match="relation ID overflow: triples use 6 relations, "
+                                              "declared 2"):
+        data.KnowledgeGraph([[0, 5, 1]], n_entities=3, n_relations=2)
+    assert data.KnowledgeGraph([[0, 1, 1]], n_entities=3, n_relations=2).n_relations == 2
+    assert data.KnowledgeGraph([[0, 5, 1]], n_entities=3).n_relations == 6
+
+
 def test_interaction_graph_rejects_rows_that_are_not_pairs():
     # three ids per row were once regrouped into pairs (0, 1), (2, 3), (4, 5)
     for rows in ([[0, 1, 2], [3, 4, 5]], [0, 1], np.zeros((2, 2, 2), dtype=np.int64)):

@@ -215,7 +215,7 @@ def test_light_single_neighbor_identity_gate():
     ents = ad.constant(RNG.normal(size=(2, 3)))
     rel = ad.constant(np.ones((1, 3)))
     stack = denoise.light_aggregate(users, ents, rel, kg.full_edges(), graph, 1)
-    np.testing.assert_allclose(stack.items[1].values[0], ents.values[1], atol=1e-12)
+    np.testing.assert_allclose(stack.entities[1].values[0], ents.values[1], atol=1e-12)
 
 
 def test_light_single_item_user_copies_item():
@@ -245,7 +245,7 @@ def test_light_chain_matches_loop_oracle():
         nxt[1] = rel[0] * z[-1][2]
         z.append(nxt)
     for layer in range(3):
-        np.testing.assert_allclose(stack.items[layer].values[0], z[layer][0], atol=1e-12)
+        np.testing.assert_allclose(stack.entities[layer].values[0], z[layer][0], atol=1e-12)
 
 
 def test_light_all_ones_relations_equal_mean_pooling():
@@ -265,9 +265,7 @@ def test_light_all_ones_relations_equal_mean_pooling():
         lo, hi = edges.offsets[h], edges.offsets[h + 1]
         if hi > lo:
             expected[h] = ents[edges.tail[lo:hi]].mean(axis=0)
-    np.testing.assert_allclose(
-        np.vstack([stack.items[1].values, expected[4:]])[:6], expected, atol=1e-12
-    )
+    np.testing.assert_allclose(stack.entities[1].values, expected, atol=1e-12)
     u_expected = users.copy()
     for u in range(3):
         items = graph.items_of(u)
@@ -283,17 +281,17 @@ def test_light_empty_nodes_pass_through():
     rel = ad.constant(RNG.normal(size=(1, 3)))
     stack = denoise.light_aggregate(users, ents, rel, kg.full_edges(), graph, 1)
     np.testing.assert_array_equal(stack.users[1].values[1], users.values[1])
-    np.testing.assert_array_equal(stack.items[1].values[1], ents.values[1])
+    np.testing.assert_array_equal(stack.entities[1].values[1], ents.values[1])
 
 
 # ---------------------------------------------------------------------------
 # contrastive loss
 
 
-def _stack(user_layers, item_layers):
+def _stack(user_layers, entity_layers):
     return denoise.LayerStack(
         users=[ad.constant(u) for u in user_layers],
-        items=[ad.constant(i) for i in item_layers],
+        entities=[ad.constant(e) for e in entity_layers],
     )
 
 
@@ -397,8 +395,8 @@ def test_contrastive_gradient_finite_difference():
 
     def build():
         return denoise.contrastive_loss(
-            denoise.LayerStack(users=[zg], items=[ig]),
-            denoise.LayerStack(users=[zl], items=[il]),
+            denoise.LayerStack(users=[zg], entities=[ig]),
+            denoise.LayerStack(users=[zl], entities=[il]),
             np.arange(3), np.arange(3),
             tau=0.3,
         )
@@ -455,8 +453,8 @@ def test_contrastive_matches_dense_identity_oracle():
                   for group in (users_g, users_l, items_g, items_l)]
         with ad.Tape() as tape:
             loss = denoise.contrastive_loss(
-                denoise.LayerStack(users=params[0], items=params[2]),
-                denoise.LayerStack(users=params[1], items=params[3]),
+                denoise.LayerStack(users=params[0], entities=params[2]),
+                denoise.LayerStack(users=params[1], entities=params[3]),
                 np.arange(5), np.arange(4),
                 tau=tau, include_positive=include_positive,
             )

@@ -1,4 +1,6 @@
 """Evaluation harnesses: CTR/top-K protocol, ablation, noise robustness."""
+import csv
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -208,6 +210,22 @@ def test_report_render_and_csv(ds):
     assert csv.startswith("label,auc,f1,recall_at_10,recall_at_20")
 
 
+def test_report_csv_rows_are_header_wide_with_unique_labels():
+    # drop rows once reused the metric rows' `noise_{ratio}` labels, with
+    # fewer fields than the header
+    for ks in ({10: 0.1, 20: 0.2}, {}):
+        report = experiments.MetricReport(rows=[
+            experiments.MetricRow(label=f"noise_{r:g}", auc=0.9, f1=0.8, recall=ks)
+            for r in (0.0, 0.05, 0.1)
+        ], noise_drops={0.0: (0.0, 0.0), 0.05: (1.0, 2.0), 0.1: (3.0, 4.0)})
+        header, *rows = csv.reader(io.StringIO(report.to_csv()))
+        assert header[:3] == ["label", "auc", "f1"] and len(header) == 3 + len(ks)
+        assert all(len(row) == len(header) for row in rows)
+        labels = [row[0] for row in rows]
+        assert len(set(labels)) == len(labels) == 6
+        assert labels[3:] == ["drop_0", "drop_0.05", "drop_0.1"]
+
+
 def test_report_validation_catches_bad_rows():
     bad = experiments.MetricReport(rows=[
         experiments.MetricRow(label="x", auc=1.2, f1=0.5, recall={}),
@@ -229,6 +247,19 @@ def test_plot_series_written(tmp_path, ds):
     assert len(written) == 2
     noise_csv = (tmp_path / "demo_noise_drop.csv").read_text()
     assert noise_csv.splitlines()[0] == "noise_ratio,auc_drop_pct,f1_drop_pct"
+
+
+@pytest.mark.parametrize("split", ["train", "eval", "test"])
+def test_balanced_pairs_give_no_pair_both_labels(split):
+    # negatives were drawn against the train graph only, so a held-out
+    # positive could come back as its own user's negative
+    ds = synthetic_dataset(40, 30, 50, 3, seed=1)
+    pairs = experiments.balanced_pairs(ds, split=split, seed=123)
+    assert pairs.shape[0] > 0
+    labels = {}
+    for u, i, label in pairs.tolist():
+        labels.setdefault((u, i), set()).add(label)
+    assert all(len(seen) == 1 for seen in labels.values())
 
 
 def test_balanced_pairs_are_balanced(ds):

@@ -20,9 +20,9 @@ from kgtn.errors import CheckpointError, ContractError, KgtnError, TrainingDiver
 RNG = np.random.default_rng(77)
 
 
-def _stack(users, items):
+def _stack(users, entities):
     return denoise.LayerStack(
-        users=[ad.constant(u) for u in users], items=[ad.constant(i) for i in items]
+        users=[ad.constant(u) for u in users], entities=[ad.constant(e) for e in entities]
     )
 
 
@@ -368,17 +368,19 @@ def _step_tape(dataset, cfg):
 
 def test_toy_step_records_pinned_nodes():
     # the overfit config of the acceptance suite; any change to the tape
-    # shows here as a diff. The contrastive term is one infonce node, and the
-    # only gathers are the two ranking predictions'.
+    # shows here as a diff. The contrastive term is one infonce node, the
+    # only gathers are the two ranking predictions', the one slice feeds the
+    # transformer its item rows and the one splice joins the read-out items
+    # to the other entities.
     ds = synthetic_dataset(40, 30, 50, 3, density=0.5, seed=1, ratios=(1.0, 0.0, 0.0))
     tape, _ = _step_tape(ds, ExperimentConfig(seed=1, lr=3e-3, batch_size=32).validate())
     assert tape.op_counts() == {
-        "add": 6, "concat": 1, "edge_attention": 2, "gated_sum": 4, "gather_rows": 4,
+        "add": 6, "edge_attention": 2, "gated_sum": 4, "gather_rows": 4,
         "infonce": 1, "kg_pool": 1, "matmul": 10, "mean_all": 1, "mul": 6, "rowsum": 2,
-        "slice_rows": 8, "softmax": 2, "softplus": 1, "spmm": 4, "sub": 1, "sum_all": 1,
-        "transpose": 2,
+        "slice_rows": 1, "softmax": 2, "softplus": 1, "splice": 1, "spmm": 4, "sub": 1,
+        "sum_all": 1, "transpose": 2,
     }
-    assert len(tape) == 57
+    assert len(tape) == 50
 
 
 def test_step_node_count_independent_of_head_count(tiny_dataset):
@@ -412,13 +414,13 @@ def test_each_aggregation_is_one_node(tiny_dataset, depth, agg_depth):
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_step_restacks_no_projection(tiny_dataset, depth):
     # the projections are stored stacked: the only transposes are the two
-    # prototype transposes of the intent readout, and the only concats join
+    # prototype transposes of the intent readout, and the only splices join
     # the items to the other entities (after each layer but the first, and
     # at the readout); the L2 term reads the parameter store as is
     counts = _step_tape(tiny_dataset, small_cfg(depth=depth))[0].op_counts()
     assert tiny_dataset.n_entities > tiny_dataset.n_items
     assert counts["transpose"] == 2
-    assert counts["concat"] == depth
+    assert counts["splice"] == depth
 
 
 def test_light_user_step_gathers_no_interaction_edges(tiny_dataset, monkeypatch):
@@ -441,10 +443,11 @@ def test_light_user_step_gathers_no_interaction_edges(tiny_dataset, monkeypatch)
     with ad.Tape() as tape:
         stack = denoise.light_aggregate(params.user_emb, params.entity_emb, params.relation_emb,
                                         view.edges, graph, cfg.agg_depth)
-    # only the item prefix of every layer is sliced off: the kept slots' rows
-    # live inside the gated sums, and no gather runs over the user-item edges
+    # the user step reads the item prefix of every entity layer in place: the
+    # kept slots' rows live inside the gated sums, and no gather runs over the
+    # user-item edges
     assert gathers == []
-    assert slices == [(0, graph.n_items)] * (cfg.agg_depth + 1)
+    assert slices == []
     counts = tape.op_counts()
     assert counts["spmm"] == counts["gated_sum"] == cfg.agg_depth
     assert len(stack.users) == cfg.agg_depth + 1
