@@ -5,7 +5,12 @@ with relation-aware knowledge aggregation, learnable intent prototypes,
 Gumbel top-k knowledge denoising, a layer-wise local-global contrastive
 objective, and pairwise-ranking multi-task training, all on a minimal
 float64 reverse-mode autodiff substrate.
+
+Importing the package sets the process's glibc allocator policy once (see
+`HEAP_KEPT`).
 """
+
+import ctypes
 
 from .autodiff import Tape, Tensor, constant, parameter
 from .config import ExperimentConfig, parse_config
@@ -64,3 +69,33 @@ from .training import (
 )
 
 __version__ = "0.1.0"
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 32 << 20   # glibc's ceiling on 64-bit: half its 64 MiB heap
+_INT_MAX = 2**31 - 1
+
+
+def _keep_heap(libc):
+    """Keep freed blocks up to 32 MiB in the heap; True when the policy took.
+
+    Every step and evaluation frees (E, d) arrays of several MB; glibc
+    would unmap or trim them and fault their pages in again on the next
+    step. Both thresholds are set together: setting either one switches
+    off glibc's dynamic adjustment of both. The cost: freed memory stays
+    with the process, so RSS does not fall after a peak, and blocks above
+    32 MiB are still mapped afresh each time. A libc without `mallopt`, or
+    one that refuses the mmap threshold, is left unchanged (the trim call,
+    which glibc never refuses, comes second).
+    """
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX) == 1
+            and mallopt(_M_TRIM_THRESHOLD, _INT_MAX) == 1)
+
+
+# True when this process's freed blocks up to 32 MiB stay in the heap.
+HEAP_KEPT = _keep_heap(ctypes.CDLL(None))

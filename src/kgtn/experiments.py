@@ -101,16 +101,19 @@ def _ranked_top(keys, top):
     """Columns of each row's `top` smallest keys, as `argsort(kind="stable")` orders them.
 
     Keys ascend, ties go to the lower column and NaN sorts after every
-    number. `argpartition` picks a candidate set; a row whose boundary key
-    has ties left outside the set, or is NaN, gets its first `top` columns
-    from a full stable sort instead.
+    number. One `argpartition` at `top` picks a candidate set: the largest
+    picked key is the top-th smallest, and every key left out is at least
+    the key the partition puts at position `top`. A row whose two boundary
+    keys are equal (ties left outside the set), or whose largest picked key
+    is NaN, gets its first `top` columns from a full stable sort instead.
     """
-    picked = np.argpartition(keys, top - 1, axis=1)[:, :top]
-    picked_keys = np.take_along_axis(keys, picked, axis=1)
-    kth = picked_keys[:, -1:]   # argpartition puts the top-th smallest key last
-    unsettled = np.isnan(kth[:, 0]) | (
-        (keys == kth).sum(axis=1) > (picked_keys == kth).sum(axis=1)
-    )
+    if top >= keys.shape[1]:
+        return np.argsort(keys, axis=1, kind="stable")
+    part = np.argpartition(keys, top, axis=1)
+    picked = part[:, :top]
+    kth = np.take_along_axis(keys, picked, axis=1).max(axis=1)   # NaN propagates
+    next_key = np.take_along_axis(keys, part[:, top:top + 1], axis=1)[:, 0]
+    unsettled = np.isnan(kth) | (kth == next_key)
     if unsettled.any():
         picked[unsettled] = np.argsort(keys[unsettled], axis=1, kind="stable")[:, :top]
     picked.sort(axis=1)
@@ -149,10 +152,12 @@ def recall_at_k(zu, zi, dataset, ks, split="test"):
     top = min(ks[-1], n_items)
     at = np.minimum(ks, top) - 1   # column of recall@k in the running hit count
     block = max(1, RECALL_BLOCK_SCORES // n_items)
+    neg_items = -zi   # keys equal -(zu @ zi.T) exactly: negation only flips signs
+    keys_buffer = np.empty((min(block, users.size), n_items))
     recalls = []
     for start in range(0, users.size, block):
         rows = users[start:start + block]
-        keys = -(zu[rows] @ zi.T)
+        keys = np.matmul(zu[rows], neg_items.T, out=keys_buffer[:rows.size])
         keys[_csr_entries(graph.u_offsets, graph.u_items, rows)] = np.inf
         relevant = np.zeros(keys.shape, dtype=bool)
         relevant[_csr_entries(pos_offsets, positives[:, 1], rows)] = True

@@ -79,6 +79,27 @@ def test_recall_bitwise_with_ties_at_the_top_k_boundary(wide):
     _assert_matches_loop(zu, zi, wide, ks)
 
 
+def test_recall_bitwise_when_the_next_key_ties_the_top_kth(wide):
+    # One-hot users read their own score column exactly. Every user's
+    # candidates score distinct values except a test positive and a random
+    # other candidate, tied at ranks top and top + 1: only the lower item
+    # index of the two counts in recall@top.
+    top = 7
+    rng = np.random.default_rng(6)
+    zu = np.eye(wide.n_users)
+    zi = 2.0 * rng.permutation(wide.n_items * wide.n_users).reshape(wide.n_items, wide.n_users)
+    test = wide.split.test
+    for u in _test_users(wide):
+        relevant = test[(test[:, 0] == u) & (test[:, 2] == 1), 1]
+        candidates = np.delete(np.arange(wide.n_items), wide.train_graph.items_of(u))
+        other = rng.choice(np.setdiff1d(candidates, relevant))
+        rest = np.sort(zi[np.setdiff1d(candidates, [relevant[0], other]), u])[::-1]
+        zi[[relevant[0], other], u] = (rest[top - 2] + rest[top - 1]) / 2
+    scores = list(_candidate_scores(zu, zi, wide))
+    assert all(s[top - 2] > s[top - 1] == s[top] > s[top + 1] for s in scores)
+    _assert_matches_loop(zu, zi, wide, (3, top))
+
+
 def test_recall_bitwise_when_train_items_enter_the_top_k(wide):
     zu, zi = _tie_heavy(wide, seed=1)
     ks = (5, 290)

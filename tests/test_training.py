@@ -1,9 +1,12 @@
 """Prediction, losses, Adam, the fit loop, checkpoints, determinism."""
+import ctypes
 import gc
 import hashlib
 import inspect
 import math
+import resource
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+import kgtn
 from kgtn import autodiff as ad
 from kgtn import data, denoise, intents, training
 from kgtn.config import ExperimentConfig
@@ -870,6 +874,76 @@ def test_fit_early_stopping(tiny_dataset):
     result = training.fit(cfg, tiny_dataset)
     assert result.stopped_early
     assert len(result.log) < 60
+
+
+# ---------------------------------------------------------------------------
+# the process heap
+
+kept_heap = pytest.mark.skipif(not kgtn.HEAP_KEPT, reason="the allocator policy was not applied")
+
+
+def _minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+@kept_heap
+def test_steady_training_steps_fault_no_pages():
+    # lastfm-shape at scale 0.1; each step frees blocks of a few hundred KiB
+    # to several MiB that glibc would otherwise hand back and fault in again
+    ds = synthetic_dataset(187, 385, 937, 60, density=0.06, seed=1)
+    cfg = ExperimentConfig(batch_size=512, seed=1).validate()
+    rng = np.random.default_rng(cfg.seed)
+    params = training.ModelParameters.initialize(
+        ds.n_users, ds.n_entities, ds.n_relations, cfg, rng)
+    optimizer = training.Adam(params.store, params.named(), lr=cfg.lr)
+    view = denoise.full_view(ds.kg)
+    triples = training.build_bpr_triples(ds.train_graph, ds.split.train[:, :2], rng)
+    batches = training._epoch_batches(triples, cfg.batch_size, rng)
+    faults = []
+    for step in range(13):
+        before = _minor_faults()
+        optimizer.zero_grad()
+        with ad.Tape() as tape:
+            loss, _ = training.training_step_loss(
+                params, ds, view, cfg, batches[step % len(batches)])
+        tape.backward(loss)
+        optimizer.step()
+        faults.append(_minor_faults() - before)
+    # the heap still grows by a few hundred KiB on an occasional step as it
+    # fragments, so the bound is on the mean; without the policy every step
+    # takes over a thousand
+    assert sum(faults[5:]) < 100 * len(faults[5:]), faults
+
+
+@kept_heap
+def test_repeated_representations_fault_no_pages():
+    ds = synthetic_dataset(468, 962, 2342, 60, density=0.024, seed=1)   # scale 0.25
+    cfg = ExperimentConfig(seed=1).validate()
+    params = training.ModelParameters.initialize(
+        ds.n_users, ds.n_entities, ds.n_relations, cfg, np.random.default_rng(cfg.seed))
+    for _ in range(3):
+        training.representations(params, ds, cfg)
+    before = _minor_faults()
+    training.representations(params, ds, cfg)
+    assert _minor_faults() - before < 100
+
+
+def test_heap_policy_on_a_libc_without_mallopt_or_refusing_it_changes_nothing():
+    assert kgtn._keep_heap(types.SimpleNamespace()) is False
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 0
+
+    assert kgtn._keep_heap(types.SimpleNamespace(mallopt=mallopt)) is False
+    assert len(calls) == 1   # the first threshold was refused: the second is not set
+
+
+def test_heap_policy_applies_twice_without_harm():
+    assert kgtn._keep_heap(ctypes.CDLL(None)) is kgtn.HEAP_KEPT
+    block = np.ones(1 << 20)   # 8 MiB: under the kept threshold
+    assert block.sum() == 1 << 20
 
 
 # ---------------------------------------------------------------------------
