@@ -841,6 +841,11 @@ class _InfonceTerm:
 
     The calling thread allocates every array `run` writes and `finish`
     drops them, so the large buffers come from and return to its heap.
+    Keeping the heap (`kgtn.HEAP_KEPT`) does not make this split redundant:
+    glibc gives each worker thread its own arena, which keeps that thread's
+    freed buffers too. A variant that ran each whole term on the pool,
+    allocating in the worker, passed the same tests but raised lastfm-shape
+    training peak RSS by about 7% (297 -> 318 MB) and its step time by 2%.
     """
 
     def __init__(self, global_table, local_table, rows, tau, include_positive):

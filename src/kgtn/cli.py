@@ -1,15 +1,19 @@
 """Command-line entry point: train / evaluate / ablate / noise-test / gen-synth / grad-check.
 
 Each command accepts only the flags its code reads. The four run commands
-(train, evaluate, ablate, noise-test) take the run flags; the three that
-train also take the training flags, and the three that print a metric
-report take `--emit-plot-data`. A run command writes its fully resolved
-configuration next to its outputs, so any artifact can be reproduced from
-the run directory alone, and all randomness flows through the single seeded
-generator named in that config. Its data carry the run's injected noise,
-except in noise-test, whose ratio is the one under test. gen-synth and
-grad-check read no config and write no `config.ini`: grad-check takes
-`--seed` only, gen-synth `--seed`, `--out` and its generator flags.
+(train, evaluate, ablate, noise-test) take the run flags (`--config`,
+`--data-dir`, `--out`); the three that train also take the training flags,
+and the three that print a metric report take `--emit-plot-data`. evaluate
+requires `--config`: the run's `config.ini` alone names the split, the
+noise draw and the model that its checkpoint is scored on. A run command
+writes its fully resolved configuration next to its outputs, so any
+artifact can be reproduced from the run directory alone, and all
+randomness flows through the single seeded generator named in that config.
+Its data carry the run's injected noise, except in noise-test, which
+starts from the clean data and tests the config's `noise_ratio` if it is
+above 0, else every protocol ratio. gen-synth and grad-check read no
+config and write no `config.ini`: grad-check takes `--seed` only,
+gen-synth `--seed`, `--out` and its generator flags.
 """
 from __future__ import annotations
 
@@ -26,25 +30,26 @@ from .config import ExperimentConfig, parse_config, write_config
 from .errors import ConfigError, KgtnError
 
 # Every flag by option string. A flag whose dest names a config field
-# overrides that key, so this table is the only list of overrides.
+# overrides that key, so this table is the only list of overrides. Such a
+# flag has no argparse type: its text is parsed as config text is.
 _FLAGS = {
     "--config": dict(metavar="PATH", help="INI config file"),
     "--data-dir": dict(help="directory with ratings_final.txt / kg_final.txt "
                             "(falls back to $KGTN_DATA_DIR)"),
     "--out": dict(metavar="DIR", help="output directory (default runs/<command>)"),
-    "--seed": dict(type=int),
-    "--noise-ratio": dict(type=float, help="fraction of fake training positives to inject"),
-    "--intents": dict(dest="n_intents", type=int, help="intent prototype count"),
-    "--depth": dict(type=int, help="graph transformer depth"),
-    "--heads": dict(dest="n_heads", type=int, help="attention head count"),
+    "--seed": dict(),
+    "--noise-ratio": dict(help="fraction of fake training positives to inject"),
+    "--intents": dict(dest="n_intents", help="intent prototype count"),
+    "--depth": dict(help="graph transformer depth"),
+    "--heads": dict(dest="n_heads", help="attention head count"),
     "--share-transformer-weights": dict(action="store_const", const=True, default=None),
-    "--alpha": dict(type=float, help="contrastive loss weight"),
-    "--tau": dict(type=float, help="contrastive temperature"),
+    "--alpha": dict(help="contrastive loss weight"),
+    "--tau": dict(help="contrastive temperature"),
     "--k-top": dict(help="KG slots kept per head ('none' keeps all)"),
-    "--lr": dict(type=float),
-    "--l2": dict(type=float, help="L2 regularization weight"),
-    "--epochs": dict(type=int),
-    "--batch-size": dict(type=int),
+    "--lr": dict(),
+    "--l2": dict(help="L2 regularization weight"),
+    "--epochs": dict(),
+    "--batch-size": dict(),
     "--infonce-standard": dict(action="store_const", const=True, default=None),
     "--emit-plot-data": dict(action="store_true", help="also write x/y CSV series for plotting"),
     "--checkpoint": dict(required=True, metavar="PATH"),
@@ -56,10 +61,10 @@ _FLAGS = {
     "--density": dict(type=float, default=0.5),
     "--groups": dict(type=int, default=4),
 }
-_RUN_FLAGS = ("--config", "--data-dir", "--out", "--seed", "--noise-ratio", "--intents",
-              "--depth", "--heads", "--share-transformer-weights")
-_TRAINING_FLAGS = ("--alpha", "--tau", "--k-top", "--lr", "--l2", "--epochs", "--batch-size",
-                   "--infonce-standard")
+_RUN_FLAGS = ("--config", "--data-dir", "--out")
+_TRAINING_FLAGS = ("--seed", "--noise-ratio", "--intents", "--depth", "--heads",
+                   "--share-transformer-weights", "--alpha", "--tau", "--k-top", "--lr", "--l2",
+                   "--epochs", "--batch-size", "--infonce-standard")
 
 _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
@@ -79,7 +84,7 @@ def _resolve(args, command):
 
 
 def _seed(args):
-    """`--seed` of a command without a config, checked as `validate()` checks it."""
+    """`--seed` of a command without a config, parsed and checked as a config's seed is."""
     return parse_config(None, {"seed": args.seed}).seed
 
 
@@ -119,6 +124,8 @@ def _cmd_train(args):
 
 
 def _cmd_evaluate(args):
+    if args.config is None:
+        raise ConfigError("evaluate needs the run's config: pass --config <run>/config.ini")
     cfg, out = _resolve(args, "evaluate")
     dataset = _load(cfg)
     blob = training.load_checkpoint(args.checkpoint)
@@ -140,7 +147,7 @@ def _cmd_ablate(args):
 
 def _cmd_noise_test(args):
     cfg, out = _resolve(args, "noise-test")
-    ratios = experiments.NOISE_RATIOS if args.noise_ratio is None else (0.0, cfg.noise_ratio)
+    ratios = (0.0, cfg.noise_ratio) if cfg.noise_ratio > 0 else experiments.NOISE_RATIOS
     report = experiments.noise_robustness(cfg, _load(cfg, noisy=False), ratios=ratios)
     return _report(args, out, report, "noise.csv", "noise")
 

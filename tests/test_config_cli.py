@@ -297,19 +297,21 @@ def test_evaluate_loads_checkpoint(tmp_path, synth_dir, capsys):
 
 
 @pytest.mark.parametrize("trained, evaluated", [
-    ([], ["--heads", "4"]),
-    ([], ["--heads", "1"]),
-    ([], ["--depth", "2"]),
-    (["--depth", "2"], []),
+    ([], {"n_heads": 4}),
+    ([], {"n_heads": 1}),
+    ([], {"depth": 2}),
+    (["--depth", "2"], {"depth": 1}),
 ])
 def test_evaluate_with_another_architecture_exits_2(tmp_path, synth_dir, capsys,
                                                      trained, evaluated):
     out = tmp_path / "run"
     assert cli.main(["train", *_fast_flags(tmp_path, synth_dir, out), "--epochs", "0",
                      *trained]) == 0
+    other = tmp_path / "other.ini"
+    write_config(parse_config(out / "config.ini", evaluated), other)
     code = cli.main([
-        "evaluate", *_fast_flags(tmp_path, synth_dir, tmp_path / "e"),
-        "--checkpoint", str(out / "checkpoint.bin"), *evaluated,
+        "evaluate", "--config", str(other), "--out", str(tmp_path / "e"),
+        "--checkpoint", str(out / "checkpoint.bin"),
     ])
     assert code == 2
     assert "parameter 'transformer.l" in capsys.readouterr().err
@@ -409,10 +411,10 @@ def _subparsers():
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
-_RUN_FLAGS = {"--config", "--data-dir", "--out", "--seed", "--noise-ratio", "--intents",
-              "--depth", "--heads", "--share-transformer-weights"}
-_TRAINING_FLAGS = {"--alpha", "--tau", "--k-top", "--lr", "--l2", "--epochs", "--batch-size",
-                   "--infonce-standard"}
+_RUN_FLAGS = {"--config", "--data-dir", "--out"}
+_TRAINING_FLAGS = {"--seed", "--noise-ratio", "--intents", "--depth", "--heads",
+                   "--share-transformer-weights", "--alpha", "--tau", "--k-top", "--lr", "--l2",
+                   "--epochs", "--batch-size", "--infonce-standard"}
 _ACCEPTED = {
     "train": _RUN_FLAGS | _TRAINING_FLAGS,
     "evaluate": _RUN_FLAGS | {"--checkpoint", "--emit-plot-data"},
@@ -426,11 +428,40 @@ _ACCEPTED = {
 
 def test_each_command_accepts_only_the_flags_it_reads():
     # every command once took all 18 common flags: `grad-check --depth 3`
-    # passed and wrote a config.ini claiming depth 3
+    # passed and wrote a config.ini claiming depth 3. evaluate once took
+    # the run's seed, noise and architecture flags too, and scored a
+    # checkpoint on another split or model: a --seed 7 run read test auc
+    # 0.5876 from its own config.ini and 0.5168 under --seed 8
     accepted = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
                 for name, p in _subparsers().items()}
     assert accepted == _ACCEPTED
-    assert [len(accepted[name]) for name in _ACCEPTED] == [17, 11, 18, 18, 8, 1]
+    assert [len(accepted[name]) for name in _ACCEPTED] == [17, 5, 18, 18, 8, 1]
+    assert sum(map(len, accepted.values())) == 67
+
+
+def test_evaluate_without_config_exits_2(tmp_path, synth_dir, capsys):
+    # without --config evaluate once rebuilt the split and model from the
+    # defaults (seed 42) and exited 0
+    run = tmp_path / "run"
+    assert cli.main(["train", *_fast_flags(tmp_path, synth_dir, run), "--epochs", "0"]) == 0
+    out = tmp_path / "eval"
+    assert cli.main(["evaluate", "--data-dir", str(synth_dir), "--out", str(out),
+                     "--checkpoint", str(run / "checkpoint.bin")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--config <run>/config.ini" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, what", [
+    ("--seed", "abc", "seed: expected an integer, got 'abc'"),
+    ("--epochs", "2.5", "epochs: expected an integer, got '2.5'"),
+    ("--lr", "fast", "lr: expected a number, got 'fast'"),
+], ids=["seed", "epochs", "lr"])
+def test_config_flag_text_is_parsed_as_config_text(tmp_path, capsys, flag, value, what):
+    # argparse's own types once rejected these with a usage message; the
+    # config parser is now the one place that knows a field's type
+    assert cli.main(["train", "--out", str(tmp_path / "run"), flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {what}\n"
 
 
 @pytest.mark.parametrize("command", ["gen-synth", "grad-check"])
@@ -516,6 +547,51 @@ def test_noise_test_single_ratio(tmp_path, synth_dir):
                      "--epochs", "1", "--emit-plot-data"]) == 0
     assert (out / "noise.csv").exists()
     assert (out / "noise_noise_drop.csv").exists()
+
+
+@pytest.mark.parametrize("ini, flags, want", [
+    ("", ["--noise-ratio", "0.1"], (0.0, 0.1)),
+    ("[data]\nnoise_ratio = 0.1\n", [], (0.0, 0.1)),
+    ("[data]\nnoise_ratio = 0.1\n", ["--noise-ratio", "0"], experiments.NOISE_RATIOS),
+    ("", [], experiments.NOISE_RATIOS),
+], ids=["flag", "config", "flag_0_over_config", "default"])
+def test_noise_test_ratios_come_from_the_resolved_config(tmp_path, synth_dir, monkeypatch,
+                                                         ini, flags, want):
+    # noise-test once read its ratios from the raw flag, so re-running
+    # `noise-test --noise-ratio 0.1` from its config.ini ran all five ratios
+    seen = []
+
+    def capture(cfg, dataset, ratios):
+        seen.append(ratios)
+        raise ConfigError("captured")
+
+    monkeypatch.setattr(experiments, "noise_robustness", capture)
+    path = tmp_path / "c.ini"
+    path.write_text(ini, encoding="utf-8")
+    assert cli.main(["noise-test", "--config", str(path), "--data-dir", str(synth_dir),
+                     "--out", str(tmp_path / "n"), *flags]) == 2
+    assert seen == [want]
+
+
+@pytest.mark.parametrize("command, flags, outputs", [
+    ("train", [], ["metrics.csv", "checkpoint.bin"]),
+    ("evaluate", [], ["report.csv"]),
+    ("ablate", ["--epochs", "1"], ["ablation.csv"]),
+    ("noise-test", ["--epochs", "1", "--noise-ratio", "0.1"], ["noise.csv"]),
+], ids=["train", "evaluate", "ablate", "noise-test"])
+def test_a_run_directory_reproduces_its_run(tmp_path, synth_dir, command, flags, outputs):
+    first, again = tmp_path / "first", tmp_path / "again"
+    checkpoint = []
+    if command == "evaluate":
+        run = tmp_path / "run"
+        assert cli.main(["train", *_fast_flags(tmp_path, synth_dir, run)]) == 0
+        checkpoint = ["--checkpoint", str(run / "checkpoint.bin")]
+    assert cli.main([command, *_fast_flags(tmp_path, synth_dir, first), *flags,
+                     *checkpoint]) == 0
+    assert cli.main([command, "--config", str(first / "config.ini"),
+                     "--data-dir", str(synth_dir), "--out", str(again), *checkpoint]) == 0
+    for name in ["config.ini", *outputs]:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
 def test_ablate_command(tmp_path, synth_dir):
