@@ -21,8 +21,8 @@ print("forward product:\n", y.values)
 
 # Record a scalar loss and replay the tape backward.
 with ad.Tape() as tape:
-    h = ad.softplus(ad.matmul(w, x))
-    loss = ad.mean_all(ad.mul(h, h))
+    h = ad.softmax(ad.matmul(w, x))
+    loss = ad.sum_all(ad.mul(h, h))
 print("tape length:", len(tape), "ops:", tape.op_counts())
 tape.backward(loss)
 print("dloss/dw row 0:", w.grad[0])
@@ -33,7 +33,7 @@ w.zero_grad()
 # The checker re-evaluates the loss at perturbed parameter values, fully
 # independent of the backward pass it verifies.
 result = check_gradients(
-    lambda: ad.mean_all(ad.mul(ad.softplus(ad.matmul(w, x)), ad.softplus(ad.matmul(w, x)))),
+    lambda: ad.sum_all(ad.mul(ad.softmax(ad.matmul(w, x)), ad.softmax(ad.matmul(w, x)))),
     [("w", w)],
 )
 print(f"finite-difference max rel err: {result.max_rel_err:.2e} (tolerance 1e-4)")
@@ -42,6 +42,24 @@ print(f"finite-difference max rel err: {result.max_rel_err:.2e} (tolerance 1e-4)
 v = rng.normal(size=5)
 print("softmax:", ad.softmax(ad.constant(v)).values)
 print("shifted:", ad.softmax(ad.constant(v + 100.0)).values)
+
+# The ranking head is two nodes. `score` reads the batch rows of every
+# layer, sums them and takes one inner product per (user, item) pair;
+# `bpr` is the mean of softplus(neg - pos), here for users 0 and 2 with
+# positive items 1, 3 and negative items 0, 2.
+users = [ad.parameter(rng.normal(size=(3, 4))) for _ in range(2)]
+items = [ad.parameter(rng.normal(size=(4, 4))) for _ in range(2)]
+
+
+def ranking_loss():
+    pos = ad.score(users, items, [0, 2], [1, 3])
+    return ad.bpr(pos, ad.score(users, items, [0, 2], [0, 2]))
+
+
+print("ranking loss:", float(ranking_loss().values))
+result = check_gradients(ranking_loss, [(f"u{l}", t) for l, t in enumerate(users)]
+                         + [(f"i{l}", t) for l, t in enumerate(items)])
+print(f"score and bpr finite-difference max rel err: {result.max_rel_err:.2e}")
 
 # Fused edge ops work on a whole graph at once. The KG pool replaces each
 # head entity's row by the attention-weighted mean of its relation-gated

@@ -8,7 +8,7 @@ import numpy as np
 from kgtn import denoise, intents
 from kgtn.config import ExperimentConfig
 from kgtn.data import synthetic_dataset
-from kgtn.training import ModelParameters
+from kgtn.training import ModelParameters, predict
 
 rng = np.random.default_rng(0)
 ds = synthetic_dataset(12, 10, 16, 2, density=0.5, seed=3)
@@ -72,7 +72,7 @@ batch_items = np.arange(6)
 loss = denoise.contrastive_loss(glob, local, batch_users, batch_items, tau=cfg.tau)
 print("layer-wise local-global contrastive loss:", float(loss.values))
 
-# Prediction sums the global track's layers and takes inner products; item i
-# is entity row i.
-zu, ze = glob.summed()
-print("score(u0, i0) =", float(zu.values[0] @ ze.values[0]))
+# Prediction sums the batch rows of the global track's layers and takes
+# inner products, one `score` node; item i is entity row i.
+scores = predict([0, 1], [0, 3], glob)
+print("score(u0, i0), score(u1, i3) =", scores.values)

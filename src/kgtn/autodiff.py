@@ -1,11 +1,10 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 The operator set covers exactly what the recommender's forward pass needs:
-- arithmetic: `add`, `sub`, `mul` (elementwise, with scalar broadcast);
+- arithmetic: `add`, `mul` (elementwise, with scalar broadcast);
 - linear algebra: `matmul`, `transpose`;
-- layout: `gather_rows` (whose backward scatter-adds), `slice_rows` (a
-  contiguous block of rows, whose backward is a slice add), `splice` (a
-  table with its first rows replaced);
+- layout: `slice_rows` (a contiguous block of rows, whose backward is a
+  slice add), `splice` (a table with its first rows replaced);
 - neighborhood sums: `spmm`, a constant sparse matrix (cached by the graph
   that owns the structure) times the leading rows of a dense block, with a
   fallback row where the matrix row is empty;
@@ -13,8 +12,10 @@ The operator set covers exactly what the recommender's forward pass needs:
   `edge_attention` (one direction of masked multi-head attention),
   `kg_pool` (the relation-aware attention pool of the KG slots) and
   `gated_sum` (the per-head mean of relation-gated KG rows);
-- reductions: `sum_all`, `mean_all`, `rowsum`;
-- maps: `softmax`, `softplus`;
+- reductions: `sum_all`;
+- maps: `softmax`;
+- the ranking head: `score`, the inner products of layer-summed batch
+  rows, and `bpr`, the mean pairwise ranking loss of two score vectors;
 - the contrastive objective: `infonce`, one fused node that sums any
   number of InfoNCE terms, each over given rows of two tables.
 There is no general broadcasting; the only implicit broadcasts are scalar
@@ -69,9 +70,9 @@ Backward does only the work a gradient needs:
   it has none); `slice_rows`, `splice` and `spmm` add into the rows they
   read the same way. None forms a full-size masked copy of the upstream
   gradient.
-- The scatter behind `gather_rows` and `infonce`, the ops that take
-  per-step batch indices, is one flat `np.bincount` over
-  `row * d + column`, summed into the table's gradient as a single block.
+- The scatter behind `score` and `infonce`, the ops that take per-step
+  batch indices, is one flat `np.bincount` over `row * d + column`, summed
+  into the table's gradient as a single block.
 - The fused edge operations keep no (E, d) array between forward and
   backward, only their operands and per-edge weights: the (E, H)
   attention weights, the (E,) slot weights. Backward gathers the edge
@@ -152,12 +153,6 @@ class Tensor:
 
     def __radd__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(constant(other), self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -302,19 +297,6 @@ def add(a, b):
     return out
 
 
-def sub(a, b):
-    av, bv = _binary_shapes("sub", a, b)
-    out = Tensor(av - bv, requires_grad=_needs_grad(a, b))
-
-    def backward(g):
-        _accum(a, _reduce_to(g, av.shape))
-        if _tracked(b):
-            _accum(b, _reduce_to(-g, bv.shape), fresh=True)
-
-    _record("sub", out, backward)
-    return out
-
-
 def mul(a, b):
     """Elementwise product; scalar operands broadcast."""
     av, bv = _binary_shapes("mul", a, b)
@@ -374,22 +356,6 @@ def _row_index(op, index, n):
     if idx.min() < 0 or idx.max() >= n:
         raise ShapeError(f"{op}: index out of range for table with {n} rows")
     return idx
-
-
-def gather_rows(table, index):
-    """Select rows `table[index]`; backward scatters gradients back additively.
-
-    `index` is a 1-d integer array (repeats allowed); boolean masks, float
-    or multi-dimensional indexes raise `ShapeError`.
-    """
-    tv = _values(table)
-    if tv.ndim != 2:
-        raise ShapeError(f"gather_rows: expected a matrix, got shape {tv.shape}")
-    idx = _row_index("gather_rows", index, tv.shape[0])
-    out = Tensor(tv[idx], requires_grad=_needs_grad(table))
-    _record("gather_rows", out, lambda g: _accum(table, _scatter_rows(idx, g, tv.shape[0]),
-                                                 fresh=True))
-    return out
 
 
 def slice_rows(table, start, stop):
@@ -743,25 +709,6 @@ def sum_all(a):
     return out
 
 
-def mean_all(a):
-    av = _values(a)
-    if av.size == 0:
-        raise DomainError("mean_all: empty input")
-    out = Tensor(av.mean(), requires_grad=_needs_grad(a))
-    _record("mean_all", out, lambda g: _accum(a, np.broadcast_to(g / av.size, av.shape)))
-    return out
-
-
-def rowsum(a):
-    """Sum a matrix over its columns: (n, d) -> (n,)."""
-    av = _values(a)
-    if av.ndim != 2:
-        raise ShapeError(f"rowsum: expected a matrix, got shape {av.shape}")
-    out = Tensor(av.sum(axis=1), requires_grad=_needs_grad(a))
-    _record("rowsum", out, lambda g: _accum(a, np.broadcast_to(g[:, None], av.shape)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # elementwise maps
 
@@ -786,12 +733,77 @@ def softmax(a):
     return out
 
 
-def softplus(a):
-    """log(1 + exp(x)) computed without overflow; gradient is sigmoid(x)."""
-    av = _values(a)
-    v = np.logaddexp(0.0, av)
-    out = Tensor(v, requires_grad=_needs_grad(a))
-    _record("softplus", out, lambda g: _accum(a, g * expit(av), fresh=True))
+# ---------------------------------------------------------------------------
+# ranking head
+
+
+def _batch_rows(side, layers, index):
+    """The checked index of one `score` side and its layer-summed batch
+    rows, added in layer order."""
+    tables = [_values(t) for t in layers]
+    if not tables or any(t.ndim != 2 or t.shape != tables[0].shape for t in tables):
+        raise ShapeError(
+            f"score: {side} layers must be matrices of one shape, got {[t.shape for t in tables]}")
+    idx = _row_index("score", index, tables[0].shape[0])
+    rows = tables[0][idx]
+    for t in tables[1:]:
+        rows += t[idx]
+    return idx, rows
+
+
+def score(user_layers, item_layers, users, items):
+    """Inner products of layer-summed rows, one per batch entry:
+    entry k is `(sum_l user_layers[l])[users[k]] . (sum_l item_layers[l])[items[k]]`.
+
+    Each side is a list of tables of one shape, both sides of one width;
+    `users` and `items` are 1-d integer indexes of one length (repeats
+    allowed). The op reads only the batch rows of each layer and adds them
+    in layer order, so no layer-summed table is formed. Backward forms one
+    (n, d) scatter-add of the row gradients per side and adds it into every
+    layer of that side.
+    """
+    users, urows = _batch_rows("user", user_layers, users)
+    items, irows = _batch_rows("item", item_layers, items)
+    if users.size != items.size or urows.shape[1] != irows.shape[1]:
+        raise ShapeError(
+            f"score: user rows {urows.shape} and item rows {irows.shape} do not pair up")
+    out = Tensor((urows * irows).sum(axis=1),
+                 requires_grad=_needs_grad(*user_layers, *item_layers))
+
+    def backward(g):
+        for layers, idx, other in ((user_layers, users, irows), (item_layers, items, urows)):
+            tracked = [t for t in layers if _tracked(t)]
+            if tracked:
+                grad = _scatter_rows(idx, g[:, None] * other, tracked[0].values.shape[0])
+                for k, t in enumerate(tracked):
+                    _accum(t, grad, fresh=k == len(tracked) - 1)
+
+    _record("score", out, backward)
+    return out
+
+
+def bpr(pos, neg):
+    """Mean pairwise ranking loss of two (b,) score vectors: the mean of
+    softplus(neg - pos) = -ln sigmoid(pos - neg), computed without overflow.
+
+    Backward gives `neg` sigmoid(neg - pos) / b times the upstream gradient
+    and `pos` its negative. An empty batch raises `DomainError`.
+    """
+    pv, nv = _values(pos), _values(neg)
+    if pv.ndim != 1 or nv.shape != pv.shape:
+        raise ShapeError(f"bpr: score vectors {pv.shape} and {nv.shape} are not one batch")
+    if pv.size == 0:
+        raise DomainError("bpr: empty batch")
+    diff = nv - pv
+    out = Tensor(np.logaddexp(0.0, diff).mean(), requires_grad=_needs_grad(pos, neg))
+
+    def backward(g):
+        g_neg = g / diff.size * expit(diff)
+        if _tracked(pos):
+            _accum(pos, -g_neg, fresh=True)
+        _accum(neg, g_neg, fresh=True)
+
+    _record("bpr", out, backward)
     return out
 
 
@@ -968,7 +980,7 @@ def infonce(pairs, tau, include_positive=False):
     output is a scalar, so each view's gradient is a fixed (b, d) array
     times the upstream scalar. When recorded, the op forms those arrays
     here, slab by slab, from the softmax of the slab; backward only scales
-    them and scatter-adds them into the tables' rows, as `gather_rows` does.
+    them and scatter-adds them into the tables' rows, as `score` does.
 
     Every triple is checked, and its views read, on the calling thread
     before any term is computed, so a bad triple raises here and nothing is

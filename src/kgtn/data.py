@@ -611,13 +611,15 @@ def generate_synthetic(n_users, n_items, n_entities, n_relations, density=0.5, s
         raise ConfigError(f"density must lie in (0, 1], got {density}")
     if min(n_users, n_items, n_relations) < 1:
         raise ConfigError("all synthetic counts must be positive")
+    if n_groups < 1:
+        raise ConfigError(f"n_groups must be at least 1, got {n_groups}")
     if n_relations > n_items:
         # every item heads a triple, so relation IDs then stay below the
         # triple count that `load_kg` requires
         raise ConfigError(f"need n_relations <= n_items, got {n_relations} > {n_items}")
     rng = np.random.default_rng(seed)
     n_tags = n_entities - n_items
-    groups = max(1, min(n_groups, n_users, n_items, n_tags if n_tags else 1))
+    groups = min(n_groups, n_users, n_items, n_tags if n_tags else 1)
     user_groups = rng.integers(0, groups, size=n_users)
     item_groups = rng.integers(0, groups, size=n_items)
 

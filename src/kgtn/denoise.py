@@ -13,8 +13,11 @@ Both contrastive views run the same parameter-free light aggregation over
 the sampled graph: the global track is seeded with the intent-aware
 representations, the local track with the initial embeddings. A track
 keeps user and entity tables only: item ids are the entity-id prefix, so
-the items are read in place. `contrastive_loss` compares the two tracks at
-a batch's user and item rows, layer by layer, as one `ad.infonce` node.
+the items are read in place. A track is never summed into whole tables:
+`contrastive_loss` compares the two tracks at a batch's user and item rows,
+layer by layer, as one `ad.infonce` node, and the ranking head
+(`training.predict`, one `ad.score` node) reads and sums the batch rows of
+the global track's layers the same way.
 """
 from __future__ import annotations
 
@@ -117,7 +120,8 @@ class LayerStack:
     """Per-layer user and entity matrices for one aggregation track.
 
     Item ids are the entity-id prefix, so item i is row i of every entity
-    matrix.
+    matrix. The ops that read a track take its layer lists and index the
+    batch rows of each layer themselves.
     """
 
     users: list      # layer 0..L_agg tensors (M, d)
@@ -126,14 +130,6 @@ class LayerStack:
     @property
     def n_layers(self):
         return len(self.users)
-
-    def summed(self):
-        """Layer-summed user and entity representations."""
-        zu, ze = self.users[0], self.entities[0]
-        for u, e in zip(self.users[1:], self.entities[1:]):
-            zu = zu + u
-            ze = ze + e
-        return zu, ze
 
 
 def light_aggregate(user_seed, entity_seed, relation_emb, view_edges, graph, depth):

@@ -4,9 +4,12 @@ One training step records the whole forward pass on a fresh tape: global
 intent propagation over the intact KG, light aggregation of the global
 (and, when the contrastive weight is nonzero, local) track over the
 epoch's sampled view, pairwise ranking loss over the batch, the
-layer-wise contrastive term, and L2 over every parameter. The knowledge
-view is redrawn once per epoch, between steps, as a
-`denoise.SampledGraphView`; the dataset's knowledge graph is only read.
+layer-wise contrastive term, and L2 over every parameter. The ranking
+head is one `ad.score` node per prediction, which reads and sums the
+batch rows of the global track's layers, and one `ad.bpr` node; no
+layer-summed table is recorded. The knowledge view is redrawn once per
+epoch, between steps, as a `denoise.SampledGraphView`; the dataset's
+knowledge graph is only read.
 """
 from __future__ import annotations
 
@@ -229,16 +232,16 @@ def compute_tracks(params, dataset, view, cfg, with_local):
     return global_track, local_track
 
 
-def predict(users, items, zu, ze):
-    """Matching scores: inner products of rows of the layer-summed users `zu`
-    and entities `ze`, whose item rows are the prefix."""
-    return ad.rowsum(ad.mul(ad.gather_rows(zu, np.asarray(users)),
-                            ad.gather_rows(ze, np.asarray(items))))
+def predict(users, items, track):
+    """Matching scores of (user, item) pairs: inner products of the
+    layer-summed user and entity rows of `track` (a `denoise.LayerStack`),
+    whose item rows are the entity prefix; one `ad.score` node."""
+    return ad.score(track.users, track.entities, users, items)
 
 
 def bpr_loss(pos_scores, neg_scores):
-    """Mean pairwise ranking loss -ln sigma(pos - neg), via softplus(neg - pos)."""
-    return ad.mean_all(ad.softplus(ad.sub(neg_scores, pos_scores)))
+    """Mean pairwise ranking loss -ln sigma(pos - neg); one `ad.bpr` node."""
+    return ad.bpr(pos_scores, neg_scores)
 
 
 def total_loss(bpr, contrastive, params, alpha, l2_weight):
@@ -256,9 +259,8 @@ def training_step_loss(params, dataset, view, cfg, batch):
     users, pos_items, neg_items = batch[:, 0], batch[:, 1], batch[:, 2]
     with_contrast = cfg.alpha != 0.0
     global_track, local_track = compute_tracks(params, dataset, view, cfg, with_contrast)
-    zu, ze = global_track.summed()
-    pos_scores = predict(users, pos_items, zu, ze)
-    neg_scores = predict(users, neg_items, zu, ze)
+    pos_scores = predict(users, pos_items, global_track)
+    neg_scores = predict(users, neg_items, global_track)
     bpr = bpr_loss(pos_scores, neg_scores)
     contrast = None
     if with_contrast:
@@ -333,12 +335,16 @@ def _epoch_batches(triples, batch_size, rng):
 
 
 def representations(params, dataset, cfg):
-    """Final layer-summed user/item matrices on the intact KG (no recording);
-    the item matrix is the entity sum's item-row prefix, a view."""
+    """Final layer-summed user/item matrices on the intact KG (no recording).
+
+    The layers' plain arrays are added in layer order: the user tables
+    whole, of the entity tables only the item-row prefix.
+    """
     view = denoise.full_view(dataset.kg)
     global_track, _ = compute_tracks(params, dataset, view, cfg, with_local=False)
-    zu, ze = global_track.summed()
-    return zu.values, ze.values[:dataset.n_items]
+    users = [u.values for u in global_track.users]
+    items = [e.values[:dataset.n_items] for e in global_track.entities]
+    return sum(users[1:], users[0]), sum(items[1:], items[0])
 
 
 @dataclass

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.special import expit, logsumexp
+from scipy.special import logsumexp
 
 from kgtn import autodiff as ad
 from kgtn.data import InteractionGraph, KnowledgeGraph, block_operator
@@ -135,16 +135,16 @@ def test_elementwise_finite_difference():
     b = ad.parameter(RNG.normal(size=(3, 3)) + 3.0)
 
     def build():
-        return ad.sum_all(ad.mul(ad.mul(a, b) + ad.sub(a, b), ad.softplus(b)))
+        return ad.sum_all(ad.mul(ad.mul(a, b) + ad.add(a, ad.mul(b, -1.0)), ad.softmax(b)))
 
     fd_check(build, [("a", a), ("b", b)])
 
 
 def test_scalar_broadcast_arithmetic():
     a = ad.parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    out = (2.0 * a + 1.0) * 0.5 - 0.5
+    out = (2.0 * a + 1.0) * 0.5 + (-0.5)
     np.testing.assert_allclose(out.values, a.values)
-    fd_check(lambda: ad.sum_all(ad.mul(3.0 * a - 1.0, a * 0.5)), [("a", a)])
+    fd_check(lambda: ad.sum_all(ad.mul(3.0 * a + (-1.0), a * 0.5)), [("a", a)])
 
 
 # ---------------------------------------------------------------------------
@@ -215,31 +215,42 @@ def test_tapes_do_not_nest():
 
 
 # ---------------------------------------------------------------------------
-# gather (backward scatter-adds) / segments
+# score: the ranking head's indexed row reads. Its index check and its
+# backward scatter-add (shared with infonce) keep the contracts the removed
+# `gather_rows` had; the `gather_rows_*` and `scatter_add_*` tests check them
+# here. A table read through `score` against a constant weight table w:
+# sum_all(score([t], [w], idx, arange(b))) = sum over k of t[idx[k]] . w[k].
+
+
+def _read(t, idx, w):
+    return ad.sum_all(ad.score([t], [ad.constant(w)], idx, np.arange(len(w))))
 
 
 def test_gather_rows_identity_permutation():
     t = ad.constant(RNG.normal(size=(4, 3)))
-    np.testing.assert_array_equal(ad.gather_rows(t, np.arange(4)).values, t.values)
+    out = ad.score([t], [ad.constant(np.ones((4, 3)))], np.arange(4), np.arange(4))
+    np.testing.assert_array_equal(out.values, t.values.sum(axis=1))
 
 
 def test_gather_rows_out_of_range():
-    with pytest.raises(ShapeError):
-        ad.gather_rows(ad.constant(np.ones((2, 2))), np.array([0, 2]))
+    with pytest.raises(ShapeError, match="score"):
+        ad.score([ad.constant(np.ones((2, 2)))], [ad.constant(np.ones((2, 2)))],
+                 np.array([0, 2]), np.array([0, 1]))
 
 
 def test_gather_rows_finite_difference():
     t = ad.parameter(RNG.normal(size=(5, 3)))
     idx = np.array([0, 2, 2, 4, 1])
-    w = ad.constant(RNG.normal(size=(5, 3)))
-    fd_check(lambda: ad.sum_all(ad.mul(ad.gather_rows(t, idx), w)), [("t", t)])
+    w = RNG.normal(size=(5, 3))
+    fd_check(lambda: _read(t, idx, w), [("t", t)])
 
 
 def _gather_grad(n_rows, idx, upstream):
-    """Gradient gather_rows scatter-adds into its table for a given upstream."""
+    """Gradient score scatter-adds into its user table when the item rows
+    are `upstream` and the upstream gradient is 1."""
     t = ad.parameter(np.zeros((n_rows, upstream.shape[1])))
     with ad.Tape() as tape:
-        loss = ad.sum_all(ad.mul(ad.gather_rows(t, idx), ad.constant(upstream)))
+        loss = _read(t, idx, upstream)
     tape.backward(loss)
     return t.grad
 
@@ -255,7 +266,7 @@ def test_scatter_add_matches_loop_oracle():
 
 def test_scatter_add_bounds_and_empty_target():
     with pytest.raises(ShapeError):
-        ad.gather_rows(ad.parameter(np.ones((3, 2))), np.array([5]))
+        _read(ad.parameter(np.ones((3, 2))), np.array([5]), np.ones((1, 2)))
     out = _gather_grad(4, np.array([1, 1]), np.ones((2, 2)))
     np.testing.assert_array_equal(out[0], np.zeros(2))
     np.testing.assert_array_equal(out[1], np.full(2, 2.0))
@@ -265,33 +276,33 @@ def test_scatter_add_finite_difference():
     # gradients of a table read through repeated and missing indices
     t = ad.parameter(RNG.normal(size=(4, 2)))
     idx = np.array([0, 1, 1, 3, 0, 3])
-    w = ad.constant(RNG.normal(size=(6, 2)))
-    fd_check(lambda: ad.sum_all(ad.mul(ad.gather_rows(t, idx), w)), [("t", t)])
+    w = RNG.normal(size=(6, 2))
+    fd_check(lambda: _read(t, idx, w), [("t", t)])
 
 
 def test_gather_rows_rejects_boolean_mask():
     t = ad.parameter(np.ones((3, 2)))
     with pytest.raises(ShapeError, match="integer"):
-        ad.gather_rows(t, np.array([True, False, True]))
+        _read(t, np.array([True, False, True]), np.ones((3, 2)))
 
 
 def test_gather_rows_rejects_float_index():
     with pytest.raises(ShapeError, match="integer"):
-        ad.gather_rows(ad.parameter(np.ones((3, 2))), np.array([0.0, 2.0]))
+        _read(ad.parameter(np.ones((3, 2))), np.array([0.0, 2.0]), np.ones((2, 2)))
 
 
 def test_gather_rows_rejects_two_dimensional_index():
     with pytest.raises(ShapeError, match="1-d"):
-        ad.gather_rows(ad.parameter(np.ones((3, 2))), np.array([[0, 1], [2, 0]]))
+        _read(ad.parameter(np.ones((3, 2))), np.array([[0, 1], [2, 0]]), np.ones((2, 2)))
 
 
 def test_gather_rows_empty_index_of_any_dtype():
     for index in (np.array([]), [], np.zeros(0, dtype=np.int32), np.zeros((0, 3))):
         t = ad.parameter(np.ones((3, 2)))
         with ad.Tape() as tape:
-            out = ad.gather_rows(t, index)
+            out = ad.score([t], [t], index, index)
             loss = ad.sum_all(out)
-        assert out.shape == (0, 2)
+        assert out.shape == (0,)
         tape.backward(loss)
         assert t.grad.dtype == np.float64
         np.testing.assert_array_equal(t.grad, np.zeros((3, 2)))
@@ -313,11 +324,91 @@ def test_gather_rows_scatter_into_nonzero_grad():
     t = ad.parameter(np.zeros((7, 5)))
     t.grad[...] = start
     with ad.Tape() as tape:
-        loss = ad.sum_all(ad.mul(ad.gather_rows(t, idx), ad.constant(upstream)))
+        loss = _read(t, idx, upstream)
     tape.backward(loss)
     oracle = start.copy()
     np.add.at(oracle, idx, upstream)
     np.testing.assert_allclose(t.grad, oracle, rtol=0, atol=1e-12)
+
+
+def _layers(n, rows, d=3):
+    return [RNG.normal(size=(rows, d)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_score_bitwise_equals_whole_table_sum_oracle(n_layers):
+    # item ids index the prefix of taller entity tables; rows repeat
+    us, es = _layers(n_layers, 5), _layers(n_layers, 9)
+    users, items = np.array([0, 4, 4, 2, 0, 1]), np.array([3, 3, 0, 5, 1, 3])
+    out = ad.score([ad.constant(u) for u in us], [ad.constant(e) for e in es], users, items)
+    zu, ze = sum(us[1:], us[0]), sum(es[1:], es[0])
+    assert out.values.tobytes() == (zu[users] * ze[items]).sum(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_score_finite_difference(n_layers):
+    # repeated rows on both sides; with more than one layer, user layer 0 is
+    # a constant that reaches the output but takes no gradient
+    us = [ad.parameter(u) for u in _layers(n_layers, 4)]
+    if n_layers > 1:
+        us[0] = ad.constant(us[0].values)
+    es = [ad.parameter(e) for e in _layers(n_layers, 6)]
+    users, items = np.array([0, 3, 3, 1, 0]), np.array([2, 2, 5, 0, 1])
+    w = ad.constant(RNG.normal(size=5))
+    tracked = [(f"u{l}", t) for l, t in enumerate(us) if t.requires_grad]
+    tracked += [(f"e{l}", t) for l, t in enumerate(es)]
+    fd_check(lambda: ad.sum_all(ad.mul(ad.score(us, es, users, items), w)), tracked)
+    if n_layers > 1:
+        assert us[0].grad is None
+
+
+def test_score_gives_every_layer_of_a_side_its_own_copy_of_one_gradient():
+    # layers built with requires_grad=True start without a buffer, so they
+    # must not end up sharing the side's one scatter
+    us = [ad.Tensor(u, requires_grad=True) for u in _layers(3, 4)]
+    es = [ad.Tensor(e, requires_grad=True) for e in _layers(2, 5)]
+    with ad.Tape() as tape:
+        loss = ad.sum_all(ad.score(us, es, np.array([0, 1, 1]), np.array([4, 0, 4])))
+    tape.backward(loss)
+    for side in (us, es):
+        for t in side[1:]:
+            assert t.grad.tobytes() == side[0].grad.tobytes()
+        assert len({id(t.grad) for t in side}) == len(side)
+        assert not any(np.shares_memory(a.grad, b.grad) for a in side for b in side if a is not b)
+
+
+@pytest.mark.parametrize("user_layers, item_layers, users, items, match", [
+    ([np.ones((3, 2))], [np.ones((4, 2))], [0, 3], [0, 1], "out of range"),
+    ([np.ones((3, 2))], [np.ones((4, 2))], [0, 1], [0, 1, 2], "do not pair up"),
+    ([np.ones((3, 2))], [np.ones((4, 3))], [0, 1], [0, 1], "do not pair up"),
+    ([np.ones((3, 2)), np.ones((4, 2))], [np.ones((4, 2))], [0], [0], "user layers"),
+    ([np.ones((3, 2))], [np.ones((4, 2)), np.ones((4, 3))], [0], [0], "item layers"),
+    ([np.ones(3)], [np.ones(3)], [0], [0], "user layers"),
+    ([], [np.ones((4, 2))], [0], [0], "user layers"),
+], ids=["bad-index", "batch-lengths", "widths", "user-shapes", "item-shapes", "vectors",
+        "no-layers"])
+def test_score_rejects_bad_operands_by_name(user_layers, item_layers, users, items, match):
+    with pytest.raises(ShapeError, match=f"score: .*{match}"):
+        ad.score([ad.parameter(t) for t in user_layers], [ad.parameter(t) for t in item_layers],
+                 np.array(users), np.array(items))
+
+
+def test_bpr_bitwise_equals_logaddexp_oracle():
+    pos, neg = RNG.normal(size=50) * 30.0, RNG.normal(size=50) * 30.0
+    out = ad.bpr(ad.constant(pos), ad.constant(neg))
+    assert out.values.tobytes() == np.logaddexp(0.0, neg - pos).mean().tobytes()
+
+
+def test_bpr_finite_difference():
+    pos, neg = ad.parameter(RNG.normal(size=7) * 2.0), ad.parameter(RNG.normal(size=7) * 2.0)
+    fd_check(lambda: ad.mul(ad.bpr(pos, neg), 3.0), [("pos", pos), ("neg", neg)])
+
+
+def test_bpr_rejects_bad_operands_by_name():
+    with pytest.raises(ShapeError, match="bpr"):
+        ad.bpr(ad.constant(np.ones(3)), ad.constant(np.ones(2)))
+    with pytest.raises(ShapeError, match="bpr"):
+        ad.bpr(ad.constant(np.ones((2, 2))), ad.constant(np.ones((2, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -758,8 +849,9 @@ def test_splice_rejects_a_prefix_that_does_not_fit():
 
 
 def test_mean_all_rejects_empty():
-    with pytest.raises(DomainError):
-        ad.mean_all(ad.constant(np.zeros((0, 2))))
+    # the batch mean of the ranking loss, formerly mean_all's
+    with pytest.raises(DomainError, match="bpr"):
+        ad.bpr(ad.constant(np.zeros(0)), ad.constant(np.zeros(0)))
 
 
 @pytest.mark.parametrize("k", [0, 2, 5])
@@ -771,32 +863,40 @@ def test_splice_finite_difference(k):
 
 
 # ---------------------------------------------------------------------------
-# reductions and maps
+# reductions and maps; score's row sums and bpr's mean of softplus are the
+# reductions and the map of the ranking head
 
 
 def test_reduction_values():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert ad.sum_all(ad.constant(m)).values == 10.0
-    assert ad.mean_all(ad.constant(m)).values == 2.5
-    np.testing.assert_array_equal(ad.rowsum(ad.constant(m)).values, [3.0, 7.0])
+    pairs = [0, 1], [0, 1]
+    assert ad.bpr(ad.constant([0.0, -5.0]), ad.constant([0.0, -5.0])).values == math.log(2.0)
+    np.testing.assert_array_equal(
+        ad.score([ad.constant(m)], [ad.constant(np.ones((2, 2)))], *pairs).values, [3.0, 7.0])
 
 
 def test_reduction_finite_difference():
+    # one table on both sides of both scores, rows repeated
     m = ad.parameter(RNG.normal(size=(3, 4)))
-    fd_check(lambda: ad.mean_all(ad.mul(m, m)) + ad.sum_all(ad.rowsum(m) * 0.5), [("m", m)])
+    users = np.array([0, 2, 2, 1])
+    fd_check(lambda: ad.bpr(ad.score([m], [m], users, np.array([1, 1, 0, 2])),
+                            ad.score([m], [m], users, np.array([0, 2, 2, 2])))
+             + ad.sum_all(m * 0.5), [("m", m)])
 
 
 def test_map_values():
-    assert abs(ad.softplus(ad.constant(0.0)).values - math.log(2.0)) < 1e-12
+    assert abs(ad.bpr(ad.constant([0.0]), ad.constant([0.0])).values - math.log(2.0)) < 1e-12
     # softplus must not overflow for large inputs
-    assert abs(ad.softplus(ad.constant(800.0)).values - 800.0) < 1e-9
+    assert abs(ad.bpr(ad.constant([-800.0]), ad.constant([0.0])).values - 800.0) < 1e-9
+    assert ad.bpr(ad.constant([800.0]), ad.constant([0.0])).values < 1e-300
 
 
 def test_map_finite_difference():
     x = ad.parameter(RNG.normal(size=6) * 2.0)
 
     def build():
-        return ad.sum_all(ad.mul(ad.softplus(ad.mul(x, 0.3)), x) + ad.softplus(x))
+        return ad.bpr(ad.mul(x, 0.3), x) + ad.bpr(x, ad.mul(x, -2.0))
 
     fd_check(build, [("x", x)])
 
@@ -1032,6 +1132,9 @@ def test_forward_ops_do_not_mutate_inputs():
     snap_a, snap_b = a.values.copy(), b.values.copy()
     with ad.Tape() as tape:
         loss = ad.sum_all(ad.mul(ad.matmul(a, b), ad.softmax(b)))
+        # score adds each layer's rows into the first layer's gathered copy
+        loss = loss + ad.bpr(ad.score([a, b], [b, a], [0, 1, 1], [2, 2, 0]),
+                             ad.score([b, a], [a], [2, 0, 0], [1, 0, 2]))
     tape.backward(loss)
     np.testing.assert_array_equal(a.values, snap_a)
     np.testing.assert_array_equal(b.values, snap_b)
@@ -1043,7 +1146,7 @@ def test_tape_replay_determinism():
         p = ad.parameter(rng.normal(size=(4, 4)))
         q = ad.parameter(rng.normal(size=(4, 4)))
         with ad.Tape() as tape:
-            loss = ad.sum_all(ad.mul(ad.softmax(ad.matmul(p, q)), ad.softplus(p)))
+            loss = ad.sum_all(ad.mul(ad.softmax(ad.matmul(p, q)), ad.softmax(p)))
         tape.backward(loss)
         return loss.values.copy(), p.grad.copy(), q.grad.copy()
 
@@ -1063,9 +1166,9 @@ def test_add_operands_get_distinct_grad_buffers():
         x, y = ad.mul(a, 1.0), ad.mul(b, 1.0)
         z = ad.mul(x, 3.0)
         c = x + y
-        loss = ad.sum_all(ad.mul(c, c)) + ad.sum_all(ad.softplus(c)) + ad.sum_all(z)
+        loss = ad.sum_all(ad.mul(c, c)) + ad.sum_all(ad.mul(ad.mul(c, c), c)) + ad.sum_all(z)
     tape.backward(loss)
-    want = 2.0 * c.values + expit(c.values)
+    want = 2.0 * c.values + 3.0 * c.values ** 2
     np.testing.assert_allclose(a.grad, want + 3.0, atol=1e-12)
     np.testing.assert_allclose(b.grad, want, atol=1e-12)
     assert all(t.grad is None for t in (x, y, z, c, loss))
@@ -1073,19 +1176,22 @@ def test_add_operands_get_distinct_grad_buffers():
 
 def test_reduction_first_then_other_op_accumulates():
     m = RNG.normal(size=(3, 4))
+    w = RNG.normal(size=(3, 4))
+    rows = np.arange(3)
     for reduce, seed_grad in (
         (ad.sum_all, np.ones((3, 4))),
-        (ad.mean_all, np.full((3, 4), 1.0 / 12)),
-        (lambda t: ad.sum_all(ad.rowsum(t)), np.ones((3, 4))),
+        (lambda t: ad.sum_all(ad.score([t], [ad.constant(np.full((3, 4), 0.5))], rows, rows)),
+         np.full((3, 4), 0.5)),
     ):
         p = ad.parameter(m)
         with ad.Tape() as tape:
             h = ad.mul(p, 2.0)
             # backward reaches h through the reduction first (it ran last),
-            # then adds softplus's contribution into the same buffer
-            loss = ad.sum_all(ad.softplus(h)) + reduce(h)
+            # then adds the softmax's contribution into the same buffer
+            loss = ad.sum_all(ad.mul(ad.softmax(h), w)) + reduce(h)
         tape.backward(loss)
-        want_h = seed_grad + expit(2.0 * m)
+        s = ad.softmax(ad.constant(2.0 * m)).values
+        want_h = seed_grad + s * (w - (w * s).sum(axis=1, keepdims=True))
         np.testing.assert_allclose(p.grad, 2.0 * want_h, atol=1e-12)
         assert h.grad is None
 
@@ -1121,8 +1227,8 @@ def test_intermediate_grads_released_leaves_kept():
     with ad.Tape() as tape:
         # h feeds three consumers; its gradient must survive until all ran
         h = ad.matmul(p, q)
-        e = ad.softplus(h)
-        loss = ad.sum_all(ad.mul(h, e)) + ad.sum_all(ad.softmax(h)) + ad.mean_all(e)
+        e = ad.softmax(h)
+        loss = ad.sum_all(ad.mul(h, e)) + ad.sum_all(ad.softmax(h)) + ad.sum_all(ad.mul(e, e))
     tape.backward(loss)
     assert h.grad is None and e.grad is None and loss.grad is None
     assert p.grad is not None and q.grad is not None
@@ -1134,8 +1240,8 @@ def test_gradcheck_passes_through_shared_intermediates():
 
     def build():
         h = ad.matmul(p, q)
-        e = ad.softplus(ad.mul(h, 0.3))
-        return ad.sum_all(ad.mul(h, e)) + ad.sum_all(ad.softmax(h)) + ad.mean_all(e)
+        e = ad.softmax(ad.mul(h, 0.3))
+        return ad.sum_all(ad.mul(h, e)) + ad.sum_all(ad.softmax(h)) + ad.sum_all(ad.mul(e, e))
 
     fd_check(build, [("p", p), ("q", q)], tol=1e-7)
 
@@ -1146,14 +1252,17 @@ def test_constants_receive_no_gradient():
     with ad.Tape() as tape:
         h = ad.mul(p, consts[0])
         h = ad.add(h, consts[1])
-        h = ad.sub(consts[2], h)
+        h = ad.add(consts[2], h)
         h = ad.matmul(consts[3], h)
         # a constant gate and a constant relation table, tracked entities
         edges = KnowledgeGraph(np.array([[0, 0, 2], [1, 1, 0]]), n_entities=3,
                                n_relations=3).full_edges()
         h = ad.gated_sum(edges, consts[0], h)
         h = ad.kg_pool(h, consts[1], edges)
-        loss = ad.sum_all(ad.mul(h, 0.5))
+        # a constant layer and a constant item table in score, a constant
+        # negative score in bpr
+        s = ad.score([h, consts[3]], [consts[2]], [0, 1, 2], [2, 1, 0])
+        loss = ad.sum_all(ad.mul(h, 0.5)) + ad.bpr(s, ad.constant(np.zeros(3)))
     tape.backward(loss)
     assert all(c.grad is None for c in consts)
     assert np.any(p.grad != 0.0)

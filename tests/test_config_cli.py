@@ -239,6 +239,17 @@ def test_gen_synth_deterministic(tmp_path):
     assert sorted(p.name for p in out1.iterdir()) == ["kg_final.txt", "ratings_final.txt"]
 
 
+@pytest.mark.parametrize("groups", ["0", "-2"])
+def test_gen_synth_rejects_fewer_than_one_group(tmp_path, capsys, groups):
+    # a group count below 1 used to be clamped to 1 and written as such
+    out = tmp_path / "s"
+    assert cli.main(["gen-synth", "--groups", groups, "--out", str(out)]) == 2
+    assert "n_groups" in capsys.readouterr().err
+    assert not (out / "ratings_final.txt").exists()
+    with pytest.raises(ConfigError, match="n_groups"):
+        data.generate_synthetic(10, 8, 12, 2, n_groups=int(groups))
+
+
 def test_train_writes_artifacts(tmp_path, synth_dir):
     out = tmp_path / "run"
     assert cli.main(["train", *_fast_flags(tmp_path, synth_dir, out)]) == 0

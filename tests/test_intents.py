@@ -209,7 +209,7 @@ def test_transformer_masked_pair_zero_gradient():
     items = ad.parameter(RNG.normal(size=(3, d)))
     with ad.Tape() as tape:
         new_u, _ = intents.transformer_layer(users, items, params, graph)
-        loss = ad.sum_all(ad.gather_rows(new_u, np.array([0])))
+        loss = ad.sum_all(ad.slice_rows(new_u, 0, 1))
     tape.backward(loss)
     np.testing.assert_allclose(items.grad[2], np.zeros(d), atol=1e-12)
     assert np.abs(items.grad[:2]).max() > 0
@@ -315,7 +315,7 @@ def test_forward_global_depth_zero_is_mixed_base():
     np.testing.assert_allclose(
         state.users.values, intents.intent_mix(p["user"], p["cu"]).values
     )
-    items = ad.gather_rows(p["ent"], np.arange(3))
+    items = ad.slice_rows(p["ent"], 0, 3)
     np.testing.assert_allclose(
         state.entities.values[:3], intents.intent_mix(items, p["cv"]).values
     )

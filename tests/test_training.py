@@ -48,17 +48,17 @@ def tiny_dataset():
 
 def test_predict_orthogonal_zero():
     stack = _stack([np.array([[1.0, 0.0]])], [np.array([[0.0, 1.0]])])
-    assert training.predict([0], [0], *stack.summed()).values[0] == 0.0
+    assert training.predict([0], [0], stack).values[0] == 0.0
 
 
 def test_predict_self_product():
     stack = _stack([np.array([[1.0, 1.0]])], [np.array([[1.0, 1.0]])])
-    assert training.predict([0], [0], *stack.summed()).values[0] == 2.0
+    assert training.predict([0], [0], stack).values[0] == 2.0
 
 
 def test_predict_single_layer_oracle():
     stack = _stack([np.array([[1.0, 2.0]])], [np.array([[3.0, 4.0]])])
-    assert training.predict([0], [0], *stack.summed()).values[0] == 11.0
+    assert training.predict([0], [0], stack).values[0] == 11.0
 
 
 def test_predict_sums_layers():
@@ -66,7 +66,7 @@ def test_predict_sums_layers():
     i0, i1 = np.array([[2.0, 0.0]]), np.array([[0.0, 3.0]])
     stack = _stack([u0, u1], [i0, i1])
     # (u0+u1) . (i0+i1) = [1,1] . [2,3]
-    assert training.predict([0], [0], *stack.summed()).values[0] == 5.0
+    assert training.predict([0], [0], stack).values[0] == 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ def test_adam_bitwise_determinism_over_steps():
         for step in range(5):
             opt.zero_grad()
             with ad.Tape() as tape:
-                loss = ad.sum_all(ad.mul(ad.softplus(p), p)) + ad.sum_all(ad.mul(q, q))
+                loss = ad.sum_all(ad.mul(ad.softmax(p), p)) + ad.sum_all(ad.mul(q, q))
             tape.backward(loss)
             opt.step()
         return opt.store.values.copy()
@@ -373,18 +373,18 @@ def _step_tape(dataset, cfg):
 def test_toy_step_records_pinned_nodes():
     # the overfit config of the acceptance suite; any change to the tape
     # shows here as a diff. The contrastive term is one infonce node, the
-    # only gathers are the two ranking predictions', the one slice feeds the
-    # transformer its item rows and the one splice joins the read-out items
-    # to the other entities.
+    # ranking head one score node per prediction and one bpr node, the one
+    # slice feeds the transformer its item rows and the one splice joins the
+    # read-out items to the other entities.
     ds = synthetic_dataset(40, 30, 50, 3, density=0.5, seed=1, ratios=(1.0, 0.0, 0.0))
     tape, _ = _step_tape(ds, ExperimentConfig(seed=1, lr=3e-3, batch_size=32).validate())
     assert tape.op_counts() == {
-        "add": 6, "edge_attention": 2, "gated_sum": 4, "gather_rows": 4,
-        "infonce": 1, "kg_pool": 1, "matmul": 10, "mean_all": 1, "mul": 6, "rowsum": 2,
-        "slice_rows": 1, "softmax": 2, "softplus": 1, "splice": 1, "spmm": 4, "sub": 1,
+        "add": 2, "bpr": 1, "edge_attention": 2, "gated_sum": 4,
+        "infonce": 1, "kg_pool": 1, "matmul": 10, "mul": 4, "score": 2,
+        "slice_rows": 1, "softmax": 2, "splice": 1, "spmm": 4,
         "sum_all": 1, "transpose": 2,
     }
-    assert len(tape) == 50
+    assert len(tape) == 38
 
 
 def test_step_node_count_independent_of_head_count(tiny_dataset):
@@ -432,17 +432,23 @@ def test_light_user_step_gathers_no_interaction_edges(tiny_dataset, monkeypatch)
     params, view, _ = _step_inputs(tiny_dataset, cfg)
     graph = tiny_dataset.train_graph
     gathers, slices = [], []
-    gather, slice_rows = ad.gather_rows, ad.slice_rows
+    score, infonce, slice_rows = ad.score, ad.infonce, ad.slice_rows
 
-    def spy_gather(table, index):
-        gathers.append(np.asarray(index))
-        return gather(table, index)
+    # score and infonce are the ops that read rows by an index
+    def spy_score(user_layers, item_layers, users, items):
+        gathers.append(np.asarray(users))
+        return score(user_layers, item_layers, users, items)
+
+    def spy_infonce(pairs, *args, **kwargs):
+        gathers.extend(np.asarray(rows) for _, _, rows in pairs)
+        return infonce(pairs, *args, **kwargs)
 
     def spy_slice(table, start, stop):
         slices.append((start, stop))
         return slice_rows(table, start, stop)
 
-    monkeypatch.setattr(ad, "gather_rows", spy_gather)
+    monkeypatch.setattr(ad, "score", spy_score)
+    monkeypatch.setattr(ad, "infonce", spy_infonce)
     monkeypatch.setattr(ad, "slice_rows", spy_slice)
     with ad.Tape() as tape:
         stack = denoise.light_aggregate(params.user_emb, params.entity_emb, params.relation_emb,
@@ -454,6 +460,7 @@ def test_light_user_step_gathers_no_interaction_edges(tiny_dataset, monkeypatch)
     assert slices == []
     counts = tape.op_counts()
     assert counts["spmm"] == counts["gated_sum"] == cfg.agg_depth
+    assert set(counts) == {"spmm", "gated_sum"}
     assert len(stack.users) == cfg.agg_depth + 1
 
 
@@ -473,7 +480,7 @@ def test_step_tape_holds_no_edge_block(tiny_dataset):
     with ad.Tape() as tape:
         training.training_step_loss(params, tiny_dataset, view, cfg, batch)
     shapes = [(name, out.values.shape) for name, out, _ in tape._nodes]
-    assert len(shapes) > 50
+    assert len(shapes) > 40
     assert [(name, shape) for name, shape in shapes
             if len(shape) == 2 and shape[0] in edge_rows and shape[1] == cfg.embed_dim] == []
 
@@ -609,6 +616,39 @@ def test_representations_bitwise_equal_across_calls(tiny_dataset):
     for a, b, c in zip(first, second, fresh):
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a, c)
+
+
+@pytest.mark.parametrize("agg_depth", [0, 1, 3])
+def test_representations_bitwise_equal_whole_table_sums(tiny_dataset, agg_depth):
+    # the item matrix sums only the item-row prefix of each entity layer; it
+    # must equal the prefix of the whole-table sums to the bit
+    cfg = small_cfg(agg_depth=agg_depth)
+    params = training.ModelParameters.initialize(
+        tiny_dataset.n_users, tiny_dataset.n_entities, tiny_dataset.n_relations,
+        cfg, np.random.default_rng(cfg.seed),
+    )
+    params.store.values[...] += RNG.normal(scale=0.1, size=params.store.values.shape)
+    track, _ = training.compute_tracks(params, tiny_dataset, denoise.full_view(tiny_dataset.kg),
+                                       cfg, with_local=False)
+    zu, ze = track.users[0].values, track.entities[0].values
+    for u, e in zip(track.users[1:], track.entities[1:]):
+        zu, ze = zu + u.values, ze + e.values
+    got_u, got_i = training.representations(params, tiny_dataset, cfg)
+    assert tiny_dataset.n_entities > tiny_dataset.n_items
+    assert got_u.tobytes() == zu.tobytes()
+    assert got_i.tobytes() == ze[:tiny_dataset.n_items].tobytes()
+
+
+def test_predict_bitwise_equals_whole_table_sum_oracle(tiny_dataset):
+    # a step's two predictions on the global track against its summed tables
+    cfg = small_cfg(agg_depth=2)
+    params, view, batch = _step_inputs(tiny_dataset, cfg)
+    track, _ = training.compute_tracks(params, tiny_dataset, view, cfg, with_local=False)
+    zu = track.users[0].values + track.users[1].values + track.users[2].values
+    ze = track.entities[0].values + track.entities[1].values + track.entities[2].values
+    for items in (batch[:, 1], batch[:, 2]):
+        got = training.predict(batch[:, 0], items, track).values
+        assert got.tobytes() == (zu[batch[:, 0]] * ze[items]).sum(axis=1).tobytes()
 
 
 def test_infonce_standard_includes_positive_in_denominator(tiny_dataset):
