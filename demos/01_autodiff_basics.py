@@ -19,9 +19,12 @@ x = ad.constant(rng.normal(size=(4, 2)))
 y = ad.matmul(w, x)            # (3, 2)
 print("forward product:\n", y.values)
 
-# Record a scalar loss and replay the tape backward.
+# Record a scalar loss and replay the tape backward. `prototype_mix` is the
+# model's intent readout in one node: softmax(h @ P.T) @ P, the
+# softmax-weighted sum of the prototype rows P (here 3 prototypes of width 2).
+protos = ad.parameter(rng.normal(size=(3, 2)))
 with ad.Tape() as tape:
-    h = ad.softmax(ad.matmul(w, x))
+    h = ad.prototype_mix(ad.matmul(w, x), protos)
     loss = ad.sum_all(ad.mul(h, h))
 print("tape length:", len(tape), "ops:", tape.op_counts())
 tape.backward(loss)
@@ -29,19 +32,22 @@ print("dloss/dw row 0:", w.grad[0])
 
 # Gradients accumulate additively across uses, so zero between steps.
 w.zero_grad()
+protos.zero_grad()
 
 # The checker re-evaluates the loss at perturbed parameter values, fully
 # independent of the backward pass it verifies.
 result = check_gradients(
-    lambda: ad.sum_all(ad.mul(ad.softmax(ad.matmul(w, x)), ad.softmax(ad.matmul(w, x)))),
-    [("w", w)],
+    lambda: ad.sum_all(ad.mul(ad.prototype_mix(ad.matmul(w, x), protos),
+                              ad.prototype_mix(ad.matmul(w, x), protos))),
+    [("w", w), ("protos", protos)],
 )
 print(f"finite-difference max rel err: {result.max_rel_err:.2e} (tolerance 1e-4)")
 
-# Softmax is max-shifted: shifting all logits leaves the output unchanged.
+# The softmax is max-shifted: shifting all logits leaves the weights
+# unchanged. With one row v and identity prototypes the readout is softmax(v).
 v = rng.normal(size=5)
-print("softmax:", ad.softmax(ad.constant(v)).values)
-print("shifted:", ad.softmax(ad.constant(v + 100.0)).values)
+print("softmax:", ad.prototype_mix(ad.constant(v[None]), np.eye(5)).values[0])
+print("shifted:", ad.prototype_mix(ad.constant(v[None] + 100.0), np.eye(5)).values[0])
 
 # The ranking head is two nodes. `score` reads the batch rows of every
 # layer, sums them and takes one inner product per (user, item) pair;

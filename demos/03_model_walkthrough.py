@@ -18,11 +18,15 @@ params = ModelParameters.initialize(ds.n_users, ds.n_entities, ds.n_relations, c
 
 # --- intent prototypes -----------------------------------------------------
 # Each node is softly assigned to K learnable prototypes; the intent-aware
-# embedding is the assignment-weighted prototype mixture.
+# embedding is the assignment-weighted prototype mixture, one
+# `prototype_mix` tape node. The assignment is the plain (n, K) array of
+# the weights that node applies.
 assign = intents.intent_assignment(params.user_emb, params.intent_user)
-print("assignment rows sum to", assign.values.sum(axis=1)[:3])
+print("assignment rows sum to", assign.sum(axis=1)[:3])
 mixed = intents.intent_mix(params.user_emb, params.intent_user)
 print("intent-aware embedding shape:", mixed.values.shape)
+print("mixture equals weights @ prototypes:",
+      np.array_equal(mixed.values, assign @ params.intent_user.values))
 
 # --- relation-aware KG aggregation ------------------------------------------
 # Neighbor tails are gated elementwise by their relation embedding and

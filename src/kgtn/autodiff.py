@@ -2,7 +2,7 @@
 
 The operator set covers exactly what the recommender's forward pass needs:
 - arithmetic: `add`, `mul` (elementwise, with scalar broadcast);
-- linear algebra: `matmul`, `transpose`;
+- linear algebra: `matmul`;
 - layout: `slice_rows` (a contiguous block of rows, whose backward is a
   slice add), `splice` (a table with its first rows replaced);
 - neighborhood sums: `spmm`, a constant sparse matrix (cached by the graph
@@ -13,7 +13,8 @@ The operator set covers exactly what the recommender's forward pass needs:
   `kg_pool` (the relation-aware attention pool of the KG slots) and
   `gated_sum` (the per-head mean of relation-gated KG rows);
 - reductions: `sum_all`;
-- maps: `softmax`;
+- the intent readout: `prototype_mix`, the softmax(e @ P.T)-weighted sum
+  of the prototype rows P, one node;
 - the ranking head: `score`, the inner products of layer-summed batch
   rows, and `bpr`, the mean pairwise ranking loss of two score vectors;
 - the contrastive objective: `infonce`, one fused node that sums any
@@ -46,8 +47,8 @@ Backward does only the work a gradient needs:
 - The first contribution to a tensor without a `.grad` buffer becomes the
   buffer. An array the backward has just computed is adopted as is; a
   pass-through gradient or a view of one (the upstream gradient itself, a
-  transpose, a split piece, a broadcast) is copied, so no two tensors
-  share a buffer. Later contributions are added in place.
+  split piece, a broadcast) is copied, so no two tensors share a buffer.
+  Later contributions are added in place.
 - The one exception is a parameter store (`training.ModelParameters`):
   one leaf whose rows are cut into named parameter leaves, each with
   `.values` and `.grad` that are views of the store's. A leaf always has
@@ -329,15 +330,6 @@ def matmul(a, b):
             _accum(b, av.T @ g, fresh=True)
 
     _record("matmul", out, backward)
-    return out
-
-
-def transpose(a):
-    av = _values(a)
-    if av.ndim != 2:
-        raise ShapeError(f"transpose: expected a matrix, got shape {av.shape}")
-    out = Tensor(av.T.copy(), requires_grad=_needs_grad(a))
-    _record("transpose", out, lambda g: _accum(a, g.T))
     return out
 
 
@@ -710,26 +702,52 @@ def sum_all(a):
 
 
 # ---------------------------------------------------------------------------
-# elementwise maps
+# intent readout
 
 
-def softmax(a):
-    """Softmax over the last axis of a vector or matrix, max-shifted."""
-    av = _values(a)
-    if av.size == 0:
-        raise DomainError("softmax: empty input")
-    if av.ndim not in (1, 2):
-        raise ShapeError(f"softmax: expected vector or matrix, got shape {av.shape}")
-    shifted = av - av.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(s, requires_grad=_needs_grad(a))
+def _prototype_weights(name, e, prototypes):
+    """The (n, K) weights `prototype_mix` applies to the plain (n, d) `e`
+    and (K, d) `prototypes`, the max-shifted row softmax of
+    `e @ prototypes.T`, and the transposed copy of the prototypes that
+    product reads. Bad shapes and an empty prototype set raise, by `name`.
+    """
+    if e.ndim != 2 or prototypes.ndim != 2 or e.shape[1] != prototypes.shape[1]:
+        raise ShapeError(f"{name}: embeddings {e.shape} vs prototypes {prototypes.shape}")
+    if prototypes.shape[0] < 1:
+        raise DomainError(f"{name}: need at least one prototype")
+    transposed = prototypes.T.copy()
+    logits = e @ transposed
+    exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return exp / exp.sum(axis=-1, keepdims=True), transposed
+
+
+def prototype_mix(e, prototypes):
+    """Attentive mixture over prototype rows: softmax(e @ P.T) @ P.
+
+    `e` is (n, d) and the prototypes P are (K, d), K >= 1. Row i of the
+    weights is the softmax over k of e_i . p_k, and row i of the output the
+    weighted sum of the rows of P. Only the (n, K) weights w and the
+    transposed copy of P are kept. Backward adds `w.T @ g` into P first,
+    then pushes `g @ P.T` through the softmax to the logit gradient dL and
+    adds `dL @ P` into `e` and `(e.T @ dL).T` into P: the arithmetic and
+    order of the matmul, transpose, softmax and matmul it fuses, so the
+    gradients are bitwise equal to theirs.
+    """
+    ev, pv = _values(e), _values(prototypes)
+    w, transposed = _prototype_weights("prototype_mix", ev, pv)
+    out = Tensor(w @ pv, requires_grad=_needs_grad(e, prototypes))
 
     def backward(g):
-        inner = (g * s).sum(axis=-1, keepdims=True)
-        _accum(a, s * (g - inner), fresh=True)
+        if _tracked(prototypes):
+            _accum(prototypes, w.T @ g, fresh=True)
+        g_w = g @ pv.T
+        d_logits = w * (g_w - (g_w * w).sum(axis=-1, keepdims=True))
+        if _tracked(e):
+            _accum(e, d_logits @ transposed.T, fresh=True)
+        if _tracked(prototypes):
+            _accum(prototypes, (ev.T @ d_logits).T)
 
-    _record("softmax", out, backward)
+    _record("prototype_mix", out, backward)
     return out
 
 

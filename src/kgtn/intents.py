@@ -6,7 +6,8 @@ prefix) over observed user-item pairs only with a masked multi-head graph
 transformer; a `splice` puts the new items back over the entity table.
 All heads run in one blocked pass: a head is a column block of one
 stacked (d, d) projection. After the last layer, an attentive mixture over
-learnable intent prototypes reads out the intent-aware users and items.
+learnable intent prototypes reads out the intent-aware users and items, one
+`prototype_mix` node per side.
 The readout never feeds back into propagation, so intents modulate
 structural signals instead of replacing them.
 """
@@ -14,10 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autodiff as ad
-from .errors import DomainError, ShapeError
 
 
 @dataclass
@@ -55,22 +53,17 @@ class GlobalState:
 def intent_assignment(e, prototypes):
     """Assignment distribution over intent prototypes: softmax of e . c_k.
 
-    `e` is a (n, d) batch of node embeddings, `prototypes` a (K, d) matrix;
-    each output row sums to 1.
+    `e` is a (n, d) batch of node embeddings, `prototypes` a (K, d) matrix,
+    either a tensor or an array; the result is the plain (n, K) array of the
+    weights `intent_mix` applies, each row summing to 1. Nothing is recorded.
     """
-    ev, cv = e.values if isinstance(e, ad.Tensor) else np.asarray(e), prototypes.values
-    if ev.ndim != 2 or cv.ndim != 2 or ev.shape[1] != cv.shape[1]:
-        raise ShapeError(f"intent_assignment: embeddings {ev.shape} vs prototypes {cv.shape}")
-    if cv.shape[0] < 1:
-        raise DomainError("intent_assignment: need at least one prototype")
-    scores = ad.matmul(e, ad.transpose(prototypes))
-    return ad.softmax(scores)
+    return ad._prototype_weights("intent_assignment", ad._values(e), ad._values(prototypes))[0]
 
 
 def intent_mix(e, prototypes):
-    """Intent-aware embedding: assignment-weighted sum of prototype rows."""
-    weights = intent_assignment(e, prototypes)
-    return ad.matmul(weights, prototypes)
+    """Intent-aware embedding: assignment-weighted sum of prototype rows,
+    one `prototype_mix` node."""
+    return ad.prototype_mix(e, prototypes)
 
 
 def kg_aggregate(entity_emb, relation_emb, edges):

@@ -4,15 +4,31 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DomainError
+
+
+def _average_ranks(x):
+    """1-based ranks of a vector, each tie group at the mean of its ranks.
+
+    A stable argsort orders the values; a group of equal values at sorted
+    positions start .. end - 1 takes the rank (start + 1 + end) / 2, a sum of
+    halves, so every rank is exact.
+    """
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    return ranks
 
 
 def auc(scores, labels):
     """Probability that a random positive outscores a random negative.
 
     Ties count one half; computed via the rank-sum identity in O(n log n).
+    A NaN score makes the result NaN.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -20,7 +36,9 @@ def auc(scores, labels):
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise DomainError("auc is undefined unless both classes are present")
-    ranks = rankdata(scores)
+    if np.isnan(scores).any():
+        return float("nan")
+    ranks = _average_ranks(scores)
     pos_rank_sum = ranks[labels == 1].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

@@ -63,10 +63,12 @@ def test_criterion_3_structural_invariants():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         v = rng.normal(size=rng.integers(1, 9)) * rng.uniform(0.1, 30)
-        worst_sum_err = max(worst_sum_err, abs(ad.softmax(ad.constant(v)).values.sum() - 1.0))
+        # with e = v[None] and identity prototypes the readout is softmax(v)
+        s = ad.prototype_mix(ad.constant(v[None]), np.eye(v.size)).values
+        worst_sum_err = max(worst_sum_err, abs(s.sum() - 1.0))
         e = ad.constant(rng.normal(size=(int(rng.integers(1, 5)), 4)))
         c = ad.constant(rng.normal(size=(int(rng.integers(1, 6)), 4)))
-        rows = intents.intent_assignment(e, c).values.sum(axis=1)
+        rows = intents.intent_assignment(e, c).sum(axis=1)
         worst_sum_err = max(worst_sum_err, float(np.abs(rows - 1.0).max()))
         # the KG pool's slot weights sum to 1 over every head with slots
         n_ent = int(rng.integers(1, 5))

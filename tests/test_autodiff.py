@@ -67,46 +67,105 @@ def test_matmul_finite_difference():
 
 
 # ---------------------------------------------------------------------------
-# softmax
+# prototype_mix: softmax(e @ P.T) @ P; with identity prototypes, e = v[None]
+# and P = I, the output is softmax(v)
+
+
+def softmax(v):
+    """Softmax of the last axis of a vector or matrix, through `prototype_mix`
+    with identity prototypes."""
+    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
+    return ad.prototype_mix(ad.constant(v), np.eye(v.shape[1])).values
 
 
 def test_softmax_equal_logits():
     for c in (0.0, 5.0, -3.25):
-        np.testing.assert_allclose(ad.softmax(ad.constant([c, c, c])).values, np.ones(3) / 3)
+        np.testing.assert_allclose(softmax([c, c, c]), [np.ones(3) / 3])
 
 
 def test_softmax_shift_invariance():
     v = RNG.normal(size=7)
-    s1 = ad.softmax(ad.constant(v)).values
-    s2 = ad.softmax(ad.constant(v + 17.5)).values
-    np.testing.assert_allclose(s1, s2, atol=1e-12)
+    np.testing.assert_allclose(softmax(v), softmax(v + 17.5), atol=1e-12)
 
 
 def test_softmax_two_logit_oracle():
     # e / (e + 1) and 1 / (e + 1)
-    out = ad.softmax(ad.constant([1.0, 0.0])).values
-    np.testing.assert_allclose(out, [0.73105857863, 0.26894142137], atol=1e-9)
+    np.testing.assert_allclose(softmax([1.0, 0.0]), [[0.73105857863, 0.26894142137]], atol=1e-9)
 
 
 def test_softmax_empty_input():
+    # no logits means no prototypes
     with pytest.raises(DomainError):
-        ad.softmax(ad.constant(np.zeros(0)))
+        softmax(np.zeros(0))
 
 
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12))
 @settings(max_examples=100, deadline=None)
 def test_softmax_sums_to_one(logits):
-    out = ad.softmax(ad.constant(np.array(logits))).values
+    out = softmax(np.array(logits))
     assert abs(out.sum() - 1.0) < 1e-9
     assert np.all(out > 0) and np.all(out < 1 + 1e-12)
 
 
 def test_softmax_rows_and_finite_difference():
     m = ad.parameter(RNG.normal(size=(4, 5)))
-    out = ad.softmax(m).values
-    np.testing.assert_allclose(out.sum(axis=1), np.ones(4), atol=1e-9)
+    np.testing.assert_allclose(softmax(m.values).sum(axis=1), np.ones(4), atol=1e-9)
     w = ad.constant(RNG.normal(size=(4, 5)))
-    fd_check(lambda: ad.sum_all(ad.mul(ad.softmax(m), w)), [("m", m)])
+    fd_check(lambda: ad.sum_all(ad.mul(ad.prototype_mix(m, np.eye(5)), w)), [("m", m)])
+
+
+def _prototype_mix_oracle(e, p, g):
+    """The matmul, transpose, softmax, matmul composition in numpy: the
+    output and the gradients of sum(g * output) on e and p, each formed and
+    added in the order its four backward steps ran."""
+    pt = p.T.copy()
+    logits = e @ pt
+    x = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    w = x / x.sum(axis=-1, keepdims=True)
+    g_p = w.T @ g
+    g_w = g @ p.T
+    d_logits = w * (g_w - (g_w * w).sum(axis=-1, keepdims=True))
+    g_p += (e.T @ d_logits).T
+    return w @ p, d_logits @ pt.T, g_p
+
+
+@pytest.mark.parametrize("n, k, d", [(1, 1, 3), (5, 4, 3), (40, 7, 16)])
+def test_prototype_mix_bitwise_equals_composition_oracle(n, k, d):
+    rng = np.random.default_rng(n)
+    e = ad.Tensor(rng.normal(size=(n, d)), requires_grad=True)
+    p = ad.Tensor(rng.normal(size=(k, d)), requires_grad=True)
+    g = rng.normal(size=(n, d))
+    with ad.Tape() as tape:
+        out = ad.prototype_mix(e, p)
+        loss = ad.sum_all(ad.mul(out, g))
+    tape.backward(loss)
+    assert tape.op_counts() == {"prototype_mix": 1, "mul": 1, "sum_all": 1}
+    want_out, want_e, want_p = _prototype_mix_oracle(e.values, p.values, g)
+    assert out.values.tobytes() == want_out.tobytes()
+    assert e.grad.tobytes() == want_e.tobytes()
+    assert p.grad.tobytes() == want_p.tobytes()
+
+
+@pytest.mark.parametrize("tracked", ["both", "e", "prototypes"])
+def test_prototype_mix_finite_difference(tracked):
+    e = RNG.normal(size=(6, 4))
+    p = RNG.normal(size=(3, 4))
+    e = ad.parameter(e) if tracked != "prototypes" else ad.constant(e)
+    p = ad.parameter(p) if tracked != "e" else ad.constant(p)
+    w = ad.constant(RNG.normal(size=(6, 4)))
+    named = [(name, t) for name, t in (("e", e), ("p", p)) if t.requires_grad]
+    fd_check(lambda: ad.sum_all(ad.mul(ad.prototype_mix(e, p), w)), named, tol=1e-6)
+    assert all(t.grad is None for t in (e, p) if not t.requires_grad)
+
+
+def test_prototype_mix_rejects_bad_operands_by_name():
+    e = np.ones((3, 4))
+    for bad_e, bad_p in ((np.ones(4), np.ones((2, 4))), (e, np.ones(4)),
+                         (e, np.ones((2, 3))), (np.ones((3, 4, 1)), np.ones((2, 4)))):
+        with pytest.raises(ShapeError, match="prototype_mix"):
+            ad.prototype_mix(bad_e, bad_p)
+    with pytest.raises(DomainError, match="prototype_mix.*prototype"):
+        ad.prototype_mix(e, np.ones((0, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +194,8 @@ def test_elementwise_finite_difference():
     b = ad.parameter(RNG.normal(size=(3, 3)) + 3.0)
 
     def build():
-        return ad.sum_all(ad.mul(ad.mul(a, b) + ad.add(a, ad.mul(b, -1.0)), ad.softmax(b)))
+        return ad.sum_all(ad.mul(ad.mul(a, b) + ad.add(a, ad.mul(b, -1.0)),
+                                 ad.prototype_mix(b, np.eye(3))))
 
     fd_check(build, [("a", a), ("b", b)])
 
@@ -1131,7 +1191,7 @@ def test_forward_ops_do_not_mutate_inputs():
     b = ad.parameter(RNG.normal(size=(3, 3)))
     snap_a, snap_b = a.values.copy(), b.values.copy()
     with ad.Tape() as tape:
-        loss = ad.sum_all(ad.mul(ad.matmul(a, b), ad.softmax(b)))
+        loss = ad.sum_all(ad.mul(ad.matmul(a, b), ad.prototype_mix(b, a)))
         # score adds each layer's rows into the first layer's gathered copy
         loss = loss + ad.bpr(ad.score([a, b], [b, a], [0, 1, 1], [2, 2, 0]),
                              ad.score([b, a], [a], [2, 0, 0], [1, 0, 2]))
@@ -1146,7 +1206,7 @@ def test_tape_replay_determinism():
         p = ad.parameter(rng.normal(size=(4, 4)))
         q = ad.parameter(rng.normal(size=(4, 4)))
         with ad.Tape() as tape:
-            loss = ad.sum_all(ad.mul(ad.softmax(ad.matmul(p, q)), ad.softmax(p)))
+            loss = ad.sum_all(ad.mul(ad.prototype_mix(ad.matmul(p, q), p), ad.prototype_mix(p, q)))
         tape.backward(loss)
         return loss.values.copy(), p.grad.copy(), q.grad.copy()
 
@@ -1188,9 +1248,9 @@ def test_reduction_first_then_other_op_accumulates():
             h = ad.mul(p, 2.0)
             # backward reaches h through the reduction first (it ran last),
             # then adds the softmax's contribution into the same buffer
-            loss = ad.sum_all(ad.mul(ad.softmax(h), w)) + reduce(h)
+            loss = ad.sum_all(ad.mul(ad.prototype_mix(h, np.eye(4)), w)) + reduce(h)
         tape.backward(loss)
-        s = ad.softmax(ad.constant(2.0 * m)).values
+        s = softmax(2.0 * m)
         want_h = seed_grad + s * (w - (w * s).sum(axis=1, keepdims=True))
         np.testing.assert_allclose(p.grad, 2.0 * want_h, atol=1e-12)
         assert h.grad is None
@@ -1199,25 +1259,25 @@ def test_reduction_first_then_other_op_accumulates():
 def test_pass_through_views_are_copied():
     # leaves built with requires_grad=True start without a buffer, so their
     # first contribution decides it: a split piece (a, and b's rows after
-    # it), a transpose (m) and a broadcast (s, which then takes a second
-    # contribution)
+    # it), the upstream gradient itself (m, through an add) and a broadcast
+    # (s, which then takes a second contribution)
     a = ad.Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
     b = ad.Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
-    m = ad.Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
+    m = ad.Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
     s = ad.Tensor(RNG.normal(size=(2, 2)), requires_grad=True)
     with ad.Tape() as tape:
         cat = ad.splice(a, b)
-        prod = ad.matmul(cat, ad.transpose(m))
+        prod = ad.matmul(cat, ad.add(m, 0.0))
         loss = ad.sum_all(ad.mul(prod, prod)) + ad.sum_all(ad.mul(s, s)) + ad.sum_all(s)
     tape.backward(loss)
     for t in (a, b, m, s):
         assert t.grad.flags.writeable and t.grad.flags.owndata
         assert t.grad.flags.c_contiguous and t.grad.shape == t.values.shape
-    dcat = 2.0 * prod.values @ m.values
+    dcat = 2.0 * prod.values @ m.values.T
     np.testing.assert_allclose(a.grad, dcat[:2], atol=1e-12)
     np.testing.assert_allclose(b.grad[2:], dcat[2:], atol=1e-12)
     np.testing.assert_array_equal(b.grad[:2], 0.0)
-    np.testing.assert_allclose(m.grad, 2.0 * prod.values.T @ cat.values, atol=1e-12)
+    np.testing.assert_allclose(m.grad, 2.0 * cat.values.T @ prod.values, atol=1e-12)
     np.testing.assert_allclose(s.grad, 2.0 * s.values + 1.0, atol=1e-12)
 
 
@@ -1227,8 +1287,9 @@ def test_intermediate_grads_released_leaves_kept():
     with ad.Tape() as tape:
         # h feeds three consumers; its gradient must survive until all ran
         h = ad.matmul(p, q)
-        e = ad.softmax(h)
-        loss = ad.sum_all(ad.mul(h, e)) + ad.sum_all(ad.softmax(h)) + ad.sum_all(ad.mul(e, e))
+        e = ad.prototype_mix(h, np.eye(3))
+        loss = (ad.sum_all(ad.mul(h, e)) + ad.sum_all(ad.prototype_mix(h, np.eye(3)))
+                + ad.sum_all(ad.mul(e, e)))
     tape.backward(loss)
     assert h.grad is None and e.grad is None and loss.grad is None
     assert p.grad is not None and q.grad is not None
@@ -1240,8 +1301,9 @@ def test_gradcheck_passes_through_shared_intermediates():
 
     def build():
         h = ad.matmul(p, q)
-        e = ad.softmax(ad.mul(h, 0.3))
-        return ad.sum_all(ad.mul(h, e)) + ad.sum_all(ad.softmax(h)) + ad.sum_all(ad.mul(e, e))
+        e = ad.prototype_mix(ad.mul(h, 0.3), np.eye(3))
+        return (ad.sum_all(ad.mul(h, e)) + ad.sum_all(ad.prototype_mix(h, np.eye(3)))
+                + ad.sum_all(ad.mul(e, e)))
 
     fd_check(build, [("p", p), ("q", q)], tol=1e-7)
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from kgtn import autodiff as ad
 from kgtn import intents
 from kgtn.data import InteractionGraph, KnowledgeGraph
+from kgtn.errors import DomainError, ShapeError
 from kgtn.gradcheck import check_gradients
 
 RNG = np.random.default_rng(7)
@@ -33,20 +34,20 @@ def head_blocks(params):
 def test_assignment_single_intent():
     e = ad.constant([[0.3, -0.7]])
     c = ad.constant([[1.0, 1.0]])
-    np.testing.assert_allclose(intents.intent_assignment(e, c).values, [[1.0]])
+    np.testing.assert_allclose(intents.intent_assignment(e, c), [[1.0]])
 
 
 def test_assignment_identical_prototypes_uniform():
     e = ad.constant(RNG.normal(size=(3, 4)))
     c = ad.constant(np.tile(RNG.normal(size=4), (5, 1)))
-    np.testing.assert_allclose(intents.intent_assignment(e, c).values, np.full((3, 5), 0.2), atol=1e-12)
+    np.testing.assert_allclose(intents.intent_assignment(e, c), np.full((3, 5), 0.2), atol=1e-12)
 
 
 def test_assignment_two_intent_oracle():
     e = ad.constant([[1.0, 0.0]])
     c = ad.constant([[1.0, 0.0], [0.0, 1.0]])
     np.testing.assert_allclose(
-        intents.intent_assignment(e, c).values, [[0.73105857863, 0.26894142137]], atol=1e-9
+        intents.intent_assignment(e, c), [[0.73105857863, 0.26894142137]], atol=1e-9
     )
 
 
@@ -56,7 +57,7 @@ def test_assignment_rows_sum_to_one(n, k, seed):
     rng = np.random.default_rng(seed)
     e = ad.constant(rng.normal(size=(n, 4)))
     c = ad.constant(rng.normal(size=(k, 4)))
-    out = intents.intent_assignment(e, c).values
+    out = intents.intent_assignment(e, c)
     np.testing.assert_allclose(out.sum(axis=1), np.ones(n), atol=1e-9)
 
 
@@ -67,9 +68,31 @@ def test_assignment_logit_shift_invariance():
     c = RNG.normal(size=(4, 3))
     shifted = c.copy()
     shifted[:, 0] += 2.5
-    p1 = intents.intent_assignment(e, ad.constant(c)).values
-    p2 = intents.intent_assignment(e, ad.constant(shifted)).values
+    p1 = intents.intent_assignment(e, ad.constant(c))
+    p2 = intents.intent_assignment(e, ad.constant(shifted))
     np.testing.assert_allclose(p1, p2, atol=1e-12)
+
+
+def test_assignment_is_the_plain_weights_of_the_one_node_mix():
+    e = ad.parameter(RNG.normal(size=(5, 3)))
+    c = ad.parameter(RNG.normal(size=(4, 3)))
+    with ad.Tape() as tape:
+        weights = intents.intent_assignment(e, c)
+        assert len(tape) == 0
+        mixed = intents.intent_mix(e, c)
+    assert tape.op_counts() == {"prototype_mix": 1}
+    assert type(weights) is np.ndarray and weights.shape == (5, 4)
+    assert (weights @ c.values).tobytes() == mixed.values.tobytes()
+    np.testing.assert_array_equal(intents.intent_assignment(e.values, c.values), weights)
+
+
+def test_assignment_rejects_bad_shapes_and_no_prototypes_by_name():
+    e = ad.constant(np.ones((2, 3)))
+    for bad_e, bad_c in ((e, np.ones((4, 2))), (np.ones(3), np.ones((4, 3))), (e, np.ones(3))):
+        with pytest.raises(ShapeError, match="intent_assignment"):
+            intents.intent_assignment(bad_e, ad.constant(bad_c))
+    with pytest.raises(DomainError, match="intent_assignment.*prototype"):
+        intents.intent_assignment(e, ad.constant(np.ones((0, 3))))
 
 
 def test_mix_single_intent_returns_prototype():
@@ -278,8 +301,8 @@ def test_transformer_attention_sums_to_one_over_random_instances():
         graph = InteractionGraph(n_u, n_i, sorted(pairs))
         users = ad.constant(rng.normal(size=(n_u, 4)))
         items = ad.constant(rng.normal(size=(n_i, 4)))
-        q = ad.matmul(users, ad.transpose(ad.constant(rng.normal(size=(4, 4)))))
-        k = ad.matmul(items, ad.transpose(ad.constant(rng.normal(size=(4, 4)))))
+        q = ad.matmul(users, ad.constant(rng.normal(size=(4, 4)).T))
+        k = ad.matmul(items, ad.constant(rng.normal(size=(4, 4)).T))
         # with every value row all ones, a user's output column is the sum
         # of the user's attention weights in that column's head
         ones = np.ones((n_i, 4))

@@ -1,9 +1,14 @@
 """CTR and ranking metric oracles."""
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from recall_oracle import recall_from_ranking
+from scipy.stats import rankdata
 
 from kgtn import metrics
 from kgtn.errors import DomainError
@@ -28,6 +33,8 @@ def test_auc_perfect_ranking():
 
 def test_auc_all_ties():
     assert metrics.auc([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0]) == 0.5
+    for n in (2, 3, 600, 11001):
+        assert metrics.auc(np.full(n, 0.7), np.arange(n) % 2) == 0.5
 
 
 def test_auc_three_point_oracle():
@@ -52,6 +59,32 @@ def test_auc_matches_brute_force_everywhere():
         fast = metrics.auc(scores, labels)
         slow = brute_force_auc(scores, labels)
         assert abs(fast - slow) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 600, 11000])
+def test_average_ranks_equal_rankdata(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        x = rng.normal(size=n)
+        for v in (x, np.round(x, 2), np.round(x, 0), np.sign(x), np.full(n, 0.25),
+                  np.where(x < 0, -np.inf, np.inf), np.where(x < 1, x, np.inf)):
+            ranks = metrics._average_ranks(v)
+            assert ranks.dtype == np.float64
+            np.testing.assert_array_equal(ranks, rankdata(v))
+
+
+def test_auc_of_a_nan_score_is_nan():
+    assert np.isnan(metrics.auc([0.2, np.nan, 0.9], [1, 0, 0]))
+
+
+def test_import_kgtn_loads_no_scipy_stats():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = "import sys, kgtn; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_f1_perfect_separation():

@@ -145,7 +145,8 @@ def test_adam_bitwise_determinism_over_steps():
         for step in range(5):
             opt.zero_grad()
             with ad.Tape() as tape:
-                loss = ad.sum_all(ad.mul(ad.softmax(p), p)) + ad.sum_all(ad.mul(q, q))
+                loss = (ad.sum_all(ad.mul(ad.prototype_mix(p, np.eye(2)), p))
+                        + ad.sum_all(ad.mul(q, q)))
             tape.backward(loss)
             opt.step()
         return opt.store.values.copy()
@@ -374,17 +375,17 @@ def test_toy_step_records_pinned_nodes():
     # the overfit config of the acceptance suite; any change to the tape
     # shows here as a diff. The contrastive term is one infonce node, the
     # ranking head one score node per prediction and one bpr node, the one
-    # slice feeds the transformer its item rows and the one splice joins the
-    # read-out items to the other entities.
+    # slice feeds the transformer its item rows, the one splice joins the
+    # read-out items to the other entities and the intent readout is one
+    # prototype_mix node per side.
     ds = synthetic_dataset(40, 30, 50, 3, density=0.5, seed=1, ratios=(1.0, 0.0, 0.0))
     tape, _ = _step_tape(ds, ExperimentConfig(seed=1, lr=3e-3, batch_size=32).validate())
     assert tape.op_counts() == {
         "add": 2, "bpr": 1, "edge_attention": 2, "gated_sum": 4,
-        "infonce": 1, "kg_pool": 1, "matmul": 10, "mul": 4, "score": 2,
-        "slice_rows": 1, "softmax": 2, "splice": 1, "spmm": 4,
-        "sum_all": 1, "transpose": 2,
+        "infonce": 1, "kg_pool": 1, "matmul": 6, "mul": 4, "prototype_mix": 2,
+        "score": 2, "slice_rows": 1, "splice": 1, "spmm": 4, "sum_all": 1,
     }
-    assert len(tape) == 38
+    assert len(tape) == 32
 
 
 def test_step_node_count_independent_of_head_count(tiny_dataset):
@@ -417,13 +418,14 @@ def test_each_aggregation_is_one_node(tiny_dataset, depth, agg_depth):
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_step_restacks_no_projection(tiny_dataset, depth):
-    # the projections are stored stacked: the only transposes are the two
-    # prototype transposes of the intent readout, and the only splices join
-    # the items to the other entities (after each layer but the first, and
-    # at the readout); the L2 term reads the parameter store as is
+    # the projections are stored stacked and the intent readout keeps its
+    # prototype transposes inside its two prototype_mix nodes: no transpose
+    # is recorded. The only splices join the items to the other entities
+    # (after each layer but the first, and at the readout); the L2 term
+    # reads the parameter store as is
     counts = _step_tape(tiny_dataset, small_cfg(depth=depth))[0].op_counts()
     assert tiny_dataset.n_entities > tiny_dataset.n_items
-    assert counts["transpose"] == 2
+    assert "transpose" not in counts and counts["prototype_mix"] == 2
     assert counts["splice"] == depth
 
 
@@ -893,7 +895,7 @@ def test_fit_prototype_symmetry_breaks_after_one_step():
     result = training.fit(cfg, ds)
     from kgtn.intents import intent_assignment
 
-    weights = intent_assignment(result.params.user_emb, result.params.intent_user).values
+    weights = intent_assignment(result.params.user_emb, result.params.intent_user)
     assert np.abs(weights - 1.0 / cfg.n_intents).max() > 1e-6
 
 
