@@ -97,17 +97,6 @@ def _csr_entries(offsets, values, rows):
     return np.repeat(np.arange(rows.size), counts), values[index]
 
 
-def _tied_top(keys, kth, top):
-    """Columns of each row's `top` smallest keys, ascending, where the
-    top-th smallest key `kth` of the row has ties: every key below it, then
-    its first `kth`-equal columns."""
-    take = keys < kth[:, None]
-    equal = keys == kth[:, None]
-    wanted = top - take.sum(axis=1)
-    take |= equal & (np.cumsum(equal, axis=1) <= wanted[:, None])
-    return np.nonzero(take)[1].reshape(-1, top)
-
-
 def _ranked_top(keys, top):
     """Columns of each row's `top` smallest keys, as `argsort(kind="stable")` orders them.
 
@@ -115,10 +104,8 @@ def _ranked_top(keys, top):
     number. One `argpartition` at `top` picks a candidate set: the largest
     picked key is the top-th smallest, and every key left out is at least
     the key the partition puts at position `top`. A row whose two boundary
-    keys are equal (ties left outside the set) takes every key below the
-    boundary and then its first boundary-equal columns in column order, as
-    a stable sort would; a row whose largest picked key is NaN gets its
-    first `top` columns from a full stable sort instead.
+    keys are equal (ties left outside the set), or whose largest picked key
+    is NaN, gets its first `top` columns from a full stable sort instead.
     """
     if top >= keys.shape[1]:
         return np.argsort(keys, axis=1, kind="stable")
@@ -126,12 +113,9 @@ def _ranked_top(keys, top):
     picked = part[:, :top]
     kth = np.take_along_axis(keys, picked, axis=1).max(axis=1)   # NaN propagates
     next_key = np.take_along_axis(keys, part[:, top:top + 1], axis=1)[:, 0]
-    nan = np.isnan(kth)
-    if nan.any():
-        picked[nan] = np.argsort(keys[nan], axis=1, kind="stable")[:, :top]
-    tied = kth == next_key
-    if tied.any():
-        picked[tied] = _tied_top(keys[tied], kth[tied], top)
+    unsettled = np.isnan(kth) | (kth == next_key)
+    if unsettled.any():
+        picked[unsettled] = np.argsort(keys[unsettled], axis=1, kind="stable")[:, :top]
     picked.sort(axis=1)
     order = np.argsort(np.take_along_axis(keys, picked, axis=1), axis=1, kind="stable")
     return np.take_along_axis(picked, order, axis=1)

@@ -124,39 +124,6 @@ def test_recall_bitwise_with_nan_scores(wide):
     _assert_matches_loop(zu, zi, wide, (1, 3, 20, 100))
 
 
-def test_recall_on_rounded_scores_sorts_only_the_picked_columns(wide, monkeypatch):
-    # One-hot users read their own score column exactly, and scores rounded
-    # to one decimal tie at most top-K boundaries. A tied row takes the keys
-    # below its boundary and its first boundary-equal columns without a
-    # sort, so the stable sorts see only the `top` picked columns of each
-    # user; a NaN row still sorts all of its columns.
-    ks, top = (1, 5, 20), 20
-    rng = np.random.default_rng(9)
-    zu = np.eye(wide.n_users)
-    zi = np.round(rng.normal(size=(wide.n_items, wide.n_users)), 1)
-    users = _test_users(wide)
-    scores = list(_candidate_scores(zu, zi, wide))
-    assert sum(s[top - 1] == s[top] for s in scores) > users.size // 2
-    sorted_columns = []
-    argsort = np.argsort
-
-    def spy(a, *args, **kw):
-        if np.ndim(a) == 2:   # the rankings, not the sort of the positives by user
-            sorted_columns.append(np.size(a))
-        return argsort(a, *args, **kw)
-
-    for nan_users in (users[:0], users[::9]):
-        zu_nan = zu.copy()
-        zu_nan[nan_users] = np.nan
-        want = loop_recall_at_k(zu_nan, zi, wide, ks)
-        sorted_columns.clear()
-        with monkeypatch.context() as m:
-            m.setattr(np, "argsort", spy)
-            got = experiments.recall_at_k(zu_nan, zi, wide, ks=ks)
-        assert same_bits(got, want)
-        assert sum(sorted_columns) == users.size * top + nan_users.size * wide.n_items
-
-
 def test_recall_bitwise_across_blocks(wide, monkeypatch):
     rows = 25
     n_test_users = _test_users(wide).size
