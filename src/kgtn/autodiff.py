@@ -92,10 +92,12 @@ Backward does only the work a gradient needs:
 
 Forward ops never mutate their inputs; only `.grad` buffers change during
 backward. Recording and backward run on the calling thread and use no
-other. The one place threads run is inside an `infonce` call of several
+other. The one op that runs threads is an `infonce` call of several
 terms: when the process may use more than one core and some term spans
-more than one slab, the terms' slab loops run on a lazily started pool of
-`min(terms, cores)` threads. Those loops only fill buffers the calling
+more than one slab, the terms' slab loops run on `min(terms, cores)`
+threads of the process's one worker pool (`_executor`, one thread per
+core, started on first use; `experiments.recall_at_k` ranks its user
+blocks on the same pool). Those loops only fill buffers the calling
 thread allocated; the calling thread checks every operand and reads its
 rows first, waits for every loop, and records the one node.
 """
@@ -513,7 +515,7 @@ def _head_blocks(d, n_heads):
     """The (d, H) head indicator and its copy scaled by 1 / sqrt(d/H), read-only.
 
     `(q * k) @ scaled` gives one scaled logit column per head, and
-    `alpha @ blocks.T` spreads each head's weight over its value columns.
+    `x @ blocks` sums each head's columns of x.
     """
     blocks = np.repeat(np.eye(n_heads), d // n_heads, axis=0)
     scaled = blocks * (1.0 / math.sqrt(d / n_heads))
@@ -559,9 +561,10 @@ def edge_attention(queries, keys, values, fallback, edges, n_heads):
     alpha = _segment_softmax(prod @ scaled, offsets)
     del prod
     msg = vv[tgt]
-    msg *= alpha @ blocks.T
+    heads = msg.reshape(-1, n_heads, d // n_heads)   # a view: head h's value columns
+    heads *= alpha[:, :, None]
     sums = sums_to_source @ msg
-    del msg
+    del msg, heads
     _fallback_rows(sums_to_source, sums, fv)
     out = Tensor(sums, requires_grad=_needs_grad(queries, keys, values, fallback))
 
@@ -569,7 +572,8 @@ def edge_attention(queries, keys, values, fallback, edges, n_heads):
         _accum_fallback(fallback, g, sums_to_source)
         g_edge = g[src]
         if _tracked(values):
-            _accum(values, sums_to_target @ (g_edge * (alpha @ blocks.T)), fresh=True)
+            g_values = g_edge.reshape(-1, n_heads, d // n_heads) * alpha[:, :, None]
+            _accum(values, sums_to_target @ g_values.reshape(g_edge.shape), fresh=True)
         if not (_tracked(queries) or _tracked(keys)):
             return
         g_edge *= vv[tgt]
@@ -854,13 +858,14 @@ def _cores():
         return os.cpu_count() or 1
 
 
-@lru_cache(maxsize=None)
-def _executor(workers):
-    """The process's InfoNCE worker threads, started on the first pooled call."""
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="kgtn-infonce")
+@lru_cache(maxsize=1)
+def _executor():
+    """The process's one pool of worker threads, one per core, started by
+    the first pooled `infonce` or `experiments.recall_at_k` call."""
+    return ThreadPoolExecutor(max_workers=_cores(), thread_name_prefix="kgtn-worker")
 
 
-# A forked child inherits the executors but not their threads: it starts its own.
+# A forked child inherits the executor but not its threads: it starts its own.
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_executor.cache_clear)
 
@@ -870,12 +875,12 @@ class _InfonceTerm:
     calling thread, `run` on any thread, and only `run` does the slab work.
 
     The calling thread allocates every array `run` writes and `finish`
-    drops them, so the large buffers come from and return to its heap.
-    Keeping the heap (`kgtn.HEAP_KEPT`) does not make this split redundant:
-    glibc gives each worker thread its own arena, which keeps that thread's
-    freed buffers too. A variant that ran each whole term on the pool,
-    allocating in the worker, passed the same tests but raised lastfm-shape
-    training peak RSS by about 7% (297 -> 318 MB) and its step time by 2%.
+    drops them, so a term holds its buffers only while its loop runs:
+    `_run_pooled` allocates a term just before submitting it, and at most
+    one term per worker holds buffers at once. Where the arrays are freed
+    no longer matters to the heap: `import kgtn` keeps one malloc arena
+    (`kgtn.HEAP_KEPT`), so a block freed by any thread goes back to the
+    heap the calling thread allocates from.
     """
 
     def __init__(self, global_table, local_table, rows, tau, include_positive):
@@ -966,7 +971,7 @@ def _run_pooled(terms, workers):
 
     def submit(term):
         term.allocate()
-        running[_executor(workers).submit(term.run)] = term
+        running[_executor().submit(term.run)] = term
 
     for term in islice(pending, workers):
         submit(term)

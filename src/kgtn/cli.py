@@ -14,6 +14,11 @@ starts from the clean data and tests the config's `noise_ratio` if it is
 above 0, else every protocol ratio. gen-synth and grad-check read no
 config and write no `config.ini`: grad-check takes `--seed` only,
 gen-synth `--seed`, `--out` and its generator flags.
+
+Every command first sets each loaded OpenBLAS to one thread and prints the
+libraries and their thread counts as its first line: kgtn's GEMMs are
+small slabs, and the InfoNCE and recall workers already use every core.
+A BLAS that is not OpenBLAS is left alone, and the line says so.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data, experiments, gradcheck, training
+from . import blas, data, experiments, gradcheck, training
 from .config import ExperimentConfig, parse_config, write_config
 from .errors import ConfigError, KgtnError
 
@@ -197,6 +202,14 @@ _COMMANDS = {
 }
 
 
+def _blas_line(counts):
+    """The first output line: each OpenBLAS library and its thread count."""
+    if not counts:
+        return "blas: no OpenBLAS loaded; its threads are left as they are"
+    return "blas: " + ", ".join(
+        f"{lib} {n} thread{'' if n == 1 else 's'}" for lib, n in sorted(counts.items()))
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="kgtn",
@@ -213,6 +226,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    print(_blas_line(blas.set_threads(1)), flush=True)
     try:
         return args.func(args)
     except (KgtnError, OSError) as err:

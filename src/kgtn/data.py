@@ -71,8 +71,8 @@ class KGEdges:
         dot product of the relation-concatenated pair ((e_h || e_r),
         (e_t || e_r)).
         """
-        r = relation[self.rel]
-        return (entity[self.head] * entity[self.tail]).sum(axis=1) + (r * r).sum(axis=1)
+        return ((entity[self.head] * entity[self.tail]).sum(axis=1)
+                + (relation * relation).sum(axis=1)[self.rel])
 
 
 def block_operator(offsets, weights):

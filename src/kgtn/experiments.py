@@ -1,12 +1,14 @@
 """Evaluation protocol: CTR metrics, top-K recall, ablations, noise runs."""
 from __future__ import annotations
 
+from concurrent.futures import wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import autodiff as ad
 from . import training
-from .data import InteractionGraph, csr_offsets, inject_noise, rows_with_negatives
+from .data import InteractionGraph, inject_noise, rows_with_negatives
 from .errors import ContractError, DomainError
 from .metrics import ctr_eval  # the one CTR path; also reachable as experiments.ctr_eval
 
@@ -83,8 +85,9 @@ def balanced_pairs(dataset, split="train", seed=123):
     return rows_with_negatives(graph, positives, n_negative, rng)
 
 
-# Scores held at once by `recall_at_k`: a block of test users is as many
-# rows as fit in this many scores (about 8 MiB of float64 per block array).
+# Scores held at once by `recall_at_k`, summed over the blocks in flight: a
+# block of test users is as many rows as fit in this many scores divided by
+# the blocks ranked together (about 8 MiB of float64 in all).
 RECALL_BLOCK_SCORES = 1 << 20
 
 
@@ -133,37 +136,58 @@ def recall_at_k(zu, zi, dataset, ks, split="test"):
     user is the share of their distinct positives in the first K ranked
     items; the mean adds users in ascending order.
 
-    Users are ranked in blocks of at most `RECALL_BLOCK_SCORES` scores: one
-    score GEMM, one train-positive scatter and one `argpartition` per block.
+    Users are ranked in blocks: one score GEMM, one train-positive scatter
+    and one `argpartition` per block, and the hits are the ranked (user,
+    item) keys found in the sorted keys of the distinct positives. When the
+    process may use more than one core and the users span more than one
+    block, the blocks are dealt out in turn to the calling thread and to
+    workers of the `autodiff` pool, one lane per core, and each block
+    shrinks so that the blocks in flight hold at most `RECALL_BLOCK_SCORES`
+    scores. The calling thread allocates every lane's score buffer. Each
+    block's arithmetic is the same on either path and the per-user recalls
+    are summed in user order, so the results are bitwise equal.
     Raises `DomainError` for any K < 1.
     """
     ks = sorted(ks)
     if ks and ks[0] < 1:
         raise DomainError(f"recall@k needs k >= 1, got {ks[0]}")
+    n_items = zi.shape[0]
     pairs = getattr(dataset.split, split)
     positives = pairs[pairs[:, 2] == 1]
-    positives = positives[np.argsort(positives[:, 0], kind="stable")]
-    pos_offsets = csr_offsets(positives[:, 0], dataset.n_users)
-    users = np.flatnonzero(np.diff(pos_offsets))
+    positive_keys = np.unique(positives[:, 0] * n_items + positives[:, 1])   # flat (user, item)
+    n_relevant = np.bincount(positive_keys // n_items)   # distinct positives per user
+    users = np.flatnonzero(n_relevant)
     if users.size == 0 or not ks:
         return {k: float("nan") for k in ks}
     graph = dataset.train_graph
-    n_items = zi.shape[0]
     top = min(ks[-1], n_items)
     at = np.minimum(ks, top) - 1   # column of recall@k in the running hit count
     block = max(1, RECALL_BLOCK_SCORES // n_items)
+    lanes = min(ad._cores(), -(-users.size // block))
+    block = max(1, block // lanes)
+    starts = range(0, users.size, block)
     neg_items = -zi   # keys equal -(zu @ zi.T) exactly: negation only flips signs
-    keys_buffer = np.empty((min(block, users.size), n_items))
-    recalls = []
-    for start in range(0, users.size, block):
-        rows = users[start:start + block]
-        keys = np.matmul(zu[rows], neg_items.T, out=keys_buffer[:rows.size])
-        keys[_csr_entries(graph.u_offsets, graph.u_items, rows)] = np.inf
-        relevant = np.zeros(keys.shape, dtype=bool)
-        relevant[_csr_entries(pos_offsets, positives[:, 1], rows)] = True
-        ranked = _ranked_top(keys, top)
-        hits = np.cumsum(np.take_along_axis(relevant, ranked, axis=1), axis=1)
-        recalls.append(hits[:, at] / relevant.sum(axis=1, keepdims=True))
+    buffers = [np.empty((min(block, users.size), n_items)) for _ in range(lanes)]
+    recalls = [None] * len(starts)
+
+    def rank(lane):
+        for start in starts[lane::lanes]:
+            rows = users[start:start + block]
+            keys = np.matmul(zu[rows], neg_items.T, out=buffers[lane][:rows.size])
+            keys[_csr_entries(graph.u_offsets, graph.u_items, rows)] = np.inf
+            ranked = _ranked_top(keys, top)
+            ranked += (rows * n_items)[:, None]   # flat (user, item) keys, as positive_keys
+            at_key = np.searchsorted(positive_keys, ranked)
+            hits = np.cumsum(positive_keys.take(at_key, mode="clip") == ranked, axis=1)
+            recalls[start // block] = hits[:, at] / n_relevant[rows][:, None]
+
+    futures = [ad._executor().submit(rank, lane) for lane in range(1, lanes)]
+    try:
+        rank(0)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
     totals = np.cumsum(np.concatenate(recalls), axis=0)[-1]   # sequential, in user order
     return {k: float(total) / users.size for k, total in zip(ks, totals)}
 

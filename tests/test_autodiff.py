@@ -780,6 +780,51 @@ def test_edge_attention_rejects_misfit_shapes():
         ad.edge_attention(q, k, k, q, edges, 3)
 
 
+def _wide_edges(seed):
+    """A random interaction graph and KG over 64-wide rows, where a changed
+    summation order would show in the last bits."""
+    rng = np.random.default_rng(seed)
+    pairs = np.unique(np.column_stack([rng.integers(0, 40, 600), rng.integers(0, 50, 600)]), axis=0)
+    triples = np.column_stack([rng.integers(0, 80, 500), rng.integers(0, 7, 500),
+                               rng.integers(0, 80, 500)])
+    return InteractionGraph(40, 50, pairs), KnowledgeGraph(triples, n_entities=80,
+                                                           n_relations=7).full_edges()
+
+
+@pytest.mark.parametrize("n_heads", [1, 4])
+def test_edge_attention_equals_the_head_indicator_spread_bitwise(n_heads):
+    # the oracle spreads alpha over each head's value columns as
+    # `alpha @ blocks.T`, in the forward and in the values gradient
+    graph, _ = _wide_edges(3)
+    edges, d = graph.user_edges, 64
+    src, tgt = edges.source, edges.target
+    rng = np.random.default_rng(4)
+    q, fallback = rng.normal(size=(40, d)), rng.normal(size=(40, d))
+    k, v = rng.normal(size=(50, d)), ad.parameter(rng.normal(size=(50, d)))
+    upstream = rng.normal(size=(40, d))
+    blocks, scaled = ad._head_blocks(d, n_heads)
+    alpha = ad._segment_softmax((q[src] * k[tgt]) @ scaled, edges.offsets)
+    want = edges.source_sum @ (v.values[tgt] * (alpha @ blocks.T))
+    ad._fallback_rows(edges.source_sum, want, fallback)
+    want_grad = edges.target_sum @ (upstream[src] * (alpha @ blocks.T))
+    with ad.Tape() as tape:
+        out = ad.edge_attention(q, k, v, fallback, edges, n_heads)
+        loss = ad.sum_all(ad.mul(out, upstream))
+    tape.backward(loss)
+    assert out.values.tobytes() == want.tobytes()
+    assert v.grad.tobytes() == want_grad.tobytes()
+
+
+def test_slot_logits_equal_the_per_slot_relation_norms_bitwise():
+    # the oracle sums e_r . e_r once per slot, over the gathered relation rows
+    _, edges = _wide_edges(5)
+    rng = np.random.default_rng(6)
+    ent, rel = rng.normal(size=(80, 64)), rng.normal(size=(7, 64))
+    r = rel[edges.rel]
+    want = (ent[edges.head] * ent[edges.tail]).sum(axis=1) + (r * r).sum(axis=1)
+    assert edges.slot_logits(ent, rel).tobytes() == want.tobytes()
+
+
 def _kg_oracle_weights(ent, rel):
     """Per-head loop: softmax of e_h . e_t + e_r . e_r over each head's slots."""
     beta = {}
@@ -1134,7 +1179,7 @@ def test_infonce_pool_matches_inline_bitwise(monkeypatch, infonce_pool, cores, i
     finally:
         sys.setswitchinterval(interval)
     assert len(infonce_pool) == 6
-    assert all(name.startswith("kgtn-infonce") for name in infonce_pool)
+    assert all(name.startswith("kgtn-worker") for name in infonce_pool)
     infonce_pool.clear()
     monkeypatch.setattr(ad, "_cores", lambda: 1)
     inline = _infonce_terms(pairs, 0.3, include_positive)

@@ -1,10 +1,14 @@
 """Config parsing/validation and the command-line workflows."""
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kgtn import cli, data, experiments, training
+from kgtn import blas, cli, data, experiments, training
 from kgtn.config import ExperimentConfig, parse_config, to_ini, write_config
 from kgtn.errors import ConfigError
 
@@ -540,6 +544,29 @@ def test_train_rejects_data_dir_with_trailing_space(tmp_path, synth_dir, capsys)
     flags[3] = str(data_dir)
     assert cli.main(["train", *flags, "--epochs", "1"]) == 2
     assert "data_dir" in capsys.readouterr().err
+
+
+def test_train_pins_openblas_to_one_thread_and_says_so(tmp_path, synth_dir):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = []
+    for name, pinned in (("unset", {}), ("pinned", {"OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / name
+        proc = subprocess.run([sys.executable, "-m", "kgtn.cli", "train",
+                               *_fast_flags(tmp_path, synth_dir, out)],
+                              env={**env, **pinned}, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        runs.append((proc.stdout.splitlines()[0],
+                     (out / "metrics.csv").read_bytes(), (out / "checkpoint.bin").read_bytes()))
+    first = runs[0][0]
+    loaded = blas.threads()   # the same libraries as this process's
+    if loaded:
+        assert first == "blas: " + ", ".join(f"{lib} 1 thread" for lib in sorted(loaded))
+    else:
+        assert "no OpenBLAS" in first
+    assert runs[0] == runs[1]
 
 
 def test_grad_check_command(tmp_path, capsys, monkeypatch):

@@ -1,12 +1,16 @@
 """Evaluation harnesses: CTR/top-K protocol, ablation, noise robustness."""
 import csv
 import io
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from recall_oracle import loop_recall_at_k, same_bits
 
+from kgtn import autodiff as ad
 from kgtn import experiments, training
 from kgtn.config import ExperimentConfig
 from kgtn.data import synthetic_dataset
@@ -133,6 +137,96 @@ def test_recall_bitwise_across_blocks(wide, monkeypatch):
     normal = rng.normal(size=(wide.n_users, 6)), rng.normal(size=(wide.n_items, 6))
     for zu, zi in (_tie_heavy(wide, seed=4), normal):
         _assert_matches_loop(zu, zi, wide, (1, 4, 10))
+
+
+@pytest.fixture(scope="module")
+def hundred(wide):
+    """`wide` with test positives for its first 100 users only."""
+    test = wide.split.test
+    kept = test[(test[:, 2] == 0) | (test[:, 0] < 100)]
+    ds = wide.with_split(replace(wide.split, test=kept))
+    assert _test_users(ds).size == 100
+    return ds
+
+
+def _mixed_scores(ds):
+    """Tie-heavy scores with whole NaN rows, and rows scoring -inf on every
+    item: every key +inf, as a training positive's is."""
+    zu, zi = _tie_heavy(ds, seed=9)
+    zi[:, 0] = np.abs(zi[:, 0]) + 1.0
+    users = _test_users(ds)
+    zu[users[::9]] = np.nan
+    zu[users[4::9]] = (-np.inf, 0.0, 0.0)
+    return zu, zi
+
+
+def _spy_blocks(monkeypatch):
+    """Record the thread and the score buffer of every ranked block."""
+    seen = []
+    ranked_top = experiments._ranked_top
+
+    def spied(keys, top):
+        seen.append((threading.current_thread().name, keys.base))
+        return ranked_top(keys, top)
+
+    monkeypatch.setattr(experiments, "_ranked_top", spied)
+    return seen
+
+
+@pytest.mark.parametrize("cores", (1, 2, 3))
+def test_recall_split_over_cores_matches_the_oracle_bitwise(hundred, monkeypatch, cores):
+    monkeypatch.setattr(ad, "_cores", lambda: cores)
+    # 24 rows a block inline; 12 on 2 cores and 8 on 3: 5, 9 and 13 blocks
+    monkeypatch.setattr(experiments, "RECALL_BLOCK_SCORES", 24 * hundred.n_items)
+    seen = _spy_blocks(monkeypatch)
+    zu, zi = _mixed_scores(hundred)
+    _assert_matches_loop(zu, zi, hundred, (1, 4, 10, 40))
+    assert len(seen) % 2 == 1 and len(seen) > 1
+    threads = {name for name, _ in seen}
+    assert threading.current_thread().name in threads
+    workers = threads - {threading.current_thread().name}
+    assert all(name.startswith("kgtn-worker") for name in workers)
+    assert bool(workers) == (cores > 1)
+
+
+@pytest.mark.parametrize("cores, rows", ((2, 25), (3, 25), (3, 5)))
+def test_recall_blocks_in_flight_hold_at_most_the_block_scores(hundred, monkeypatch, cores, rows):
+    monkeypatch.setattr(ad, "_cores", lambda: cores)
+    monkeypatch.setattr(experiments, "RECALL_BLOCK_SCORES", rows * hundred.n_items + 7)
+    seen = _spy_blocks(monkeypatch)
+    experiments.recall_at_k(*_mixed_scores(hundred), hundred, ks=(3,))
+    buffers = {id(base): base for _, base in seen}
+    assert len(buffers) == cores   # one buffer per lane, written by every block of the lane
+    assert sum(b.size for b in buffers.values()) <= experiments.RECALL_BLOCK_SCORES
+
+
+def test_recall_on_more_lanes_than_cores_under_fast_thread_switches(hundred, monkeypatch):
+    # seven lanes of one-row blocks: 100 blocks whose recalls land in one
+    # shared list, each lane writing only its own entries
+    pool = ThreadPoolExecutor(max_workers=6, thread_name_prefix="kgtn-worker")
+    monkeypatch.setattr(ad, "_cores", lambda: 7)
+    monkeypatch.setattr(ad, "_executor", lambda: pool)
+    monkeypatch.setattr(experiments, "RECALL_BLOCK_SCORES", 7 * hundred.n_items)
+    seen = _spy_blocks(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(3):
+            zu, zi = _tie_heavy(hundred, seed=20 + seed)
+            _assert_matches_loop(zu, zi, hundred, (1, 4, 10))
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown(wait=True)
+    assert len(seen) == 300 and len({id(base) for _, base in seen}) == 3 * 7
+
+
+def test_recall_in_one_block_runs_inline_and_starts_no_thread(hundred, monkeypatch):
+    monkeypatch.setattr(ad, "_cores", lambda: 2)
+    monkeypatch.setattr(ad, "_executor", lambda: pytest.fail("the pool was asked for"))
+    seen = _spy_blocks(monkeypatch)
+    zu, zi = _mixed_scores(hundred)
+    _assert_matches_loop(zu, zi, hundred, (1, 4, 10))
+    assert [name for name, _ in seen] == [threading.current_thread().name]
 
 
 def test_recall_counts_a_repeated_k_once(wide):

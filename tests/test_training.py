@@ -4,8 +4,11 @@ import gc
 import hashlib
 import inspect
 import math
+import os
 import resource
 import struct
+import tempfile
+import threading
 import types
 
 import numpy as np
@@ -309,7 +312,7 @@ def test_pooled_fits_write_identical_metric_logs(tmp_path, monkeypatch, infonce_
         path = tmp_path / f"metrics{len(logs)}.csv"
         training.write_metric_log(path, training.fit(cfg, tiny_dataset).log)
         logs.append(path.read_bytes())
-    assert any(name.startswith("kgtn-infonce") for name in infonce_pool)
+    assert any(name.startswith("kgtn-worker") for name in infonce_pool)
     # two pooled fits, and the inline fit, bit for bit
     assert logs[0] == logs[1] == logs[2]
 
@@ -979,13 +982,50 @@ def test_heap_policy_on_a_libc_without_mallopt_or_refusing_it_changes_nothing():
         return 0
 
     assert kgtn._keep_heap(types.SimpleNamespace(mallopt=mallopt)) is False
-    assert len(calls) == 1   # the first threshold was refused: the second is not set
+    assert len(calls) == 1   # the first threshold was refused: nothing after it is set
+
+
+def test_heap_policy_sets_both_thresholds_then_one_arena():
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    assert kgtn._keep_heap(types.SimpleNamespace(mallopt=mallopt)) is True
+    assert calls == [(-3, 32 << 20), (-1, 2**31 - 1), (-8, 1)]   # M_ARENA_MAX = 1 last
+
+
+def _heap_count(libc):
+    """Arenas glibc reports in `malloc_info`."""
+    libc.fopen.restype = ctypes.c_void_p
+    libc.fopen.argtypes = (ctypes.c_char_p, ctypes.c_char_p)
+    libc.fclose.argtypes = (ctypes.c_void_p,)
+    libc.malloc_info.argtypes = (ctypes.c_int, ctypes.c_void_p)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "malloc.xml")
+        stream = libc.fopen(path.encode(), b"w")
+        assert stream and libc.malloc_info(0, stream) == 0
+        libc.fclose(stream)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().count("<heap nr=")
 
 
 def test_heap_policy_applies_twice_without_harm():
-    assert kgtn._keep_heap(ctypes.CDLL(None)) is kgtn.HEAP_KEPT
+    libc = ctypes.CDLL(None)
+    assert kgtn._keep_heap(libc) is kgtn.HEAP_KEPT
     block = np.ones(1 << 20)   # 8 MiB: under the kept threshold
     assert block.sum() == 1 << 20
+    if not (kgtn.HEAP_KEPT and hasattr(libc, "malloc_info")):
+        return
+    # a new thread allocates from an arena that exists; glibc's default
+    # would give it one of its own
+    before = _heap_count(libc)
+    worker = threading.Thread(target=lambda: [np.ones(1000) for _ in range(10)])
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert _heap_count(libc) == before
 
 
 # ---------------------------------------------------------------------------
