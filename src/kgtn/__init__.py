@@ -90,9 +90,13 @@ def _keep_heap(libc):
     The process also keeps one arena: a worker thread (`infonce`,
     `recall_at_k`) allocates from, and frees into, the heap the calling
     thread reuses, instead of an arena of its own that would keep its
-    freed blocks apart. A libc without `mallopt`, or one that refuses the
-    mmap threshold, is left unchanged (the trim and arena calls, which
-    glibc never refuses, come after it).
+    freed blocks apart. The cost: every thread of the importing process,
+    its own threads too, shares that arena and its lock, so threads that
+    allocate at the same time wait on each other.
+
+    A libc without `mallopt`, or one that refuses the mmap threshold, is
+    left unchanged (the trim and arena calls, which glibc never refuses,
+    come after it).
     """
     mallopt = getattr(libc, "mallopt", None)
     if mallopt is None:

@@ -25,12 +25,24 @@ def fingerprint():
     return _fingerprint
 
 
+def _drop_pool(executor):
+    """Shut down the process's worker pool, if one was started, so the next
+    pooled call starts one sized by the `_cores()` in force then."""
+    if executor.cache_info().currsize:
+        executor().shutdown(wait=True)
+        executor.cache_clear()
+
+
 @pytest.fixture
 def infonce_pool(monkeypatch):
     """Force the pooled InfoNCE path on any machine: slabs of one row and two
-    cores. Returns the list that names the thread of every slab loop run."""
+    cores. Returns the list that names the thread of every slab loop run.
+
+    The pool is dropped before and after the test, so the test's pool has
+    as many workers as the `_cores` it patches in."""
     threads = []
     run = ad._InfonceTerm.run
+    executor = ad._executor
 
     def spied_run(term):
         threads.append(threading.current_thread().name)
@@ -39,4 +51,6 @@ def infonce_pool(monkeypatch):
     monkeypatch.setattr(ad._InfonceTerm, "run", spied_run)
     monkeypatch.setattr(ad, "INFONCE_SLAB_BYTES", 8)
     monkeypatch.setattr(ad, "_cores", lambda: 2)
-    return threads
+    _drop_pool(executor)
+    yield threads
+    _drop_pool(executor)

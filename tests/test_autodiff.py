@@ -1180,6 +1180,7 @@ def test_infonce_pool_matches_inline_bitwise(monkeypatch, infonce_pool, cores, i
         sys.setswitchinterval(interval)
     assert len(infonce_pool) == 6
     assert all(name.startswith("kgtn-worker") for name in infonce_pool)
+    assert ad._executor()._max_workers == cores
     infonce_pool.clear()
     monkeypatch.setattr(ad, "_cores", lambda: 1)
     inline = _infonce_terms(pairs, 0.3, include_positive)

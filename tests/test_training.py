@@ -7,8 +7,8 @@ import math
 import os
 import resource
 import struct
-import tempfile
-import threading
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -996,12 +996,34 @@ def test_heap_policy_sets_both_thresholds_then_one_arena():
     assert calls == [(-3, 32 << 20), (-1, 2**31 - 1), (-8, 1)]   # M_ARENA_MAX = 1 last
 
 
-def _heap_count(libc):
-    """Arenas glibc reports in `malloc_info`."""
-    libc.fopen.restype = ctypes.c_void_p
-    libc.fopen.argtypes = (ctypes.c_char_p, ctypes.c_char_p)
-    libc.fclose.argtypes = (ctypes.c_void_p,)
-    libc.malloc_info.argtypes = (ctypes.c_int, ctypes.c_void_p)
+def test_heap_policy_applies_twice_without_harm():
+    assert kgtn._keep_heap(ctypes.CDLL(None)) is kgtn.HEAP_KEPT
+    block = np.ones(1 << 20)   # 8 MiB: under the kept threshold
+    assert block.sum() == 1 << 20
+
+
+# Run in a fresh process, so no thread that exited earlier has left a free
+# arena behind that a new thread would take instead of making its own.
+# Prints the arenas `malloc_info` reports before and after four threads
+# allocate at the same time.
+_ARENA_PROBE = """
+import ctypes, os, sys, tempfile, threading
+import numpy as np
+import kgtn
+
+libc = ctypes.CDLL(None)
+libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+if sys.argv[1] == "twice":
+    assert kgtn._keep_heap(libc) is True
+else:   # the arena limit glibc would otherwise apply: 8 per core
+    assert libc.mallopt(-8, 8 * os.cpu_count()) == 1
+libc.fopen.restype = ctypes.c_void_p
+libc.fopen.argtypes = (ctypes.c_char_p, ctypes.c_char_p)
+libc.fclose.argtypes = (ctypes.c_void_p,)
+libc.malloc_info.argtypes = (ctypes.c_int, ctypes.c_void_p)
+
+
+def heaps():
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "malloc.xml")
         stream = libc.fopen(path.encode(), b"w")
@@ -1011,21 +1033,42 @@ def _heap_count(libc):
             return fh.read().count("<heap nr=")
 
 
-def test_heap_policy_applies_twice_without_harm():
-    libc = ctypes.CDLL(None)
-    assert kgtn._keep_heap(libc) is kgtn.HEAP_KEPT
-    block = np.ones(1 << 20)   # 8 MiB: under the kept threshold
-    assert block.sum() == 1 << 20
-    if not (kgtn.HEAP_KEPT and hasattr(libc, "malloc_info")):
-        return
-    # a new thread allocates from an arena that exists; glibc's default
-    # would give it one of its own
-    before = _heap_count(libc)
-    worker = threading.Thread(target=lambda: [np.ones(1000) for _ in range(10)])
-    worker.start()
-    worker.join(timeout=60)
-    assert not worker.is_alive()
-    assert _heap_count(libc) == before
+before = heaps()
+together = threading.Barrier(4)
+
+
+def work():
+    held = np.ones(1000)
+    together.wait()
+    held += np.ones(1000)
+    together.wait()
+
+
+threads = [threading.Thread(target=work) for _ in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+print(before, heaps())
+"""
+
+
+@kept_heap
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "malloc_info"), reason="no malloc_info")
+def test_heap_policy_keeps_new_threads_in_one_arena():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    counts = {}
+    for mode in ("twice", "per-thread"):
+        proc = subprocess.run([sys.executable, "-c", _ARENA_PROBE, mode], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        counts[mode] = tuple(int(n) for n in proc.stdout.split())
+    before, after = counts["twice"]
+    assert after == before   # the threads allocated from an arena that exists
+    before, after = counts["per-thread"]
+    assert after > before    # with glibc's limit, they would have made their own
 
 
 # ---------------------------------------------------------------------------
