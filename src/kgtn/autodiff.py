@@ -40,8 +40,10 @@ Gradient lifetime differs between leaves and intermediates:
   gradient to the node's backward function, which pushes it to the
   operands. A node whose output received no gradient is skipped. After
   `backward` returns, only leaves carry gradients.
-  The closures and the forward values they captured stay alive until the
-  tape is dropped.
+  The replay also drops each node once it has run: the output tensor and
+  the closure, with the forward values it captured. A forward array is
+  thus freed as soon as the last node that reads it has run (unless the
+  caller holds it), and a replayed tape holds only its op names.
 
 Backward does only the work a gradient needs:
 - The first contribution to a tensor without a `.grad` buffer becomes the
@@ -180,7 +182,12 @@ def parameter(values):
 
 
 class Tape:
-    """Ordered record of executed primitives; replayed backward once."""
+    """Ordered record of executed primitives; replayed backward once.
+
+    The replay releases each node's output and closure as soon as the node
+    has run, so a replayed tape holds no arrays, only the names of the ops
+    it recorded: `len(tape)` and `op_counts()` read the same after it.
+    """
 
     def __init__(self):
         self._nodes = []
@@ -210,10 +217,13 @@ class Tape:
     def backward(self, loss):
         """Accumulate d loss / d leaf into every reachable leaf's .grad.
 
-        Each recorded output's `.grad` is released once its node has run, so
-        afterwards only leaves hold gradients. A tape replays once: calling
-        `backward` again raises `ContractError` (a rejected loss does not
-        count as a replay).
+        Each node is dropped from the tape as soon as it has run: its output
+        tensor, with its `.grad`, and its backward closure, with the forward
+        arrays that closure captured. Every consumer of an output runs before
+        the node that made it, so a forward array is freed once its last
+        reader has run, unless the caller still holds it. Afterwards only
+        leaves hold gradients. A tape replays once: calling `backward` again
+        raises `ContractError` (a rejected loss does not count as a replay).
         """
         if not isinstance(loss, Tensor):
             raise ContractError("backward expects a Tensor loss")
@@ -225,7 +235,10 @@ class Tape:
             raise ContractError("tape already replayed; a tape supports one backward")
         self._replayed = True
         loss.grad = np.ones((), dtype=np.float64)
-        for _, out, backward_fn in reversed(self._nodes):
+        nodes = self._nodes
+        for k in range(len(nodes) - 1, -1, -1):
+            name, out, backward_fn = nodes[k]
+            nodes[k] = (name, None, None)
             g = out.grad
             if g is not None:
                 out.grad = None

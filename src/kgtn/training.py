@@ -282,17 +282,32 @@ def training_step_loss(params, dataset, view, cfg, batch):
 
 
 def sample_bpr_negatives(graph, users, rng):
-    """One uniformly drawn non-interacted item per user row (with rejection)."""
+    """One uniformly drawn non-interacted item per user row (with rejection).
+
+    One vector draw gives every row its first candidate, and one
+    `searchsorted` of the flat (user, item) keys over the sorted, unique
+    `graph.pairs` tests them all. Only the rejected rows, in ascending
+    order, redraw one scalar at a time until `graph.has` rejects no more,
+    which is the draw order of a per-row loop, so the negatives and the
+    generator's state are the same.
+    """
     n_items = graph.n_items
     negs = rng.integers(0, n_items, size=users.shape[0])
-    for k in range(users.shape[0]):
+    keys = users * n_items + negs
+    pair_keys = graph.pairs[:, 0] * n_items + graph.pairs[:, 1]
+    at = np.searchsorted(pair_keys, keys)
+    rejected = at < pair_keys.size
+    rejected[rejected] = pair_keys[at[rejected]] == keys[rejected]
+    for k in np.flatnonzero(rejected):
         u = int(users[k])
         guard = 0
-        while graph.has(u, int(negs[k])):
+        while True:
             negs[k] = rng.integers(0, n_items)
             guard += 1
             if guard > 100 * n_items:
                 raise ContractError(f"user {u} has no negative items to sample")
+            if not graph.has(u, int(negs[k])):
+                break
     return negs
 
 
@@ -365,6 +380,10 @@ def fit(cfg, dataset):
     stopping watches eval AUC with the configured patience and restores the
     best parameters. Non-finite losses or gradients abort with the last
     completed epoch's parameters attached.
+
+    Each completed epoch takes one snapshot of the parameters: the best
+    epoch's snapshot is that same dict, which nothing writes, so a best
+    epoch costs no second copy.
     """
     rng = np.random.default_rng(cfg.seed)
     params = ModelParameters.initialize(
@@ -433,7 +452,7 @@ def fit(cfg, dataset):
             if eval_auc > best_auc:
                 best_auc = eval_auc
                 best_epoch = epoch
-                best_values = params.copy_values()
+                best_values = last_good
             elif epoch - best_epoch >= cfg.patience:
                 stopped = True
                 break

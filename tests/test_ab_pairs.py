@@ -1,5 +1,6 @@
 """The alternating-pairs summary of tools/ab_pairs.py, on made-up runs."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -102,3 +103,80 @@ def test_sides_run_in_different_environments_fail_the_run():
     runs[1][1]["env"] = two
     assert ab_pairs.environments(runs) == ([one], sorted([one, two]))
     assert ab_pairs.exit_status(runs) == 1
+
+
+WORKLOADS = ("toy-overfit", "lastfm-train", "lastfm-eval")
+
+
+@pytest.fixture
+def checkouts(tmp_path):
+    """A parent and a change checkout, each with a run script and a benchmark
+    of three workloads and one end-to-end metric."""
+    bench = {"workloads": [{"name": w} for w in WORKLOADS],
+             "end_to_end": [{"name": "step_ms_p50", "better": "lower", "bound": 0.25}]}
+    roots = []
+    for side in ab_pairs.SIDES:
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench))
+        roots.append(str(tmp_path / side))
+    return roots
+
+
+FAULTS = {"incorrect": {"correct": False}, "failed": {"failed": 1, "attempted": 4},
+          "env": {"env": '{"nproc": 1}'}}
+
+
+def _fake_runs(monkeypatch, broken=None, fault="incorrect"):
+    """Made-up runs; the change's runs of workload `broken` have `fault`."""
+    calls = []
+
+    def run_once(root, workload, seed):
+        calls.append((Path(root).name, workload, seed))
+        run = _run(attempted=4, step_ms_p50=10.0 + seed)
+        run["env"] = '{"nproc": 2}'
+        if workload == broken and Path(root).name == "change":
+            run.update(FAULTS[fault])
+        return run
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    return calls
+
+
+def _main(checkouts, workload, pairs=2):
+    parent, change = checkouts
+    return ab_pairs.main(["--parent", parent, "--change", change, "--workload", workload,
+                          "--pairs", str(pairs), "--seeds", "1,13"])
+
+
+def test_all_runs_every_workload_of_the_benchmark_with_one_table_each(
+        checkouts, monkeypatch, capsys):
+    calls = _fake_runs(monkeypatch)
+    assert _main(checkouts, "all") == 0
+    out = capsys.readouterr().out
+    # workload by workload, each pair alternating which side goes first
+    assert calls == [(side, w, seed) for w in WORKLOADS
+                     for sides, seed in ((("parent", "change"), 1), (("change", "parent"), 13))
+                     for side in sides]
+    tables = [line for line in out.splitlines() if "median [quartiles] per side" in line]
+    assert tables == [f"{w}: 2 pairs, seeds [1, 13], median [quartiles] per side"
+                      for w in WORKLOADS]
+    assert out.count("step_ms_p50    parent") == 3
+
+
+def test_a_comma_list_runs_only_the_named_workloads(checkouts, monkeypatch, capsys):
+    calls = _fake_runs(monkeypatch)
+    assert _main(checkouts, "lastfm-eval,toy-overfit", pairs=1) == 0
+    assert [w for _, w, _ in calls] == ["lastfm-eval"] * 2 + ["toy-overfit"] * 2
+    with pytest.raises(SystemExit):
+        _main(checkouts, "toy-overfit,no-such-workload")
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("broken", WORKLOADS)
+def test_a_fault_on_any_workload_fails_the_run(checkouts, monkeypatch, capsys, broken, fault):
+    calls = _fake_runs(monkeypatch, broken=broken, fault=fault)
+    assert _main(checkouts, "all") == 1
+    # the other workloads still run and report
+    assert {w for _, w, _ in calls} == set(WORKLOADS)
+    assert capsys.readouterr().out.count("median [quartiles] per side") == 3

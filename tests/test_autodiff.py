@@ -5,6 +5,7 @@ import multiprocessing
 import re
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -257,6 +258,37 @@ def test_rejected_loss_leaves_tape_replayable():
         tape.backward(out)
     tape.backward(loss)
     np.testing.assert_array_equal(p.grad, np.full(3, 2.0))
+
+
+def test_backward_releases_each_node_once_it_has_run():
+    p = ad.parameter(RNG.normal(size=(5, 3)))
+    w = RNG.normal(size=(5, 3))
+    want = (2.0 * p.values * w + 1.0) * w
+    closure_only = weakref.ref(w)  # after `del w`, only mul's closure holds it
+    with ad.Tape() as tape:
+        h = ad.mul(p, w)
+        del w
+        h = ad.add(ad.mul(h, h), ad.matmul(h, ad.constant(np.eye(3))))
+        loss = ad.sum_all(h)
+    del h
+    outputs = [weakref.ref(out.values) for _, out, _ in tape._nodes if out is not loss]
+    names, counts = [name for name, _, _ in tape._nodes], tape.op_counts()
+    assert len(outputs) == len(names) - 1 == 4 and closure_only() is not None
+
+    # the first node runs last: by then every later node has been released
+    def checked(g, first_fn=tape._nodes[0][2]):
+        assert [r for r in outputs[1:] if r() is not None] == []
+        first_fn(g)
+
+    tape._nodes[0] = tape._nodes[0][:2] + (checked,)
+    del checked
+    tape.backward(loss)
+    assert [r for r in outputs if r() is not None] == [] and closure_only() is None
+    np.testing.assert_allclose(p.grad, want, rtol=1e-12)
+    assert [name for name, _, _ in tape._nodes] == names and tape.op_counts() == counts
+    assert len(tape) == len(names) and loss.grad is None
+    with pytest.raises(ContractError, match="already replayed"):
+        tape.backward(loss)
 
 
 def test_gradients_accumulate_across_uses():
@@ -1159,11 +1191,13 @@ def _infonce_terms(pairs, tau, include_positive):
     with ad.Tape() as tape:
         out = ad.infonce(leaves, tau, include_positive)
         loss = ad.mul(out, 2.5)
-    tape.backward(loss)
     recorded = [node for name, node, _ in tape._nodes if name == "infonce"]
     assert len(recorded) == 1 and recorded[0] is out
-    return (out.item(), [(g.grad.tobytes(), l.grad.tobytes()) for g, l, _ in leaves],
-            [name for name, _, _ in tape._nodes])
+    names = [name for name, _, _ in tape._nodes]
+    tape.backward(loss)
+    # the replay keeps each node's name and releases its output and closure
+    assert tape._nodes == [(name, None, None) for name in names]
+    return (out.item(), [(g.grad.tobytes(), l.grad.tobytes()) for g, l, _ in leaves], names)
 
 
 @pytest.mark.parametrize("include_positive", [False, True])

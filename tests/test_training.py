@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -301,6 +302,57 @@ def test_build_bpr_triples_names_why_no_positive_trains():
     full = data.InteractionGraph(2, 3, [(0, 0), (0, 1), (0, 2)])
     with pytest.raises(ContractError, match="every user covers all items"):
         training.build_bpr_triples(full, full.pairs, rng)
+
+
+def _loop_negatives(graph, users, rng):
+    """The per-row rejection loop: each row draws until its item is new."""
+    negs = rng.integers(0, graph.n_items, size=users.shape[0])
+    for k in range(users.shape[0]):
+        u = int(users[k])
+        guard = 0
+        while graph.has(u, int(negs[k])):
+            negs[k] = rng.integers(0, graph.n_items)
+            guard += 1
+            if guard > 100 * graph.n_items:
+                raise ContractError(f"user {u} has no negative items to sample")
+    return negs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_negatives_equal_the_per_row_loop_and_its_stream(seed):
+    rng = np.random.default_rng(seed)
+    n_users, n_items = 9, 11
+    # degrees from none to one item short of full: most first draws of the
+    # near-full users are rejected, some many times over
+    degrees = [0, 1, 2, 5, 8, 9, 10, 10, int(rng.integers(0, 11))]
+    pairs = [(u, i) for u, d in enumerate(degrees)
+             for i in rng.choice(n_items, size=d, replace=False)]
+    graph = data.InteractionGraph(n_users, n_items, pairs)
+    users = rng.integers(0, n_users, size=300)
+    for rows in (users, users[:1], users[:0]):
+        got_rng, want_rng = np.random.default_rng(seed + 50), np.random.default_rng(seed + 50)
+        got = training.sample_bpr_negatives(graph, rows, got_rng)
+        want = _loop_negatives(graph, rows, want_rng)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert not any(graph.has(int(u), int(i)) for u, i in zip(rows, got))
+    # a graph without pairs rejects no draw
+    empty = data.InteractionGraph(2, 3, np.empty((0, 2), dtype=np.int64))
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = training.sample_bpr_negatives(empty, users[:7] % 2, got_rng)
+    assert np.array_equal(got, _loop_negatives(empty, users[:7] % 2, want_rng))
+
+
+def test_negatives_of_a_user_without_any_raise():
+    graph = data.InteractionGraph(2, 3, [(0, 1), (1, 0), (1, 1), (1, 2)])
+    states = []
+    for sample in (training.sample_bpr_negatives, _loop_negatives):
+        rng = np.random.default_rng(4)
+        with pytest.raises(ContractError, match="user 1 has no negative items"):
+            sample(graph, np.array([0, 1, 0]), rng)
+        states.append(rng.bit_generator.state)
+    # both give up after the same number of draws
+    assert states[0] == states[1]
 
 
 def test_pooled_fits_write_identical_metric_logs(tmp_path, monkeypatch, infonce_pool,
@@ -685,14 +737,16 @@ def test_backward_leaves_grads_only_on_parameters(tiny_dataset):
     before = _tensors_with_grad()  # kept alive, so no id is reused
     with ad.Tape() as tape:
         loss, _ = training.training_step_loss(params, tiny_dataset, view, cfg, batch)
+    outputs = [weakref.ref(out.values) for _, out, _ in tape._nodes if out is not loss]
+    n_nodes = len(tape)
     tape.backward(loss)
-    # every node's closure still holds its output, yet no output keeps a grad
-    recorded = [o for o in gc.get_objects() if isinstance(o, ad.Tensor) and o.requires_grad]
+    # the replay released every recorded output but the caller's loss, and
+    # no output keeps a grad
+    assert [r for r in outputs if r() is not None] == []
     leaves = {id(p): name for name, p in params.named()}
-    assert len(recorded) >= len(tape) + len(leaves)
     held = {k for k in _tensors_with_grad() if k not in before or k in leaves}
     assert held == set(leaves)
-    assert len(tape) > 0 and loss.grad is None
+    assert len(tape) == n_nodes > 0 and loss.grad is None
 
 
 def _live_arrays():
@@ -797,6 +851,51 @@ def test_fit_divergence_aborts_with_last_good(tiny_dataset, monkeypatch):
         training.fit(cfg, tiny_dataset)
     assert err.value.last_good is not None
     assert "user_emb" in err.value.last_good
+
+
+def _scripted_eval(monkeypatch, aucs):
+    """Eval reads the given AUCs in turn; returns each epoch's parameters as
+    fit evaluates them."""
+    snapshots, real = [], training.representations
+    aucs = iter(aucs)
+
+    def snapshot(params, *args):
+        snapshots.append(params.copy_values())
+        return real(params, *args)
+
+    monkeypatch.setattr(training, "representations", snapshot)
+    monkeypatch.setattr(training.metrics, "ctr_eval", lambda *_: (next(aucs), 0.5))
+    return snapshots
+
+
+def _same_values(got, want):
+    return got.keys() == want.keys() and all(
+        got[k].tobytes() == want[k].tobytes() for k in want)
+
+
+def test_fit_restores_a_best_epoch_that_is_not_the_last(tiny_dataset, monkeypatch):
+    snapshots = _scripted_eval(monkeypatch, [0.6, 0.7, 0.65])
+    result = training.fit(small_cfg(epochs=3, batch_size=1024), tiny_dataset)
+    assert [row["eval_auc"] for row in result.log] == [0.6, 0.7, 0.65]
+    assert result.best_epoch == 1 and not _same_values(snapshots[1], snapshots[2])
+    assert _same_values(result.params.copy_values(), snapshots[1])
+
+
+def test_divergence_after_a_best_epoch_reports_the_last_completed_one(tiny_dataset,
+                                                                      monkeypatch):
+    snapshots = _scripted_eval(monkeypatch, [0.6, 0.7, 0.65])
+    real = training.training_step_loss
+
+    def wrecked(*args, **kwargs):
+        total, parts = real(*args, **kwargs)
+        # the first step after the third epoch's evaluation diverges
+        return (ad.constant(float("nan")) if len(snapshots) == 3 else total), parts
+
+    monkeypatch.setattr(training, "training_step_loss", wrecked)
+    with pytest.raises(TrainingDiverged, match="non-finite loss at epoch 3") as err:
+        training.fit(small_cfg(epochs=10, batch_size=1024), tiny_dataset)
+    assert not _same_values(snapshots[1], snapshots[2])
+    assert _same_values(err.value.last_good, snapshots[2])
 
 
 @pytest.fixture(scope="module")

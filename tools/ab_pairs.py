@@ -3,6 +3,10 @@
     python3 tools/ab_pairs.py --parent ../kgtn-parent --change . \
         --workload toy-overfit --pairs 10 --seeds 1,13
 
+`--workload` takes one workload name, a comma-separated list of them, or
+`all` for every workload in the change's BENCHMARK.json; the workloads run
+one after another, each with its own pairs and its own summary table.
+
 Each pair runs `perfbench/run.py --workload W --seed S --trace 0` once in
 each checkout, every run in a fresh process from the root of its checkout
 and with the benchmark's own run length.
@@ -27,9 +31,9 @@ It also prints each side's failed share, the failed operations summed over
 its runs divided by the attempted ones, and each side's `env` lines (core
 count, BLAS and its thread count, versions), one per distinct line among
 its runs: a timing compares the two sides only on the same environment.
-The exit status is nonzero when a run is not `correct`, the change's
-failed share is larger than the parent's, or the two sides' env lines
-differ.
+The exit status is nonzero when, on any workload, a run is not `correct`,
+the change's failed share is larger than the parent's, or the two sides'
+env lines differ.
 """
 from __future__ import annotations
 
@@ -47,7 +51,8 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload, a comma-separated list of them, or 'all'")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", default="1,13", help="comma-separated workload seeds")
     args = parser.parse_args(argv)
@@ -57,6 +62,15 @@ def parse_args(argv):
     for side in SIDES:
         if not (getattr(args, side) / "perfbench" / "run.py").is_file():
             parser.error(f"--{side}: no perfbench/run.py under {getattr(args, side)}")
+    with open(args.change / "BENCHMARK.json", encoding="utf-8") as fh:
+        args.benchmark = json.load(fh)
+    known = [w["name"] for w in args.benchmark["workloads"]]
+    asked = [w.strip() for w in args.workload.split(",") if w.strip()]
+    args.workloads = known if asked == ["all"] else asked
+    unknown = [w for w in args.workloads if w not in known]
+    if unknown or not args.workloads:
+        parser.error(f"--workload: {', '.join(unknown) or 'none given'}; "
+                     f"BENCHMARK.json names {', '.join(known)}")
     return args
 
 
@@ -135,24 +149,26 @@ def exit_status(runs):
     return 0 if correct and change_share <= parent_share and parent_env == change_env else 1
 
 
-def main(argv=None):
-    args = parse_args(argv)
-    with open(args.change / "BENCHMARK.json", encoding="utf-8") as fh:
-        end_to_end = json.load(fh)["end_to_end"]
+def run_pairs(args, workload):
+    """The alternating (parent, change) result pairs of one workload."""
     runs = []
     for k in range(args.pairs):
         seed = args.seeds[k % len(args.seeds)]
         order = SIDES if k % 2 == 0 else SIDES[::-1]
-        result = {side: run_once(getattr(args, side), args.workload, seed) for side in order}
+        result = {side: run_once(getattr(args, side), workload, seed) for side in order}
         runs.append((result["parent"], result["change"]))
         for side in SIDES:
             r = result[side]
             shown = " ".join(f"{name}={m['value']:.6g}" for name, m in r["metrics"].items()
                              if m["value"] is not None)
-            print(f"pair {k} seed {seed} {side:<6} correct={r['correct']} "
+            print(f"{workload} pair {k} seed {seed} {side:<6} correct={r['correct']} "
                   f"failed={r['failed']}/{r['attempted']} {shown}", flush=True)
-    print(f"{args.workload}: {args.pairs} pairs, seeds {args.seeds}, "
-          "median [quartiles] per side")
+    return runs
+
+
+def report(workload, runs, end_to_end, seeds):
+    """Print one workload's summary table; returns its exit status."""
+    print(f"{workload}: {len(runs)} pairs, seeds {seeds}, median [quartiles] per side")
     for entry in end_to_end:
         print(summarize(entry["name"], entry["better"], runs, entry["bound"]))
     print("  failed share   " + "  ".join(
@@ -161,6 +177,15 @@ def main(argv=None):
         for env in envs:
             print(f"  env {side:<6} {env}")
     return exit_status(runs)
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    status = 0
+    for workload in args.workloads:
+        runs = run_pairs(args, workload)
+        status = max(status, report(workload, runs, args.benchmark["end_to_end"], args.seeds))
+    return status
 
 
 if __name__ == "__main__":
