@@ -96,20 +96,18 @@ Forward ops never mutate their inputs; only `.grad` buffers change during
 backward. Recording and backward run on the calling thread and use no
 other. The one op that runs threads is an `infonce` call of several
 terms: when the process may use more than one core and some term spans
-more than one slab, the terms' slab loops run on `min(terms, cores)`
-threads of the process's one worker pool (`_executor`, one thread per
-core, started on first use; `experiments.recall_at_k` ranks its user
-blocks on the same pool). Those loops only fill buffers the calling
-thread allocated; the calling thread checks every operand and reads its
-rows first, waits for every loop, and records the one node.
+more than one slab, each term runs whole on a thread of the process's one
+worker pool (`_executor`, one thread per core, started on first use;
+`experiments.recall_at_k` ranks its user blocks on the same pool). The
+calling thread checks every operand and reads its rows first, waits for
+every term, and records the one node.
 """
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property, lru_cache
-from itertools import islice
 
 import numpy as np
 from scipy import sparse
@@ -884,16 +882,12 @@ if hasattr(os, "register_at_fork"):
 
 
 class _InfonceTerm:
-    """One InfoNCE term, in three steps: `allocate` and `finish` run on the
-    calling thread, `run` on any thread, and only `run` does the slab work.
+    """One InfoNCE term: `__init__` checks it and reads its rows on the
+    calling thread, `run` does the slab work on any thread.
 
-    The calling thread allocates every array `run` writes and `finish`
-    drops them, so a term holds its buffers only while its loop runs:
-    `_run_pooled` allocates a term just before submitting it, and at most
-    one term per worker holds buffers at once. Where the arrays are freed
-    no longer matters to the heap: `import kgtn` keeps one malloc arena
-    (`kgtn.HEAP_KEPT`), so a block freed by any thread goes back to the
-    heap the calling thread allocates from.
+    `run` allocates every buffer it writes and drops them when it returns,
+    keeping only the value and the (b, d) gradients on the table rows, so a
+    term holds its buffers only while it runs.
     """
 
     def __init__(self, global_table, local_table, rows, tau, include_positive):
@@ -914,28 +908,28 @@ class _InfonceTerm:
         self.requires_grad = _needs_grad(global_table, local_table)
         self.slab = max(1, INFONCE_SLAB_BYTES // (2 * b * 8))
 
-    def allocate(self):
-        gv, lv = self.views
-        # the unit rows of both views, stacked: keys = [ln; gn]
-        self.keys = np.empty((2 * self.b, gv.shape[1]))
-        self.ln, self.gn = self.keys[:self.b], self.keys[self.b:]
-        np.multiply(lv, (1.0 / self.l_norms)[:, None], out=self.ln)
-        np.multiply(gv, (1.0 / self.g_norms)[:, None], out=self.gn)
-        self.queries = self.gn * (1.0 / self.tau)
-        if self.requires_grad:
-            self.d_gn = np.empty_like(self.gn)
-            self.d_keys = np.zeros_like(self.keys)
-        self.terms = np.empty(self.b)
-        self.block = np.empty((min(self.slab, self.b), 2 * self.b))
-
     def run(self):
-        """Fill `terms` (and the gradients) slab by slab, in place."""
-        b, tau, gn, keys = self.b, self.tau, self.gn, self.keys
-        for r0 in range(0, b, self.slab):
-            r1 = min(r0 + self.slab, b)
+        """Set `value` and `grads`, the (table, (b, d) gradient) pairs of the
+        tracked tables, forming the logit block slab by slab."""
+        b, tau, slab = self.b, self.tau, self.slab
+        gv, lv = self.views
+        del self.views
+        # the unit rows of both views, stacked: keys = [ln; gn]
+        keys = np.empty((2 * b, gv.shape[1]))
+        ln, gn = keys[:b], keys[b:]
+        np.multiply(lv, (1.0 / self.l_norms)[:, None], out=ln)
+        np.multiply(gv, (1.0 / self.g_norms)[:, None], out=gn)
+        queries = gn * (1.0 / tau)
+        if self.requires_grad:
+            d_gn = np.empty_like(gn)
+            d_keys = np.zeros_like(keys)
+        terms = np.empty(b)
+        buffer = np.empty((min(slab, b), 2 * b))
+        for r0 in range(0, b, slab):
+            r1 = min(r0 + slab, b)
             rows = np.arange(r1 - r0)
             diag = r0 + rows
-            block = np.matmul(self.queries[r0:r1], keys.T, out=self.block[:r1 - r0])
+            block = np.matmul(queries[r0:r1], keys.T, out=buffer[:r1 - r0])
             positive = block[rows, diag]
             block[rows, b + diag] = -np.inf
             if not self.include_positive:
@@ -944,59 +938,29 @@ class _InfonceTerm:
             block -= shift[:, None]
             np.exp(block, out=block)
             mass = block.sum(axis=1)
-            self.terms[r0:r1] = shift + np.log(mass) - positive
+            terms[r0:r1] = shift + np.log(mass) - positive
             if not self.requires_grad:
                 continue
             # d out / d block = (softmax - positive indicator) / b, and the block
             # is (gn / tau) @ keys.T: fold 1 / (b * tau) into the softmax rows.
             block *= (1.0 / (mass * (b * tau)))[:, None]
             block[rows, diag] -= 1.0 / (b * tau)
-            np.matmul(block, keys, out=self.d_gn[r0:r1])
+            np.matmul(block, keys, out=d_gn[r0:r1])
             # d_keys += block.T @ gn[r0:r1], accumulated in place: the transposed
             # product d_keys.T += gn[r0:r1].T @ block on the Fortran views
-            self.d_keys = dgemm(1.0, gn[r0:r1].T, block.T, beta=1.0, c=self.d_keys.T,
-                                trans_b=1, overwrite_c=1).T
-
-    def finish(self):
-        """Form the value and the (b, d) gradients on the table rows; drop the
-        buffers."""
-        self.value = np.mean(self.terms)
+            d_keys = dgemm(1.0, gn[r0:r1].T, block.T, beta=1.0, c=d_keys.T,
+                           trans_b=1, overwrite_c=1).T
+        self.value = np.mean(terms)
+        del buffer, queries, terms   # the gradients below can reuse their room
         self.grads = []
         if self.requires_grad:
             global_table, local_table = self.tables
-            b, d_keys = self.b, self.d_keys
             if _tracked(global_table):
-                self.d_gn += d_keys[b:]
-                self.grads.append(
-                    (global_table, _unit_rows_backward(self.d_gn, self.gn, self.g_norms)))
+                d_gn += d_keys[b:]
+                self.grads.append((global_table, _unit_rows_backward(d_gn, gn, self.g_norms)))
             if _tracked(local_table):
                 self.grads.append(
-                    (local_table, _unit_rows_backward(d_keys[:b], self.ln, self.l_norms)))
-            del self.d_gn, self.d_keys
-        del self.views, self.gn, self.ln, self.keys, self.queries, self.terms, self.block
-
-
-def _run_pooled(terms, workers):
-    """Each term's slab loop on a worker; at most `workers` terms hold
-    buffers at a time, and each is finished as soon as it is done."""
-    pending = iter(terms)
-    running = {}
-
-    def submit(term):
-        term.allocate()
-        running[_executor().submit(term.run)] = term
-
-    for term in islice(pending, workers):
-        submit(term)
-    while running:
-        done, _ = wait(running, return_when=FIRST_COMPLETED)
-        for future in done:
-            term = running.pop(future)
-            future.result()
-            term.finish()
-            term = next(pending, None)
-            if term is not None:
-                submit(term)
+                    (local_table, _unit_rows_backward(d_keys[:b], ln, self.l_norms)))
 
 
 def infonce(pairs, tau, include_positive=False):
@@ -1021,25 +985,18 @@ def infonce(pairs, tau, include_positive=False):
     Every triple is checked, and its views read, on the calling thread
     before any term is computed, so a bad triple raises here and nothing is
     recorded. The terms share nothing: when the process may run on more
-    than one core and some term spans more than one slab, their slab loops
-    run on `min(len(pairs), cores)` worker threads, otherwise one after
-    another on the calling thread. A term's arithmetic is the same on
-    either path, so the results are bitwise equal. The calling thread
-    allocates each term's buffers before its loop starts and releases them
-    once it ends, so no more than one term per worker holds them at a time.
-    It then records the one `infonce` node; no worker touches the tape.
+    than one core and some term spans more than one slab, each term runs
+    on a thread of the worker pool, otherwise one after another on the
+    calling thread. A term's arithmetic is the same on either path, so the
+    results are bitwise equal. The pool has one thread per core, so at
+    most that many terms hold their buffers at once. The calling thread
+    then records the one `infonce` node; no worker touches the tape.
     """
     if not pairs:
         raise DomainError("infonce: no (global, local, rows) triples")
     terms = [_InfonceTerm(g, l, rows, tau, include_positive) for g, l, rows in pairs]
-    workers = min(len(terms), _cores())
-    if workers > 1 and any(t.slab < t.b for t in terms):
-        _run_pooled(terms, workers)
-    else:
-        for term in terms:
-            term.allocate()
-            term.run()
-            term.finish()
+    pooled = len(terms) > 1 and _cores() > 1 and any(t.slab < t.b for t in terms)
+    list((_executor().map if pooled else map)(_InfonceTerm.run, terms))
     out = Tensor(sum(t.value for t in terms), requires_grad=any(t.requires_grad for t in terms))
     grads = [(table, t.rows, grad) for t in terms for table, grad in t.grads]
 

@@ -23,10 +23,17 @@ _SYMBOLS = (
 
 
 def _openblas_libraries():
-    """{file name: (getter, setter)} of every loaded OpenBLAS that has both."""
+    """{file name: (getter, setter)} of every loaded OpenBLAS that has both.
+
+    A map line is address, permissions, offset, device, inode and then the
+    path, which may hold spaces: the sixth field is taken whole. A library
+    whose file was deleted after loading is listed with " (deleted)"
+    appended; `dlopen` still finds it, loaded, by its own path.
+    """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split()[-1] for line in fh}
+            fields = (line.rstrip("\n").split(maxsplit=5) for line in fh)
+            paths = {f[5].removesuffix(" (deleted)") for f in fields if len(f) == 6}
     except OSError:
         return {}
     found = {}

@@ -1,7 +1,6 @@
 """Evaluation protocol: CTR metrics, top-K recall, ablations, noise runs."""
 from __future__ import annotations
 
-from concurrent.futures import wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -87,7 +86,7 @@ def balanced_pairs(dataset, split="train", seed=123):
 
 # Scores held at once by `recall_at_k`, summed over the blocks in flight: a
 # block of test users is as many rows as fit in this many scores divided by
-# the blocks ranked together (about 8 MiB of float64 in all).
+# the cores that rank blocks together (about 8 MiB of float64 in all).
 RECALL_BLOCK_SCORES = 1 << 20
 
 
@@ -140,12 +139,11 @@ def recall_at_k(zu, zi, dataset, ks, split="test"):
     and one `argpartition` per block, and the hits are the ranked (user,
     item) keys found in the sorted keys of the distinct positives. When the
     process may use more than one core and the users span more than one
-    block, the blocks are dealt out in turn to the calling thread and to
-    workers of the `autodiff` pool, one lane per core, and each block
-    shrinks so that the blocks in flight hold at most `RECALL_BLOCK_SCORES`
-    scores. The calling thread allocates every lane's score buffer. Each
-    block's arithmetic is the same on either path and the per-user recalls
-    are summed in user order, so the results are bitwise equal.
+    block, the blocks are ranked on the `autodiff` worker pool, one thread
+    per core, and each block shrinks by the core count, so the blocks in
+    flight hold at most `RECALL_BLOCK_SCORES` scores. Each block's
+    arithmetic is the same on either path and the per-user recalls are
+    summed in user order, so the results are bitwise equal.
     Raises `DomainError` for any K < 1.
     """
     ks = sorted(ks)
@@ -163,31 +161,22 @@ def recall_at_k(zu, zi, dataset, ks, split="test"):
     top = min(ks[-1], n_items)
     at = np.minimum(ks, top) - 1   # column of recall@k in the running hit count
     block = max(1, RECALL_BLOCK_SCORES // n_items)
-    lanes = min(ad._cores(), -(-users.size // block))
+    lanes = ad._cores() if users.size > block else 1
     block = max(1, block // lanes)
-    starts = range(0, users.size, block)
     neg_items = -zi   # keys equal -(zu @ zi.T) exactly: negation only flips signs
-    buffers = [np.empty((min(block, users.size), n_items)) for _ in range(lanes)]
-    recalls = [None] * len(starts)
 
-    def rank(lane):
-        for start in starts[lane::lanes]:
-            rows = users[start:start + block]
-            keys = np.matmul(zu[rows], neg_items.T, out=buffers[lane][:rows.size])
-            keys[_csr_entries(graph.u_offsets, graph.u_items, rows)] = np.inf
-            ranked = _ranked_top(keys, top)
-            ranked += (rows * n_items)[:, None]   # flat (user, item) keys, as positive_keys
-            at_key = np.searchsorted(positive_keys, ranked)
-            hits = np.cumsum(positive_keys.take(at_key, mode="clip") == ranked, axis=1)
-            recalls[start // block] = hits[:, at] / n_relevant[rows][:, None]
+    def rank(start):
+        """Recall@k of the users of the block at `start`, one column per k."""
+        rows = users[start:start + block]
+        keys = zu[rows] @ neg_items.T
+        keys[_csr_entries(graph.u_offsets, graph.u_items, rows)] = np.inf
+        ranked = _ranked_top(keys, top)
+        ranked += (rows * n_items)[:, None]   # flat (user, item) keys, as positive_keys
+        at_key = np.searchsorted(positive_keys, ranked)
+        hits = np.cumsum(positive_keys.take(at_key, mode="clip") == ranked, axis=1)
+        return hits[:, at] / n_relevant[rows][:, None]
 
-    futures = [ad._executor().submit(rank, lane) for lane in range(1, lanes)]
-    try:
-        rank(0)
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
+    recalls = list((ad._executor().map if lanes > 1 else map)(rank, range(0, users.size, block)))
     totals = np.cumsum(np.concatenate(recalls), axis=0)[-1]   # sequential, in user order
     return {k: float(total) / users.size for k, total in zip(ks, totals)}
 

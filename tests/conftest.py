@@ -34,15 +34,27 @@ def _drop_pool(executor):
 
 
 @pytest.fixture
-def infonce_pool(monkeypatch):
-    """Force the pooled InfoNCE path on any machine: slabs of one row and two
-    cores. Returns the list that names the thread of every slab loop run.
+def worker_cores(monkeypatch):
+    """Returns a setter of the cores the process may use; each call drops
+    the worker pool, so the next pooled call starts one of that many
+    threads. The pool is dropped again after the test."""
+    executor = ad._executor
 
-    The pool is dropped before and after the test, so the test's pool has
-    as many workers as the `_cores` it patches in."""
+    def set_cores(cores):
+        monkeypatch.setattr(ad, "_cores", lambda: cores)
+        _drop_pool(executor)
+
+    yield set_cores
+    _drop_pool(executor)
+
+
+@pytest.fixture
+def infonce_pool(monkeypatch, worker_cores):
+    """Force the pooled InfoNCE path on any machine: slabs of one row and a
+    pool of two workers. Returns the list that names the thread of every
+    term run."""
     threads = []
     run = ad._InfonceTerm.run
-    executor = ad._executor
 
     def spied_run(term):
         threads.append(threading.current_thread().name)
@@ -50,7 +62,5 @@ def infonce_pool(monkeypatch):
 
     monkeypatch.setattr(ad._InfonceTerm, "run", spied_run)
     monkeypatch.setattr(ad, "INFONCE_SLAB_BYTES", 8)
-    monkeypatch.setattr(ad, "_cores", lambda: 2)
-    _drop_pool(executor)
-    yield threads
-    _drop_pool(executor)
+    worker_cores(2)
+    return threads

@@ -5,6 +5,7 @@ import multiprocessing
 import re
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -1239,6 +1240,63 @@ def test_infonce_pool_zero_norm_row_raises_before_any_term(infonce_pool):
         with pytest.raises(DomainError, match="zero-norm"):
             ad.infonce(pairs, 0.5)
     assert len(tape) == 0 and infonce_pool == []
+
+
+def test_infonce_pool_runs_at_most_one_term_per_core(monkeypatch, infonce_pool):
+    # each running term holds its buffers: no more terms at once than cores.
+    # A term waits 5 ms once it has started, so every free worker starts one.
+    flight, most = [0], [0]
+    lock = threading.Lock()
+    run = ad._InfonceTerm.run
+
+    def counted_run(term):
+        with lock:
+            flight[0] += 1
+            most[0] = max(most[0], flight[0])
+        try:
+            time.sleep(5e-3)
+            run(term)
+        finally:
+            with lock:
+                flight[0] -= 1
+
+    monkeypatch.setattr(ad._InfonceTerm, "run", counted_run)
+    pairs = [(RNG.normal(size=(b, 3)), RNG.normal(size=(b, 3))) for b in (9, 7, 12, 8, 10, 11)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for include_positive in (False, True):
+            _infonce_terms(pairs, 0.3, include_positive)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(infonce_pool) == 12
+    assert all(name.startswith("kgtn-worker") for name in infonce_pool)
+    assert 1 <= most[0] <= 2
+
+
+class _TermFailed(Exception):
+    pass
+
+
+def test_infonce_pool_term_error_reaches_the_caller(monkeypatch, infonce_pool):
+    run = ad._InfonceTerm.run
+    failed_on = []
+
+    def failing_run(term):
+        if term.b == 7:
+            failed_on.append(threading.current_thread().name)
+            raise _TermFailed(f"term of {term.b} rows")
+        run(term)
+
+    monkeypatch.setattr(ad._InfonceTerm, "run", failing_run)
+    pairs = [(ad.parameter(RNG.normal(size=(b, 3))), ad.parameter(RNG.normal(size=(b, 3))),
+              np.arange(b)) for b in (5, 7, 2, 9, 6, 4)]
+    with ad.Tape() as tape:
+        with pytest.raises(_TermFailed, match="term of 7 rows"):
+            ad.infonce(pairs, 0.5)
+    assert len(tape) == 0
+    assert len(failed_on) == 1 and failed_on[0].startswith("kgtn-worker")
+    assert all(g.grad is not None and not g.grad.any() for g, _, _ in pairs)
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),

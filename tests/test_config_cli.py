@@ -1,5 +1,6 @@
 """Config parsing/validation and the command-line workflows."""
 import argparse
+import ast
 import os
 import subprocess
 import sys
@@ -567,6 +568,42 @@ def test_train_pins_openblas_to_one_thread_and_says_so(tmp_path, synth_dir):
     else:
         assert "no OpenBLAS" in first
     assert runs[0] == runs[1]
+
+
+# Loads a copy of an OpenBLAS from a path with a space, deletes the file
+# when asked, then prints what `kgtn.blas` reads and sets; runs in a fresh
+# process, so the copy never joins the libraries of the test process.
+_SPACED_BLAS = """
+import ctypes, os, shutil, sys
+from kgtn import blas
+ctypes.CDLL(shutil.copy(sys.argv[1], sys.argv[2]))
+if sys.argv[3] == "delete":
+    os.remove(sys.argv[2])
+print(blas.threads())
+print(blas.set_threads(1))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc/self/maps")
+@pytest.mark.parametrize("file", ["kept", "delete"])
+def test_blas_reads_a_library_whose_path_has_a_space(tmp_path, file):
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        libraries = sorted({line[line.index("/"):].rstrip("\n") for line in fh
+                            if "openblas" in line and "/" in line})
+    if not libraries:
+        pytest.skip("no OpenBLAS loaded")
+    spaced = tmp_path / "sp ace"
+    spaced.mkdir()
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _SPACED_BLAS, libraries[0],
+                           str(spaced / "libscipy_openblas_copy.so"), file],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    read, pinned = (ast.literal_eval(line) for line in proc.stdout.splitlines())
+    assert "libscipy_openblas_copy.so" in read
+    assert pinned["libscipy_openblas_copy.so"] == 1
 
 
 def test_grad_check_command(tmp_path, capsys, monkeypatch):

@@ -3,7 +3,9 @@ import csv
 import io
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -161,63 +163,100 @@ def _mixed_scores(ds):
 
 
 def _spy_blocks(monkeypatch):
-    """Record the thread and the score buffer of every ranked block."""
+    """Record, for every ranked block, its thread and the (blocks, scores)
+    in flight once it has started, itself included. A block waits 1 ms once
+    it has started, so every free worker starts one."""
     seen = []
+    flight = {}   # id of a block's keys -> its size
+    lock = threading.Lock()
     ranked_top = experiments._ranked_top
 
     def spied(keys, top):
-        seen.append((threading.current_thread().name, keys.base))
-        return ranked_top(keys, top)
+        with lock:
+            flight[id(keys)] = keys.size
+            seen.append((threading.current_thread().name, (len(flight), sum(flight.values()))))
+        try:
+            time.sleep(1e-3)
+            return ranked_top(keys, top)
+        finally:
+            with lock:
+                del flight[id(keys)]
 
     monkeypatch.setattr(experiments, "_ranked_top", spied)
     return seen
 
 
+@contextmanager
+def _fast_thread_switches():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _assert_in_flight_at_most(seen, lanes):
+    """No more than `lanes` blocks, and `RECALL_BLOCK_SCORES` scores, at once."""
+    assert max(blocks for _, (blocks, _) in seen) <= lanes
+    assert max(scores for _, (_, scores) in seen) <= experiments.RECALL_BLOCK_SCORES
+
+
+def _assert_ranked_on(seen, cores):
+    """Workers rank every block when there are cores to share, else the caller."""
+    if cores > 1:
+        assert all(name.startswith("kgtn-worker") for name, _ in seen)
+    else:
+        assert {name for name, _ in seen} == {threading.current_thread().name}
+
+
 @pytest.mark.parametrize("cores", (1, 2, 3))
-def test_recall_split_over_cores_matches_the_oracle_bitwise(hundred, monkeypatch, cores):
-    monkeypatch.setattr(ad, "_cores", lambda: cores)
+def test_recall_split_over_cores_matches_the_oracle_bitwise(hundred, monkeypatch, worker_cores,
+                                                             cores):
+    worker_cores(cores)
     # 24 rows a block inline; 12 on 2 cores and 8 on 3: 5, 9 and 13 blocks
     monkeypatch.setattr(experiments, "RECALL_BLOCK_SCORES", 24 * hundred.n_items)
     seen = _spy_blocks(monkeypatch)
     zu, zi = _mixed_scores(hundred)
-    _assert_matches_loop(zu, zi, hundred, (1, 4, 10, 40))
-    assert len(seen) % 2 == 1 and len(seen) > 1
-    threads = {name for name, _ in seen}
-    assert threading.current_thread().name in threads
-    workers = threads - {threading.current_thread().name}
-    assert all(name.startswith("kgtn-worker") for name in workers)
-    assert bool(workers) == (cores > 1)
+    with _fast_thread_switches():
+        _assert_matches_loop(zu, zi, hundred, (1, 4, 10, 40))
+    assert len(seen) == {1: 5, 2: 9, 3: 13}[cores]
+    _assert_ranked_on(seen, cores)
+    _assert_in_flight_at_most(seen, cores)
 
 
-@pytest.mark.parametrize("cores, rows", ((2, 25), (3, 25), (3, 5)))
-def test_recall_blocks_in_flight_hold_at_most_the_block_scores(hundred, monkeypatch, cores, rows):
-    monkeypatch.setattr(ad, "_cores", lambda: cores)
+@pytest.mark.parametrize("cores, rows", ((2, 25), (3, 25), (3, 5), (3, 60)))
+def test_recall_blocks_in_flight_hold_at_most_the_block_scores(hundred, monkeypatch, worker_cores,
+                                                              cores, rows):
+    worker_cores(cores)
     monkeypatch.setattr(experiments, "RECALL_BLOCK_SCORES", rows * hundred.n_items + 7)
     seen = _spy_blocks(monkeypatch)
-    experiments.recall_at_k(*_mixed_scores(hundred), hundred, ks=(3,))
-    buffers = {id(base): base for _, base in seen}
-    assert len(buffers) == cores   # one buffer per lane, written by every block of the lane
-    assert sum(b.size for b in buffers.values()) <= experiments.RECALL_BLOCK_SCORES
+    zu, zi = _mixed_scores(hundred)
+    with _fast_thread_switches():
+        _assert_matches_loop(zu, zi, hundred, (3,))
+    assert len(seen) == -(-100 // (rows // cores))
+    _assert_ranked_on(seen, cores)
+    _assert_in_flight_at_most(seen, cores)
 
 
 def test_recall_on_more_lanes_than_cores_under_fast_thread_switches(hundred, monkeypatch):
-    # seven lanes of one-row blocks: 100 blocks whose recalls land in one
-    # shared list, each lane writing only its own entries
+    # seven lanes of one-row blocks on a pool of six threads: 100 blocks a
+    # call, whose recalls come back in user order
     pool = ThreadPoolExecutor(max_workers=6, thread_name_prefix="kgtn-worker")
     monkeypatch.setattr(ad, "_cores", lambda: 7)
     monkeypatch.setattr(ad, "_executor", lambda: pool)
     monkeypatch.setattr(experiments, "RECALL_BLOCK_SCORES", 7 * hundred.n_items)
     seen = _spy_blocks(monkeypatch)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
     try:
-        for seed in range(3):
-            zu, zi = _tie_heavy(hundred, seed=20 + seed)
-            _assert_matches_loop(zu, zi, hundred, (1, 4, 10))
+        with _fast_thread_switches():
+            for seed in range(3):
+                zu, zi = _tie_heavy(hundred, seed=20 + seed)
+                _assert_matches_loop(zu, zi, hundred, (1, 4, 10))
     finally:
-        sys.setswitchinterval(interval)
         pool.shutdown(wait=True)
-    assert len(seen) == 300 and len({id(base) for _, base in seen}) == 3 * 7
+    assert len(seen) == 300
+    _assert_ranked_on(seen, 7)
+    _assert_in_flight_at_most(seen, 6)
 
 
 def test_recall_in_one_block_runs_inline_and_starts_no_thread(hundred, monkeypatch):
