@@ -5,7 +5,7 @@
 import numpy as np
 
 from kgtn import autodiff as ad
-from kgtn.data import KnowledgeGraph
+from kgtn.data import InteractionGraph, KnowledgeGraph
 from kgtn.gradcheck import check_gradients
 
 rng = np.random.default_rng(0)
@@ -13,18 +13,18 @@ rng = np.random.default_rng(0)
 # Parameters are leaves with eagerly zeroed gradient buffers; constants
 # never receive gradients.
 w = ad.parameter(rng.normal(size=(3, 4)))
-x = ad.constant(rng.normal(size=(4, 2)))
+x = ad.constant(rng.normal(size=(3, 4)))
 
 # Ops compose like numpy. Nothing is recorded until a tape is active.
-y = ad.matmul(w, x)            # (3, 2)
-print("forward product:\n", y.values)
+y = ad.add(ad.mul(w, x), 1.0)  # (3, 4), elementwise
+print("forward product plus one:\n", y.values)
 
 # Record a scalar loss and replay the tape backward. `prototype_mix` is the
 # model's intent readout in one node: softmax(h @ P.T) @ P, the
-# softmax-weighted sum of the prototype rows P (here 3 prototypes of width 2).
-protos = ad.parameter(rng.normal(size=(3, 2)))
+# softmax-weighted sum of the prototype rows P (here 2 prototypes of width 4).
+protos = ad.parameter(rng.normal(size=(2, 4)))
 with ad.Tape() as tape:
-    h = ad.prototype_mix(ad.matmul(w, x), protos)
+    h = ad.prototype_mix(ad.mul(w, x), protos)
     loss = ad.sum_all(ad.mul(h, h))
 print("tape length:", len(tape), "ops:", tape.op_counts())
 tape.backward(loss)
@@ -37,8 +37,8 @@ protos.zero_grad()
 # The checker re-evaluates the loss at perturbed parameter values, fully
 # independent of the backward pass it verifies.
 result = check_gradients(
-    lambda: ad.sum_all(ad.mul(ad.prototype_mix(ad.matmul(w, x), protos),
-                              ad.prototype_mix(ad.matmul(w, x), protos))),
+    lambda: ad.sum_all(ad.mul(ad.prototype_mix(ad.mul(w, x), protos),
+                              ad.prototype_mix(ad.mul(w, x), protos))),
     [("w", w), ("protos", protos)],
 )
 print(f"finite-difference max rel err: {result.max_rel_err:.2e} (tolerance 1e-4)")
@@ -80,3 +80,19 @@ print("slotless heads keep their rows:", np.array_equal(pooled[2:], ent.values[2
 result = check_gradients(lambda: ad.sum_all(ad.kg_pool(ent, rel, edges)),
                          [("ent", ent), ("rel", rel)])
 print(f"kg_pool finite-difference max rel err: {result.max_rel_err:.2e}")
+
+# One direction of the masked graph transformer is one node too: each user
+# projects its row to a query, attends over the keys of the items it
+# interacted with and sums their values (two heads of width 2). User 2 has
+# no items and keeps its own row. The check covers both tables and all
+# three projections.
+graph = InteractionGraph(3, 4, [(0, 0), (0, 2), (1, 1), (1, 2), (1, 3)])
+users, item_rows = ad.parameter(rng.normal(size=(3, 4))), ad.parameter(rng.normal(size=(4, 4)))
+wq, wk, wv = (ad.parameter(rng.normal(size=(4, 4))) for _ in range(3))
+operands = [users, item_rows, wq, wk, wv]
+attended = ad.edge_attention(*operands, graph.user_edges, 2).values
+print("the user without items keeps its row:", np.array_equal(attended[2], users.values[2]))
+result = check_gradients(
+    lambda: ad.sum_all(ad.mul(ad.edge_attention(*operands, graph.user_edges, 2), users)),
+    list(zip(("users", "items", "wq", "wk", "wv"), operands)))
+print(f"edge_attention finite-difference max rel err: {result.max_rel_err:.2e}")

@@ -2,14 +2,14 @@
 
 The operator set covers exactly what the recommender's forward pass needs:
 - arithmetic: `add`, `mul` (elementwise, with scalar broadcast);
-- linear algebra: `matmul`;
 - layout: `slice_rows` (a contiguous block of rows, whose backward is a
   slice add), `splice` (a table with its first rows replaced);
 - neighborhood sums: `spmm`, a constant sparse matrix (cached by the graph
   that owns the structure) times the leading rows of a dense block, with a
   fallback row where the matrix row is empty;
 - fused edge operations, one node each over every edge of a graph:
-  `edge_attention` (one direction of masked multi-head attention),
+  `edge_attention` (one direction of masked multi-head attention, with
+  its query, key and value projections),
   `kg_pool` (the relation-aware attention pool of the KG slots) and
   `gated_sum` (the per-head mean of relation-gated KG rows);
 - reductions: `sum_all`;
@@ -95,10 +95,10 @@ Backward does only the work a gradient needs:
 Forward ops never mutate their inputs; only `.grad` buffers change during
 backward. Recording and backward run on the calling thread and use no
 other. The one op that runs threads is an `infonce` call of several
-terms: when the process may use more than one core and some term spans
-more than one slab, each term runs whole on a thread of the process's one
-worker pool (`_executor`, one thread per core, started on first use;
-`experiments.recall_at_k` ranks its user blocks on the same pool). The
+terms: when some term spans more than one slab and the process's one
+worker pool (`_executor`, one thread per core at its first use) has more
+than one thread, each term runs whole on a thread of that pool
+(`experiments.recall_at_k` ranks its user blocks on the same pool). The
 calling thread checks every operand and reads its rows first, waits for
 every term, and records the one node.
 """
@@ -162,9 +162,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def constant(values):
@@ -323,26 +320,6 @@ def mul(a, b):
             _accum(b, _reduce_to(g * av, bv.shape), fresh=True)
 
     _record("mul", out, backward)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# linear algebra
-
-
-def matmul(a, b):
-    av, bv = _values(a), _values(b)
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
-        raise ShapeError(f"matmul: cannot multiply shapes {av.shape} and {bv.shape}")
-    out = Tensor(av @ bv, requires_grad=_needs_grad(a, b))
-
-    def backward(g):
-        if _tracked(a):
-            _accum(a, g @ bv.T, fresh=True)
-        if _tracked(b):
-            _accum(b, av.T @ g, fresh=True)
-
-    _record("matmul", out, backward)
     return out
 
 
@@ -534,37 +511,54 @@ def _head_blocks(d, n_heads):
     return blocks, scaled
 
 
-def edge_attention(queries, keys, values, fallback, edges, n_heads):
+def _project_back(table, tv, weight, wv, g):
+    """Push the gradient `g` on the product `tv @ wv` back to its factors:
+    `g @ wv.T` into `table`, `tv.T @ g` into `weight`."""
+    if _tracked(table):
+        _accum(table, g @ wv.T, fresh=True)
+    if _tracked(weight):
+        _accum(weight, tv.T @ g, fresh=True)
+
+
+def edge_attention(sources, targets, wq, wk, wv, edges, n_heads):
     """Masked multi-head scaled dot-product attention along an edge list.
 
     `edges` is one direction of the interaction graph (`data.EdgeList`):
     edge e runs from source row `edges.source[e]` to target row
-    `edges.target[e]`, grouped by source along `edges.offsets`. Head h owns
-    columns h*d/H .. (h+1)*d/H - 1 of the (sources, d) `queries` and the
-    (targets, d) `keys` and `values`. Its logit on edge e is
+    `edges.target[e]`, grouped by source along `edges.offsets`. The op
+    projects the (sources, d) table to the queries `sources @ wq` and the
+    (targets, d) table to the keys `targets @ wk` and the values
+    `targets @ wv`, each projection a (d, d) matrix. Head h owns columns
+    h*d/H .. (h+1)*d/H - 1 of the projections. Its logit on edge e is
     q_s . k_t / sqrt(d/H) over those columns, its weight alpha the softmax
     of the logits over each source's edges, and source row s of the output
     is the alpha-weighted sum of its targets' value rows, summed by the
-    constant operator `edges.source_sum`; a source without edges takes
-    `fallback[s]`.
+    constant operator `edges.source_sum`; a source without edges keeps its
+    own row of `sources`.
 
-    Only alpha (E, H) is kept. Backward gathers the query, key and value
-    rows of the edges again and scatters the source-side gradients through
-    `edges.source_sum`, the target-side ones through `edges.target_sum`.
+    Only the projected tables and alpha (E, H) are kept. Backward gathers
+    the query, key and value rows of the edges again, scatters the source-
+    and target-side gradients through `edges.source_sum` and
+    `edges.target_sum` and projects them back (`_project_back`): `sources`
+    gets its rows without edges, then the queries' share, and `targets`
+    the values' share, then the keys': the order in which a tape of the
+    three projections and the attention replays, so the gradients are
+    bitwise equal to that tape's.
     """
-    qv, kv, vv, fv = (_values(t) for t in (queries, keys, values, fallback))
+    xs, xt, wqv, wkv, wvv = (_values(t) for t in (sources, targets, wq, wk, wv))
     sums_to_source, sums_to_target = edges.source_sum, edges.target_sum
-    if (qv.ndim != 2 or kv.shape != (sums_to_target.shape[0], qv.shape[1])
-            or vv.shape != kv.shape or fv.shape != qv.shape
-            or qv.shape[0] != sums_to_source.shape[0]):
+    if (xs.ndim != 2 or xt.shape != (sums_to_target.shape[0], xs.shape[1])
+            or xs.shape[0] != sums_to_source.shape[0]
+            or any(w.shape != (xs.shape[1],) * 2 for w in (wqv, wkv, wvv))):
         raise ShapeError(
-            f"edge_attention: queries {qv.shape}, keys {kv.shape}, values {vv.shape} and "
-            f"fallback {fv.shape} do not fit {sums_to_source.shape[0]} sources and "
-            f"{sums_to_target.shape[0]} targets"
+            f"edge_attention: sources {xs.shape}, targets {xt.shape} and projections "
+            f"{wqv.shape}, {wkv.shape}, {wvv.shape} do not fit {sums_to_source.shape[0]} "
+            f"sources and {sums_to_target.shape[0]} targets"
         )
-    d = qv.shape[1]
+    d = xs.shape[1]
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"head count {n_heads} must divide embedding size {d}")
+    qv, kv, vv = xs @ wqv, xt @ wkv, xt @ wvv
     src, tgt, offsets = edges.source, edges.target, edges.offsets
     blocks, scaled = _head_blocks(d, n_heads)
     prod = qv[src]
@@ -576,25 +570,21 @@ def edge_attention(queries, keys, values, fallback, edges, n_heads):
     heads *= alpha[:, :, None]
     sums = sums_to_source @ msg
     del msg, heads
-    _fallback_rows(sums_to_source, sums, fv)
-    out = Tensor(sums, requires_grad=_needs_grad(queries, keys, values, fallback))
+    _fallback_rows(sums_to_source, sums, xs)
+    out = Tensor(sums, requires_grad=_needs_grad(sources, targets, wq, wk, wv))
 
     def backward(g):
-        _accum_fallback(fallback, g, sums_to_source)
+        _accum_fallback(sources, g, sums_to_source)
         g_edge = g[src]
-        if _tracked(values):
-            g_values = g_edge.reshape(-1, n_heads, d // n_heads) * alpha[:, :, None]
-            _accum(values, sums_to_target @ g_values.reshape(g_edge.shape), fresh=True)
-        if not (_tracked(queries) or _tracked(keys)):
-            return
+        g_values = g_edge.reshape(-1, n_heads, d // n_heads) * alpha[:, :, None]
+        _project_back(targets, xt, wv, wvv, sums_to_target @ g_values.reshape(g_edge.shape))
         g_edge *= vv[tgt]
         d_prod = _segment_softmax_backward(g_edge @ blocks, alpha, offsets) @ scaled.T
-        del g_edge
-        if _tracked(queries):
-            _accum(queries, sums_to_source @ (d_prod * kv[tgt]), fresh=True)
-        if _tracked(keys):
-            d_prod *= qv[src]
-            _accum(keys, sums_to_target @ d_prod, fresh=True)
+        del g_edge, g_values
+        g_queries = sums_to_source @ (d_prod * kv[tgt])
+        d_prod *= qv[src]
+        _project_back(targets, xt, wk, wkv, sums_to_target @ d_prod)
+        _project_back(sources, xs, wq, wqv, g_queries)
 
     _record("edge_attention", out, backward)
     return out
@@ -871,9 +861,14 @@ def _cores():
 
 @lru_cache(maxsize=1)
 def _executor():
-    """The process's one pool of worker threads, one per core, started by
-    the first pooled `infonce` or `experiments.recall_at_k` call."""
+    """The process's one pool of worker threads, one per core at its first
+    use. Its threads start with its first task."""
     return ThreadPoolExecutor(max_workers=_cores(), thread_name_prefix="kgtn-worker")
+
+
+def _pool_width():
+    """Threads of the worker pool: the `_cores()` of its first use, not of now."""
+    return _executor()._max_workers
 
 
 # A forked child inherits the executor but not its threads: it starts its own.
@@ -984,18 +979,18 @@ def infonce(pairs, tau, include_positive=False):
 
     Every triple is checked, and its views read, on the calling thread
     before any term is computed, so a bad triple raises here and nothing is
-    recorded. The terms share nothing: when the process may run on more
-    than one core and some term spans more than one slab, each term runs
-    on a thread of the worker pool, otherwise one after another on the
-    calling thread. A term's arithmetic is the same on either path, so the
-    results are bitwise equal. The pool has one thread per core, so at
-    most that many terms hold their buffers at once. The calling thread
+    recorded. The terms share nothing: when some term spans more than one
+    slab and the worker pool has more than one thread (`_pool_width`),
+    each term runs on a thread of the pool, otherwise one after another on
+    the calling thread. A term's arithmetic is the same on either path, so
+    the results are bitwise equal. At most the pool's width of terms hold
+    their buffers at once. The calling thread
     then records the one `infonce` node; no worker touches the tape.
     """
     if not pairs:
         raise DomainError("infonce: no (global, local, rows) triples")
     terms = [_InfonceTerm(g, l, rows, tau, include_positive) for g, l, rows in pairs]
-    pooled = len(terms) > 1 and _cores() > 1 and any(t.slab < t.b for t in terms)
+    pooled = len(terms) > 1 and any(t.slab < t.b for t in terms) and _pool_width() > 1
     list((_executor().map if pooled else map)(_InfonceTerm.run, terms))
     out = Tensor(sum(t.value for t in terms), requires_grad=any(t.requires_grad for t in terms))
     grads = [(table, t.rows, grad) for t in terms for table, grad in t.grads]

@@ -86,7 +86,7 @@ def balanced_pairs(dataset, split="train", seed=123):
 
 # Scores held at once by `recall_at_k`, summed over the blocks in flight: a
 # block of test users is as many rows as fit in this many scores divided by
-# the cores that rank blocks together (about 8 MiB of float64 in all).
+# the threads that rank blocks together (about 8 MiB of float64 in all).
 RECALL_BLOCK_SCORES = 1 << 20
 
 
@@ -138,9 +138,9 @@ def recall_at_k(zu, zi, dataset, ks, split="test"):
     Users are ranked in blocks: one score GEMM, one train-positive scatter
     and one `argpartition` per block, and the hits are the ranked (user,
     item) keys found in the sorted keys of the distinct positives. When the
-    process may use more than one core and the users span more than one
-    block, the blocks are ranked on the `autodiff` worker pool, one thread
-    per core, and each block shrinks by the core count, so the blocks in
+    users span more than one block and the `autodiff` worker pool has more
+    than one thread, the blocks are ranked on that pool, and each block
+    shrinks by the pool's width (`autodiff._pool_width`), so the blocks in
     flight hold at most `RECALL_BLOCK_SCORES` scores. Each block's
     arithmetic is the same on either path and the per-user recalls are
     summed in user order, so the results are bitwise equal.
@@ -161,7 +161,7 @@ def recall_at_k(zu, zi, dataset, ks, split="test"):
     top = min(ks[-1], n_items)
     at = np.minimum(ks, top) - 1   # column of recall@k in the running hit count
     block = max(1, RECALL_BLOCK_SCORES // n_items)
-    lanes = ad._cores() if users.size > block else 1
+    lanes = ad._pool_width() if users.size > block else 1
     block = max(1, block // lanes)
     neg_items = -zi   # keys equal -(zu @ zi.T) exactly: negation only flips signs
 

@@ -82,16 +82,15 @@ def transformer_layer(user_emb, item_emb, params, graph):
 
     Attention logits exist only where the interaction indicator is 1; each
     user attends over their interacted items and, symmetrically with the
-    same projections, each item attends over its users, one
-    `edge_attention` node per direction. Nodes without any interaction pass
-    through unchanged. Head h reads output columns h*d/H .. (h+1)*d/H - 1
-    of the stacked query, key and value projections.
+    same projections, each item attends over its users. Each direction is
+    one `edge_attention` node, which projects its own queries, keys and
+    values. Nodes without any interaction pass through unchanged. Head h
+    reads output columns h*d/H .. (h+1)*d/H - 1 of the stacked query, key
+    and value projections.
     """
     wq, wk, wv, H = params.wq, params.wk, params.wv, params.n_heads
-    new_u = ad.edge_attention(ad.matmul(user_emb, wq), ad.matmul(item_emb, wk),
-                              ad.matmul(item_emb, wv), user_emb, graph.user_edges, H)
-    new_i = ad.edge_attention(ad.matmul(item_emb, wq), ad.matmul(user_emb, wk),
-                              ad.matmul(user_emb, wv), item_emb, graph.item_edges, H)
+    new_u = ad.edge_attention(user_emb, item_emb, wq, wk, wv, graph.user_edges, H)
+    new_i = ad.edge_attention(item_emb, user_emb, wq, wk, wv, graph.item_edges, H)
     return new_u, new_i
 
 

@@ -493,7 +493,8 @@ def _read_exact(fh, n_bytes, path, what):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; any corrupt or truncated file raises CheckpointError."""
+    """Read a checkpoint; a corrupt or truncated file, or a repeated entry, raises
+    CheckpointError."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = _read_exact(fh, 8, path, "magic")
@@ -509,6 +510,8 @@ def load_checkpoint(path):
                 name = _read_exact(fh, name_len, path, "parameter name").decode("utf-8")
             except UnicodeDecodeError:
                 raise CheckpointError(f"{path}: parameter name is not valid UTF-8") from None
+            if name in blob:
+                raise CheckpointError(f"{path}: parameter '{name}' appears twice")
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, path, f"shape of parameter '{name}'"))
             shape = struct.unpack(
                 f"<{ndim}I", _read_exact(fh, 4 * ndim, path, f"shape of parameter '{name}'")

@@ -42,33 +42,6 @@ def test_module_docstring_lists_exactly_the_public_ops():
 
 
 # ---------------------------------------------------------------------------
-# matmul
-
-
-def test_matmul_identity():
-    a = ad.constant(np.eye(2))
-    b = ad.constant([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_allclose(ad.matmul(a, b).values, [[1, 2], [3, 4]])
-
-
-def test_matmul_orthogonal_rows():
-    out = ad.matmul(ad.constant([[1.0, 0.0]]), ad.constant([[0.0], [1.0]]))
-    assert out.values == np.zeros((1, 1))
-
-
-def test_matmul_shape_error_names_both():
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-        ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
-
-
-def test_matmul_finite_difference():
-    a = ad.parameter(RNG.normal(size=(3, 4)))
-    b = ad.parameter(RNG.normal(size=(4, 2)))
-    fd_check(lambda: ad.sum_all(ad.mul(ad.matmul(a, b), ad.matmul(a, b))),
-             [("a", a), ("b", b)], tol=1e-6)
-
-
-# ---------------------------------------------------------------------------
 # prototype_mix: softmax(e @ P.T) @ P; with identity prototypes, e = v[None]
 # and P = I, the output is softmax(v)
 
@@ -269,7 +242,7 @@ def test_backward_releases_each_node_once_it_has_run():
     with ad.Tape() as tape:
         h = ad.mul(p, w)
         del w
-        h = ad.add(ad.mul(h, h), ad.matmul(h, ad.constant(np.eye(3))))
+        h = ad.add(ad.mul(h, h), ad.slice_rows(h, 0, 5))
         loss = ad.sum_all(h)
     del h
     outputs = [weakref.ref(out.values) for _, out, _ in tape._nodes if out is not loss]
@@ -771,6 +744,14 @@ def _attention_oracle(q, k, v, fallback, targets_of, n_heads):
     return out
 
 
+def _attention_operands(rng, n_src, n_tgt, d, tracked=True):
+    """Random source and target tables and three (d, d) projections, as
+    parameters (or constants), in the argument order of `edge_attention`."""
+    make = ad.parameter if tracked else ad.constant
+    return [make(rng.normal(size=shape))
+            for shape in ((n_src, d), (n_tgt, d), (d, d), (d, d), (d, d))]
+
+
 @pytest.mark.parametrize("n_heads", [1, 2, 4])
 def test_edge_attention_matches_per_head_loop_oracle(n_heads):
     graph, _ = _edge_fixture()
@@ -778,13 +759,14 @@ def test_edge_attention_matches_per_head_loop_oracle(n_heads):
     items_of = [graph.items_of(u) for u in range(4)]
     for edges, targets_of, n_src, n_tgt, isolated in ((graph.user_edges, items_of, 4, 5, 2),
                                                       (graph.item_edges, users_of, 5, 4, 3)):
-        q, fallback = RNG.normal(size=(n_src, 4)) * 2.0, RNG.normal(size=(n_src, 4))
-        k, v = RNG.normal(size=(n_tgt, 4)) * 2.0, RNG.normal(size=(n_tgt, 4))
-        out = ad.edge_attention(q, k, v, fallback, edges, n_heads).values
-        np.testing.assert_allclose(out, _attention_oracle(q, k, v, fallback, targets_of, n_heads),
-                                   rtol=0, atol=1e-12)
-        # the isolated user and the isolated item keep their fallback rows
-        np.testing.assert_array_equal(out[isolated], fallback[isolated])
+        xs, xt, wq, wk, wv = (t.values for t in _attention_operands(RNG, n_src, n_tgt, 4, False))
+        wq *= 1.5  # sharper weights
+        out = ad.edge_attention(xs, xt, wq, wk, wv, edges, n_heads).values
+        np.testing.assert_allclose(
+            out, _attention_oracle(xs @ wq, xt @ wk, xt @ wv, xs, targets_of, n_heads),
+            rtol=0, atol=1e-12)
+        # the isolated user and the isolated item keep their own rows
+        np.testing.assert_array_equal(out[isolated], xs[isolated])
 
 
 @pytest.mark.parametrize("direction", ["user_edges", "item_edges"])
@@ -792,25 +774,28 @@ def test_edge_attention_finite_difference(direction):
     graph, _ = _edge_fixture()
     edges = getattr(graph, direction)
     n_src, n_tgt = edges.source_sum.shape[0], edges.target_sum.shape[0]
-    q, fallback = ad.parameter(RNG.normal(size=(n_src, 4))), ad.parameter(RNG.normal(size=(n_src, 4)))
-    k, v = ad.parameter(RNG.normal(size=(n_tgt, 4))), ad.parameter(RNG.normal(size=(n_tgt, 4)))
+    operands = _attention_operands(RNG, n_src, n_tgt, 4)
     w = RNG.normal(size=(n_src, 4))
-    result = fd_check(lambda: ad.sum_all(ad.mul(ad.edge_attention(q, k, v, fallback, edges, 2), w)),
-                      [("q", q), ("k", k), ("v", v), ("fallback", fallback)], tol=1e-7)
-    # the fallback gradient reaches only the row without edges
-    assert np.count_nonzero(np.abs(fallback.grad).sum(axis=1)) == 1
+    fd_check(lambda: ad.sum_all(ad.mul(ad.edge_attention(*operands, edges, 2), w)),
+             list(zip(("sources", "targets", "wq", "wk", "wv"), operands)), tol=1e-7)
+    # the one source without edges passes its row through: its gradient is
+    # the upstream row
+    isolated = edges.source_sum.empty_rows
+    assert isolated.size == 1
+    np.testing.assert_array_equal(operands[0].grad[isolated], w[isolated])
 
 
 def test_edge_attention_rejects_misfit_shapes():
     graph, _ = _edge_fixture()
     edges = graph.user_edges
-    q, k = np.ones((4, 4)), np.ones((5, 4))
-    for args in ((q, k, k, np.ones((5, 4))), (q, q, k, q), (q, k, np.ones((5, 2)), q),
-                 (np.ones((4, 2, 2)), k, k, q)):
+    xs, xt, w = np.ones((4, 4)), np.ones((5, 4)), np.ones((4, 4))
+    for args in ((xt, xt, w, w, w), (xs, xs, w, w, w), (xs, np.ones((5, 2)), w, w, w),
+                 (xs, xt, np.ones((4, 2)), w, w), (xs, xt, w, np.ones((2, 4)), w),
+                 (xs, xt, w, w, np.ones(4)), (np.ones((4, 2, 2)), xt, w, w, w)):
         with pytest.raises(ShapeError, match="edge_attention"):
             ad.edge_attention(*args, edges, 2)
     with pytest.raises(ShapeError, match="head count 3"):
-        ad.edge_attention(q, k, k, q, edges, 3)
+        ad.edge_attention(xs, xt, w, w, w, edges, 3)
 
 
 def _wide_edges(seed):
@@ -832,20 +817,87 @@ def test_edge_attention_equals_the_head_indicator_spread_bitwise(n_heads):
     edges, d = graph.user_edges, 64
     src, tgt = edges.source, edges.target
     rng = np.random.default_rng(4)
-    q, fallback = rng.normal(size=(40, d)), rng.normal(size=(40, d))
-    k, v = rng.normal(size=(50, d)), ad.parameter(rng.normal(size=(50, d)))
+    xs, xt, wq, wk = (rng.normal(size=shape) for shape in ((40, d), (50, d), (d, d), (d, d)))
+    wv = ad.parameter(rng.normal(size=(d, d)))
     upstream = rng.normal(size=(40, d))
     blocks, scaled = ad._head_blocks(d, n_heads)
-    alpha = ad._segment_softmax((q[src] * k[tgt]) @ scaled, edges.offsets)
-    want = edges.source_sum @ (v.values[tgt] * (alpha @ blocks.T))
-    ad._fallback_rows(edges.source_sum, want, fallback)
-    want_grad = edges.target_sum @ (upstream[src] * (alpha @ blocks.T))
+    alpha = ad._segment_softmax(((xs @ wq)[src] * (xt @ wk)[tgt]) @ scaled, edges.offsets)
+    want = edges.source_sum @ ((xt @ wv.values)[tgt] * (alpha @ blocks.T))
+    ad._fallback_rows(edges.source_sum, want, xs)
+    want_grad = xt.T @ (edges.target_sum @ (upstream[src] * (alpha @ blocks.T)))
     with ad.Tape() as tape:
-        out = ad.edge_attention(q, k, v, fallback, edges, n_heads)
+        out = ad.edge_attention(xs, xt, wq, wk, wv, edges, n_heads)
         loss = ad.sum_all(ad.mul(out, upstream))
     tape.backward(loss)
     assert out.values.tobytes() == want.tobytes()
-    assert v.grad.tobytes() == want_grad.tobytes()
+    assert wv.grad.tobytes() == want_grad.tobytes()
+
+
+def _composed_attention_oracle(xs, xt, wq, wk, wv, edges, n_heads, g, grads):
+    """Three numpy projections, then masked attention over them: the output,
+    and `grads`, the gradient buffers of the two tables and the three
+    projections, into which the gradients of sum(g * output) are added in
+    place, each formed and added in the order a tape of three projection
+    nodes and one attention node replays them."""
+    q, k, v = xs @ wq, xt @ wk, xt @ wv
+    src, tgt, offsets = edges.source, edges.target, edges.offsets
+    dh = xs.shape[1] // n_heads
+    blocks, scaled = ad._head_blocks(xs.shape[1], n_heads)
+    empty = edges.source_sum.empty_rows
+    prod = q[src]
+    prod *= k[tgt]
+    alpha = ad._segment_softmax(prod @ scaled, offsets)
+    msg = v[tgt]
+    heads = msg.reshape(-1, n_heads, dh)
+    heads *= alpha[:, :, None]
+    out = edges.source_sum @ msg
+    out[empty] = xs[empty]
+    # the attention node: the source rows without edges, then the values,
+    # queries and keys
+    grads[0][empty] += g[empty]
+    g_edge = g[src]
+    g_values = edges.target_sum @ (
+        g_edge.reshape(-1, n_heads, dh) * alpha[:, :, None]).reshape(g_edge.shape)
+    g_edge *= v[tgt]
+    d_prod = ad._segment_softmax_backward(g_edge @ blocks, alpha, offsets) @ scaled.T
+    g_queries = edges.source_sum @ (d_prod * k[tgt])
+    d_prod *= q[src]
+    g_keys = edges.target_sum @ d_prod
+    # the projection nodes, last recorded first: values, keys, queries
+    for x, w, g_proj, at_x, at_w in ((xt, wv, g_values, 1, 4), (xt, wk, g_keys, 1, 3),
+                                     (xs, wq, g_queries, 0, 2)):
+        grads[at_x] += g_proj @ w.T
+        grads[at_w] += x.T @ g_proj
+    return out
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+@pytest.mark.parametrize("direction", ["user_edges", "item_edges"])
+@pytest.mark.parametrize("wide", [False, True])
+def test_edge_attention_bitwise_equals_projection_composition_oracle(wide, direction, n_heads):
+    # the small graph has a user and an item without edges; the wide one has
+    # 64-wide rows, where a changed summation order would show
+    graph = _wide_edges(3)[0] if wide else _edge_fixture()[0]
+    edges, d = getattr(graph, direction), 64 if wide else 4
+    rng = np.random.default_rng(n_heads)
+    operands = _attention_operands(rng, edges.source_sum.shape[0], edges.target_sum.shape[0], d)
+    g = rng.normal(size=(edges.source_sum.shape[0], d))
+    # gradients already held, so that the order of the contributions shows
+    held = [rng.normal(size=t.values.shape) for t in operands]
+    for t, start in zip(operands, held):
+        t.grad[...] = start
+    with ad.Tape() as tape:
+        out = ad.edge_attention(*operands, edges, n_heads)
+        loss = ad.sum_all(ad.mul(out, g))
+    tape.backward(loss)
+    assert tape.op_counts() == {"edge_attention": 1, "mul": 1, "sum_all": 1}
+    want_grads = [start.copy() for start in held]
+    want_out = _composed_attention_oracle(*(t.values for t in operands), edges, n_heads, g,
+                                          want_grads)
+    assert edges.source_sum.empty_rows.size == (0 if wide else 1)
+    assert out.values.tobytes() == want_out.tobytes()
+    for t, want in zip(operands, want_grads):
+        assert t.grad.tobytes() == want.tobytes()
 
 
 def test_slot_logits_equal_the_per_slot_relation_norms_bitwise():
@@ -1203,9 +1255,9 @@ def _infonce_terms(pairs, tau, include_positive):
 
 @pytest.mark.parametrize("include_positive", [False, True])
 @pytest.mark.parametrize("cores", [2, 6])
-def test_infonce_pool_matches_inline_bitwise(monkeypatch, infonce_pool, cores, include_positive):
+def test_infonce_pool_matches_inline_bitwise(infonce_pool, worker_cores, cores, include_positive):
     pairs = [(RNG.normal(size=(b, 3)), RNG.normal(size=(b, 3))) for b in (5, 7, 2, 9, 6, 4)]
-    monkeypatch.setattr(ad, "_cores", lambda: cores)
+    worker_cores(cores)
     # six workers on fewer cores, switching threads as often as possible
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1217,7 +1269,7 @@ def test_infonce_pool_matches_inline_bitwise(monkeypatch, infonce_pool, cores, i
     assert all(name.startswith("kgtn-worker") for name in infonce_pool)
     assert ad._executor()._max_workers == cores
     infonce_pool.clear()
-    monkeypatch.setattr(ad, "_cores", lambda: 1)
+    worker_cores(1)
     inline = _infonce_terms(pairs, 0.3, include_positive)
     assert infonce_pool == [threading.current_thread().name] * 6
     # the same values, operand gradients and tape op sequence, bit for bit
@@ -1328,8 +1380,10 @@ def test_forward_ops_do_not_mutate_inputs():
     a = ad.parameter(RNG.normal(size=(3, 3)))
     b = ad.parameter(RNG.normal(size=(3, 3)))
     snap_a, snap_b = a.values.copy(), b.values.copy()
+    edges = InteractionGraph(3, 3, [(0, 1), (0, 2), (2, 0)]).user_edges
     with ad.Tape() as tape:
-        loss = ad.sum_all(ad.mul(ad.matmul(a, b), ad.prototype_mix(b, a)))
+        attended = ad.edge_attention(a, b, a, b, a, edges, 1)
+        loss = ad.sum_all(ad.mul(attended, ad.prototype_mix(b, a)))
         # score adds each layer's rows into the first layer's gathered copy
         loss = loss + ad.bpr(ad.score([a, b], [b, a], [0, 1, 1], [2, 2, 0]),
                              ad.score([b, a], [a], [2, 0, 0], [1, 0, 2]))
@@ -1343,8 +1397,10 @@ def test_tape_replay_determinism():
         rng = np.random.default_rng(99)
         p = ad.parameter(rng.normal(size=(4, 4)))
         q = ad.parameter(rng.normal(size=(4, 4)))
+        edges = InteractionGraph(4, 4, [(0, 0), (0, 3), (1, 2), (3, 1), (3, 2)]).user_edges
         with ad.Tape() as tape:
-            loss = ad.sum_all(ad.mul(ad.prototype_mix(ad.matmul(p, q), p), ad.prototype_mix(p, q)))
+            h = ad.edge_attention(p, q, q, p, q, edges, 2)
+            loss = ad.sum_all(ad.mul(ad.prototype_mix(h, p), ad.prototype_mix(p, q)))
         tape.backward(loss)
         return loss.values.copy(), p.grad.copy(), q.grad.copy()
 
@@ -1401,21 +1457,21 @@ def test_pass_through_views_are_copied():
     # (s, which then takes a second contribution)
     a = ad.Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
     b = ad.Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
-    m = ad.Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+    m = ad.Tensor(RNG.normal(size=(5, 3)), requires_grad=True)
     s = ad.Tensor(RNG.normal(size=(2, 2)), requires_grad=True)
     with ad.Tape() as tape:
         cat = ad.splice(a, b)
-        prod = ad.matmul(cat, ad.add(m, 0.0))
+        prod = ad.prototype_mix(cat, ad.add(m, 0.0))
         loss = ad.sum_all(ad.mul(prod, prod)) + ad.sum_all(ad.mul(s, s)) + ad.sum_all(s)
     tape.backward(loss)
     for t in (a, b, m, s):
         assert t.grad.flags.writeable and t.grad.flags.owndata
         assert t.grad.flags.c_contiguous and t.grad.shape == t.values.shape
-    dcat = 2.0 * prod.values @ m.values.T
+    _, dcat, dm = _prototype_mix_oracle(cat.values, m.values, 2.0 * prod.values)
     np.testing.assert_allclose(a.grad, dcat[:2], atol=1e-12)
     np.testing.assert_allclose(b.grad[2:], dcat[2:], atol=1e-12)
     np.testing.assert_array_equal(b.grad[:2], 0.0)
-    np.testing.assert_allclose(m.grad, 2.0 * cat.values.T @ prod.values, atol=1e-12)
+    np.testing.assert_allclose(m.grad, dm, atol=1e-12)
     np.testing.assert_allclose(s.grad, 2.0 * s.values + 1.0, atol=1e-12)
 
 
@@ -1424,7 +1480,7 @@ def test_intermediate_grads_released_leaves_kept():
     q = ad.Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
     with ad.Tape() as tape:
         # h feeds three consumers; its gradient must survive until all ran
-        h = ad.matmul(p, q)
+        h = ad.mul(p, q)
         e = ad.prototype_mix(h, np.eye(3))
         loss = (ad.sum_all(ad.mul(h, e)) + ad.sum_all(ad.prototype_mix(h, np.eye(3)))
                 + ad.sum_all(ad.mul(e, e)))
@@ -1438,7 +1494,7 @@ def test_gradcheck_passes_through_shared_intermediates():
     q = ad.parameter(RNG.normal(size=(3, 3)))
 
     def build():
-        h = ad.matmul(p, q)
+        h = ad.prototype_mix(p, q)
         e = ad.prototype_mix(ad.mul(h, 0.3), np.eye(3))
         return (ad.sum_all(ad.mul(h, e)) + ad.sum_all(ad.prototype_mix(h, np.eye(3)))
                 + ad.sum_all(ad.mul(e, e)))
@@ -1453,7 +1509,9 @@ def test_constants_receive_no_gradient():
         h = ad.mul(p, consts[0])
         h = ad.add(h, consts[1])
         h = ad.add(consts[2], h)
-        h = ad.matmul(consts[3], h)
+        # tracked sources, a constant target table and constant projections
+        pairs = InteractionGraph(3, 3, [(0, 1), (1, 1), (1, 2)])
+        h = ad.edge_attention(h, consts[3], consts[0], consts[1], consts[2], pairs.user_edges, 1)
         # a constant gate and a constant relation table, tracked entities
         edges = KnowledgeGraph(np.array([[0, 0, 2], [1, 1, 0]]), n_entities=3,
                                n_relations=3).full_edges()

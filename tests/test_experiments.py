@@ -239,9 +239,25 @@ def test_recall_blocks_in_flight_hold_at_most_the_block_scores(hundred, monkeypa
     _assert_in_flight_at_most(seen, cores)
 
 
+def test_recall_blocks_shrink_by_the_width_of_the_pool(hundred, monkeypatch, worker_cores):
+    # the pool keeps the three threads of its first use; when the process
+    # later reports two cores, the blocks must still shrink by three
+    worker_cores(3)
+    assert ad._executor()._max_workers == 3
+    monkeypatch.setattr(ad, "_cores", lambda: 2)
+    monkeypatch.setattr(experiments, "RECALL_BLOCK_SCORES", 24 * hundred.n_items)
+    seen = _spy_blocks(monkeypatch)
+    zu, zi = _mixed_scores(hundred)
+    with _fast_thread_switches():
+        _assert_matches_loop(zu, zi, hundred, (1, 4, 10, 40))
+    _assert_ranked_on(seen, 3)
+    _assert_in_flight_at_most(seen, 3)
+
+
 def test_recall_on_more_lanes_than_cores_under_fast_thread_switches(hundred, monkeypatch):
-    # seven lanes of one-row blocks on a pool of six threads: 100 blocks a
-    # call, whose recalls come back in user order
+    # seven cores reported, a pool of six threads: seven-row blocks shrink
+    # by the pool's six to one row, 100 blocks a call, whose recalls come
+    # back in user order
     pool = ThreadPoolExecutor(max_workers=6, thread_name_prefix="kgtn-worker")
     monkeypatch.setattr(ad, "_cores", lambda: 7)
     monkeypatch.setattr(ad, "_executor", lambda: pool)

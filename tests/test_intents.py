@@ -294,22 +294,35 @@ def test_transformer_isolated_nodes_pass_through():
 
 
 def test_transformer_attention_sums_to_one_over_random_instances():
+    weighted = False
     for seed in range(100):
         rng = np.random.default_rng(seed)
         n_u, n_i = rng.integers(2, 5), rng.integers(2, 5)
         pairs = {(int(rng.integers(n_u)), int(rng.integers(n_i))) for _ in range(6)}
         graph = InteractionGraph(n_u, n_i, sorted(pairs))
-        users = ad.constant(rng.normal(size=(n_u, 4)))
-        items = ad.constant(rng.normal(size=(n_i, 4)))
-        q = ad.matmul(users, ad.constant(rng.normal(size=(4, 4)).T))
-        k = ad.matmul(items, ad.constant(rng.normal(size=(4, 4)).T))
-        # with every value row all ones, a user's output column is the sum
-        # of the user's attention weights in that column's head
-        ones = np.ones((n_i, 4))
-        sums = ad.edge_attention(q, k, ones, np.zeros((n_u, 4)), graph.user_edges, 2).values
+        users = rng.normal(size=(n_u, 4))
+        items = rng.normal(size=(n_i, 4))
+        items[:, 0] = 1.0
+        wq, wk = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
+        # wv copies the items' column of ones into every output column, so
+        # every value row is exactly all ones and a user's output column is
+        # the sum of the user's attention weights in that column's head,
+        # which the random queries and keys keep apart
+        wv = np.zeros((4, 4))
+        wv[0] = 1.0
+        assert (items @ wv == 1.0).all()
+        edges = graph.user_edges
+        out = ad.edge_attention(users, items, wq, wk, wv, edges, 2).values
+        scaled = ad._head_blocks(4, 2)[1]
+        alpha = ad._segment_softmax(((users @ wq)[edges.source] * (items @ wk)[edges.target])
+                                    @ scaled, edges.offsets)
         for u in range(n_u):
             if graph.user_degree(u):
-                assert np.abs(sums[u] - 1.0).max() < 1e-9
+                assert np.abs(out[u] - 1.0).max() < 1e-9
+        uniform = 1.0 / np.repeat(np.diff(edges.offsets), np.diff(edges.offsets))
+        weighted |= not np.allclose(alpha, uniform[:, None])
+    # the weights that summed to one were not all uniform
+    assert weighted
 
 
 # ---------------------------------------------------------------------------

@@ -355,12 +355,12 @@ def test_negatives_of_a_user_without_any_raise():
     assert states[0] == states[1]
 
 
-def test_pooled_fits_write_identical_metric_logs(tmp_path, monkeypatch, infonce_pool,
+def test_pooled_fits_write_identical_metric_logs(tmp_path, infonce_pool, worker_cores,
                                                 tiny_dataset):
     cfg = small_cfg(epochs=2)
     logs = []
     for cores in (2, 2, 1):
-        monkeypatch.setattr(ad, "_cores", lambda: cores)
+        worker_cores(cores)
         path = tmp_path / f"metrics{len(logs)}.csv"
         training.write_metric_log(path, training.fit(cfg, tiny_dataset).log)
         logs.append(path.read_bytes())
@@ -431,16 +431,17 @@ def test_toy_step_records_pinned_nodes():
     # shows here as a diff. The contrastive term is one infonce node, the
     # ranking head one score node per prediction and one bpr node, the one
     # slice feeds the transformer its item rows, the one splice joins the
-    # read-out items to the other entities and the intent readout is one
-    # prototype_mix node per side.
+    # read-out items to the other entities, the intent readout is one
+    # prototype_mix node per side and each attention direction is one
+    # edge_attention node that projects its own queries, keys and values.
     ds = synthetic_dataset(40, 30, 50, 3, density=0.5, seed=1, ratios=(1.0, 0.0, 0.0))
     tape, _ = _step_tape(ds, ExperimentConfig(seed=1, lr=3e-3, batch_size=32).validate())
     assert tape.op_counts() == {
         "add": 2, "bpr": 1, "edge_attention": 2, "gated_sum": 4,
-        "infonce": 1, "kg_pool": 1, "matmul": 6, "mul": 4, "prototype_mix": 2,
+        "infonce": 1, "kg_pool": 1, "mul": 4, "prototype_mix": 2,
         "score": 2, "slice_rows": 1, "splice": 1, "spmm": 4, "sum_all": 1,
     }
-    assert len(tape) == 32
+    assert len(tape) == 26
 
 
 def test_step_node_count_independent_of_head_count(tiny_dataset):
@@ -537,7 +538,7 @@ def test_step_tape_holds_no_edge_block(tiny_dataset):
     with ad.Tape() as tape:
         training.training_step_loss(params, tiny_dataset, view, cfg, batch)
     shapes = [(name, out.values.shape) for name, out, _ in tape._nodes]
-    assert len(shapes) > 40
+    assert len(shapes) >= 31  # the whole depth-2 step
     assert [(name, shape) for name, shape in shapes
             if len(shape) == 2 and shape[0] in edge_rows and shape[1] == cfg.embed_dim] == []
 
@@ -1236,6 +1237,14 @@ def test_checkpoint_truncated(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) - 10])
     with pytest.raises(CheckpointError, match="truncated"):
+        training.load_checkpoint(path)
+
+
+def test_checkpoint_naming_one_entry_twice_is_a_checkpoint_error(tmp_path):
+    # the second 'a' once replaced the first without a word
+    path = tmp_path / "model.bin"
+    training.save_checkpoint(path, [("a", np.zeros(2)), ("b", np.ones(3)), ("a", np.ones(2))])
+    with pytest.raises(CheckpointError, match="parameter 'a' appears twice"):
         training.load_checkpoint(path)
 
 
