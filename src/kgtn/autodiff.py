@@ -2,19 +2,17 @@
 
 The operator set covers exactly what the recommender's forward pass needs:
 - arithmetic: `add`, `mul` (elementwise, with scalar broadcast);
-- layout: `slice_rows` (a contiguous block of rows, whose backward is a
-  slice add), `splice` (a table with its first rows replaced);
 - neighborhood sums: `spmm`, a constant sparse matrix (cached by the graph
   that owns the structure) times the leading rows of a dense block, with a
   fallback row where the matrix row is empty;
 - fused edge operations, one node each over every edge of a graph:
   `edge_attention` (one direction of masked multi-head attention, with
-  its query, key and value projections),
+  its query, key and value projections, over the tables' leading rows),
   `kg_pool` (the relation-aware attention pool of the KG slots) and
   `gated_sum` (the per-head mean of relation-gated KG rows);
 - reductions: `sum_all`;
 - the intent readout: `prototype_mix`, the softmax(e @ P.T)-weighted sum
-  of the prototype rows P, one node;
+  of the prototype rows P over the leading rows of e, one node;
 - the ranking head: `score`, the inner products of layer-summed batch
   rows, and `bpr`, the mean pairwise ranking loss of two score vectors;
 - the contrastive objective: `infonce`, one fused node that sums any
@@ -70,9 +68,9 @@ Backward does only the work a gradient needs:
   the same order as what it replaces, so the gradients are bitwise equal.
 - A fallback receives the upstream gradient on the empty rows only, added
   into those rows of its gradient buffer (a zero buffer is made first if
-  it has none); `slice_rows`, `splice` and `spmm` add into the rows they
-  read the same way. None forms a full-size masked copy of the upstream
-  gradient.
+  it has none). The ops that read leading rows add into those rows the
+  same way, and a row that passes through gets its upstream row. None forms
+  a full-size masked copy of the upstream gradient.
 - The scatter behind `score` and `infonce`, the ops that take per-step
   batch indices, is one flat `np.bincount` over `row * d + column`, summed
   into the table's gradient as a single block.
@@ -324,7 +322,7 @@ def mul(a, b):
 
 
 # ---------------------------------------------------------------------------
-# indexing and layout
+# indexing and neighborhood sums
 
 
 def _row_index(op, index, n):
@@ -338,20 +336,6 @@ def _row_index(op, index, n):
     if idx.min() < 0 or idx.max() >= n:
         raise ShapeError(f"{op}: index out of range for table with {n} rows")
     return idx
-
-
-def slice_rows(table, start, stop):
-    """Rows `start` .. `stop - 1` of a matrix, as a copy.
-
-    Backward adds the gradient into those rows of the table's gradient and
-    touches no other row.
-    """
-    tv = _values(table)
-    if tv.ndim != 2 or not 0 <= start <= stop <= tv.shape[0]:
-        raise ShapeError(f"slice_rows: rows {start}..{stop} do not fit shape {tv.shape}")
-    out = Tensor(tv[start:stop].copy(), requires_grad=_needs_grad(table))
-    _record("slice_rows", out, lambda g: _accum_rows(table, slice(start, stop), g))
-    return out
 
 
 def _scatter_rows(index, rows, n):
@@ -396,6 +380,15 @@ def _accum_rows(t, rows, g):
     t.grad[rows] += g
 
 
+def _accum_prefix(t, g):
+    """Add `g` into the leading rows of `t.grad`. A `g` that covers every
+    row must be fresh (see `_accum`) and may become the buffer."""
+    if g.shape[0] == t.values.shape[0]:
+        _accum(t, g, fresh=True)
+    else:
+        _accum_rows(t, slice(0, g.shape[0]), g)
+
+
 def _accum_fallback(fallback, g, operator):
     empty = operator.empty_rows
     if _tracked(fallback) and empty.size:
@@ -427,30 +420,9 @@ def spmm(matrix, x, fallback):
     def backward(g):
         _accum_fallback(fallback, g, matrix)
         if _tracked(x):
-            _accum_rows(x, slice(0, m), matrix.transposed @ g)
+            _accum_prefix(x, matrix.transposed @ g)
 
     _record("spmm", out, backward)
-    return out
-
-
-def splice(prefix, table):
-    """A copy of `table` whose first rows are `prefix`.
-
-    Backward gives `prefix` the first rows of the gradient and adds the
-    other rows into the same rows of `table`'s gradient.
-    """
-    pv, tv = _values(prefix), _values(table)
-    if pv.ndim != 2 or tv.ndim != 2 or pv.shape[0] > tv.shape[0] or pv.shape[1] != tv.shape[1]:
-        raise ShapeError(f"splice: prefix {pv.shape} does not fit table {tv.shape}")
-    k = pv.shape[0]
-    out = Tensor(np.concatenate([pv, tv[k:]]), requires_grad=_needs_grad(prefix, table))
-
-    def backward(g):
-        _accum(prefix, g[:k])
-        if _tracked(table):
-            _accum_rows(table, slice(k, None), g[k:])
-
-    _record("splice", out, backward)
     return out
 
 
@@ -513,9 +485,9 @@ def _head_blocks(d, n_heads):
 
 def _project_back(table, tv, weight, wv, g):
     """Push the gradient `g` on the product `tv @ wv` back to its factors:
-    `g @ wv.T` into `table`, `tv.T @ g` into `weight`."""
+    `g @ wv.T` into the leading rows of `table`, `tv.T @ g` into `weight`."""
     if _tracked(table):
-        _accum(table, g @ wv.T, fresh=True)
+        _accum_prefix(table, g @ wv.T)
     if _tracked(weight):
         _accum(weight, tv.T @ g, fresh=True)
 
@@ -526,38 +498,42 @@ def edge_attention(sources, targets, wq, wk, wv, edges, n_heads):
     `edges` is one direction of the interaction graph (`data.EdgeList`):
     edge e runs from source row `edges.source[e]` to target row
     `edges.target[e]`, grouped by source along `edges.offsets`. The op
-    projects the (sources, d) table to the queries `sources @ wq` and the
-    (targets, d) table to the keys `targets @ wk` and the values
-    `targets @ wv`, each projection a (d, d) matrix. Head h owns columns
-    h*d/H .. (h+1)*d/H - 1 of the projections. Its logit on edge e is
-    q_s . k_t / sqrt(d/H) over those columns, its weight alpha the softmax
-    of the logits over each source's edges, and source row s of the output
-    is the alpha-weighted sum of its targets' value rows, summed by the
-    constant operator `edges.source_sum`; a source without edges keeps its
-    own row of `sources`.
+    projects the leading rows of `sources`, one per source of the graph, to
+    the queries (`@ wq`) and those of `targets` to the keys (`@ wk`) and
+    the values (`@ wv`), each projection a (d, d) matrix; either table may
+    hold more rows. Head h owns columns h*d/H .. (h+1)*d/H - 1 of the
+    projections. Its logit on edge e is q_s . k_t / sqrt(d/H) over those
+    columns, its weight alpha the softmax of the logits over each source's
+    edges, and source row s of the output is the alpha-weighted sum of its
+    targets' value rows, summed by the constant operator `edges.source_sum`;
+    a source without edges, and every row past the sources, keeps its own
+    row of `sources`.
 
     Only the projected tables and alpha (E, H) are kept. Backward gathers
     the query, key and value rows of the edges again, scatters the source-
     and target-side gradients through `edges.source_sum` and
     `edges.target_sum` and projects them back (`_project_back`): `sources`
-    gets its rows without edges, then the queries' share, and `targets`
+    gets its rows kept as they were, then the queries' share, and `targets`
     the values' share, then the keys': the order in which a tape of the
     three projections and the attention replays, so the gradients are
     bitwise equal to that tape's.
     """
     xs, xt, wqv, wkv, wvv = (_values(t) for t in (sources, targets, wq, wk, wv))
     sums_to_source, sums_to_target = edges.source_sum, edges.target_sum
-    if (xs.ndim != 2 or xt.shape != (sums_to_target.shape[0], xs.shape[1])
-            or xs.shape[0] != sums_to_source.shape[0]
+    n_src, n_tgt = sums_to_source.shape[0], sums_to_target.shape[0]
+    if (xs.ndim != 2 or xt.ndim != 2 or xt.shape[1] != xs.shape[1]
+            or xs.shape[0] < n_src or xt.shape[0] < n_tgt
             or any(w.shape != (xs.shape[1],) * 2 for w in (wqv, wkv, wvv))):
         raise ShapeError(
             f"edge_attention: sources {xs.shape}, targets {xt.shape} and projections "
-            f"{wqv.shape}, {wkv.shape}, {wvv.shape} do not fit {sums_to_source.shape[0]} "
-            f"sources and {sums_to_target.shape[0]} targets"
+            f"{wqv.shape}, {wkv.shape}, {wvv.shape} do not fit {n_src} sources and "
+            f"{n_tgt} targets"
         )
     d = xs.shape[1]
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"head count {n_heads} must divide embedding size {d}")
+    tail = xs[n_src:]   # the source rows past the graph
+    xs, xt = xs[:n_src], xt[:n_tgt]
     qv, kv, vv = xs @ wqv, xt @ wkv, xt @ wvv
     src, tgt, offsets = edges.source, edges.target, edges.offsets
     blocks, scaled = _head_blocks(d, n_heads)
@@ -568,13 +544,15 @@ def edge_attention(sources, targets, wq, wk, wv, edges, n_heads):
     msg = vv[tgt]
     heads = msg.reshape(-1, n_heads, d // n_heads)   # a view: head h's value columns
     heads *= alpha[:, :, None]
-    sums = sums_to_source @ msg
+    sums = np.concatenate([sums_to_source @ msg, tail])
     del msg, heads
     _fallback_rows(sums_to_source, sums, xs)
     out = Tensor(sums, requires_grad=_needs_grad(sources, targets, wq, wk, wv))
 
     def backward(g):
         _accum_fallback(sources, g, sums_to_source)
+        if len(tail) and _tracked(sources):
+            _accum_rows(sources, slice(n_src, None), g[n_src:])
         g_edge = g[src]
         g_values = g_edge.reshape(-1, n_heads, d // n_heads) * alpha[:, :, None]
         _project_back(targets, xt, wv, wvv, sums_to_target @ g_values.reshape(g_edge.shape))
@@ -710,28 +688,32 @@ def sum_all(a):
 # intent readout
 
 
-def _prototype_weights(name, e, prototypes):
-    """The (n, K) weights `prototype_mix` applies to the plain (n, d) `e`
-    and (K, d) `prototypes`, the max-shifted row softmax of
-    `e @ prototypes.T`, and the transposed copy of the prototypes that
-    product reads. Bad shapes and an empty prototype set raise, by `name`.
+def _prototype_weights(name, e, prototypes, rows=None):
+    """The weights `prototype_mix` applies to the plain (n, d) `e` and
+    (K, d) `prototypes`, the max-shifted row softmax of
+    `e[:rows] @ prototypes.T`, and the transposed copy of the prototypes
+    that product reads. Bad shapes, `rows` outside [0, n] and an empty
+    prototype set raise, by `name`.
     """
     if e.ndim != 2 or prototypes.ndim != 2 or e.shape[1] != prototypes.shape[1]:
         raise ShapeError(f"{name}: embeddings {e.shape} vs prototypes {prototypes.shape}")
+    if rows is not None and not 0 <= rows <= e.shape[0]:
+        raise ShapeError(f"{name}: rows {rows} outside [0, {e.shape[0]}]")
     if prototypes.shape[0] < 1:
         raise DomainError(f"{name}: need at least one prototype")
     transposed = prototypes.T.copy()
-    logits = e @ transposed
+    logits = e[:rows] @ transposed
     exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return exp / exp.sum(axis=-1, keepdims=True), transposed
 
 
-def prototype_mix(e, prototypes):
-    """Attentive mixture over prototype rows: softmax(e @ P.T) @ P.
+def prototype_mix(e, prototypes, rows=None):
+    """Attentive mixture over prototype rows, softmax(e @ P.T) @ P, of the
+    first `rows` rows of `e` (all by default); the other rows pass through.
 
     `e` is (n, d) and the prototypes P are (K, d), K >= 1. Row i of the
     weights is the softmax over k of e_i . p_k, and row i of the output the
-    weighted sum of the rows of P. Only the (n, K) weights w and the
+    weighted sum of the rows of P. Only the (rows, K) weights w and the
     transposed copy of P are kept. Backward adds `w.T @ g` into P first,
     then pushes `g @ P.T` through the softmax to the logit gradient dL and
     adds `dL @ P` into `e` and `(e.T @ dL).T` into P: the arithmetic and
@@ -739,18 +721,22 @@ def prototype_mix(e, prototypes):
     gradients are bitwise equal to theirs.
     """
     ev, pv = _values(e), _values(prototypes)
-    w, transposed = _prototype_weights("prototype_mix", ev, pv)
-    out = Tensor(w @ pv, requires_grad=_needs_grad(e, prototypes))
+    w, transposed = _prototype_weights("prototype_mix", ev, pv, rows)
+    rows = len(w)
+    head, tail = ev[:rows], ev[rows:]
+    out = Tensor(np.concatenate([w @ pv, tail]), requires_grad=_needs_grad(e, prototypes))
 
     def backward(g):
+        g_head = g[:rows]
         if _tracked(prototypes):
-            _accum(prototypes, w.T @ g, fresh=True)
-        g_w = g @ pv.T
+            _accum(prototypes, w.T @ g_head, fresh=True)
+        g_w = g_head @ pv.T
         d_logits = w * (g_w - (g_w * w).sum(axis=-1, keepdims=True))
         if _tracked(e):
-            _accum(e, d_logits @ transposed.T, fresh=True)
+            _accum_prefix(e, d_logits @ transposed.T)
+            _accum_rows(e, slice(rows, None), g[rows:])  # the rows passed through
         if _tracked(prototypes):
-            _accum(prototypes, (ev.T @ d_logits).T)
+            _accum(prototypes, (head.T @ d_logits).T)
 
     _record("prototype_mix", out, backward)
     return out

@@ -33,9 +33,10 @@ EULER_MASCHERONI = 0.5772156649015329
 
 
 def gumbel_from_uniform(eps):
-    """Map Uniform(0,1) draws to standard Gumbel noise: -log(-log(eps))."""
+    """Map Uniform(0,1) draws to standard Gumbel noise: -log(-log(eps)).
+    A draw outside (0, 1), NaN included, raises `DomainError`."""
     eps = np.asarray(eps, dtype=np.float64)
-    if np.any(eps <= 0.0) or np.any(eps >= 1.0):
+    if not np.all((eps > 0.0) & (eps < 1.0)):
         raise DomainError("gumbel_from_uniform: eps must lie strictly inside (0, 1)")
     return -np.log(-np.log(eps))
 

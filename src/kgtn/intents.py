@@ -1,9 +1,10 @@
 """Global-intent modeling over the fused interaction + knowledge graph.
 
 Each layer folds KG context into the entity embeddings by relation-aware
-aggregation, then propagates the item rows (item ids are the entity-id
-prefix) over observed user-item pairs only with a masked multi-head graph
-transformer; a `splice` puts the new items back over the entity table.
+aggregation, then propagates the item rows over observed user-item pairs
+only with a masked multi-head graph transformer. Items are the entity-id
+prefix and stay rows of the entity table throughout: the transformer reads
+and rewrites that prefix in place, and the other entities pass through it.
 All heads run in one blocked pass: a head is a column block of one
 stacked (d, d) projection. After the last layer, an attentive mixture over
 learnable intent prototypes reads out the intent-aware users and items, one
@@ -42,8 +43,8 @@ class GlobalState:
     """The two tensors the global forward hands on.
 
     `users` is the intent mix of the last propagated users (M, d);
-    `entities` is the global entity seed (E, d): the intent-mixed items
-    followed by the propagated non-item entities.
+    `entities` is the global entity seed (E, d): the intent mix of the
+    propagated item rows, followed by the propagated non-item entities.
     """
 
     users: ad.Tensor
@@ -60,10 +61,11 @@ def intent_assignment(e, prototypes):
     return ad._prototype_weights("intent_assignment", ad._values(e), ad._values(prototypes))[0]
 
 
-def intent_mix(e, prototypes):
-    """Intent-aware embedding: assignment-weighted sum of prototype rows,
-    one `prototype_mix` node."""
-    return ad.prototype_mix(e, prototypes)
+def intent_mix(e, prototypes, rows=None):
+    """Intent-aware embedding of the first `rows` rows of `e` (all of them
+    by default): assignment-weighted sum of prototype rows, one
+    `prototype_mix` node. The other rows pass through."""
+    return ad.prototype_mix(e, prototypes, rows)
 
 
 def kg_aggregate(entity_emb, relation_emb, edges):
@@ -77,21 +79,23 @@ def kg_aggregate(entity_emb, relation_emb, edges):
     return ad.kg_pool(entity_emb, relation_emb, edges)
 
 
-def transformer_layer(user_emb, item_emb, params, graph):
+def transformer_layer(user_emb, entity_emb, params, graph):
     """Masked multi-head attention over observed user-item pairs.
 
     Attention logits exist only where the interaction indicator is 1; each
     user attends over their interacted items and, symmetrically with the
-    same projections, each item attends over its users. Each direction is
-    one `edge_attention` node, which projects its own queries, keys and
-    values. Nodes without any interaction pass through unchanged. Head h
-    reads output columns h*d/H .. (h+1)*d/H - 1 of the stacked query, key
-    and value projections.
+    same projections, each item attends over its users. The items are the
+    first `graph.n_items` rows of `entity_emb`, read in place. Each
+    direction is one `edge_attention` node, which projects its own queries,
+    keys and values. Nodes without any interaction, and the entities past
+    the items, pass through unchanged. Returns the new users and the new
+    entity table. Head h reads output columns h*d/H .. (h+1)*d/H - 1 of the
+    stacked query, key and value projections.
     """
     wq, wk, wv, H = params.wq, params.wk, params.wv, params.n_heads
-    new_u = ad.edge_attention(user_emb, item_emb, wq, wk, wv, graph.user_edges, H)
-    new_i = ad.edge_attention(item_emb, user_emb, wq, wk, wv, graph.item_edges, H)
-    return new_u, new_i
+    new_u = ad.edge_attention(user_emb, entity_emb, wq, wk, wv, graph.user_edges, H)
+    new_e = ad.edge_attention(entity_emb, user_emb, wq, wk, wv, graph.item_edges, H)
+    return new_u, new_e
 
 
 def forward_global(user_emb, entity_emb, relation_emb, proto_user, proto_item,
@@ -102,19 +106,12 @@ def forward_global(user_emb, entity_emb, relation_emb, proto_user, proto_item,
     Each layer first folds KG context into entities, then runs the masked
     transformer over the interaction graph on the item rows, the entity
     prefix. The readout mixes the last propagated users and items over the
-    intent prototypes; with no layers it mixes the base embeddings. The
-    items rejoin the other entities through one `splice` node per join.
-    Only what the readout needs is recorded.
+    intent prototypes; with no layers it mixes the base embeddings. Only
+    what the readout needs is recorded.
     """
-    n_items = graph.n_items
-    # The current entities are `items` spliced over `source`; `items` is
-    # None while they are still `entity_emb` itself.
-    p_u, source, items = user_emb, entity_emb, None
+    p_u, p_e = user_emb, entity_emb
     for layer in layer_params:
-        p_e = source if items is None else ad.splice(items, source)
         source = kg_aggregate(p_e, relation_emb, kg_edges)
-        p_u, items = transformer_layer(p_u, ad.slice_rows(source, 0, n_items), layer, graph)
-    if items is None:
-        items = ad.slice_rows(entity_emb, 0, n_items)
+        p_u, p_e = transformer_layer(p_u, source, layer, graph)
     return GlobalState(users=intent_mix(p_u, proto_user),
-                       entities=ad.splice(intent_mix(items, proto_item), source))
+                       entities=intent_mix(p_e, proto_item, graph.n_items))

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ShapeError
 
 
 def _average_ranks(x):
@@ -24,33 +24,45 @@ def _average_ranks(x):
     return ranks
 
 
+def _scored_labels(name, scores, labels):
+    """The float64 scores and the labels' positive mask. Scores and labels
+    that are not 1-d vectors of one length, or a label not 0 or 1, raise."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    if scores.ndim != 1 or labels.shape != scores.shape:
+        raise ShapeError(f"{name}: want two 1-d vectors of one length, got {scores.shape} "
+                         f"scores and {labels.shape} labels")
+    positive = labels == 1
+    if not (positive | (labels == 0)).all():
+        raise DomainError(f"{name}: labels must be 0 or 1")
+    return scores, positive
+
+
 def auc(scores, labels):
     """Probability that a random positive outscores a random negative.
 
     Ties count one half; computed via the rank-sum identity in O(n log n).
     A NaN score makes the result NaN.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
+    scores, positive = _scored_labels("auc", scores, labels)
+    n_pos = int(positive.sum())
+    n_neg = positive.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DomainError("auc is undefined unless both classes are present")
     if np.isnan(scores).any():
         return float("nan")
     ranks = _average_ranks(scores)
-    pos_rank_sum = ranks[labels == 1].sum()
+    pos_rank_sum = ranks[positive].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 def f1(scores, labels, threshold=0.5):
     """Binary F1 with `score >= threshold` as the positive prediction."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
+    scores, positive = _scored_labels("f1", scores, labels)
     pred = scores >= threshold
-    tp = int((pred & (labels == 1)).sum())
-    fp = int((pred & (labels == 0)).sum())
-    fn = int((~pred & (labels == 1)).sum())
+    tp = int((pred & positive).sum())
+    fp = int((pred & ~positive).sum())
+    fn = int((~pred & positive).sum())
     if tp + fp == 0:
         warnings.warn("f1: no predicted positives at this threshold")
         return 0.0

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,16 +30,26 @@ def fd_check(build, named, tol=1e-4):
     return result
 
 
+def _public_ops():
+    """The public ops of `kgtn.autodiff`, the set a training step records."""
+    return {name for name, f in vars(ad).items()
+            if inspect.isfunction(f) and f.__module__ == ad.__name__
+            and not name.startswith("_")} - {"constant", "parameter"}
+
+
 def test_module_docstring_lists_exactly_the_public_ops():
     # the operator list runs from its lead-in to the broadcasting paragraph
     doc = ad.__doc__
     listing = doc[doc.index("The operator set"):doc.index("There is no general broadcasting")]
     listed = re.findall(r"`(\w+)`", listing)
-    public = {name for name, f in vars(ad).items()
-              if inspect.isfunction(f) and f.__module__ == ad.__name__
-              and not name.startswith("_")} - {"constant", "parameter"}
     assert len(listed) == len(set(listed))
-    assert set(listed) == public
+    assert set(listed) == _public_ops()
+
+
+def test_readme_module_table_counts_the_public_ops():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    row, = (line for line in readme.splitlines() if line.startswith("| `kgtn.autodiff` |"))
+    assert re.findall(r"(\d+) primitive ops", row) == [str(len(_public_ops()))]
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +154,29 @@ def test_prototype_mix_rejects_bad_operands_by_name():
         ad.prototype_mix(e, np.ones((0, 4)))
 
 
+@pytest.mark.parametrize("rows", [0, 2, 5])
+def test_prototype_mix_finite_difference_with_passthrough_rows(rows):
+    e = ad.parameter(RNG.normal(size=(5, 4)))
+    p = ad.parameter(RNG.normal(size=(3, 4)))
+    w = RNG.normal(size=(5, 4))
+    fd_check(lambda: ad.sum_all(ad.mul(ad.prototype_mix(e, p, rows), w)),
+             [("e", e), ("p", p)], tol=1e-6)
+    # the rows past `rows` pass through: their gradient is the upstream row
+    np.testing.assert_array_equal(e.grad[rows:], w[rows:])
+    out = ad.prototype_mix(e, p, rows).values
+    assert out[:rows].tobytes() == ad.prototype_mix(e.values[:rows], p).values.tobytes()
+    # a copy, so later in-place parameter writes do not reach it
+    assert not np.shares_memory(out, e.values)
+    np.testing.assert_array_equal(out[rows:], e.values[rows:])
+
+
+def test_prototype_mix_rejects_rows_outside_the_table():
+    e, p = np.ones((3, 4)), np.ones((2, 4))
+    for rows in (-1, 4):
+        with pytest.raises(ShapeError, match=rf"prototype_mix: rows {rows} outside \[0, 3\]"):
+            ad.prototype_mix(e, p, rows)
+
+
 # ---------------------------------------------------------------------------
 # Hadamard (elementwise) product and arithmetic; `mul` is the product
 
@@ -242,7 +276,7 @@ def test_backward_releases_each_node_once_it_has_run():
     with ad.Tape() as tape:
         h = ad.mul(p, w)
         del w
-        h = ad.add(ad.mul(h, h), ad.slice_rows(h, 0, 5))
+        h = ad.add(ad.mul(h, h), ad.mul(h, 1.0))
         loss = ad.sum_all(h)
     del h
     outputs = [weakref.ref(out.values) for _, out, _ in tape._nodes if out is not loss]
@@ -477,50 +511,10 @@ def test_bpr_rejects_bad_operands_by_name():
         ad.bpr(ad.constant(np.ones((2, 2))), ad.constant(np.ones((2, 2))))
 
 
-# ---------------------------------------------------------------------------
-# slice_rows: a contiguous block of rows
-
-
-@pytest.mark.parametrize("start, stop", [(0, 4), (2, 6), (1, 3), (0, 6), (3, 3)])
-def test_slice_rows_finite_difference(start, stop):
-    t = ad.parameter(RNG.normal(size=(6, 3)))
-    w = ad.constant(RNG.normal(size=(stop - start, 3)))
-    fd_check(lambda: ad.sum_all(ad.mul(ad.slice_rows(t, start, stop), w)), [("t", t)], tol=1e-7)
-
-
-def test_slice_rows_copies_its_rows():
-    # Adam writes parameters in place, so a slice must not see later writes
-    t = ad.parameter(RNG.normal(size=(5, 3)))
-    rows = t.values[1:4].copy()
-    out = ad.slice_rows(t, 1, 4)
-    assert not np.shares_memory(out.values, t.values)
-    t.values -= 1.0
-    np.testing.assert_array_equal(out.values, rows)
-
-
-def test_slice_rows_sends_gradient_only_to_its_rows():
-    start = RNG.normal(size=(6, 2))
-    t = ad.parameter(np.zeros((6, 2)))
-    t.grad[...] = start
-    upstream = RNG.normal(size=(2, 2))
-    with ad.Tape() as tape:
-        mid = ad.mul(t, 1.0)  # an intermediate table without a grad buffer
-        loss = ad.sum_all(ad.mul(ad.slice_rows(t, 3, 5), ad.constant(upstream)))
-        loss = loss + ad.sum_all(ad.mul(ad.slice_rows(mid, 0, 2), ad.constant(upstream)))
-    tape.backward(loss)
-    expect = start.copy()
-    expect[3:5] += upstream
-    expect[0:2] += upstream
-    assert t.grad.tobytes() == expect.tobytes()
-
-
-def test_slice_rows_rejects_rows_outside_the_table():
-    t = ad.constant(np.ones((4, 2)))
-    for start, stop in ((-1, 2), (2, 5), (3, 2)):
-        with pytest.raises(ShapeError, match="slice_rows"):
-            ad.slice_rows(t, start, stop)
-    with pytest.raises(ShapeError, match="slice_rows"):
-        ad.slice_rows(ad.constant(np.ones(4)), 0, 2)
+def test_mean_all_rejects_empty():
+    # the batch mean of the ranking loss, formerly mean_all's
+    with pytest.raises(DomainError, match="bpr"):
+        ad.bpr(ad.constant(np.zeros(0)), ad.constant(np.zeros(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -789,13 +783,65 @@ def test_edge_attention_rejects_misfit_shapes():
     graph, _ = _edge_fixture()
     edges = graph.user_edges
     xs, xt, w = np.ones((4, 4)), np.ones((5, 4)), np.ones((4, 4))
-    for args in ((xt, xt, w, w, w), (xs, xs, w, w, w), (xs, np.ones((5, 2)), w, w, w),
+    # taller tables are read by their leading rows; shorter ones do not fit
+    for args in ((np.ones((3, 4)), xt, w, w, w), (xs, xs, w, w, w), (xs, np.ones(5), w, w, w),
+                 (xs, np.ones((5, 2)), w, w, w), (np.ones((6, 4)), np.ones((6, 2)), w, w, w),
                  (xs, xt, np.ones((4, 2)), w, w), (xs, xt, w, np.ones((2, 4)), w),
                  (xs, xt, w, w, np.ones(4)), (np.ones((4, 2, 2)), xt, w, w, w)):
         with pytest.raises(ShapeError, match="edge_attention"):
             ad.edge_attention(*args, edges, 2)
     with pytest.raises(ShapeError, match="head count 3"):
         ad.edge_attention(xs, xt, w, w, w, edges, 3)
+
+
+@pytest.mark.parametrize("direction", ["user_edges", "item_edges"])
+def test_edge_attention_finite_difference_with_taller_tables(direction):
+    graph, _ = _edge_fixture()
+    edges = getattr(graph, direction)
+    n_src, n_tgt = edges.source_sum.shape[0], edges.target_sum.shape[0]
+    operands = _attention_operands(RNG, n_src + 2, n_tgt + 3, 4)
+    w = RNG.normal(size=(n_src + 2, 4))
+    fd_check(lambda: ad.sum_all(ad.mul(ad.edge_attention(*operands, edges, 2), w)),
+             list(zip(("sources", "targets", "wq", "wk", "wv"), operands)), tol=1e-7)
+    # source rows past the graph pass through; target rows past it are not read
+    np.testing.assert_array_equal(operands[0].grad[n_src:], w[n_src:])
+    np.testing.assert_array_equal(operands[1].grad[n_tgt:], 0.0)
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+@pytest.mark.parametrize("direction", ["user_edges", "item_edges"])
+def test_edge_attention_with_taller_tables_bitwise_equals_the_prefix_oracle(direction, n_heads):
+    graph, _ = _edge_fixture()
+    edges, d = getattr(graph, direction), 4
+    n_src, n_tgt = edges.source_sum.shape[0], edges.target_sum.shape[0]
+    rng = np.random.default_rng(10 + n_heads)
+    operands = _attention_operands(rng, n_src + 3, n_tgt + 2, d)
+    xs, xt, wq, wk, wv = (t.values for t in operands)
+    g = rng.normal(size=(n_src + 3, d))
+    # gradients already held, so that the order of the contributions shows
+    held = [rng.normal(size=t.values.shape) for t in operands]
+    for t, start in zip(operands, held):
+        t.grad[...] = start
+    with ad.Tape() as tape:
+        out = ad.edge_attention(*operands, edges, n_heads)
+        loss = ad.sum_all(ad.mul(out, g))
+    tape.backward(loss)
+    # the oracle runs on the graph's rows and adds into those rows of the
+    # held gradients; the source rows past the graph get the upstream rows
+    want_grads = [start.copy() for start in held]
+    prefix_grads = [want_grads[0][:n_src], want_grads[1][:n_tgt], *want_grads[2:]]
+    want_out = _composed_attention_oracle(xs[:n_src], xt[:n_tgt], wq, wk, wv, edges, n_heads,
+                                          g[:n_src], prefix_grads)
+    want_grads[0][n_src:] += g[n_src:]
+    assert out.values[:n_src].tobytes() == want_out.tobytes()
+    assert out.values[n_src:].tobytes() == xs[n_src:].tobytes()
+    assert not np.shares_memory(out.values, xs)
+    for t, want in zip(operands, want_grads):
+        assert t.grad.tobytes() == want.tobytes()
+    targets_of = [edges.target[edges.offsets[s]:edges.offsets[s + 1]] for s in range(n_src)]
+    np.testing.assert_allclose(
+        want_out, _attention_oracle(xs[:n_src] @ wq, xt[:n_tgt] @ wk, xt[:n_tgt] @ wv,
+                                    xs[:n_src], targets_of, n_heads), rtol=0, atol=1e-12)
 
 
 def _wide_edges(seed):
@@ -998,58 +1044,6 @@ def test_gated_sum_rejects_bad_operands():
                  (gate, np.ones(6))):
         with pytest.raises(ShapeError, match="gated_sum"):
             ad.gated_sum(edges, *args)
-
-
-# ---------------------------------------------------------------------------
-# splice: a table with its first rows replaced
-
-
-@pytest.mark.parametrize("k", [0, 2, 6])
-def test_splice_replaces_the_first_rows(k):
-    a = RNG.normal(size=(k, 3))
-    b = RNG.normal(size=(6, 3))
-    out = ad.splice(ad.constant(a), ad.constant(b)).values
-    np.testing.assert_array_equal(out, np.vstack([a, b[k:]]))
-    assert not np.shares_memory(out, a) and not np.shares_memory(out, b)
-
-
-def test_splice_sends_each_row_gradient_to_its_source():
-    prefix = ad.parameter(np.zeros((2, 2)))
-    start = RNG.normal(size=(5, 2))
-    table = ad.parameter(np.zeros((5, 2)))
-    table.grad[...] = start
-    upstream = RNG.normal(size=(5, 2))
-    with ad.Tape() as tape:
-        loss = ad.sum_all(ad.mul(ad.splice(prefix, table), ad.constant(upstream)))
-    tape.backward(loss)
-    assert prefix.grad.tobytes() == upstream[:2].tobytes()
-    expect = start.copy()
-    expect[2:] += upstream[2:]
-    assert table.grad.tobytes() == expect.tobytes()
-
-
-def test_splice_rejects_a_prefix_that_does_not_fit():
-    table = ad.constant(np.ones((2, 3)))
-    for prefix in (np.ones((3, 3)), np.ones((1, 2)), np.ones(3), np.ones((1, 3, 1))):
-        with pytest.raises(ShapeError, match=r"splice: prefix \(.*\) does not fit table \(2, 3\)"):
-            ad.splice(ad.constant(prefix), table)
-    for bad_table in (np.ones(3), np.ones((2, 3, 1))):
-        with pytest.raises(ShapeError, match="splice"):
-            ad.splice(ad.constant(np.ones((1, 3))), ad.constant(bad_table))
-
-
-def test_mean_all_rejects_empty():
-    # the batch mean of the ranking loss, formerly mean_all's
-    with pytest.raises(DomainError, match="bpr"):
-        ad.bpr(ad.constant(np.zeros(0)), ad.constant(np.zeros(0)))
-
-
-@pytest.mark.parametrize("k", [0, 2, 5])
-def test_splice_finite_difference(k):
-    a = ad.parameter(RNG.normal(size=(k, 2)))
-    b = ad.parameter(RNG.normal(size=(5, 2)))
-    w = ad.constant(RNG.normal(size=(5, 2)))
-    fd_check(lambda: ad.sum_all(ad.mul(ad.splice(a, b), w)), [("a", a), ("b", b)])
 
 
 # ---------------------------------------------------------------------------
@@ -1452,25 +1446,22 @@ def test_reduction_first_then_other_op_accumulates():
 
 def test_pass_through_views_are_copied():
     # leaves built with requires_grad=True start without a buffer, so their
-    # first contribution decides it: a split piece (a, and b's rows after
-    # it), the upstream gradient itself (m, through an add) and a broadcast
-    # (s, which then takes a second contribution)
-    a = ad.Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+    # first contribution decides it: a split piece (b's rows past the mixed
+    # ones), the upstream gradient itself (m, through an add) and a
+    # broadcast (s, which then takes a second contribution)
     b = ad.Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
     m = ad.Tensor(RNG.normal(size=(5, 3)), requires_grad=True)
     s = ad.Tensor(RNG.normal(size=(2, 2)), requires_grad=True)
     with ad.Tape() as tape:
-        cat = ad.splice(a, b)
-        prod = ad.prototype_mix(cat, ad.add(m, 0.0))
+        prod = ad.prototype_mix(b, ad.add(m, 0.0), 2)
         loss = ad.sum_all(ad.mul(prod, prod)) + ad.sum_all(ad.mul(s, s)) + ad.sum_all(s)
     tape.backward(loss)
-    for t in (a, b, m, s):
+    for t in (b, m, s):
         assert t.grad.flags.writeable and t.grad.flags.owndata
         assert t.grad.flags.c_contiguous and t.grad.shape == t.values.shape
-    _, dcat, dm = _prototype_mix_oracle(cat.values, m.values, 2.0 * prod.values)
-    np.testing.assert_allclose(a.grad, dcat[:2], atol=1e-12)
-    np.testing.assert_allclose(b.grad[2:], dcat[2:], atol=1e-12)
-    np.testing.assert_array_equal(b.grad[:2], 0.0)
+    _, db, dm = _prototype_mix_oracle(b.values[:2], m.values, 2.0 * prod.values[:2])
+    np.testing.assert_allclose(b.grad[:2], db, atol=1e-12)
+    np.testing.assert_array_equal(b.grad[2:], 2.0 * b.values[2:])
     np.testing.assert_allclose(m.grad, dm, atol=1e-12)
     np.testing.assert_allclose(s.grad, 2.0 * s.values + 1.0, atol=1e-12)
 

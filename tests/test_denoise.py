@@ -28,7 +28,7 @@ def test_gumbel_half_oracle():
 
 
 def test_gumbel_rejects_endpoints():
-    for eps in (0.0, 1.0, -0.1, 1.1):
+    for eps in (0.0, 1.0, -0.1, 1.1, float("nan")):
         with pytest.raises(DomainError):
             denoise.gumbel_perturb(0.0, eps)
 

@@ -86,6 +86,18 @@ def test_assignment_is_the_plain_weights_of_the_one_node_mix():
     np.testing.assert_array_equal(intents.intent_assignment(e.values, c.values), weights)
 
 
+def test_mix_of_leading_rows_passes_the_other_rows_through():
+    # the item readout mixes the item prefix of the entity table in one node
+    e = ad.parameter(RNG.normal(size=(5, 3)))
+    c = ad.parameter(RNG.normal(size=(4, 3)))
+    with ad.Tape() as tape:
+        mixed = intents.intent_mix(e, c, 2)
+    assert tape.op_counts() == {"prototype_mix": 1}
+    weights = intents.intent_assignment(e.values[:2], c)
+    assert mixed.values[:2].tobytes() == (weights @ c.values).tobytes()
+    np.testing.assert_array_equal(mixed.values[2:], e.values[2:])
+
+
 def test_assignment_rejects_bad_shapes_and_no_prototypes_by_name():
     e = ad.constant(np.ones((2, 3)))
     for bad_e, bad_c in ((e, np.ones((4, 2))), (np.ones(3), np.ones((4, 3))), (e, np.ones(3))):
@@ -232,7 +244,7 @@ def test_transformer_masked_pair_zero_gradient():
     items = ad.parameter(RNG.normal(size=(3, d)))
     with ad.Tape() as tape:
         new_u, _ = intents.transformer_layer(users, items, params, graph)
-        loss = ad.sum_all(ad.slice_rows(new_u, 0, 1))
+        loss = ad.sum_all(ad.mul(new_u, ad.constant(np.outer([1.0, 0.0], np.ones(d)))))
     tape.backward(loss)
     np.testing.assert_allclose(items.grad[2], np.zeros(d), atol=1e-12)
     assert np.abs(items.grad[:2]).max() > 0
@@ -351,9 +363,8 @@ def test_forward_global_depth_zero_is_mixed_base():
     np.testing.assert_allclose(
         state.users.values, intents.intent_mix(p["user"], p["cu"]).values
     )
-    items = ad.slice_rows(p["ent"], 0, 3)
     np.testing.assert_allclose(
-        state.entities.values[:3], intents.intent_mix(items, p["cv"]).values
+        state.entities.values[:3], intents.intent_mix(p["ent"].values[:3], p["cv"]).values
     )
     np.testing.assert_array_equal(state.entities.values[3:], p["ent"].values[3:])
 

@@ -11,7 +11,7 @@ from recall_oracle import recall_from_ranking
 from scipy.stats import rankdata
 
 from kgtn import metrics
-from kgtn.errors import DomainError
+from kgtn.errors import DomainError, ShapeError
 
 
 def brute_force_auc(scores, labels):
@@ -99,6 +99,22 @@ def test_f1_no_predicted_positives_warns():
 def test_f1_tp_fp_fn_oracle():
     # TP=1, FP=1, FN=1 -> P = R = 0.5 -> F1 = 0.5
     assert metrics.f1([0.9, 0.8, 0.1], [1, 0, 1]) == 0.5
+
+
+@pytest.mark.parametrize("metric", [metrics.auc, metrics.f1])
+def test_metrics_reject_a_label_outside_zero_and_one(metric):
+    # a label 2 was ranked as a third class: auc read 2.0
+    for labels in ([0, 1, 2], [0, 1, -1], [0.0, 1.0, 0.5], [0.0, 1.0, np.nan]):
+        with pytest.raises(DomainError, match=f"{metric.__name__}: labels"):
+            metric([0.1, 0.9, 0.5], labels)
+
+
+@pytest.mark.parametrize("metric", [metrics.auc, metrics.f1])
+def test_metrics_reject_scores_and_labels_that_are_not_one_vector_pair(metric):
+    for scores, labels in (([0.1, 0.9, 0.5], [0, 1]), ([0.1, 0.9], [0, 1, 1]),
+                           ([[0.1, 0.9]], [[0, 1]]), (0.5, 1), ([[0.1, 0.9]], [0, 1])):
+        with pytest.raises(ShapeError, match=metric.__name__):
+            metric(scores, labels)
 
 
 # The per-user recall of the loop that `experiments.recall_at_k` must match

@@ -429,19 +429,18 @@ def _step_tape(dataset, cfg):
 def test_toy_step_records_pinned_nodes():
     # the overfit config of the acceptance suite; any change to the tape
     # shows here as a diff. The contrastive term is one infonce node, the
-    # ranking head one score node per prediction and one bpr node, the one
-    # slice feeds the transformer its item rows, the one splice joins the
-    # read-out items to the other entities, the intent readout is one
-    # prototype_mix node per side and each attention direction is one
-    # edge_attention node that projects its own queries, keys and values.
+    # ranking head one score node per prediction and one bpr node, the intent
+    # readout is one prototype_mix node per side and each attention direction
+    # is one edge_attention node that projects its own queries, keys and
+    # values. The items stay rows of the entity table: no node copies them.
     ds = synthetic_dataset(40, 30, 50, 3, density=0.5, seed=1, ratios=(1.0, 0.0, 0.0))
     tape, _ = _step_tape(ds, ExperimentConfig(seed=1, lr=3e-3, batch_size=32).validate())
     assert tape.op_counts() == {
         "add": 2, "bpr": 1, "edge_attention": 2, "gated_sum": 4,
         "infonce": 1, "kg_pool": 1, "mul": 4, "prototype_mix": 2,
-        "score": 2, "slice_rows": 1, "splice": 1, "spmm": 4, "sum_all": 1,
+        "score": 2, "spmm": 4, "sum_all": 1,
     }
-    assert len(tape) == 26
+    assert len(tape) == 24
 
 
 def test_step_node_count_independent_of_head_count(tiny_dataset):
@@ -476,21 +475,21 @@ def test_each_aggregation_is_one_node(tiny_dataset, depth, agg_depth):
 def test_step_restacks_no_projection(tiny_dataset, depth):
     # the projections are stored stacked and the intent readout keeps its
     # prototype transposes inside its two prototype_mix nodes: no transpose
-    # is recorded. The only splices join the items to the other entities
-    # (after each layer but the first, and at the readout); the L2 term
-    # reads the parameter store as is
+    # is recorded. The items stay rows of the entity table at every layer,
+    # so no layout node copies them out or back in; the L2 term reads the
+    # parameter store as is
     counts = _step_tape(tiny_dataset, small_cfg(depth=depth))[0].op_counts()
     assert tiny_dataset.n_entities > tiny_dataset.n_items
     assert "transpose" not in counts and counts["prototype_mix"] == 2
-    assert counts["splice"] == depth
+    assert not {"slice_rows", "splice"} & set(counts)
 
 
 def test_light_user_step_gathers_no_interaction_edges(tiny_dataset, monkeypatch):
     cfg = small_cfg(agg_depth=2)
     params, view, _ = _step_inputs(tiny_dataset, cfg)
     graph = tiny_dataset.train_graph
-    gathers, slices = [], []
-    score, infonce, slice_rows = ad.score, ad.infonce, ad.slice_rows
+    gathers = []
+    score, infonce = ad.score, ad.infonce
 
     # score and infonce are the ops that read rows by an index
     def spy_score(user_layers, item_layers, users, items):
@@ -501,13 +500,8 @@ def test_light_user_step_gathers_no_interaction_edges(tiny_dataset, monkeypatch)
         gathers.extend(np.asarray(rows) for _, _, rows in pairs)
         return infonce(pairs, *args, **kwargs)
 
-    def spy_slice(table, start, stop):
-        slices.append((start, stop))
-        return slice_rows(table, start, stop)
-
     monkeypatch.setattr(ad, "score", spy_score)
     monkeypatch.setattr(ad, "infonce", spy_infonce)
-    monkeypatch.setattr(ad, "slice_rows", spy_slice)
     with ad.Tape() as tape:
         stack = denoise.light_aggregate(params.user_emb, params.entity_emb, params.relation_emb,
                                         view.edges, graph, cfg.agg_depth)
@@ -515,7 +509,6 @@ def test_light_user_step_gathers_no_interaction_edges(tiny_dataset, monkeypatch)
     # kept slots' rows live inside the gated sums, and no gather runs over the
     # user-item edges
     assert gathers == []
-    assert slices == []
     counts = tape.op_counts()
     assert counts["spmm"] == counts["gated_sum"] == cfg.agg_depth
     assert set(counts) == {"spmm", "gated_sum"}
@@ -538,7 +531,7 @@ def test_step_tape_holds_no_edge_block(tiny_dataset):
     with ad.Tape() as tape:
         training.training_step_loss(params, tiny_dataset, view, cfg, batch)
     shapes = [(name, out.values.shape) for name, out, _ in tape._nodes]
-    assert len(shapes) >= 31  # the whole depth-2 step
+    assert len(shapes) >= 27  # the whole depth-2 step
     assert [(name, shape) for name, shape in shapes
             if len(shape) == 2 and shape[0] in edge_rows and shape[1] == cfg.embed_dim] == []
 
