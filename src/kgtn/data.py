@@ -141,11 +141,15 @@ class InteractionGraph:
                 raise DataFormatError("interaction pair index out of range")
         self.n_users = int(n_users)
         self.n_items = int(n_items)
-        # dedupe and sort for a canonical layout
-        pairs = np.unique(pos_pairs, axis=0)
+        # dedupe and sort by (user, item) for a canonical layout; a stable
+        # sort by item then orders the item-major side by (item, user)
+        pairs = unique_rows(pos_pairs)
         self.pairs = pairs
-        self.u_offsets, self.u_items = _csr(pairs[:, 0], pairs[:, 1], self.n_users)
-        self.i_offsets, self.i_users = _csr(pairs[:, 1], pairs[:, 0], self.n_items)
+        self.u_offsets = csr_offsets(pairs[:, 0], self.n_users)
+        self.u_items = pairs[:, 1].copy()
+        by_item = pairs[np.argsort(pairs[:, 1], kind="stable")]
+        self.i_offsets = csr_offsets(by_item[:, 1], self.n_items)
+        self.i_users = by_item[:, 0].copy()
 
     @property
     def n_interactions(self):
@@ -216,9 +220,16 @@ def csr_offsets(keys, n_keys):
     return offsets
 
 
-def _csr(keys, values, n_keys):
-    order = np.lexsort((values, keys))
-    return csr_offsets(keys[order], n_keys), values[order]
+def unique_rows(rows):
+    """The distinct rows of a 2-D array in ascending lexicographic order.
+
+    The same array as `np.unique` along axis 0 gives, from one `np.lexsort`
+    over the columns and one comparison of neighbouring rows.
+    """
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(rows.shape[0], dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=keep[1:])
+    return rows[keep]
 
 
 class KnowledgeGraph:
@@ -229,7 +240,7 @@ class KnowledgeGraph:
     """
 
     def __init__(self, triples, n_entities=None, n_relations=None):
-        triples = np.unique(_id_rows(triples, 3, "knowledge-graph triples"), axis=0)
+        triples = unique_rows(_id_rows(triples, 3, "knowledge-graph triples"))
         if triples.size and triples.min() < 0:
             raise DataFormatError("negative ID in knowledge-graph triples")
         max_ent = int(max(triples[:, 0].max(), triples[:, 2].max())) + 1 if triples.size else 0
@@ -245,7 +256,7 @@ class KnowledgeGraph:
                 f"relation ID overflow: triples use {max_rel} relations, declared {n_relations}"
             )
         self.triples = triples
-        # `unique` sorts the rows by (head, relation, tail); the columns are
+        # `unique_rows` sorts them by (head, relation, tail); the columns are
         # copied so the edges never alias `triples`
         heads = triples[:, 0].copy()
         self._edges = KGEdges(
@@ -322,7 +333,7 @@ def load_interactions(path):
         if label not in (0, 1):
             raise DataFormatError(f"ratings line {lineno}: label must be 0 or 1, got {label}")
     raw = np.array([r for _, r in rows], dtype=np.int64)
-    raw = np.unique(raw, axis=0)  # duplicate (u, i, label) lines carry no information
+    raw = unique_rows(raw)  # duplicate (u, i, label) lines carry no information
     # raw ids map to their rank among the distinct ids
     users, user_idx = np.unique(raw[:, 0], return_inverse=True)
     items, item_idx = np.unique(raw[:, 1], return_inverse=True)
@@ -340,7 +351,7 @@ def load_kg(path, min_entities=0):
     """
     rows = _parse_int_lines(path, 3, "kg")
     triples = np.array([r for _, r in rows], dtype=np.int64).reshape(-1, 3)
-    n_distinct = np.unique(triples, axis=0).shape[0]
+    n_distinct = unique_rows(triples).shape[0]
     stray = np.flatnonzero(triples[:, 1] >= n_distinct)
     if stray.size:
         lineno, (_, rel, _) = rows[int(stray[0])]
@@ -392,20 +403,54 @@ def negative_sample(graph, user, count, seed):
     if count < 0:
         raise DomainError(f"user {user}: negative count {count}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    # the user's free items in ascending order; the pool's order fixes what rng.choice draws
-    free = np.ones(graph.n_items, dtype=bool)
-    free[graph.items_of(user)] = False
-    pool = np.flatnonzero(free).astype(np.int64, copy=False)
-    if pool.size == 0:
-        raise DomainError(f"user {user} has interacted with every item; no negatives exist")
+    row = graph.items_of(user)
+    n_free = graph.n_items - row.size
+    if n_free == 0 or count > n_free:
+        _short_of_negatives(user, count, n_free)
     if count == 0:
         return np.array([], dtype=np.int64)
-    if count > pool.size:
-        warnings.warn(
-            f"user {user}: requested {count} negatives, only {pool.size} available; truncating"
-        )
-        count = pool.size
-    return rng.choice(pool, size=count, replace=False)
+    count = min(count, n_free)
+    rank = rng.choice(n_free, size=count, replace=False)
+    return _free_items(np.array([0, row.size]), row, graph.n_items,
+                       np.zeros(count, dtype=np.int64), rank)
+
+
+def _short_of_negatives(user, count, n_free):
+    """A user with fewer free items than `count`: none is a `DomainError`,
+    some a warning that the draw is cut to them."""
+    if n_free == 0:
+        raise DomainError(f"user {user} has interacted with every item; no negatives exist")
+    warnings.warn(
+        f"user {user}: requested {count} negatives, only {n_free} available; truncating"
+    )
+
+
+def _negative_counts(graph, wanted):
+    """How many negatives each user draws, and how many free items each has.
+
+    `wanted[u]` cut to user u's free items, with `negative_sample`'s
+    warning or error for each user short of them, in ascending user order.
+    """
+    n_free = graph.n_items - np.diff(graph.u_offsets)
+    for u in np.flatnonzero(wanted > n_free):
+        _short_of_negatives(int(u), wanted[u], n_free[u])
+    return np.minimum(wanted, n_free), n_free
+
+
+def _free_items(offsets, items, n_items, user, rank):
+    """Item number `rank[k]` (from 0, ascending) among those row `user[k]` lacks.
+
+    `offsets` and `items` are CSR rows of distinct items, each row sorted.
+    Drawing ranks with `rng.choice(n_free, ...)` takes the same numbers from
+    the generator as drawing from the array of free items, so the ranks map
+    to the items that draw would give. Over the flat keys row * n_items +
+    item, `taken[j] - j` free keys lie below the j-th taken key, so free key
+    number f is f plus the count of taken keys with at most f below them.
+    """
+    taken = np.repeat(np.arange(offsets.size - 1) * n_items, np.diff(offsets)) + items
+    first = user * n_items - offsets[user] + rank   # the free key's number over all rows
+    key = first + np.searchsorted(taken - np.arange(taken.size), first, side="right")
+    return key - user * n_items
 
 
 def make_split(interactions, ratios, seed):
@@ -427,23 +472,27 @@ def make_split(interactions, ratios, seed):
     n_test = np.where(degree < 3, 0, (degree * ratios[2]).astype(np.int64))
     n_held = n_eval + n_test
 
-    # The only per-user work is what the stream depends on: shuffle the
-    # user's items in place, then draw that user's negatives.
+    # The only per-user work is the generator's: shuffle the user's items
+    # in place, then draw the ranks of that user's negatives.
+    n_draw, n_free = _negative_counts(full_graph, n_held)
     items = full_graph.u_items.copy()
-    negatives = [np.empty(0, dtype=np.int64)]
-    for u in np.flatnonzero(degree):
-        rng.shuffle(items[offsets[u]:offsets[u + 1]])
-        if n_held[u]:
-            negatives.append(negative_sample(full_graph, u, n_held[u], rng))
-    negatives = np.concatenate(negatives)
+    ranks = [np.empty(0, dtype=np.int64)]
+    users = np.flatnonzero(degree)
+    for lo, hi, free, draw in zip(offsets[users].tolist(), offsets[users + 1].tolist(),
+                                  n_free[users].tolist(), n_draw[users].tolist()):
+        rng.shuffle(items[lo:hi])
+        if draw:
+            ranks.append(rng.choice(free, size=draw, replace=False))
+    neg_user, neg_rank = _blocks(n_draw)
+    negatives = _free_items(offsets, full_graph.u_items, n_items, neg_user,
+                            np.concatenate(ranks))
 
     # A user's shuffled items are train, then eval, then test; their drawn
     # negatives (truncated to the items they lack) are eval, then test.
     pos_user, rank = _blocks(degree)
     pos_part = ((rank >= (degree - n_held)[pos_user]).astype(np.int64)
                 + (rank >= (degree - n_test)[pos_user]))
-    neg_user, rank = _blocks(np.minimum(n_held, n_items - degree))
-    neg_part = 1 + (rank >= n_eval[neg_user])
+    neg_part = 1 + (neg_rank >= n_eval[neg_user])
 
     def rows(part):
         """User-major rows of one portion: each user's positives, then negatives."""
@@ -466,14 +515,20 @@ def _blocks(counts):
 def rows_with_negatives(graph, positives, counts, rng):
     """(user, item, label) rows: `positives` labelled 1, then negatives labelled 0.
 
-    User u gets `counts[u]` negatives from `negative_sample`, drawn from `rng`
-    in ascending user order.
+    User u gets the negatives `negative_sample(graph, u, counts[u], rng)`
+    would give, drawn from `rng` in ascending user order: `counts[u]`, or
+    all of u's free items with a warning when u has fewer.
     """
-    negatives = [negative_sample(graph, u, counts[u], rng) for u in np.flatnonzero(counts)]
-    user = np.concatenate([positives[:, 0], np.repeat(np.arange(counts.size), counts)])
-    item = np.concatenate([positives[:, 1], *negatives])
-    label = np.repeat(np.int64([1, 0]), [positives.shape[0], counts.sum()])
-    return np.column_stack([user, item, label])
+    n_draw, n_free = _negative_counts(graph, counts)
+    users = np.flatnonzero(n_draw)
+    ranks = [rng.choice(free, size=draw, replace=False)
+             for free, draw in zip(n_free[users].tolist(), n_draw[users].tolist())]
+    user = np.repeat(np.arange(counts.size), n_draw)
+    negatives = _free_items(graph.u_offsets, graph.u_items, graph.n_items, user,
+                            np.concatenate([np.empty(0, dtype=np.int64), *ranks]))
+    return np.column_stack([np.concatenate([positives[:, 0], user]),
+                            np.concatenate([positives[:, 1], negatives]),
+                            np.repeat(np.int64([1, 0]), [positives.shape[0], user.size])])
 
 
 def inject_noise(dataset, ratio, seed):
@@ -595,6 +650,21 @@ class RawData:
         return KnowledgeGraph(self.triples, n_entities=self.n_entities, n_relations=self.n_relations)
 
 
+# `generate_synthetic` draws its users' rows in blocks of at most this many
+# doubles (2 MiB), or one row where a row is longer.
+SYNTH_BLOCK_DOUBLES = 1 << 18
+
+
+def _row_with_a_hit(rng, p):
+    """Items of one user's row: `rng.random(p.size) < p`, drawn until it has
+    a hit, or one uniform item after 1000 draws without one."""
+    for _ in range(1000):
+        hits = np.flatnonzero(rng.random(p.size) < p)
+        if hits.size:
+            return hits
+    return np.array([int(rng.integers(p.size))])
+
+
 def generate_synthetic(n_users, n_items, n_entities, n_relations, density=0.5, seed=0, n_groups=4):
     """Deterministic planted-preference dataset.
 
@@ -627,18 +697,29 @@ def generate_synthetic(n_users, n_items, n_entities, n_relations, density=0.5, s
     p_same = min(1.0, density + spread)
     p_diff = max(0.0, density - spread)
 
+    # Each user's row of hits is one `rng.random(n_items)` draw, drawn again
+    # while it has none. Rows are drawn a block at a time; a block that
+    # holds a row without hits is drawn again up to that row, which then
+    # takes its own draws.
     p_of_group = np.where(np.arange(groups)[:, None] == item_groups, p_same, p_diff)
-    member = np.zeros((n_users, n_items), dtype=bool)
-    for u in range(n_users):
-        p = p_of_group[user_groups[u]]
-        for _ in range(1000):
-            row = rng.random(n_items) < p
-            if row.any():
-                member[u] = row
-                break
-        else:
-            member[u, int(rng.integers(n_items))] = True
-    positives = np.argwhere(member)
+    block = max(1, SYNTH_BLOCK_DOUBLES // n_items)
+    flat = []   # positives as flat keys user * n_items + item
+    u = 0
+    while u < n_users:
+        state = rng.bit_generator.state
+        rows = min(block, n_users - u)
+        hits = rng.random((rows, n_items)) < p_of_group[user_groups[u:u + rows]]
+        empty = np.flatnonzero(~hits.any(axis=1))
+        if empty.size:
+            rows = int(empty[0])
+            rng.bit_generator.state = state
+            hits = rng.random((rows, n_items)) < p_of_group[user_groups[u:u + rows]]
+        flat.append(np.flatnonzero(hits) + u * n_items)
+        u += rows
+        if empty.size:
+            flat.append(_row_with_a_hit(rng, p_of_group[user_groups[u]]) + u * n_items)
+            u += 1
+    positives = np.column_stack(np.divmod(np.concatenate(flat), n_items))
 
     # balanced explicit negatives, mirroring the on-disk rating format
     graph = InteractionGraph(n_users, n_items, positives)
@@ -663,7 +744,7 @@ def generate_synthetic(n_users, n_items, n_entities, n_relations, density=0.5, s
             triples.append(
                 (n_items + j, int(rng.integers(n_relations)), int(rng.integers(n_entities)))
             )
-    triples = np.unique(np.array(triples, dtype=np.int64).reshape(-1, 3), axis=0)
+    triples = unique_rows(np.array(triples, dtype=np.int64).reshape(-1, 3))
 
     return RawData(
         pairs=pairs,
