@@ -432,23 +432,14 @@ def spmm(matrix, x, fallback):
 
 
 def _segments(offsets):
-    """Starts and lengths of the nonempty CSR segments, and their mask.
+    """Starts and lengths of the nonempty CSR segments.
 
     `np.add.reduceat` mishandles empty segments, so every segment reduction
     runs over the nonempty ones only.
     """
     counts = np.diff(offsets)
     nonempty = counts > 0
-    return offsets[:-1][nonempty], counts[nonempty], nonempty
-
-
-def _segsum(x, offsets):
-    """Sum of each CSR segment; an empty segment sums to zero."""
-    starts, _, nonempty = _segments(offsets)
-    out = np.zeros((nonempty.size,) + x.shape[1:], dtype=np.float64)
-    if starts.size:
-        out[nonempty] = np.add.reduceat(x, starts, axis=0)
-    return out
+    return offsets[:-1][nonempty], counts[nonempty]
 
 
 def _segment_softmax(logits, offsets):
@@ -457,7 +448,7 @@ def _segment_softmax(logits, offsets):
     Each reduction covers the nonempty segments and is repeated back over
     their rows; an empty segment has no rows to fill.
     """
-    starts, counts, _ = _segments(offsets)
+    starts, counts = _segments(offsets)
     shifted = logits - np.repeat(np.maximum.reduceat(logits, starts, axis=0), counts, axis=0)
     e = np.exp(shifted)
     return e / np.repeat(np.add.reduceat(e, starts, axis=0), counts, axis=0)
@@ -465,7 +456,7 @@ def _segment_softmax(logits, offsets):
 
 def _segment_softmax_backward(g, s, offsets):
     """Gradient on the logits of `s = _segment_softmax(logits, offsets)`."""
-    starts, counts, _ = _segments(offsets)
+    starts, counts = _segments(offsets)
     inner = np.repeat(np.add.reduceat(g * s, starts, axis=0), counts, axis=0)
     return s * (g - inner)
 
@@ -597,7 +588,7 @@ def kg_pool(entity, relation, edges):
     Only the (E,) beta is kept. Backward gathers the slot rows again, holds
     at most three (E, d) blocks at once and scatters them once through the
     edges' one-hot `relation_sum` and once through `tail_sum`; the heads'
-    share is a segment sum.
+    share is summed through `head_sum`.
     """
     ev, rv = _values(entity), _values(relation)
     _check_kg_tables("kg_pool", ev, rv, edges)
@@ -628,7 +619,7 @@ def kg_pool(entity, relation, edges):
         del g_edge
         if _tracked(entity):
             tail_rows *= d_logits[:, None]
-            grad = _segsum(tail_rows, offsets)  # heads own the segments
+            grad = edges.head_sum @ tail_rows
             del tail_rows
             head_rows = ev[edges.head]
             head_rows *= d_logits[:, None]

@@ -55,6 +55,11 @@ class KGEdges:
         return block_operator(self.offsets, 1.0 / np.maximum(self.counts, 1))
 
     @cached_property
+    def head_sum(self):
+        """(n, E) CSR matrix summing each head's block of slot rows."""
+        return block_operator(self.offsets, np.ones(self.offsets.size - 1))
+
+    @cached_property
     def tail_sum(self):
         """(n, E) one-hot operator summing slot rows onto their tail entities."""
         return one_hot_operator(self.tail, self.offsets.size - 1)

@@ -168,7 +168,7 @@ def test_pruning_fit_never_writes_kg_or_split(fingerprint):
     for op in (graph.user_mean, graph.user_edges.source_sum, graph.item_edges.source_sum,
                edges.mean_operator):
         op.transposed, op.empty_rows
-    edges.tail_sum, edges.relation_sum
+    edges.head_sum, edges.tail_sum, edges.relation_sum
     before = fingerprint(ds)  # split, KG, its CSR edges, the train graph and their operators
     cfg = ExperimentConfig(embed_dim=8, n_intents=2, n_heads=2, agg_depth=1, k_top=1,
                            batch_size=64, epochs=2, seed=7).validate()
@@ -196,7 +196,8 @@ def test_propagation_operators_leave_the_structure_unchanged():
     arrays = [ds.kg.triples, edges.offsets, edges.rel, edges.tail, edges.head, graph.pairs,
               graph.u_offsets, graph.u_items, graph.i_offsets, graph.i_users]
     before = [a.copy() for a in arrays]
-    operators = [graph.user_mean, edges.mean_operator, edges.tail_sum, edges.relation_sum]
+    operators = [graph.user_mean, edges.mean_operator, edges.head_sum, edges.tail_sum,
+                 edges.relation_sum]
     for direction in (graph.user_edges, graph.item_edges):
         operators += [direction.source_sum, direction.target_sum]
     rng = np.random.default_rng(0)
