@@ -180,3 +180,42 @@ def test_a_fault_on_any_workload_fails_the_run(checkouts, monkeypatch, capsys, b
     # the other workloads still run and report
     assert {w for _, w, _ in calls} == set(WORKLOADS)
     assert capsys.readouterr().out.count("median [quartiles] per side") == 3
+
+
+def test_record_appends_the_changes_summary_per_workload(checkouts, monkeypatch, tmp_path):
+    _fake_runs(monkeypatch)
+    monkeypatch.setattr(ab_pairs, "commit_of", lambda root: f"sha-{Path(root).name}")
+    parent, change = checkouts
+    out = tmp_path / "bench"
+    out.mkdir()
+    argv = ["--parent", parent, "--change", change, "--workload", "toy-overfit,lastfm-eval",
+            "--pairs", "4", "--seeds", "1,13", "--record", str(out)]
+    assert ab_pairs.main(argv) == 0
+    assert ab_pairs.main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["BENCH_lastfm-eval.json",
+                                                    "BENCH_toy-overfit.json"]
+    doc = json.loads((out / "BENCH_toy-overfit.json").read_text())
+    assert doc["workload"] == "toy-overfit" and len(doc["entries"]) == 2
+    entry = doc["entries"][-1]
+    assert (entry["commit"], entry["parent"]) == ("sha-change", "sha-parent")
+    assert entry["env"] == [{"nproc": 2}]
+    assert (entry["pairs"], entry["seeds"]) == (4, [1, 13])
+    # seeds 1, 13, 1, 13 read 11, 23, 11, 23 ms: two modes of two runs each
+    step = entry["metrics"]["step_ms_p50"]
+    assert step["runs"] == [11.0, 23.0, 11.0, 23.0]
+    assert (step["unit"], step["median"], step["q1"], step["q3"]) == ("ms", 17.0, 11.0, 23.0)
+    assert step["modes"] == [[11.0, 11.0, 2], [23.0, 23.0, 2]]
+    assert entry["parent_metrics"]["step_ms_p50"] == {"unit": "ms", "median": 17.0,
+                                                     "q1": 11.0, "q3": 23.0}
+
+
+def test_record_needs_a_directory(checkouts, tmp_path):
+    parent, change = checkouts
+    with pytest.raises(SystemExit):
+        ab_pairs.parse_args(["--parent", parent, "--change", change, "--workload", "all",
+                             "--record", str(tmp_path / "missing")])
+
+
+def test_modes_split_where_neighbours_differ_by_a_tenth_of_the_median():
+    assert ab_pairs.modes([0.16, 0.15, 0.23, 0.155, 0.22]) == [[0.15, 0.16, 3], [0.22, 0.23, 2]]
+    assert ab_pairs.modes([1.0, 1.05, 1.1]) == [[1.0, 1.1, 3]]

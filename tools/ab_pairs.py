@@ -34,10 +34,20 @@ its runs: a timing compares the two sides only on the same environment.
 The exit status is nonzero when, on any workload, a run is not `correct`,
 the change's failed share is larger than the parent's, or the two sides'
 env lines differ.
+
+`--record DIR` appends the change's summary of each workload to
+`DIR/BENCH_<workload>.json`, a JSON object whose `entries` list grows by
+one entry per call: the change's commit and the parent's, the date, the
+change's env lines, the pairs and seeds, and for every end-to-end metric
+the change's median, quartiles, per-run values and modes (the runs split
+where two neighbouring sorted values differ by more than a tenth of the
+median; each mode is its low, its high and its count), with the parent's
+median and quartiles beside them.
 """
 from __future__ import annotations
 
 import argparse
+import datetime
 import json
 import statistics
 import subprocess
@@ -45,6 +55,9 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# Sorted per-run values split into modes where neighbours differ by more
+# than this share of their median.
+MODE_GAP = 0.1
 
 
 def parse_args(argv):
@@ -55,10 +68,14 @@ def parse_args(argv):
                         help="a workload, a comma-separated list of them, or 'all'")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", default="1,13", help="comma-separated workload seeds")
+    parser.add_argument("--record", type=Path, metavar="DIR",
+                        help="append the change's summaries to DIR/BENCH_<workload>.json")
     args = parser.parse_args(argv)
     args.seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     if args.pairs < 1 or not args.seeds:
         parser.error("need at least one pair and one seed")
+    if args.record is not None and not args.record.is_dir():
+        parser.error(f"--record: {args.record} is not a directory")
     for side in SIDES:
         if not (getattr(args, side) / "perfbench" / "run.py").is_file():
             parser.error(f"--{side}: no perfbench/run.py under {getattr(args, side)}")
@@ -179,12 +196,71 @@ def report(workload, runs, end_to_end, seeds):
     return exit_status(runs)
 
 
+def commit_of(root):
+    """The checkout's HEAD commit, or None outside a git work tree."""
+    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True, check=False)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def modes(values):
+    """[low, high, count] of each group of the sorted values, split where two
+    neighbours differ by more than MODE_GAP times the median."""
+    values = sorted(values)
+    gap = MODE_GAP * abs(statistics.median(values))
+    groups = [[values[0]]]
+    for previous, value in zip(values, values[1:]):
+        if value - previous > gap:
+            groups.append([])
+        groups[-1].append(value)
+    return [[g[0], g[-1], len(g)] for g in groups]
+
+
+def side_summary(runs, k, end_to_end, detail=False):
+    """Median, quartiles and unit of every end-to-end metric that side k
+    measured; with `detail`, also its per-run values and modes."""
+    out = {}
+    for entry in end_to_end:
+        measured = [pair[k]["metrics"].get(entry["name"]) for pair in runs]
+        measured = [m for m in measured if m and m["value"] is not None]
+        if not measured:
+            continue
+        values = [m["value"] for m in measured]
+        q1, q2, q3 = quartiles(values)
+        out[entry["name"]] = {"unit": measured[0]["unit"], "median": q2, "q1": q1, "q3": q3}
+        if detail:
+            out[entry["name"]].update(runs=values, modes=modes(values))
+    return out
+
+
+def record(args, workload, runs):
+    """Append the change's summary of `workload` to its BENCH file."""
+    path = args.record / f"BENCH_{workload}.json"
+    doc = (json.loads(path.read_text(encoding="utf-8")) if path.is_file()
+           else {"workload": workload, "entries": []})
+    parent, change = range(len(SIDES))
+    doc["entries"].append({
+        "commit": commit_of(args.change),
+        "parent": commit_of(args.parent),
+        "date": datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%d"),
+        "env": [json.loads(env) if env != "None" else None
+                for env in environments(runs)[change]],
+        "pairs": len(runs),
+        "seeds": args.seeds,
+        "metrics": side_summary(runs, change, args.benchmark["end_to_end"], detail=True),
+        "parent_metrics": side_summary(runs, parent, args.benchmark["end_to_end"]),
+    })
+    path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+
+
 def main(argv=None):
     args = parse_args(argv)
     status = 0
     for workload in args.workloads:
         runs = run_pairs(args, workload)
         status = max(status, report(workload, runs, args.benchmark["end_to_end"], args.seeds))
+        if args.record is not None:
+            record(args, workload, runs)
     return status
 
 
