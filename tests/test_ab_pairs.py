@@ -205,8 +205,7 @@ def test_record_appends_the_changes_summary_per_workload(checkouts, monkeypatch,
     assert step["runs"] == [11.0, 23.0, 11.0, 23.0]
     assert (step["unit"], step["median"], step["q1"], step["q3"]) == ("ms", 17.0, 11.0, 23.0)
     assert step["modes"] == [[11.0, 11.0, 2], [23.0, 23.0, 2]]
-    assert entry["parent_metrics"]["step_ms_p50"] == {"unit": "ms", "median": 17.0,
-                                                     "q1": 11.0, "q3": 23.0}
+    assert entry["parent_metrics"]["step_ms_p50"] == step
 
 
 def test_record_needs_a_directory(checkouts, tmp_path):
@@ -219,3 +218,11 @@ def test_record_needs_a_directory(checkouts, tmp_path):
 def test_modes_split_where_neighbours_differ_by_a_tenth_of_the_median():
     assert ab_pairs.modes([0.16, 0.15, 0.23, 0.155, 0.22]) == [[0.15, 0.16, 3], [0.22, 0.23, 2]]
     assert ab_pairs.modes([1.0, 1.05, 1.1]) == [[1.0, 1.1, 3]]
+
+
+def test_a_side_summary_keeps_six_significant_digits():
+    runs = _runs([0.123456789, 0.123456789], [2.0, 2.0])
+    end_to_end = [{"name": "step_ms_p50"}]
+    parent = ab_pairs.side_summary(runs, 0, end_to_end)["step_ms_p50"]
+    assert parent["runs"] == [0.123457, 0.123457] and parent["median"] == 0.123457
+    assert parent["modes"] == [[0.123457, 0.123457, 2]]

@@ -39,10 +39,9 @@ env lines differ.
 `DIR/BENCH_<workload>.json`, a JSON object whose `entries` list grows by
 one entry per call: the change's commit and the parent's, the date, the
 change's env lines, the pairs and seeds, and for every end-to-end metric
-the change's median, quartiles, per-run values and modes (the runs split
+each side's median, quartiles, per-run values and modes (the runs split
 where two neighbouring sorted values differ by more than a tenth of the
-median; each mode is its low, its high and its count), with the parent's
-median and quartiles beside them.
+median; each mode is its low, its high and its count).
 """
 from __future__ import annotations
 
@@ -216,9 +215,9 @@ def modes(values):
     return [[g[0], g[-1], len(g)] for g in groups]
 
 
-def side_summary(runs, k, end_to_end, detail=False):
-    """Median, quartiles and unit of every end-to-end metric that side k
-    measured; with `detail`, also its per-run values and modes."""
+def side_summary(runs, k, end_to_end):
+    """Unit, median, quartiles, per-run values and modes of every end-to-end
+    metric that side k measured, each number to 6 significant digits."""
     out = {}
     for entry in end_to_end:
         measured = [pair[k]["metrics"].get(entry["name"]) for pair in runs]
@@ -226,11 +225,17 @@ def side_summary(runs, k, end_to_end, detail=False):
         if not measured:
             continue
         values = [m["value"] for m in measured]
-        q1, q2, q3 = quartiles(values)
-        out[entry["name"]] = {"unit": measured[0]["unit"], "median": q2, "q1": q1, "q3": q3}
-        if detail:
-            out[entry["name"]].update(runs=values, modes=modes(values))
+        q1, q2, q3 = (_digits(v) for v in quartiles(values))
+        out[entry["name"]] = {
+            "unit": measured[0]["unit"], "median": q2, "q1": q1, "q3": q3,
+            "runs": [_digits(v) for v in values],
+            "modes": [[_digits(lo), _digits(hi), n] for lo, hi, n in modes(values)],
+        }
     return out
+
+
+def _digits(value):
+    return float(f"{value:.6g}")
 
 
 def record(args, workload, runs):
@@ -247,7 +252,7 @@ def record(args, workload, runs):
                 for env in environments(runs)[change]],
         "pairs": len(runs),
         "seeds": args.seeds,
-        "metrics": side_summary(runs, change, args.benchmark["end_to_end"], detail=True),
+        "metrics": side_summary(runs, change, args.benchmark["end_to_end"]),
         "parent_metrics": side_summary(runs, parent, args.benchmark["end_to_end"]),
     })
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
