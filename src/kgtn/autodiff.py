@@ -15,8 +15,9 @@ The operator set covers exactly what the recommender's forward pass needs:
   of the prototype rows P over the leading rows of e, one node;
 - the ranking head: `score`, the inner products of layer-summed batch
   rows, and `bpr`, the mean pairwise ranking loss of two score vectors;
-- the contrastive objective: `infonce`, one fused node that sums any
-  number of InfoNCE terms, each over given rows of two tables.
+- the contrastive objective: `infonce`, one fused node that sums one
+  InfoNCE term per layer of any number of sides, a side being global and
+  local layers read at the same batch rows.
 There is no general broadcasting; the only implicit broadcasts are scalar
 (0-d) tensors and plain Python numbers against an array operand.
 
@@ -63,8 +64,10 @@ Backward does only the work a gradient needs:
   `data.KGEdges` for the fit (the full KG) or for one epoch (a pruned
   view). A `SparseOperator` keeps its CSR transpose and the index of its
   empty rows; `KGEdges` keeps its mean operator and the one-hot
-  `tail_sum` and `relation_sum` scatters; the (d, H) head indicator of
-  `edge_attention` is built once per (d, H). Each cached product sums in
+  `tail_sum` and `relation_sum` scatters; `EdgeList` and `KGEdges` keep
+  `segments`, the starts and lengths of their nonempty segments that the
+  segment softmax reads; the (d, H) head indicator of `edge_attention` is
+  built once per (d, H). Each cached product sums in
   the same order as what it replaces, so the gradients are bitwise equal.
 - A fallback receives the upstream gradient on the empty rows only, added
   into those rows of its gradient buffer (a zero buffer is made first if
@@ -84,21 +87,26 @@ Backward does only the work a gradient needs:
   or through a segment sum for the KG heads that group the slots.
 - `infonce` forms its operand gradients in the forward: the output is a
   scalar, so each term's gradient on its rows of a table is a fixed (b, d)
-  array times the upstream scalar. The (b, 2b) logit block is built,
-  reduced and differentiated in slabs of rows of at most
-  `INFONCE_SLAB_BYTES`; each slab writes its rows of the global view's
-  gradient and adds its share of the key gradient in place, so the whole
-  block never exists. Backward only scales and scatters.
+  array times the upstream scalar. The layers of one side share their
+  rows and run in units: as many consecutive layers as whole (b, 2b)
+  logit blocks fit in `INFONCE_SLAB_BYTES` stack on a leading axis, with
+  one gather per table, batched matmuls and one scatter per view of the
+  unit. A layer whose block does not fit alone is a unit of its own, its
+  block built, reduced and differentiated in slabs of rows of at most that
+  cap; each slab writes its rows of the global view's gradient and adds
+  its share of the key gradient in place, so the whole block never
+  exists. Each layer's arithmetic is the same in any unit. Backward only
+  scales and scatters.
 
 Forward ops never mutate their inputs; only `.grad` buffers change during
 backward. Recording and backward run on the calling thread and use no
 other. The one op that runs threads is an `infonce` call of several
-terms: when some term spans more than one slab and the process's one
+units: when some unit spans more than one slab and the process's one
 worker pool (`_executor`, one thread per core at its first use) has more
-than one thread, each term runs whole on a thread of that pool
+than one thread, each unit runs whole on a thread of that pool
 (`experiments.recall_at_k` ranks its user blocks on the same pool). The
 calling thread checks every operand and reads its rows first, waits for
-every term, and records the one node.
+every unit, and records the one node.
 """
 from __future__ import annotations
 
@@ -339,11 +347,14 @@ def _row_index(op, index, n):
 
 
 def _scatter_rows(index, rows, n):
-    """(n, d) sums of `rows` by their row `index`: one flat bincount over
-    `row * d + column`."""
-    d = rows.shape[1]
-    flat = (index.astype(np.intp, copy=False)[:, None] * d + np.arange(d)).ravel()
-    return np.bincount(flat, weights=rows.ravel(), minlength=n * d).reshape(n, d)
+    """(..., n, d) sums of the (..., b, d) `rows` by their row `index` (b,),
+    one (n, d) table per leading slice: one flat bincount over
+    `(slice * n + row) * d + column`."""
+    lead, d = rows.shape[:-2], rows.shape[-1]
+    keys = np.arange(math.prod(lead))[:, None] * n + index.astype(np.intp, copy=False)
+    flat = (keys[:, :, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=rows.ravel(), minlength=keys.shape[0] * n * d).reshape(
+        *lead, n, d)
 
 
 class SparseOperator(sparse.csr_array):
@@ -431,32 +442,23 @@ def spmm(matrix, x, fallback):
 # gathers the (E, d) edge rows again there
 
 
-def _segments(offsets):
-    """Starts and lengths of the nonempty CSR segments.
-
-    `np.add.reduceat` mishandles empty segments, so every segment reduction
-    runs over the nonempty ones only.
-    """
-    counts = np.diff(offsets)
-    nonempty = counts > 0
-    return offsets[:-1][nonempty], counts[nonempty]
-
-
-def _segment_softmax(logits, offsets):
+def _segment_softmax(logits, segments):
     """Softmax of each column within every CSR segment, max-shifted.
 
-    Each reduction covers the nonempty segments and is repeated back over
-    their rows; an empty segment has no rows to fill.
+    `segments` is the graph's kept index of its nonempty segments, their
+    starts and lengths (`data.segment_index`). Each reduction covers those
+    segments and is repeated back over their rows; an empty segment has no
+    rows to fill.
     """
-    starts, counts = _segments(offsets)
+    starts, counts = segments
     shifted = logits - np.repeat(np.maximum.reduceat(logits, starts, axis=0), counts, axis=0)
     e = np.exp(shifted)
     return e / np.repeat(np.add.reduceat(e, starts, axis=0), counts, axis=0)
 
 
-def _segment_softmax_backward(g, s, offsets):
-    """Gradient on the logits of `s = _segment_softmax(logits, offsets)`."""
-    starts, counts = _segments(offsets)
+def _segment_softmax_backward(g, s, segments):
+    """Gradient on the logits of `s = _segment_softmax(logits, segments)`."""
+    starts, counts = segments
     inner = np.repeat(np.add.reduceat(g * s, starts, axis=0), counts, axis=0)
     return s * (g - inner)
 
@@ -526,11 +528,11 @@ def edge_attention(sources, targets, wq, wk, wv, edges, n_heads):
     tail = xs[n_src:]   # the source rows past the graph
     xs, xt = xs[:n_src], xt[:n_tgt]
     qv, kv, vv = xs @ wqv, xt @ wkv, xt @ wvv
-    src, tgt, offsets = edges.source, edges.target, edges.offsets
+    src, tgt, segments = edges.source, edges.target, edges.segments
     blocks, scaled = _head_blocks(d, n_heads)
     prod = qv[src]
     prod *= kv[tgt]
-    alpha = _segment_softmax(prod @ scaled, offsets)
+    alpha = _segment_softmax(prod @ scaled, segments)
     del prod
     msg = vv[tgt]
     heads = msg.reshape(-1, n_heads, d // n_heads)   # a view: head h's value columns
@@ -548,7 +550,7 @@ def edge_attention(sources, targets, wq, wk, wv, edges, n_heads):
         g_values = g_edge.reshape(-1, n_heads, d // n_heads) * alpha[:, :, None]
         _project_back(targets, xt, wv, wvv, sums_to_target @ g_values.reshape(g_edge.shape))
         g_edge *= vv[tgt]
-        d_prod = _segment_softmax_backward(g_edge @ blocks, alpha, offsets) @ scaled.T
+        d_prod = _segment_softmax_backward(g_edge @ blocks, alpha, segments) @ scaled.T
         del g_edge, g_values
         g_queries = sums_to_source @ (d_prod * kv[tgt])
         d_prod *= qv[src]
@@ -572,7 +574,7 @@ def _check_kg_tables(name, entity, relation, edges):
 def _slot_weights(entity, relation, edges):
     """The (E,) slot weights `kg_pool` applies: per-head softmax of the
     slot logits of the plain `entity` and `relation` arrays."""
-    return _segment_softmax(edges.slot_logits(entity, relation), edges.offsets)
+    return _segment_softmax(edges.slot_logits(entity, relation), edges.segments)
 
 
 def kg_pool(entity, relation, edges):
@@ -592,7 +594,7 @@ def kg_pool(entity, relation, edges):
     """
     ev, rv = _values(entity), _values(relation)
     _check_kg_tables("kg_pool", ev, rv, edges)
-    offsets, operator = edges.offsets, edges.mean_operator
+    operator = edges.mean_operator
     beta = _slot_weights(ev, rv, edges)
     msg = rv[edges.rel]
     msg *= ev[edges.tail]
@@ -606,7 +608,7 @@ def kg_pool(entity, relation, edges):
         g_edge = operator.transposed @ g
         rel_rows, tail_rows = rv[edges.rel], ev[edges.tail]
         d_logits = _segment_softmax_backward(
-            np.einsum("ij,ij,ij->i", g_edge, rel_rows, tail_rows), beta, offsets)
+            np.einsum("ij,ij,ij->i", g_edge, rel_rows, tail_rows), beta, edges.segments)
         g_edge *= beta[:, None]
         rel_rows *= g_edge  # from here on the gradient onto each slot's tail
         if _tracked(relation):
@@ -812,16 +814,16 @@ def bpr(pos, neg):
 
 
 def _row_norms(z):
-    """Euclidean norms of the rows of `z`, none of them zero."""
-    sq = (z * z).sum(axis=1)
+    """Euclidean norms along the last axis of `z`, none of them zero."""
+    sq = (z * z).sum(axis=-1)
     if np.any(sq <= 0.0):
         raise DomainError("infonce: zero-norm embedding row")
     return np.sqrt(sq)
 
 
 def _unit_rows_backward(grad, unit, norms):
-    """Push a gradient on the unit rows through the normalization z / |z|."""
-    return (grad - unit * (grad * unit).sum(axis=1)[:, None]) / norms[:, None]
+    """Push a gradient on the unit rows (last axis) through the normalization z / |z|."""
+    return (grad - unit * (grad * unit).sum(axis=-1)[..., None]) / norms[..., None]
 
 
 # Cap on the bytes of one row slab of the InfoNCE logit block.
@@ -853,129 +855,173 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
-class _InfonceTerm:
-    """One InfoNCE term: `__init__` checks it and reads its rows on the
-    calling thread, `run` does the slab work on any thread.
+class _InfonceUnit:
+    """Consecutive layers of one InfoNCE side, which share its batch rows:
+    `__init__` reads their rows and checks them on the calling thread, `run`
+    does the slab work on any thread.
 
-    `run` allocates every buffer it writes and drops them when it returns,
-    keeping only the value and the (b, d) gradients on the table rows, so a
-    term holds its buffers only while it runs.
+    The L layers stack on a leading axis: one gather per table into the
+    (L, 2b, d) keys, one (L, slab, 2b) logit block per slab and batched
+    matmuls. Each layer's arithmetic is that of a unit of its own, so the
+    results do not depend on how the layers are grouped. `run` allocates
+    every buffer it writes and drops them when it returns, keeping only the
+    L values and the (L, b, d) gradients on the table rows, so a unit holds
+    its buffers only while it runs.
     """
 
-    def __init__(self, global_table, local_table, rows, tau, include_positive):
-        gt, lt = _values(global_table), _values(local_table)
-        if gt.ndim != 2 or lt.ndim != 2 or gt.shape[1] != lt.shape[1]:
-            raise ShapeError(
-                f"infonce: tables {gt.shape} and {lt.shape} are not matrices of one width")
-        self.rows = _row_index("infonce", rows, min(gt.shape[0], lt.shape[0]))
-        b = self.rows.size
-        if b < 2:
-            raise DomainError(f"infonce: needs at least 2 rows, got {b}")
-        if not tau > 0:
-            raise DomainError(f"infonce: temperature must be positive, got {tau}")
-        self.tables = global_table, local_table
-        self.views = gt[self.rows], lt[self.rows]
-        self.b, self.tau, self.include_positive = b, tau, include_positive
-        self.g_norms, self.l_norms = _row_norms(self.views[0]), _row_norms(self.views[1])
-        self.requires_grad = _needs_grad(global_table, local_table)
+    def __init__(self, global_layers, local_layers, rows, tau, include_positive):
+        b = rows.size
+        # the rows of both views of each layer, stacked: keys = [local; global]
+        keys = np.empty((len(global_layers), 2 * b, _values(global_layers[0]).shape[1]))
+        for k, (g, l) in enumerate(zip(global_layers, local_layers)):
+            keys[k, :b] = _values(l)[rows]
+            keys[k, b:] = _values(g)[rows]
+        self.norms = _row_norms(keys)
+        self.keys, self.rows, self.b = keys, rows, b
+        self.layers = global_layers, local_layers
+        self.tau, self.include_positive = tau, include_positive
+        self.requires_grad = _needs_grad(*global_layers, *local_layers)
         self.slab = max(1, INFONCE_SLAB_BYTES // (2 * b * 8))
 
     def run(self):
-        """Set `value` and `grads`, the (table, (b, d) gradient) pairs of the
-        tracked tables, forming the logit block slab by slab."""
-        b, tau, slab = self.b, self.tau, self.slab
-        gv, lv = self.views
-        del self.views
-        # the unit rows of both views, stacked: keys = [ln; gn]
-        keys = np.empty((2 * b, gv.shape[1]))
-        ln, gn = keys[:b], keys[b:]
-        np.multiply(lv, (1.0 / self.l_norms)[:, None], out=ln)
-        np.multiply(gv, (1.0 / self.g_norms)[:, None], out=gn)
+        """Set `values`, the L layer terms, and `grads`, the (layers,
+        (L, b, d) gradient) pair of each view with a tracked layer, forming
+        the logit block slab by slab."""
+        b, tau, slab, keys = self.b, self.tau, self.slab, self.keys
+        del self.keys
+        n_layers = keys.shape[0]
+        keys *= (1.0 / self.norms)[:, :, None]   # the unit rows: [ln; gn]
+        ln, gn = keys[:, :b], keys[:, b:]
         queries = gn * (1.0 / tau)
         if self.requires_grad:
             d_gn = np.empty_like(gn)
             d_keys = np.zeros_like(keys)
-        terms = np.empty(b)
-        buffer = np.empty((min(slab, b), 2 * b))
+        terms = np.empty((n_layers, b))
+        buffer = np.empty((n_layers, min(slab, b), 2 * b))
         for r0 in range(0, b, slab):
             r1 = min(r0 + slab, b)
             rows = np.arange(r1 - r0)
             diag = r0 + rows
-            block = np.matmul(queries[r0:r1], keys.T, out=buffer[:r1 - r0])
-            positive = block[rows, diag]
-            block[rows, b + diag] = -np.inf
+            block = np.matmul(queries[:, r0:r1], keys.transpose(0, 2, 1),
+                              out=buffer[:, :r1 - r0])
+            positive = block[:, rows, diag]
+            block[:, rows, b + diag] = -np.inf
             if not self.include_positive:
-                block[rows, diag] = -np.inf
-            shift = block.max(axis=1)
-            block -= shift[:, None]
+                block[:, rows, diag] = -np.inf
+            shift = block.max(axis=2)
+            block -= shift[:, :, None]
             np.exp(block, out=block)
-            mass = block.sum(axis=1)
-            terms[r0:r1] = shift + np.log(mass) - positive
+            mass = block.sum(axis=2)
+            terms[:, r0:r1] = shift + np.log(mass) - positive
             if not self.requires_grad:
                 continue
             # d out / d block = (softmax - positive indicator) / b, and the block
             # is (gn / tau) @ keys.T: fold 1 / (b * tau) into the softmax rows.
-            block *= (1.0 / (mass * (b * tau)))[:, None]
-            block[rows, diag] -= 1.0 / (b * tau)
-            np.matmul(block, keys, out=d_gn[r0:r1])
-            # d_keys += block.T @ gn[r0:r1], accumulated in place: the transposed
-            # product d_keys.T += gn[r0:r1].T @ block on the Fortran views
-            d_keys = dgemm(1.0, gn[r0:r1].T, block.T, beta=1.0, c=d_keys.T,
-                           trans_b=1, overwrite_c=1).T
-        self.value = np.mean(terms)
+            block *= (1.0 / (mass * (b * tau)))[:, :, None]
+            block[:, rows, diag] -= 1.0 / (b * tau)
+            np.matmul(block, keys, out=d_gn[:, r0:r1])
+            # d_keys += block.T @ gn[r0:r1] per layer, accumulated in place: the
+            # transposed product d_keys.T += gn[r0:r1].T @ block on the Fortran
+            # views, which dgemm overwrites
+            for k in range(n_layers):
+                dgemm(1.0, gn[k, r0:r1].T, block[k].T, beta=1.0, c=d_keys[k].T,
+                      trans_b=1, overwrite_c=1)
+        self.values = terms.mean(axis=1)
         del buffer, queries, terms   # the gradients below can reuse their room
         self.grads = []
         if self.requires_grad:
-            global_table, local_table = self.tables
-            if _tracked(global_table):
-                d_gn += d_keys[b:]
-                self.grads.append((global_table, _unit_rows_backward(d_gn, gn, self.g_norms)))
-            if _tracked(local_table):
+            global_layers, local_layers = self.layers
+            if any(map(_tracked, global_layers)):
+                d_gn += d_keys[:, b:]
                 self.grads.append(
-                    (local_table, _unit_rows_backward(d_keys[:b], ln, self.l_norms)))
+                    (global_layers, _unit_rows_backward(d_gn, gn, self.norms[:, b:])))
+            if any(map(_tracked, local_layers)):
+                self.grads.append(
+                    (local_layers, _unit_rows_backward(d_keys[:, :b], ln, self.norms[:, :b])))
 
 
-def infonce(pairs, tau, include_positive=False):
-    """The sum over `(global_table, local_table, rows)` triples of one
-    InfoNCE term each, the mean over `rows` below; one scalar tensor.
+def _side_units(side, tau, include_positive):
+    """The checked units of one `(global_layers, local_layers, rows)` side:
+    consecutive layers, as many to a unit as whole (b, 2b) logit blocks fit
+    in `INFONCE_SLAB_BYTES`, and one to a unit when one block does not."""
+    global_layers, local_layers, rows = side
+    tables = [_values(t) for t in (*global_layers, *local_layers)]
+    if (not global_layers or len(local_layers) != len(global_layers)
+            or any(t.ndim != 2 or t.shape != tables[0].shape for t in tables)):
+        raise ShapeError(
+            f"infonce: global layers {[t.shape for t in tables[:len(global_layers)]]} and "
+            f"local layers {[t.shape for t in tables[len(global_layers):]]} must be as many "
+            f"matrices of one shape")
+    rows = _row_index("infonce", rows, tables[0].shape[0])
+    b = rows.size
+    if b < 2:
+        raise DomainError(f"infonce: needs at least 2 rows, got {b}")
+    stack = max(1, INFONCE_SLAB_BYTES // (2 * b * b * 8))
+    return [_InfonceUnit(global_layers[k:k + stack], local_layers[k:k + stack], rows, tau,
+                         include_positive)
+            for k in range(0, len(global_layers), stack)]
 
-    A term reads the (b, d) views `table[rows]` of both tables (repeats
-    allowed). Row i of each view is normalized; its positive is the
-    cross-view logit gn_i . ln_i / tau, and its candidates are the logit row
-    gn_i @ [ln; gn].T / tau with the self-similarity gn_i . gn_i masked to
-    -inf, and the positive masked too unless `include_positive` is set.
-    The term is the max-shifted row log-sum-exp minus the positive, so it
-    is finite for every temperature whose reciprocal is a finite float.
 
-    A term's (b, 2b) logit block never exists whole: it is formed, reduced
-    and differentiated in slabs of rows of at most `INFONCE_SLAB_BYTES`. The
-    output is a scalar, so each view's gradient is a fixed (b, d) array
-    times the upstream scalar. When recorded, the op forms those arrays
-    here, slab by slab, from the softmax of the slab; backward only scales
-    them and scatter-adds them into the tables' rows, as `score` does.
+def infonce(sides, tau, include_positive=False):
+    """The sum over `(global_layers, local_layers, rows)` sides of one
+    InfoNCE term per layer pair, the mean over `rows` below; one scalar
+    tensor.
 
-    Every triple is checked, and its views read, on the calling thread
-    before any term is computed, so a bad triple raises here and nothing is
-    recorded. The terms share nothing: when some term spans more than one
-    slab and the worker pool has more than one thread (`_pool_width`),
-    each term runs on a thread of the pool, otherwise one after another on
-    the calling thread. A term's arithmetic is the same on either path, so
-    the results are bitwise equal. At most the pool's width of terms hold
-    their buffers at once. The calling thread
-    then records the one `infonce` node; no worker touches the tape.
+    All layers of a side are matrices of one shape, as many global as local
+    ones (a misfit raises `ShapeError`, as in `score`); layer k pairs
+    `global_layers[k]` with `local_layers[k]`. A term reads the (b, d) views
+    `table[rows]` of both tables (repeats allowed). Row i of each view is
+    normalized; its positive is the cross-view logit gn_i . ln_i / tau, and
+    its candidates are the logit row gn_i @ [ln; gn].T / tau with the
+    self-similarity gn_i . gn_i masked to -inf, and the positive masked too
+    unless `include_positive` is set. The term is the max-shifted row
+    log-sum-exp minus the positive, so it is finite for every temperature
+    whose reciprocal is a finite float. The terms are summed side by side
+    and layer by layer.
+
+    A side runs in units of consecutive layers (`_InfonceUnit`). A unit of L
+    layers stacks them when their L (b, 2b) logit blocks fit whole in
+    `INFONCE_SLAB_BYTES` (b <= 209 rows for 3 layers); a layer whose block
+    does not fit alone (b > 362) is a unit of its own, its block formed,
+    reduced and differentiated in slabs of rows of at most that cap, so it
+    never exists whole. The output is a scalar, so each view's gradient is a
+    fixed array times the upstream scalar. When recorded, the op forms
+    those arrays here, slab by slab, from the softmax of the slab; backward
+    only scales them and scatter-adds them into the layers' rows, one flat
+    bincount per view of a unit, as `score` does.
+
+    Every side is checked, and its rows read, on the calling thread before
+    any unit is computed, so a bad side raises here and nothing is
+    recorded. The units share nothing: when there are several, some unit
+    spans more than one slab and the worker pool has more than one thread
+    (`_pool_width`), each unit runs on a thread of the pool, otherwise one
+    after another on the calling thread. A unit's arithmetic is the same on
+    either path and per layer the same as a unit of that layer alone, so
+    the results are bitwise equal. At most the pool's width of units hold
+    their buffers at once. The calling thread then records the one
+    `infonce` node; no worker touches the tape.
     """
-    if not pairs:
-        raise DomainError("infonce: no (global, local, rows) triples")
-    terms = [_InfonceTerm(g, l, rows, tau, include_positive) for g, l, rows in pairs]
-    pooled = len(terms) > 1 and any(t.slab < t.b for t in terms) and _pool_width() > 1
-    list((_executor().map if pooled else map)(_InfonceTerm.run, terms))
-    out = Tensor(sum(t.value for t in terms), requires_grad=any(t.requires_grad for t in terms))
-    grads = [(table, t.rows, grad) for t in terms for table, grad in t.grads]
+    if not sides:
+        raise DomainError("infonce: no (global layers, local layers, rows) triples")
+    if not tau > 0:
+        raise DomainError(f"infonce: temperature must be positive, got {tau}")
+    units = [unit for side in sides for unit in _side_units(side, tau, include_positive)]
+    pooled = len(units) > 1 and any(u.slab < u.b for u in units) and _pool_width() > 1
+    list((_executor().map if pooled else map)(_InfonceUnit.run, units))
+    out = Tensor(sum(value for u in units for value in u.values),
+                 requires_grad=any(u.requires_grad for u in units))
+    grads = [(u.rows, u.grads) for u in units]
 
     def backward(g):
-        for table, rows, grad in grads:
-            grad *= g
-            _accum(table, _scatter_rows(rows, grad, table.values.shape[0]), fresh=True)
+        for rows, views in grads:
+            sums = []
+            for layers, grad in views:
+                grad *= g
+                sums.append(zip(layers, _scatter_rows(rows, grad, _values(layers[0]).shape[0])))
+            # layer by layer, the global view first: the order of one-layer units
+            for per_layer in zip(*sums):
+                for table, layer_sum in per_layer:
+                    _accum(table, layer_sum, fresh=True)
         grads.clear()
 
     _record("infonce", out, backward)

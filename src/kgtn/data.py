@@ -50,6 +50,11 @@ class KGEdges:
         return np.diff(self.offsets)
 
     @cached_property
+    def segments(self):
+        """Starts and lengths of the nonempty head blocks (`segment_index`)."""
+        return segment_index(self.offsets)
+
+    @cached_property
     def mean_operator(self):
         """(n, E) CSR matrix of the block means: row i averages head i's slots."""
         return block_operator(self.offsets, 1.0 / np.maximum(self.counts, 1))
@@ -94,6 +99,18 @@ def block_operator(offsets, weights):
     )
 
 
+def segment_index(offsets):
+    """Starts and lengths of the nonempty CSR blocks of `offsets`, the index
+    the segment reductions of `kgtn.autodiff` read.
+
+    `np.add.reduceat` mishandles empty segments, so every segment reduction
+    runs over the nonempty ones only.
+    """
+    counts = np.diff(offsets)
+    nonempty = counts > 0
+    return offsets[:-1][nonempty], counts[nonempty]
+
+
 def one_hot_operator(keys, n_keys):
     """(n_keys, E) CSR matrix whose product with E stacked rows sums row e
     onto row `keys[e]`, each sum in ascending e: bitwise the same sums as a
@@ -112,7 +129,7 @@ class EdgeList:
     each source's block. `source_sum` (sources, E) and `target_sum`
     (targets, E) are the constant one-hot CSR operators whose products with
     E stacked rows sum them onto their source and their target rows, each
-    row in ascending edge order.
+    row in ascending edge order. `segments` is built on first use and kept.
     """
 
     offsets: np.ndarray
@@ -120,6 +137,11 @@ class EdgeList:
     target: np.ndarray
     source_sum: SparseOperator
     target_sum: SparseOperator
+
+    @cached_property
+    def segments(self):
+        """Starts and lengths of the nonempty source blocks (`segment_index`)."""
+        return segment_index(self.offsets)
 
 
 def _id_rows(rows, width, what):

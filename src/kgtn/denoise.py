@@ -167,8 +167,10 @@ def contrastive_loss(global_track, local_track, users, items, tau, include_posit
     single-layer input degenerates to a factor of 1. Both tracks must carry
     the same number of layers and at least two nodes per side.
 
-    The whole sum is one `ad.infonce` node, which reads the batch rows of
-    each layer, may compute the terms on worker threads and scatters their
+    The whole sum is one `ad.infonce` node over two sides, the user layers
+    at `users` and the entity layers at `items`. It reads the batch rows of
+    each layer, stacks the layers of a side whose logit blocks fit its slab
+    cap, may compute the units on worker threads and scatters their
     gradients back into the layers. A term is a max-shifted log-sum-exp
     over the masked cross- and self-view logits minus the positive logit.
     Nothing is excluded by subtraction and no unshifted `exp` is taken, so
@@ -183,7 +185,7 @@ def contrastive_loss(global_track, local_track, users, items, tau, include_posit
         )
     if np.size(users) < 2 or np.size(items) < 2:
         raise ContractError("contrastive batch must contain at least 2 nodes per side")
-    pairs = [(g, l, users) for g, l in zip(global_track.users, local_track.users)]
-    pairs += [(g, l, items) for g, l in zip(global_track.entities, local_track.entities)]
-    return ad.mul(ad.infonce(pairs, tau, include_positive),
+    sides = [(global_track.users, local_track.users, users),
+             (global_track.entities, local_track.entities, items)]
+    return ad.mul(ad.infonce(sides, tau, include_positive),
                   1.0 / max(1, global_track.n_layers - 1))

@@ -50,17 +50,17 @@ def worker_cores(monkeypatch):
 
 @pytest.fixture
 def infonce_pool(monkeypatch, worker_cores):
-    """Force the pooled InfoNCE path on any machine: slabs of one row and a
-    pool of two workers. Returns the list that names the thread of every
-    term run."""
+    """Force the pooled InfoNCE path on any machine: slabs of one row, so one
+    layer to a unit, and a pool of two workers. Returns the list that names
+    the thread of every unit run."""
     threads = []
-    run = ad._InfonceTerm.run
+    run = ad._InfonceUnit.run
 
-    def spied_run(term):
+    def spied_run(unit):
         threads.append(threading.current_thread().name)
-        run(term)
+        run(unit)
 
-    monkeypatch.setattr(ad._InfonceTerm, "run", spied_run)
+    monkeypatch.setattr(ad._InfonceUnit, "run", spied_run)
     monkeypatch.setattr(ad, "INFONCE_SLAB_BYTES", 8)
     worker_cores(2)
     return threads

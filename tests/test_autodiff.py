@@ -17,7 +17,7 @@ from scipy import sparse
 from scipy.special import logsumexp
 
 from kgtn import autodiff as ad
-from kgtn.data import InteractionGraph, KnowledgeGraph, block_operator
+from kgtn.data import InteractionGraph, KnowledgeGraph, block_operator, segment_index
 from kgtn.errors import ContractError, DomainError, ShapeError
 from kgtn.gradcheck import check_gradients
 
@@ -661,22 +661,22 @@ def test_spmm_operators_match_dense_oracle_with_isolated_nodes():
 # segment softmax (the shared core of kg_pool and edge_attention)
 
 
-def _segment_fd(logits, offsets, upstream, eps=1e-6):
+def _segment_fd(logits, segments, upstream, eps=1e-6):
     """Central differences of sum(upstream * segment softmax) per logit."""
     grad = np.zeros_like(logits)
     for j in np.ndindex(logits.shape):
         hi, lo = logits.copy(), logits.copy()
         hi[j] += eps
         lo[j] -= eps
-        grad[j] = ((upstream * ad._segment_softmax(hi, offsets)).sum()
-                   - (upstream * ad._segment_softmax(lo, offsets)).sum()) / (2 * eps)
+        grad[j] = ((upstream * ad._segment_softmax(hi, segments)).sum()
+                   - (upstream * ad._segment_softmax(lo, segments)).sum()) / (2 * eps)
     return grad
 
 
 def test_segment_softmax_sums_per_segment():
     logits = RNG.normal(size=7)
     offsets = np.array([0, 3, 3, 7])
-    out = ad._segment_softmax(logits, offsets)
+    out = ad._segment_softmax(logits, segment_index(offsets))
     assert abs(out[:3].sum() - 1.0) < 1e-9
     assert abs(out[3:].sum() - 1.0) < 1e-9
 
@@ -685,8 +685,9 @@ def test_segment_softmax_finite_difference():
     logits = RNG.normal(size=6)
     offsets = np.array([0, 2, 6])
     w = RNG.normal(size=6)
-    got = ad._segment_softmax_backward(w, ad._segment_softmax(logits, offsets), offsets)
-    np.testing.assert_allclose(got, _segment_fd(logits, offsets, w), rtol=0, atol=1e-8)
+    segments = segment_index(offsets)
+    got = ad._segment_softmax_backward(w, ad._segment_softmax(logits, segments), segments)
+    np.testing.assert_allclose(got, _segment_fd(logits, segments, w), rtol=0, atol=1e-8)
 
 
 def test_segment_softmax_matrix_bitwise_equals_column_calls():
@@ -694,21 +695,23 @@ def test_segment_softmax_matrix_bitwise_equals_column_calls():
     offsets = np.array([0, 3, 3, 9, 10])
     logits = RNG.normal(size=(10, 4)) * 3.0
     upstream = RNG.normal(size=(10, 4))
-    s = ad._segment_softmax(logits, offsets)
-    g = ad._segment_softmax_backward(upstream, s, offsets)
+    segments = segment_index(offsets)
+    s = ad._segment_softmax(logits, segments)
+    g = ad._segment_softmax_backward(upstream, s, segments)
     for h in range(4):
-        s_h = ad._segment_softmax(logits[:, h].copy(), offsets)
+        s_h = ad._segment_softmax(logits[:, h].copy(), segments)
         np.testing.assert_array_equal(s[:, h], s_h)
         np.testing.assert_array_equal(
-            g[:, h], ad._segment_softmax_backward(upstream[:, h].copy(), s_h, offsets))
+            g[:, h], ad._segment_softmax_backward(upstream[:, h].copy(), s_h, segments))
 
 
 def test_segment_softmax_matrix_finite_difference():
     logits = RNG.normal(size=(6, 3))
     offsets = np.array([0, 2, 2, 6])
     w = RNG.normal(size=(6, 3))
-    got = ad._segment_softmax_backward(w, ad._segment_softmax(logits, offsets), offsets)
-    np.testing.assert_allclose(got, _segment_fd(logits, offsets, w), rtol=0, atol=1e-8)
+    segments = segment_index(offsets)
+    got = ad._segment_softmax_backward(w, ad._segment_softmax(logits, segments), segments)
+    np.testing.assert_allclose(got, _segment_fd(logits, segments, w), rtol=0, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -867,7 +870,7 @@ def test_edge_attention_equals_the_head_indicator_spread_bitwise(n_heads):
     wv = ad.parameter(rng.normal(size=(d, d)))
     upstream = rng.normal(size=(40, d))
     blocks, scaled = ad._head_blocks(d, n_heads)
-    alpha = ad._segment_softmax(((xs @ wq)[src] * (xt @ wk)[tgt]) @ scaled, edges.offsets)
+    alpha = ad._segment_softmax(((xs @ wq)[src] * (xt @ wk)[tgt]) @ scaled, edges.segments)
     want = edges.source_sum @ ((xt @ wv.values)[tgt] * (alpha @ blocks.T))
     ad._fallback_rows(edges.source_sum, want, xs)
     want_grad = xt.T @ (edges.target_sum @ (upstream[src] * (alpha @ blocks.T)))
@@ -886,13 +889,13 @@ def _composed_attention_oracle(xs, xt, wq, wk, wv, edges, n_heads, g, grads):
     place, each formed and added in the order a tape of three projection
     nodes and one attention node replays them."""
     q, k, v = xs @ wq, xt @ wk, xt @ wv
-    src, tgt, offsets = edges.source, edges.target, edges.offsets
+    src, tgt, segments = edges.source, edges.target, edges.segments
     dh = xs.shape[1] // n_heads
     blocks, scaled = ad._head_blocks(xs.shape[1], n_heads)
     empty = edges.source_sum.empty_rows
     prod = q[src]
     prod *= k[tgt]
-    alpha = ad._segment_softmax(prod @ scaled, offsets)
+    alpha = ad._segment_softmax(prod @ scaled, segments)
     msg = v[tgt]
     heads = msg.reshape(-1, n_heads, dh)
     heads *= alpha[:, :, None]
@@ -905,7 +908,7 @@ def _composed_attention_oracle(xs, xt, wq, wk, wv, edges, n_heads, g, grads):
     g_values = edges.target_sum @ (
         g_edge.reshape(-1, n_heads, dh) * alpha[:, :, None]).reshape(g_edge.shape)
     g_edge *= v[tgt]
-    d_prod = ad._segment_softmax_backward(g_edge @ blocks, alpha, offsets) @ scaled.T
+    d_prod = ad._segment_softmax_backward(g_edge @ blocks, alpha, segments) @ scaled.T
     g_queries = edges.source_sum @ (d_prod * k[tgt])
     d_prod *= q[src]
     g_keys = edges.target_sum @ d_prod
@@ -1106,7 +1109,7 @@ def test_infonce_value_matches_masked_logsumexp():
     zg, zl = RNG.normal(size=(6, 4)), RNG.normal(size=(6, 4))
     for tau in (10.0, 0.3, 1e-3):
         for include_positive in (False, True):
-            out = ad.infonce([(ad.constant(zg), ad.constant(zl), np.arange(6))], tau,
+            out = ad.infonce([([ad.constant(zg)], [ad.constant(zl)], np.arange(6))], tau,
                              include_positive).values
             want = _infonce_oracle(zg, zl, tau, include_positive)
             assert np.isfinite(out) and abs(out - want) <= 1e-12 * max(1.0, abs(want))
@@ -1117,7 +1120,7 @@ def test_infonce_finite_difference(include_positive):
     g = ad.parameter(RNG.normal(size=(5, 4)))
     l = ad.parameter(RNG.normal(size=(5, 4)))
     # the upstream scale checks that backward multiplies by its gradient
-    fd_check(lambda: ad.mul(ad.infonce([(g, l, np.arange(5))], 0.4, include_positive), 2.5),
+    fd_check(lambda: ad.mul(ad.infonce([([g], [l], np.arange(5))], 0.4, include_positive), 2.5),
              [("g", g), ("l", l)], tol=1e-6)
 
 
@@ -1128,7 +1131,7 @@ def test_infonce_constant_view_gets_no_gradient():
         g = ad.parameter(zg)
         l = ad.constant(zl) if constant_local else ad.parameter(zl)
         with ad.Tape() as tape:
-            loss = ad.infonce([(g, l, np.arange(4))], 0.5)
+            loss = ad.infonce([([g], [l], np.arange(4))], 0.5)
         tape.backward(loss)
         grads.append(g.grad)
     assert l.grad is None
@@ -1139,37 +1142,50 @@ def test_infonce_domain_errors():
     z = RNG.normal(size=(3, 2))
     rows = np.arange(3)
     with pytest.raises(DomainError, match="zero-norm"):
-        ad.infonce([(ad.constant(np.vstack([z[:2], np.zeros(2)])), ad.constant(z), rows)], 1.0)
+        ad.infonce([([np.vstack([z[:2], np.zeros(2)])], [z], rows)], 1.0)
     with pytest.raises(DomainError, match="zero-norm"):
-        ad.infonce([(ad.constant(z), ad.constant(np.vstack([np.zeros(2), z[1:]])), rows)], 1.0)
+        ad.infonce([([z], [np.vstack([np.zeros(2), z[1:]])], rows)], 1.0)
     for tau in (0.0, -1.0, float("nan")):
         with pytest.raises(DomainError, match="temperature"):
-            ad.infonce([(ad.constant(z), ad.constant(z), rows)], tau)
+            ad.infonce([([z], [z], rows)], tau)
     with pytest.raises(DomainError, match="2 rows"):
-        ad.infonce([(ad.constant(z[:1]), ad.constant(z[:1]), np.arange(1))], 1.0)
+        ad.infonce([([z[:1]], [z[:1]], np.arange(1))], 1.0)
     with pytest.raises(ShapeError):
-        ad.infonce([(ad.constant(z), ad.constant(z[:2]), rows)], 1.0)
+        ad.infonce([([z], [z[:2]], rows)], 1.0)
     with pytest.raises(DomainError, match="no .* triples"):
         ad.infonce([], 1.0)
+
+
+def test_infonce_side_misfit_raises_shape_error():
+    # as in `score`: every layer of a side is a matrix of one shape, and a
+    # side pairs as many global layers as local ones
+    z = RNG.normal(size=(4, 3))
+    rows = np.arange(4)
+    for global_layers, local_layers in (([z, z], [z]), ([], []), ([z, z[:, :2]], [z, z]),
+                                        ([z, z], [z, z[:3]]), ([z[0], z[0]], [z[0], z[0]])):
+        with ad.Tape() as tape:
+            with pytest.raises(ShapeError, match="infonce: global layers"):
+                ad.infonce([([z], [z], rows), (global_layers, local_layers, rows)], 0.5)
+        assert len(tape) == 0
 
 
 def _infonce_run(zg, zl, tau, include_positive, rows=None):
     g, l = ad.parameter(zg), ad.parameter(zl)
     rows = np.arange(zg.shape[0]) if rows is None else rows
     with ad.Tape() as tape:
-        loss = ad.infonce([(g, l, rows)], tau, include_positive)
+        loss = ad.infonce([([g], [l], rows)], tau, include_positive)
     tape.backward(loss)
     return loss.item(), g.grad, l.grad
 
 
 def test_infonce_bad_rows_raise_before_any_term(infonce_pool):
     z = RNG.normal(size=(4, 3))
-    good = (ad.parameter(z), ad.parameter(z), np.arange(4))
+    good = ([ad.parameter(z)], [ad.parameter(z)], np.arange(4))
     for rows in (np.array([0, 4]), np.array([-1, 2]), np.array([0.0, 1.0]),
                  np.array([True, False, True, True]), np.array([[0, 1], [2, 3]])):
         with ad.Tape() as tape:
             with pytest.raises(ShapeError, match="infonce: index"):
-                ad.infonce([good, good, (ad.parameter(z), ad.parameter(z), rows)], 0.5)
+                ad.infonce([good, good, ([ad.parameter(z)], [ad.parameter(z)], rows)], 0.5)
         assert len(tape) == 0 and infonce_pool == []
 
 
@@ -1215,7 +1231,7 @@ def test_infonce_slab_finite_difference(monkeypatch, include_positive):
     _slab_rows(monkeypatch, 3, 7)
     g = ad.parameter(RNG.normal(size=(7, 4)))
     l = ad.parameter(RNG.normal(size=(7, 4)))
-    fd_check(lambda: ad.mul(ad.infonce([(g, l, np.arange(7))], 0.4, include_positive), 2.5),
+    fd_check(lambda: ad.mul(ad.infonce([([g], [l], np.arange(7))], 0.4, include_positive), 2.5),
              [("g", g), ("l", l)], tol=1e-6)
 
 
@@ -1232,9 +1248,115 @@ def test_infonce_default_slab_partial_last_slab(monkeypatch):
     np.testing.assert_allclose(d_l, want_l, rtol=0, atol=1e-15 * b)
 
 
+def _unit_layers(monkeypatch):
+    """Spy on `_InfonceUnit.run`: returns the list of the layer count of
+    every unit run."""
+    layers = []
+    run = ad._InfonceUnit.run
+
+    def spied_run(unit):
+        layers.append(len(unit.layers[0]))
+        run(unit)
+
+    monkeypatch.setattr(ad._InfonceUnit, "run", spied_run)
+    return layers
+
+
+@pytest.mark.parametrize("b, units, one_slab", [
+    (209, [3], True), (210, [2, 1], True), (256, [2, 1], True), (257, [1, 1, 1], True),
+    (362, [1, 1, 1], True), (363, [1, 1, 1], False)])
+def test_infonce_units_stack_whole_blocks_under_the_cap(b, units, one_slab):
+    # the default cap holds three (b, 2b) blocks up to b = 209, two up to
+    # 256 and one up to 362; past that a layer runs in slabs on its own
+    z = [np.ones((b, 2)) for _ in range(3)]
+    got = ad._side_units((z, z, np.arange(b)), 0.5, False)
+    assert [len(u.layers[0]) for u in got] == units
+    assert all((u.slab >= b) == one_slab for u in got)
+
+
+def _layer_sides_run(layers_g, layers_l, rows, tau, include_positive, stacked):
+    """Value, gradient bytes of every layer and tape op sequence of one
+    call: one side of every layer when `stacked`, else one side per layer."""
+    gs = [ad.parameter(z) for z in layers_g]
+    ls = [ad.parameter(z) for z in layers_l]
+    sides = [(gs, ls, rows)] if stacked else [([g], [l], rows) for g, l in zip(gs, ls)]
+    with ad.Tape() as tape:
+        loss = ad.mul(ad.infonce(sides, tau, include_positive), 2.5)
+    names = [name for name, _, _ in tape._nodes]
+    tape.backward(loss)
+    return loss.item(), [t.grad.tobytes() for t in gs + ls], names
+
+
+@pytest.mark.parametrize("include_positive", [False, True])
+@pytest.mark.parametrize("rows", [np.arange(7), np.array([3, 0, 5, 3, 1, 0, 2, 5, 5])])
+@pytest.mark.parametrize("n_layers", [1, 2, 3, 4])
+def test_infonce_stacked_side_equals_one_layer_sides_bitwise(monkeypatch, n_layers, rows,
+                                                            include_positive):
+    layers_g = [RNG.normal(size=(8, 5)) for _ in range(n_layers)]
+    layers_l = [RNG.normal(size=(8, 5)) for _ in range(n_layers)]
+    units = _unit_layers(monkeypatch)
+    for tau in (0.05, 0.4, 3.0):
+        units.clear()
+        stacked = _layer_sides_run(layers_g, layers_l, rows, tau, include_positive, True)
+        assert units == [n_layers]
+        units.clear()
+        apart = _layer_sides_run(layers_g, layers_l, rows, tau, include_positive, False)
+        assert units == [1] * n_layers
+        assert stacked == apart
+
+
+@pytest.mark.parametrize("include_positive", [False, True])
+@pytest.mark.parametrize("rows", [np.arange(7), np.array([3, 0, 5, 3, 1, 0, 2, 5, 5])])
+def test_infonce_cap_that_stacks_two_of_three_layers(monkeypatch, rows, include_positive):
+    # room for two whole (b, 2b) blocks and most of a third
+    b = rows.size
+    monkeypatch.setattr(ad, "INFONCE_SLAB_BYTES", 3 * 2 * b * b * 8 - 1)
+    layers_g = [RNG.normal(size=(8, 5)) for _ in range(3)]
+    layers_l = [RNG.normal(size=(8, 5)) for _ in range(3)]
+    units = _unit_layers(monkeypatch)
+    stacked = _layer_sides_run(layers_g, layers_l, rows, 0.3, include_positive, True)
+    assert units == [2, 1]
+    units.clear()
+    assert stacked == _layer_sides_run(layers_g, layers_l, rows, 0.3, include_positive, False)
+    assert units == [1, 1, 1]
+
+
+@pytest.mark.parametrize("slab_bytes", [None, 8])
+def test_infonce_bad_layer_raises_before_any_unit(monkeypatch, worker_cores, slab_bytes):
+    # a zero-norm row in any layer of either view, or a bad row index of a
+    # later side, raises before any unit runs, with stacked units (default
+    # cap) and with one pooled unit per layer (slabs of one row)
+    if slab_bytes is not None:
+        monkeypatch.setattr(ad, "INFONCE_SLAB_BYTES", slab_bytes)
+    worker_cores(2)
+    units = _unit_layers(monkeypatch)
+
+    def sides():
+        return [([ad.parameter(RNG.normal(size=(5, 3))) for _ in range(3)],
+                 [ad.parameter(RNG.normal(size=(5, 3))) for _ in range(3)], rows)
+                for rows in (np.arange(5), np.array([4, 1, 1, 0]))]
+
+    for side in range(2):
+        for view in range(2):
+            for layer in range(3):
+                bad = sides()
+                bad[side][view][layer].values[bad[side][2][-1]] = 0.0
+                with ad.Tape() as tape:
+                    with pytest.raises(DomainError, match="zero-norm"):
+                        ad.infonce(bad, 0.5)
+                assert len(tape) == 0 and units == []
+    bad = sides()
+    bad[1] = (bad[1][0], bad[1][1], np.array([0, 5]))
+    with ad.Tape() as tape:
+        with pytest.raises(ShapeError, match="infonce: index"):
+            ad.infonce(bad, 0.5)
+    assert len(tape) == 0 and units == []
+    assert all(not t.grad.any() for side in bad for view in side[:2] for t in view)
+
+
 def _infonce_terms(pairs, tau, include_positive):
-    """Value, table gradients and recorded nodes of one multi-term call."""
-    leaves = [(ad.parameter(g), ad.parameter(l), np.arange(g.shape[0])) for g, l in pairs]
+    """Value, table gradients and recorded nodes of one call of one-layer sides."""
+    leaves = [([ad.parameter(g)], [ad.parameter(l)], np.arange(g.shape[0])) for g, l in pairs]
     with ad.Tape() as tape:
         out = ad.infonce(leaves, tau, include_positive)
         loss = ad.mul(out, 2.5)
@@ -1244,7 +1366,8 @@ def _infonce_terms(pairs, tau, include_positive):
     tape.backward(loss)
     # the replay keeps each node's name and releases its output and closure
     assert tape._nodes == [(name, None, None) for name in names]
-    return (out.item(), [(g.grad.tobytes(), l.grad.tobytes()) for g, l, _ in leaves], names)
+    return (out.item(), [(g.grad.tobytes(), l.grad.tobytes()) for (g,), (l,), _ in leaves],
+            names)
 
 
 @pytest.mark.parametrize("include_positive", [False, True])
@@ -1279,34 +1402,34 @@ def test_infonce_pool_is_not_started_for_one_slab_terms(monkeypatch, infonce_poo
 
 
 def test_infonce_pool_zero_norm_row_raises_before_any_term(infonce_pool):
-    pairs = [(ad.parameter(RNG.normal(size=(4, 3))), ad.parameter(RNG.normal(size=(4, 3))),
+    sides = [([ad.parameter(RNG.normal(size=(4, 3)))], [ad.parameter(RNG.normal(size=(4, 3)))],
               np.arange(4)) for _ in range(6)]
-    pairs[4][0].values[2] = 0.0
+    sides[4][0][0].values[2] = 0.0
     with ad.Tape() as tape:
         with pytest.raises(DomainError, match="zero-norm"):
-            ad.infonce(pairs, 0.5)
+            ad.infonce(sides, 0.5)
     assert len(tape) == 0 and infonce_pool == []
 
 
 def test_infonce_pool_runs_at_most_one_term_per_core(monkeypatch, infonce_pool):
-    # each running term holds its buffers: no more terms at once than cores.
-    # A term waits 5 ms once it has started, so every free worker starts one.
+    # each running unit holds its buffers: no more units at once than cores.
+    # A unit waits 5 ms once it has started, so every free worker starts one.
     flight, most = [0], [0]
     lock = threading.Lock()
-    run = ad._InfonceTerm.run
+    run = ad._InfonceUnit.run
 
-    def counted_run(term):
+    def counted_run(unit):
         with lock:
             flight[0] += 1
             most[0] = max(most[0], flight[0])
         try:
             time.sleep(5e-3)
-            run(term)
+            run(unit)
         finally:
             with lock:
                 flight[0] -= 1
 
-    monkeypatch.setattr(ad._InfonceTerm, "run", counted_run)
+    monkeypatch.setattr(ad._InfonceUnit, "run", counted_run)
     pairs = [(RNG.normal(size=(b, 3)), RNG.normal(size=(b, 3))) for b in (9, 7, 12, 8, 10, 11)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1325,24 +1448,24 @@ class _TermFailed(Exception):
 
 
 def test_infonce_pool_term_error_reaches_the_caller(monkeypatch, infonce_pool):
-    run = ad._InfonceTerm.run
+    run = ad._InfonceUnit.run
     failed_on = []
 
-    def failing_run(term):
-        if term.b == 7:
+    def failing_run(unit):
+        if unit.b == 7:
             failed_on.append(threading.current_thread().name)
-            raise _TermFailed(f"term of {term.b} rows")
-        run(term)
+            raise _TermFailed(f"unit of {unit.b} rows")
+        run(unit)
 
-    monkeypatch.setattr(ad._InfonceTerm, "run", failing_run)
-    pairs = [(ad.parameter(RNG.normal(size=(b, 3))), ad.parameter(RNG.normal(size=(b, 3))),
+    monkeypatch.setattr(ad._InfonceUnit, "run", failing_run)
+    sides = [([ad.parameter(RNG.normal(size=(b, 3)))], [ad.parameter(RNG.normal(size=(b, 3)))],
               np.arange(b)) for b in (5, 7, 2, 9, 6, 4)]
     with ad.Tape() as tape:
-        with pytest.raises(_TermFailed, match="term of 7 rows"):
-            ad.infonce(pairs, 0.5)
+        with pytest.raises(_TermFailed, match="unit of 7 rows"):
+            ad.infonce(sides, 0.5)
     assert len(tape) == 0
     assert len(failed_on) == 1 and failed_on[0].startswith("kgtn-worker")
-    assert all(g.grad is not None and not g.grad.any() for g, _, _ in pairs)
+    assert all(g.grad is not None and not g.grad.any() for (g,), _, _ in sides)
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -1350,12 +1473,11 @@ def test_infonce_pool_term_error_reaches_the_caller(monkeypatch, infonce_pool):
 def test_infonce_pool_runs_in_a_forked_child(infonce_pool):
     # the child inherits the parent's executor but not its threads; a task
     # queued there would never run
-    pairs = [(ad.constant(RNG.normal(size=(5, 3))), ad.constant(RNG.normal(size=(5, 3))),
-              np.arange(5))] * 3
-    want = ad.infonce(pairs, 0.5).item()
+    sides = [([RNG.normal(size=(5, 3))], [RNG.normal(size=(5, 3))], np.arange(5))] * 3
+    want = ad.infonce(sides, 0.5).item()
     ctx = multiprocessing.get_context("fork")
     results = ctx.Queue()
-    child = ctx.Process(target=lambda: results.put(ad.infonce(pairs, 0.5).item()))
+    child = ctx.Process(target=lambda: results.put(ad.infonce(sides, 0.5).item()))
     child.start()
     try:
         got = results.get(timeout=30)

@@ -169,11 +169,27 @@ def test_pruning_fit_never_writes_kg_or_split(fingerprint):
                edges.mean_operator):
         op.transposed, op.empty_rows
     edges.head_sum, edges.tail_sum, edges.relation_sum
+    edges.segments, graph.user_edges.segments, graph.item_edges.segments
     before = fingerprint(ds)  # split, KG, its CSR edges, the train graph and their operators
     cfg = ExperimentConfig(embed_dim=8, n_intents=2, n_heads=2, agg_depth=1, k_top=1,
                            batch_size=64, epochs=2, seed=7).validate()
     training.fit(cfg, ds)
     assert fingerprint(ds) == before
+
+
+def test_segment_index_is_kept_with_the_structure():
+    # the nonempty segments the segment softmax reads are built once per
+    # edge structure; a head or source without edges has no segment
+    ds = _dataset40()
+    graph, edges = ds.train_graph, ds.kg.full_edges()
+    for owner in (edges, graph.user_edges, graph.item_edges):
+        assert owner.segments is owner.segments
+        starts, counts = owner.segments
+        nonempty = np.flatnonzero(np.diff(owner.offsets))
+        np.testing.assert_array_equal(starts, owner.offsets[nonempty])
+        np.testing.assert_array_equal(counts, np.diff(owner.offsets)[nonempty])
+    starts, counts = data.segment_index(np.array([0, 0, 3, 3, 4]))
+    assert starts.tolist() == [0, 3] and counts.tolist() == [3, 1]
 
 
 def test_propagation_operators_are_cached_per_structure():

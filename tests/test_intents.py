@@ -327,7 +327,7 @@ def test_transformer_attention_sums_to_one_over_random_instances():
         out = ad.edge_attention(users, items, wq, wk, wv, edges, 2).values
         scaled = ad._head_blocks(4, 2)[1]
         alpha = ad._segment_softmax(((users @ wq)[edges.source] * (items @ wk)[edges.target])
-                                    @ scaled, edges.offsets)
+                                    @ scaled, edges.segments)
         for u in range(n_u):
             if graph.user_degree(u):
                 assert np.abs(out[u] - 1.0).max() < 1e-9

@@ -496,9 +496,9 @@ def test_light_user_step_gathers_no_interaction_edges(tiny_dataset, monkeypatch)
         gathers.append(np.asarray(users))
         return score(user_layers, item_layers, users, items)
 
-    def spy_infonce(pairs, *args, **kwargs):
-        gathers.extend(np.asarray(rows) for _, _, rows in pairs)
-        return infonce(pairs, *args, **kwargs)
+    def spy_infonce(sides, *args, **kwargs):
+        gathers.extend(np.asarray(rows) for _, _, rows in sides)
+        return infonce(sides, *args, **kwargs)
 
     monkeypatch.setattr(ad, "score", spy_score)
     monkeypatch.setattr(ad, "infonce", spy_infonce)
