@@ -90,8 +90,8 @@ Backward does only the work a gradient needs:
   array times the upstream scalar. The layers of one side share their
   rows and run in units: as many consecutive layers as whole (b, 2b)
   logit blocks fit in `INFONCE_SLAB_BYTES` stack on a leading axis, with
-  one gather per table, batched matmuls and one scatter per view of the
-  unit. A layer whose block does not fit alone is a unit of its own, its
+  one gather per table, batched matmuls and one scatter index per view of
+  the unit. A layer whose block does not fit alone is a unit of its own, its
   block built, reduced and differentiated in slabs of rows of at most that
   cap; each slab writes its rows of the global view's gradient and adds
   its share of the key gradient in place, so the whole block never
@@ -347,14 +347,13 @@ def _row_index(op, index, n):
 
 
 def _scatter_rows(index, rows, n):
-    """(..., n, d) sums of the (..., b, d) `rows` by their row `index` (b,),
-    one (n, d) table per leading slice: one flat bincount over
-    `(slice * n + row) * d + column`."""
-    lead, d = rows.shape[:-2], rows.shape[-1]
-    keys = np.arange(math.prod(lead))[:, None] * n + index.astype(np.intp, copy=False)
-    flat = (keys[:, :, None] * d + np.arange(d)).ravel()
-    return np.bincount(flat, weights=rows.ravel(), minlength=keys.shape[0] * n * d).reshape(
-        *lead, n, d)
+    """The (n, d) sums of each (b, d) slice of `rows` by their row `index`,
+    a list with one table per slice along the leading axes: one flat
+    bincount per slice over `row * d + column`, the index built once."""
+    b, d = rows.shape[-2:]
+    flat = (index.astype(np.intp, copy=False)[:, None] * d + np.arange(d)).ravel()
+    return [np.bincount(flat, weights=layer.ravel(), minlength=n * d).reshape(n, d)
+            for layer in rows.reshape(math.prod(rows.shape[:-2]), b, d)]
 
 
 class SparseOperator(sparse.csr_array):
@@ -776,7 +775,7 @@ def score(user_layers, item_layers, users, items):
         for layers, idx, other in ((user_layers, users, irows), (item_layers, items, urows)):
             tracked = [t for t in layers if _tracked(t)]
             if tracked:
-                grad = _scatter_rows(idx, g[:, None] * other, tracked[0].values.shape[0])
+                grad, = _scatter_rows(idx, g[:, None] * other, tracked[0].values.shape[0])
                 for k, t in enumerate(tracked):
                     _accum(t, grad, fresh=k == len(tracked) - 1)
 
@@ -874,8 +873,10 @@ class _InfonceUnit:
         # the rows of both views of each layer, stacked: keys = [local; global]
         keys = np.empty((len(global_layers), 2 * b, _values(global_layers[0]).shape[1]))
         for k, (g, l) in enumerate(zip(global_layers, local_layers)):
-            keys[k, :b] = _values(l)[rows]
-            keys[k, b:] = _values(g)[rows]
+            # `rows` is checked, so "clip" changes no row; it lets take
+            # write into the keys unbuffered
+            np.take(_values(l), rows, axis=0, out=keys[k, :b], mode="clip")
+            np.take(_values(g), rows, axis=0, out=keys[k, b:], mode="clip")
         self.norms = _row_norms(keys)
         self.keys, self.rows, self.b = keys, rows, b
         self.layers = global_layers, local_layers
@@ -987,8 +988,10 @@ def infonce(sides, tau, include_positive=False):
     never exists whole. The output is a scalar, so each view's gradient is a
     fixed array times the upstream scalar. When recorded, the op forms
     those arrays here, slab by slab, from the softmax of the slab; backward
-    only scales them and scatter-adds them into the layers' rows, one flat
-    bincount per view of a unit, as `score` does.
+    only scales them and scatter-adds them into the layers' rows, as
+    `score` does: one flat bincount per layer, over an index built once per
+    view of a unit. Each layer's bincount makes its own gradient buffer, so
+    no layer's gradient keeps another layer's rows alive.
 
     Every side is checked, and its rows read, on the calling thread before
     any unit is computed, so a bad side raises here and nothing is
